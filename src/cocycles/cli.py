@@ -81,8 +81,8 @@ def _flags_dict(args):
 def _validate_flags(args):
     if args.grid is not None and args.grid < 8:
         raise _InputError("--grid must be at least 8")
-    if args.iters is not None and args.iters < 1:
-        raise _InputError("--iters must be positive")
+    if args.iters is not None and args.iters < 2:
+        raise _InputError("--iters must be at least 2")
     if args.tol is not None and not 0.0 < args.tol < 1.0:
         raise _InputError("--tol must lie in (0, 1)")
     if args.alpha is not None and not math.isfinite(args.alpha):
@@ -175,6 +175,7 @@ def _lyap_section(rep):
         "raw_estimates": list(rep.raw_estimates),
         "stderr": list(rep.stderr),
         "divergent": [bool(f) for f in rep.divergent],
+        "flag_reason": rep.flag_reason,
         "n": rep.n,
         "grid": rep.grid,
     }

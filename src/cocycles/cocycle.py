@@ -7,6 +7,7 @@ profiles drive nilpotency detection, and rank-one cocycles get their top
 exponent in closed form from the scalar factorization.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,13 @@ class Cocycle:
     matrix: object
 
     def __post_init__(self):
-        freqs = tuple(float(a) % 1.0 for a in self.frequencies)
-        object.__setattr__(self, "frequencies", freqs)
+        freqs = tuple(float(a) for a in self.frequencies)
         if len(freqs) < 1:
             raise ValueError("at least one frequency required")
+        if not all(math.isfinite(a) for a in freqs):
+            raise ValueError(f"frequencies must be finite, got {list(freqs)}")
+        freqs = tuple(a % 1.0 for a in freqs)
+        object.__setattr__(self, "frequencies", freqs)
         mat = self.matrix
         if isinstance(mat, MatrixFunction):
             if len(freqs) != 1:
@@ -96,6 +100,8 @@ class LyapunovReport:
     divergent: list
     n: int
     grid: int
+    # per slot, which test of DIVERGENCE_TESTS flagged it, or None
+    flag_reason: list | None = None
 
 
 @dataclass
@@ -164,6 +170,116 @@ def iterates(C, n_max, degree_cap=DEGREE_CAP):
         yield GridMatrixFunction(prod.reshape(shape))
 
 
+# the step matrices and phases of one chunk of the Lyapunov sweep stay near
+# this size (or one window, if larger); longer chunks save no more time but
+# raise the peak memory
+_CHUNK_BYTES = 1 << 18
+
+DIVERGENCE_TESTS = ("deaths", "window", "decay")
+
+
+def _step_chunks(C, starts, M, bounds):
+    """Yield the step matrices A(x_b + t a), shape (T, batch, d, d), for each
+    half-open step range in bounds, in order."""
+    d = C.dim
+    batch = starts.shape[0]
+    if C.is_exact:
+        freqs, cmat = C.matrix._coeff_tensor()
+        phases = np.exp(2j * np.pi * np.outer(starts[:, 0], freqs))
+        step = np.exp(2j * np.pi * freqs * C.alpha)
+        for lo, hi in bounds:
+            # the in-place recurrence, one step at a time, keeps every phase
+            # bit-identical to a per-step sweep; a cumulative product differs
+            # in the last bits
+            buf = np.empty((hi - lo,) + phases.shape, dtype=complex)
+            for i in range(hi - lo):
+                buf[i] = phases
+                phases *= step
+            mats = (buf @ cmat).reshape(hi - lo, batch, d, d)
+            del buf  # not held while the caller works on the chunk
+            yield mats
+        return
+    # the orbit lattice stays a regular lattice under rotation, so a phase
+    # twist of the Fourier grid plus an inverse FFT per step replaces dense
+    # trigonometric interpolation; the twist is rebuilt from t*alpha mod 1
+    # each step so rounding does not accumulate
+    gaxes = tuple(range(C.base_dim))
+    if C.matrix.grid_shape == (M,) * C.base_dim:
+        base = C.matrix.samples
+    else:
+        base = C.matrix.sample_at(starts).reshape((M,) * C.base_dim + (d, d))
+    spec = np.fft.fftn(base, axes=gaxes)
+    kvec = np.fft.fftfreq(M, 1.0 / M)
+    for lo, hi in bounds:
+        mats = np.empty((hi - lo, batch, d, d), dtype=complex)
+        for i, t in enumerate(range(lo, hi)):
+            s = spec
+            for ax in range(C.base_dim):
+                shp = [1] * (C.base_dim + 2)
+                shp[ax] = M
+                s = s * np.exp(
+                    2j * np.pi * kvec * ((t * C.frequencies[ax]) % 1.0)
+                ).reshape(shp)
+            mats[i] = np.fft.ifftn(s, axes=gaxes).reshape(batch, d, d)
+        yield mats
+
+
+def _window_collapses(mats, sup):
+    """Per-orbit count of collapsed length-d windows among the whole windows
+    of a chunk that starts on a window boundary, and the number of windows.
+
+    A window collapses when its product falls below 1e-11 of the product of
+    its step norms, or below the rounding floor eps * scale * (largest
+    product with one factor removed)."""
+    T, batch, d, _ = mats.shape
+    W = T // d
+    steps = mats[:W * d].reshape(W, d, batch, d, d)
+    prod = steps[:, 0]
+    for j in range(1, d):
+        prod = steps[:, j] @ prod
+    wnorm = np.linalg.norm(prod, axis=(2, 3))
+    # one window position at a time keeps the temporaries of the norm small
+    fros = np.stack(
+        [np.linalg.norm(steps[:, j], axis=(2, 3)) for j in range(d)], axis=1
+    )
+    rel = 1e-11 * fros.prod(axis=1)
+    # an orbit grazing a zero of A drives the relative threshold under the
+    # rounding noise of the factors, so floor it at eps * scale * (largest
+    # product with one factor removed)
+    partial = np.stack([
+        np.prod(np.delete(fros, j, axis=1), axis=1) for j in range(d)
+    ]).max(axis=0)
+    noise = 64.0 * np.finfo(float).eps * sup * partial
+    return (wnorm < np.maximum(rel, noise)).sum(axis=0), W
+
+
+def _divergence_masks(deaths, collapsed, windows, history, flag_db):
+    """The three -inf tests as boolean masks over the sorted slots, in the
+    order of DIVERGENCE_TESTS.
+
+    deaths holds per-orbit death counts in sorted slots, collapsed the
+    per-orbit count of collapsed windows out of windows, and history the
+    running sums of the orbit-mean log growth after the warmup."""
+    n_eff, d = history.shape
+    # structural deaths recur within every nilpotency window on every orbit;
+    # isolated kernel hits on special grid points do not
+    by_deaths = deaths.min(axis=0) >= max(2, n_eff // (2 * d))
+    # an orbit grazing a zero of A can push one window product above its
+    # collapse threshold by rounding alone, so long runs may miss rarely
+    by_window = np.full(
+        d, windows >= 2 and collapsed.min() >= windows - windows // 64
+    )
+    # slow analytic decay shows no deaths, so no orbit permutes its columns
+    # and the per-column history lines up with the sorted slots
+    quarter = max(n_eff // 4, 2)
+    ravg = history / np.arange(1, n_eff + 1)[:, None]
+    tail_slope = np.diff(ravg[-quarter:], axis=0)
+    by_decay = (history[-1] < -flag_db * np.log(10.0)) & np.all(
+        tail_slope < -1e-13, axis=0
+    )
+    return by_deaths, by_window, by_decay
+
+
 def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
     """Exponent estimates from M grid orbits of length n, with divergence flags.
 
@@ -171,7 +287,8 @@ def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
     basis orthonormal and accumulates log singular growth per direction.  An
     initial warmup fifth of the run (at most 64 steps) lets the random
     starting frame settle into the growth filtration and is excluded from the
-    averages.
+    averages.  The step matrices and all bookkeeping are computed a chunk of
+    steps at a time; only the QR steps run one by one.
 
     stderr combines the spread over orbits with a Richardson estimate of the
     still-settling bias: a running mean converging like 1/t leaves a residual
@@ -179,18 +296,22 @@ def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
     misses that bias because every orbit shares the transient when two
     exponents nearly coincide.
 
-    Three independent signs mark directions as diverging to -inf:
-      * a direction's R-diagonal entry dies (exactly zero, or below the
-        per-sample relative floor 1e-14) on every orbit at a structural rate,
-        at least once per couple of nilpotency windows;
-      * fresh length-d window products collapse below 1e-11 of the product
-        of their step norms, or below the absolute rounding floor
+    Three independent signs mark directions as diverging to -inf; the
+    report's flag_reason names, per slot, the first of them that fired:
+      * "deaths": a direction's R-diagonal entry dies (exactly zero, or below
+        the per-sample relative floor 1e-14) on every orbit at a structural
+        rate, at least once per couple of nilpotency windows;
+      * "window": fresh length-d window products collapse below 1e-11 of the
+        product of their step norms, or below the absolute rounding floor
         eps * scale * (largest partial product) where a zero product is
         indistinguishable from noise, on every orbit in all but a rounding-
         grazed fraction 1/64 of windows; that flags all directions at once;
-      * a direction's accumulated mean log sinks below -flag_db*ln(10) while
-        still strictly decreasing over the last quarter of the run.
+      * "decay": a direction's accumulated mean log sinks below
+        -flag_db*ln(10) while still strictly decreasing over the last quarter
+        of the run.
     """
+    if n < 2:
+        raise ValueError("a Lyapunov estimate needs at least 2 iterates")
     d = C.dim
     if C.base_dim == 1:
         starts = (np.arange(M) / M)[:, None]
@@ -199,35 +320,6 @@ def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
         mesh = np.meshgrid(*axes, indexing="ij")
         starts = np.stack([g.ravel() for g in mesh], axis=1)
     batch = starts.shape[0]
-
-    if C.is_exact:
-        freqs, cmat = C.matrix._coeff_tensor()
-        phases = np.exp(2j * np.pi * np.outer(starts[:, 0], freqs))
-        step = np.exp(2j * np.pi * freqs * C.alpha)
-    else:
-        # the orbit lattice stays a regular lattice under rotation, so a
-        # phase twist of the Fourier grid plus an inverse FFT per step
-        # replaces dense trigonometric interpolation; the twist is rebuilt
-        # from t*alpha mod 1 each step so rounding does not accumulate
-        gaxes = tuple(range(C.base_dim))
-        if C.matrix.grid_shape == (M,) * C.base_dim:
-            base = C.matrix.samples
-        else:
-            base = C.matrix.sample_at(starts).reshape(
-                (M,) * C.base_dim + (d, d)
-            )
-        spec = np.fft.fftn(base, axes=gaxes)
-        kvec = np.fft.fftfreq(M, 1.0 / M)
-
-        def _lattice(t):
-            s = spec
-            for ax in range(C.base_dim):
-                shp = [1] * (C.base_dim + 2)
-                shp[ax] = M
-                s = s * np.exp(
-                    2j * np.pi * kvec * ((t * C.frequencies[ax]) % 1.0)
-                ).reshape(shp)
-            return np.fft.ifftn(s, axes=gaxes)
     # a fixed random orthonormal start keeps no basis vector exactly inside a
     # structural kernel, which an identity start would do for triangular input
     rng = np.random.default_rng(12345)
@@ -237,57 +329,44 @@ def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
 
     warmup = min(n // 5, 64)
     n_eff = n - warmup
+    # chunks after the warmup start on window boundaries, so no window
+    # straddles two chunks
+    nfreq = len(C.matrix._coeff_tensor()[0]) if C.is_exact else 0
+    per_step = 16 * batch * (d * d + nfreq)
+    chunk = max(1, _CHUNK_BYTES // per_step // d) * d
+    bounds = [(lo, min(lo + chunk, warmup)) for lo in range(0, warmup, chunk)]
+    bounds += [(lo, min(lo + chunk, n)) for lo in range(warmup, n, chunk)]
+
     logr = np.zeros((batch, d))
     deaths = np.zeros((batch, d), dtype=int)
     history = np.empty((n_eff, d))
-    win_prod = None
-    win_len = 0
-    win_fros = []
     win_total = 0
     win_collapsed = np.zeros(batch, dtype=int)
     sup = 0.0
 
-    for t in range(n):
-        if C.is_exact:
-            mats = (phases @ cmat).reshape(batch, d, d)
-            phases *= step
-        else:
-            mats = _lattice(t).reshape(batch, d, d)
-        if t == 0:
-            sup = float(np.abs(mats).max())
-        z = mats @ q
-        q, r = np.linalg.qr(z)
-        if t < warmup:
+    for (lo, hi), mats in zip(bounds, _step_chunks(C, starts, M, bounds)):
+        if lo == 0:
+            sup = float(np.abs(mats[0]).max())
+        diag = np.empty((hi - lo, batch, d))
+        for i in range(hi - lo):
+            q, r = np.linalg.qr(mats[i] @ q)
+            diag[i] = np.abs(np.einsum("bii->bi", r))
+        if lo < warmup:
             continue
-        diag = np.abs(np.einsum("bii->bi", r))
-        floor = 1e-14 * diag.max(axis=1, keepdims=True)
+        floor = 1e-14 * diag.max(axis=2, keepdims=True)
         dead = diag <= floor
-        deaths += dead
-        logr += np.where(dead, 0.0, np.log(np.where(dead, 1.0, diag)))
-        history[t - warmup] = logr.mean(axis=0)
+        deaths += dead.sum(axis=0)
+        grow = np.where(dead, 0.0, np.log(np.where(dead, 1.0, diag)))
+        # a cumulative sum seeded with the running total adds in step order
+        sums = np.cumsum(np.concatenate([logr[None], grow]), axis=0)[1:]
+        logr = sums[-1]
+        history[lo - warmup:hi - warmup] = sums.mean(axis=1)
 
         # fresh short-window products catch iterates vanishing to float
         # precision even when no single QR step sees a dead diagonal
-        fro = np.linalg.norm(mats, axis=(1, 2))
-        win_prod = mats.copy() if win_prod is None else mats @ win_prod
-        win_fros.append(fro)
-        win_len += 1
-        if win_len == d:
-            wnorm = np.linalg.norm(win_prod, axis=(1, 2))
-            fros = np.stack(win_fros)
-            rel = 1e-11 * fros.prod(axis=0)
-            # an orbit grazing a zero of A drives the relative threshold
-            # under the rounding noise of the factors, so floor it at
-            # eps * scale * (largest product with one factor removed)
-            partial = np.stack([
-                np.prod(np.delete(fros, j, axis=0), axis=0) for j in range(d)
-            ]).max(axis=0)
-            noise = 64.0 * np.finfo(float).eps * sup * partial
-            win_collapsed += wnorm < np.maximum(rel, noise)
-            win_total += 1
-            win_prod = None
-            win_len = 0
-            win_fros = []
+        collapsed, windows = _window_collapses(mats, sup)
+        win_collapsed += collapsed
+        win_total += windows
 
     alive = n_eff - deaths
     finite_orbit = alive > 0
@@ -305,26 +384,14 @@ def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
     raw = np.where(finite_dir, po_safe.mean(axis=0), -np.inf)
     err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch), 0.0)
 
-    # structural deaths recur within every nilpotency window on every orbit;
-    # isolated kernel hits on special grid points do not
-    structural = deaths_sorted.min(axis=0) >= max(2, n_eff // (2 * d))
-    # an orbit grazing a zero of A can push one window product above its
-    # collapse threshold by rounding alone, so long runs may miss rarely
-    if win_total >= 2 and win_collapsed.min() >= win_total - win_total // 64:
-        structural = np.ones(d, dtype=bool)
-
-    # slow analytic decay shows no deaths, so no orbit permutes its columns
-    # and the per-column history lines up with the sorted slots
-    quarter = max(n_eff // 4, 2)
-    ravg = history / np.arange(1, n_eff + 1)[:, None]
-    tail_slope = np.diff(ravg[-quarter:], axis=0)
-    soft = (history[-1] < -flag_db * np.log(10.0)) & np.all(
-        tail_slope < -1e-13, axis=0
-    )
-    flags = structural | soft
+    masks = _divergence_masks(deaths_sorted, win_collapsed, win_total,
+                              history, flag_db)
+    flags = masks[0] | masks[1] | masks[2]
 
     # running mean settling like 1/t leaves a bias of 3x its final-quarter
     # drift; orbit spread cannot see it since the transient is common mode
+    quarter = max(n_eff // 4, 2)
+    ravg = history / np.arange(1, n_eff + 1)[:, None]
     conv = 3.0 * np.abs(ravg[-1] - ravg[-quarter])
     err = np.where(finite_dir, err + conv, 0.0)
 
@@ -332,12 +399,16 @@ def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
     raw = raw[order]
     err = err[order]
     flags = flags[order]
+    reasons = [
+        next((name for name, m in zip(DIVERGENCE_TESTS, masks) if m[k]), None)
+        for k in order
+    ]
     exponents = [
         float("-inf") if flags[k] else float(raw[k]) for k in range(d)
     ]
     return LyapunovReport(exponents, [float(v) for v in raw],
                           [float(v) for v in err],
-                          [bool(f) for f in flags], n, M)
+                          [bool(f) for f in flags], n, M, reasons)
 
 
 def rank_profile(C, n_max=None, tol=1e-9, M=None):

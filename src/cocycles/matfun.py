@@ -321,6 +321,8 @@ class GridMatrixFunction:
         shape = tuple(int(m) for m in data["grid_shape"]) + (int(data["rows"]), int(data["cols"]))
         re = np.asarray(data["samples_re"], dtype=float).reshape(shape)
         im = np.asarray(data["samples_im"], dtype=float).reshape(shape)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("samples must be finite")
         return cls(re + 1j * im)
 
 

@@ -10,6 +10,8 @@ of two; to_grid/from_grid convert between the two representations by FFT
 and are exact while M > 2N (no aliasing).
 """
 
+import cmath
+
 import numpy as np
 
 from .errors import AliasingRisk, RootFindingError
@@ -203,9 +205,11 @@ class TrigPoly:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls.from_dict(
-            {int(e["k"]): complex(float(e["re"]), float(e["im"])) for e in data["coeffs"]}
-        )
+        coeffs = {int(e["k"]): complex(float(e["re"]), float(e["im"]))
+                  for e in data["coeffs"]}
+        if not all(cmath.isfinite(v) for v in coeffs.values()):
+            raise ValueError("coefficients must be finite")
+        return cls.from_dict(coeffs)
 
 
 def _as_poly(v):

@@ -149,6 +149,8 @@ class TestWrappedCommands:
         # integral of ln|2+cos| over the circle
         assert abs(top - math.log((2.0 + math.sqrt(3.0)) / 2.0)) < 0.05
         assert rep["lyapunov"]["exponents"][1] == "-inf"
+        assert rep["lyapunov"]["flag_reason"][0] is None
+        assert rep["lyapunov"]["flag_reason"][1] in ("deaths", "window", "decay")
         header, rows = read_csv(tmp_path / f"{src.stem}.lyapunov.exponents.csv")
         assert header == ["j", "exponent", "stderr"]
         assert rows[1][1] == "-inf"
@@ -234,6 +236,38 @@ class TestExitCodes:
         assert main(["analyze", src, "--grid", "4"]) == 2
         assert main(["analyze", src, "--tol", "2.0"]) == 2
         assert main(["analyze", src, "--threads", "0"]) == 2
+
+    @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
+    @pytest.mark.parametrize("iters", ["0", "1"])
+    def test_too_few_iterates_is_input_error(self, fixture_dir, tmp_path,
+                                             capsys, cmd, iters):
+        src = str(fixture_dir / "dominated_2x2.json")
+        assert main([cmd, src, "--out", str(tmp_path), "--iters", iters]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--iters must be at least 2" in err
+
+    @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
+    @pytest.mark.parametrize("case", ["frequency", "coefficient", "sample"])
+    def test_non_finite_input_is_input_error(self, fixture_dir, tmp_path,
+                                             capsys, cmd, case):
+        if case == "sample":
+            doc = json.loads(
+                (fixture_dir / "twofrequency_rank_one.json").read_text())
+            doc["matrix"]["samples_re"][3] = float("inf")
+            want = "samples must be finite"
+        else:
+            doc = json.loads((fixture_dir / "dominated_2x2.json").read_text())
+            if case == "frequency":
+                doc["frequencies"] = [float("inf")]
+                want = "frequencies must be finite"
+            else:
+                doc["matrix"]["entries"][0][1]["coeffs"][0]["re"] = float("nan")
+                want = "coefficients must be finite"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main([cmd, str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and want in err
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cocycles import cocycle as cocycle_module
 from cocycles import fixtures as fx
 from cocycles.cocycle import (
+    DIVERGENCE_TESTS,
     GOLDEN_MEAN,
     Cocycle,
     detect_nilpotency,
@@ -15,7 +17,7 @@ from cocycles.cocycle import (
     rank_profile,
 )
 from cocycles.errors import DegreeOverflow, RankNotOne, UnsupportedBase
-from cocycles.matfun import MatrixFunction, exterior_power
+from cocycles.matfun import GridMatrixFunction, MatrixFunction, exterior_power
 from cocycles.trigpoly import TrigPoly, default_grid_size
 
 
@@ -183,6 +185,191 @@ class TestLyapunov:
         tol = 3 * (rep1.stderr[0] + rep1.stderr[1] + rep2.stderr[0]) + 1e-6
         assert abs(rep1.exponents[0] + rep1.exponents[1] - rep2.exponents[0]) < tol
 
+
+def _per_step_reference(C, n, M, flag_db=40.0):
+    """The sweep one orbit step at a time: step matrix, QR, death floor, log
+    accumulation, history row and window product, then the three tests.
+    Returns (exponents, raw_estimates, stderr, divergent)."""
+    d = C.dim
+    if C.base_dim == 1:
+        starts = (np.arange(M) / M)[:, None]
+    else:
+        mesh = np.meshgrid(*[np.arange(M) / M] * C.base_dim, indexing="ij")
+        starts = np.stack([g.ravel() for g in mesh], axis=1)
+    batch = starts.shape[0]
+    if C.is_exact:
+        freqs, cmat = C.matrix._coeff_tensor()
+        phases = np.exp(2j * np.pi * np.outer(starts[:, 0], freqs))
+        step = np.exp(2j * np.pi * freqs * C.alpha)
+    else:
+        gaxes = tuple(range(C.base_dim))
+        if C.matrix.grid_shape == (M,) * C.base_dim:
+            base = C.matrix.samples
+        else:
+            base = C.matrix.sample_at(starts).reshape((M,) * C.base_dim + (d, d))
+        spec = np.fft.fftn(base, axes=gaxes)
+        kvec = np.fft.fftfreq(M, 1.0 / M)
+
+        def lattice(t):
+            s = spec
+            for ax in range(C.base_dim):
+                shp = [1] * (C.base_dim + 2)
+                shp[ax] = M
+                s = s * np.exp(
+                    2j * np.pi * kvec * ((t * C.frequencies[ax]) % 1.0)
+                ).reshape(shp)
+            return np.fft.ifftn(s, axes=gaxes)
+    rng = np.random.default_rng(12345)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q0, _ = np.linalg.qr(g)
+    q = np.broadcast_to(q0, (batch, d, d)).copy()
+
+    warmup = min(n // 5, 64)
+    n_eff = n - warmup
+    logr = np.zeros((batch, d))
+    deaths = np.zeros((batch, d), dtype=int)
+    history = np.empty((n_eff, d))
+    win_prod, win_fros, win_total = None, [], 0
+    win_collapsed = np.zeros(batch, dtype=int)
+    sup = 0.0
+    for t in range(n):
+        if C.is_exact:
+            mats = (phases @ cmat).reshape(batch, d, d)
+            phases *= step
+        else:
+            mats = lattice(t).reshape(batch, d, d)
+        if t == 0:
+            sup = float(np.abs(mats).max())
+        q, r = np.linalg.qr(mats @ q)
+        if t < warmup:
+            continue
+        diag = np.abs(np.einsum("bii->bi", r))
+        dead = diag <= 1e-14 * diag.max(axis=1, keepdims=True)
+        deaths += dead
+        logr += np.where(dead, 0.0, np.log(np.where(dead, 1.0, diag)))
+        history[t - warmup] = logr.mean(axis=0)
+        win_prod = mats.copy() if win_prod is None else mats @ win_prod
+        win_fros.append(np.linalg.norm(mats, axis=(1, 2)))
+        if len(win_fros) == d:
+            wnorm = np.linalg.norm(win_prod, axis=(1, 2))
+            fros = np.stack(win_fros)
+            rel = 1e-11 * fros.prod(axis=0)
+            partial = np.stack([
+                np.prod(np.delete(fros, j, axis=0), axis=0) for j in range(d)
+            ]).max(axis=0)
+            noise = 64.0 * np.finfo(float).eps * sup * partial
+            win_collapsed += wnorm < np.maximum(rel, noise)
+            win_total += 1
+            win_prod, win_fros = None, []
+
+    alive = n_eff - deaths
+    per_orbit = np.where(alive > 0, logr / np.maximum(alive, 1), -np.inf)
+    ordb = np.argsort(-per_orbit, axis=1, kind="stable")
+    est_sorted = np.take_along_axis(per_orbit, ordb, axis=1)
+    deaths_sorted = np.take_along_axis(deaths, ordb, axis=1)
+    finite_dir = np.isfinite(est_sorted).all(axis=0)
+    po_safe = np.where(np.isfinite(est_sorted), est_sorted, 0.0)
+    raw = np.where(finite_dir, po_safe.mean(axis=0), -np.inf)
+    err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch), 0.0)
+    structural = deaths_sorted.min(axis=0) >= max(2, n_eff // (2 * d))
+    if win_total >= 2 and win_collapsed.min() >= win_total - win_total // 64:
+        structural = np.ones(d, dtype=bool)
+    quarter = max(n_eff // 4, 2)
+    ravg = history / np.arange(1, n_eff + 1)[:, None]
+    soft = (history[-1] < -flag_db * np.log(10.0)) & np.all(
+        np.diff(ravg[-quarter:], axis=0) < -1e-13, axis=0
+    )
+    flags = structural | soft
+    err = np.where(finite_dir, err + 3.0 * np.abs(ravg[-1] - ravg[-quarter]), 0.0)
+    order = np.lexsort((-raw, flags))
+    raw, err, flags = raw[order], err[order], flags[order]
+    exponents = [float("-inf") if f else float(v) for f, v in zip(flags, raw)]
+    return (exponents, [float(v) for v in raw], [float(v) for v in err],
+            [bool(f) for f in flags])
+
+
+def _invertible_grid(seed, d, M):
+    rng = np.random.default_rng(seed)
+    core = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    core += 2.0 * d * np.eye(d)
+    xs = np.arange(M) / M
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    pert = np.zeros((M, M, d, d), dtype=complex)
+    for k1, k2 in ((1, 0), (0, -1), (1, 1)):
+        c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        pert += np.exp(2j * np.pi * (k1 * X + k2 * Y))[..., None, None] * c
+    return Cocycle((GOLDEN_MEAN, fx.SILVER_MEAN), GridMatrixFunction(core + pert))
+
+
+def _equivalence_inputs():
+    C = fx.random_invertible(3)
+    return {
+        "nilpotent_plus_invertible_3x3": fx.nilpotent_plus_invertible_3x3(),
+        "not_dominated_2x2": fx.not_dominated_2x2(),
+        "random_nilpotent": fx.random_nilpotent(0),
+        "random_invertible": C,
+        "random_invertible_wedge2": Cocycle(C.frequencies,
+                                            exterior_power(C.matrix, 2)),
+        "twofrequency_rank_one": fx.twofrequency_rank_one(M=32),
+        "invertible_grid": _invertible_grid(7, 2, M=8),
+    }
+
+
+class TestChunkedSweep:
+    """The chunked sweep reports exactly what the per-step loop reports."""
+
+    INPUTS = _equivalence_inputs()
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @pytest.mark.parametrize("n", ["2", "d", "13", "997", "1000"])
+    def test_matches_per_step_loop(self, name, n):
+        C = self.INPUTS[name]
+        n = C.dim if n == "d" else int(n)
+        M = 16 if C.is_exact else 8
+        rep = lyapunov_spectrum(C, n=n, M=M)
+        got = (rep.exponents, rep.raw_estimates, rep.stderr, rep.divergent)
+        assert got == _per_step_reference(C, n, M)
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_matches_with_minimal_chunks(self, name, monkeypatch):
+        # one window per chunk puts chunk boundaries inside the warmup and
+        # at every window edge
+        monkeypatch.setattr(cocycle_module, "_CHUNK_BYTES", 1)
+        C = self.INPUTS[name]
+        M = 16 if C.is_exact else 8
+        rep = lyapunov_spectrum(C, n=101, M=M)
+        got = (rep.exponents, rep.raw_estimates, rep.stderr, rep.divergent)
+        assert got == _per_step_reference(C, 101, M)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_iterates_is_an_error(self, n):
+        with pytest.raises(ValueError):
+            lyapunov_spectrum(fx.dominated_2x2(), n=n, M=8)
+
+
+class TestFlagReason:
+    @pytest.mark.parametrize("C", [
+        fx.nilpotent_3x3_variable_rank(),
+        fx.nilpotent_4x4_variable_rank2(),
+        fx.constant_jordan((3,)),
+        fx.constant_jordan((2, 1)),
+        fx.random_nilpotent(0),
+        fx.twofrequency_rank_one(M=32),
+    ])
+    def test_every_divergent_slot_of_a_nilpotent_has_a_reason(self, C):
+        rep = lyapunov_spectrum(C, n=300, M=16)
+        assert all(rep.divergent)
+        assert all(r in DIVERGENCE_TESTS for r in rep.flag_reason)
+
+    def test_invertible_slots_have_no_reason(self):
+        for seed in range(3):
+            rep = lyapunov_spectrum(fx.random_invertible(seed), n=400, M=16)
+            assert rep.flag_reason == [None] * len(rep.exponents)
+
+    def test_reasons_follow_the_flags(self):
+        rep = lyapunov_spectrum(fx.not_dominated_2x2(), n=600, M=32)
+        assert rep.divergent == [False, True]
+        assert rep.flag_reason[0] is None and rep.flag_reason[1] is not None
 
 class TestRankProfile:
     def test_variable_rank_3x3(self):
@@ -353,3 +540,8 @@ class TestSerialization:
         mat = fx.twofrequency_rank_one(M=32).matrix
         with pytest.raises(ValueError):
             Cocycle((GOLDEN_MEAN,), mat)
+
+    @pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_frequency_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            Cocycle((alpha,), fx.dominated_2x2().matrix)
