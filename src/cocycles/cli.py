@@ -75,6 +75,7 @@ def _flags_dict(args):
         "seed": args.seed,
         "out": args.out,
         "threads": args.threads,
+        "threads_applied": args.threads_applied,
     }
 
 
@@ -92,14 +93,14 @@ def _validate_flags(args):
 
 
 def _apply_threads(n):
-    # best effort: BLAS pools are configured at import time, so without
-    # threadpoolctl the flag is only recorded in the report
+    # BLAS pools are sized at import time (OPENBLAS_NUM_THREADS), so without
+    # threadpoolctl the flag is only recorded, as threads_applied: false
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
     except ImportError:
-        pass
+        return False
+    threadpoolctl.threadpool_limits(limits=n)
+    return True
 
 
 def _load(args):
@@ -497,7 +498,7 @@ def main(argv=None):
         return 0 if exc.code in (None, 0) else 2
     try:
         _validate_flags(args)
-        _apply_threads(args.threads)
+        args.threads_applied = _apply_threads(args.threads)
         return args.func(args)
     except _InputError as exc:
         print(f"cocycles: input error: {exc}", file=sys.stderr)

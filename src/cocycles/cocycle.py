@@ -21,7 +21,7 @@ from .errors import (
     TailTooFat,
     UnsupportedBase,
 )
-from .matfun import GridMatrixFunction, MatrixFunction, max_rank
+from .matfun import GridMatrixFunction, MatrixFunction, max_rank, shift_samples
 from .trigpoly import TrigPoly, default_grid_size, log_integral
 
 GOLDEN_MEAN = 0.6180339887498949
@@ -160,14 +160,14 @@ def iterates(C, n_max, degree_cap=DEGREE_CAP):
                 prod = C.matrix.translate((n - 1) * C.alpha) @ prod
             yield prod
         return
-    pts = C.matrix.grid_points()
+    samples = C.matrix.samples
+    spec = np.fft.fftn(samples, axes=tuple(range(C.base_dim)))
     alpha = np.array(C.frequencies)
-    shape = C.matrix.samples.shape
-    prod = C.matrix.sample_at(pts)
+    prod = samples
     for n in range(1, n_max + 1):
         if n > 1:
-            prod = C.matrix.sample_at((pts + (n - 1) * alpha) % 1.0) @ prod
-        yield GridMatrixFunction(prod.reshape(shape))
+            prod = shift_samples(samples, (n - 1) * alpha, spec) @ prod
+        yield GridMatrixFunction(prod)
 
 
 # the step matrices and phases of one chunk of the Lyapunov sweep stay near
@@ -199,28 +199,16 @@ def _step_chunks(C, starts, M, bounds):
             del buf  # not held while the caller works on the chunk
             yield mats
         return
-    # the orbit lattice stays a regular lattice under rotation, so a phase
-    # twist of the Fourier grid plus an inverse FFT per step replaces dense
-    # trigonometric interpolation; the twist is rebuilt from t*alpha mod 1
-    # each step so rounding does not accumulate
-    gaxes = tuple(range(C.base_dim))
     if C.matrix.grid_shape == (M,) * C.base_dim:
         base = C.matrix.samples
     else:
         base = C.matrix.sample_at(starts).reshape((M,) * C.base_dim + (d, d))
-    spec = np.fft.fftn(base, axes=gaxes)
-    kvec = np.fft.fftfreq(M, 1.0 / M)
+    spec = np.fft.fftn(base, axes=tuple(range(C.base_dim)))
+    alpha = np.array(C.frequencies)
     for lo, hi in bounds:
         mats = np.empty((hi - lo, batch, d, d), dtype=complex)
         for i, t in enumerate(range(lo, hi)):
-            s = spec
-            for ax in range(C.base_dim):
-                shp = [1] * (C.base_dim + 2)
-                shp[ax] = M
-                s = s * np.exp(
-                    2j * np.pi * kvec * ((t * C.frequencies[ax]) % 1.0)
-                ).reshape(shp)
-            mats[i] = np.fft.ifftn(s, axes=gaxes).reshape(batch, d, d)
+            mats[i] = shift_samples(base, t * alpha, spec).reshape(batch, d, d)
         yield mats
 
 
@@ -422,8 +410,6 @@ def rank_profile(C, n_max=None, tol=1e-9, M=None):
     if n_max is None:
         n_max = d + 1
     if C.is_exact:
-        from .trigpoly import default_grid_size
-
         samples = C.matrix.sample_grid(max(64, default_grid_size(C.matrix.degree)))
     else:
         samples = C.matrix.all_samples()
@@ -431,8 +417,7 @@ def rank_profile(C, n_max=None, tol=1e-9, M=None):
     ranks = []
     exceptional = {}
     stabilized = None
-    for n in range(1, n_max + 1):
-        F = iterate(C, n)
+    for n, F in enumerate(iterates(C, n_max), start=1):
         r, exc = max_rank(F, M=M, tol=tol, scale=s1 ** n)
         if ranks and r > ranks[-1]:
             raise StructureViolation(

@@ -23,8 +23,8 @@ from .errors import (
     UnsupportedBase,
 )
 from .frames import kernel_field, orthocomplement
-from .matfun import MatrixFunction, hstack, poly_det, vstack
-from .normalform import _analytic_gauge, _poly_from_samples, _shift_samples
+from .matfun import MatrixFunction, hstack, poly_det, shift_samples, vstack
+from .normalform import _analytic_gauge, _poly_from_samples
 from .trigpoly import default_grid_size
 
 
@@ -191,7 +191,7 @@ def dominated_splitting(S, tol=1e-9):
     csamp = S.b.sample_grid(Mg)
     msum = np.zeros((Mg, nk, k), dtype=complex)
     for _ in range(p):
-        mn = _shift_samples(csamp, -C.alpha) @ dinv_shift
+        mn = shift_samples(csamp, -C.alpha) @ dinv_shift
         msum = msum + mn
         csamp = asamp @ mn
     cp_mass = float(np.abs(csamp).max())

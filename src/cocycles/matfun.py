@@ -232,12 +232,35 @@ def vstack(mats):
     return MatrixFunction(np.concatenate(blocks, axis=0))
 
 
+def shift_samples(samples, shift, spectrum=None):
+    """Samples of a band-limited field at x + shift from its samples at x.
+
+    Grid axes (M_1, ..., M_l) come first, value axes after; shift has one
+    entry per grid axis.  A shifted lattice is a lattice, so the Fourier shift
+    theorem gives the trigonometric interpolant there from one phase twist (by
+    shift mod 1, so orbit shifts accumulate no rounding) and one inverse FFT,
+    O(M^l log M) work.  spectrum may pass fftn(samples) over the grid axes.
+    """
+    shift = np.atleast_1d(shift)
+    gaxes = tuple(range(len(shift)))
+    s = np.fft.fftn(samples, axes=gaxes) if spectrum is None else spectrum
+    for ax, a in enumerate(shift):
+        m = samples.shape[ax]
+        shp = [1] * samples.ndim
+        shp[ax] = m
+        s = s * np.exp(_TWO_PI_I * np.fft.fftfreq(m, 1.0 / m) * (a % 1.0)).reshape(shp)
+    return np.fft.ifftn(s, axes=gaxes)
+
+
 class GridMatrixFunction:
     """Band-limited matrix function on an l-torus held as grid samples.
 
     samples has shape (M_1, ..., M_l, rows, cols); evaluation anywhere uses
     the trigonometric interpolant, which is exact when the underlying
-    function has degree < M_i/2 in each variable.
+    function has degree < M_i/2 in each variable.  Along a rotation orbit
+    the samples are moved with shift_samples (one FFT phase twist,
+    O(M^l log M) per step), not by evaluating the interpolant point by point
+    (O(M^2l)), so iterates never call sample_at.
     """
 
     __slots__ = ("samples", "grid_shape", "_spec")

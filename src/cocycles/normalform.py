@@ -31,7 +31,7 @@ from .frames import (
     phase_align,
     range_field,
 )
-from .matfun import MatrixFunction, hstack
+from .matfun import MatrixFunction, hstack, shift_samples
 from .trigpoly import TrigPoly, default_grid_size
 
 
@@ -87,15 +87,6 @@ def _poly_from_samples(vals, N=None, tol=1e-7):
             row.append(TrigPoly.from_dict(terms))
         rows.append(row)
     return MatrixFunction(rows)
-
-
-def _shift_samples(vals, alpha):
-    """Samples of an analytic field at x + alpha from its samples at x."""
-    Mg = vals.shape[0]
-    co = np.fft.fft(vals, axis=0)
-    freqs = np.rint(np.fft.fftfreq(Mg, d=1.0 / Mg))
-    twist = np.exp(2j * np.pi * freqs * alpha).reshape((Mg,) + (1,) * (vals.ndim - 1))
-    return np.fft.ifft(co * twist, axis=0)
 
 
 def _analytic_gauge(S, seed=7):
@@ -214,7 +205,7 @@ def jordan_structure_from_ranks(ranks, d):
 
 def _restricted_lift(asamp, fin, head, alpha, tol):
     """Solve A(x) w(x) = head(x+a) with w in the span of the frames fin."""
-    target = _shift_samples(head, alpha)
+    target = shift_samples(head, alpha)
     if fin is None:
         sol = np.linalg.pinv(asamp, rcond=tol) @ target[..., None]
         return sol[..., 0]

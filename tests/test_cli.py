@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -300,3 +302,27 @@ class TestFlags:
         dest = tmp_path / "deep" / "nested"
         assert main(["dominate", str(src), "--out", str(dest)]) == 0
         assert (dest / f"{src.stem}.dominate.json").exists()
+
+    def test_threads_only_recorded_without_threadpoolctl(self, fixture_dir,
+                                                          tmp_path,
+                                                          monkeypatch):
+        # a None entry makes the import fail as it does where the package
+        # is not installed
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        src = fixture_dir / "dominated_2x2.json"
+        assert main(["lyapunov", str(src), "--out", str(tmp_path),
+                     "--iters", "50", "--threads", "2"]) == 0
+        flags = read_report(tmp_path, src.stem, "lyapunov")["flags"]
+        assert flags["threads"] == 2 and flags["threads_applied"] is False
+
+    def test_threads_applied_through_threadpoolctl(self, fixture_dir,
+                                                   tmp_path, monkeypatch):
+        calls = []
+        fake = types.SimpleNamespace(
+            threadpool_limits=lambda limits: calls.append(limits))
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        src = fixture_dir / "dominated_2x2.json"
+        assert main(["lyapunov", str(src), "--out", str(tmp_path),
+                     "--iters", "50", "--threads", "2"]) == 0
+        flags = read_report(tmp_path, src.stem, "lyapunov")["flags"]
+        assert calls == [2] and flags["threads_applied"] is True

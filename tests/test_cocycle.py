@@ -17,7 +17,12 @@ from cocycles.cocycle import (
     rank_profile,
 )
 from cocycles.errors import DegreeOverflow, RankNotOne, UnsupportedBase
-from cocycles.matfun import GridMatrixFunction, MatrixFunction, exterior_power
+from cocycles.matfun import (
+    GridMatrixFunction,
+    MatrixFunction,
+    exterior_power,
+    max_rank,
+)
 from cocycles.trigpoly import TrigPoly, default_grid_size
 
 
@@ -347,6 +352,51 @@ class TestChunkedSweep:
             lyapunov_spectrum(fx.dominated_2x2(), n=n, M=8)
 
 
+def _dense_orbit_product(C, n):
+    """A_n on the grid from the trigonometric interpolant at every orbit
+    point, one factor at a time: the reference for the FFT-shifted iterates."""
+    pts = C.matrix.grid_points()
+    alpha = np.array(C.frequencies)
+    prod = C.matrix.sample_at(pts)
+    for k in range(1, n):
+        prod = C.matrix.sample_at((pts + k * alpha) % 1.0) @ prod
+    return prod.reshape(C.matrix.samples.shape)
+
+
+def _grid_inputs():
+    one = fx.random_invertible(2, d=3)
+    return {
+        "twofrequency_rank_one": fx.twofrequency_rank_one(M=32),
+        "one_frequency_grid": Cocycle(
+            one.frequencies, GridMatrixFunction(one.matrix.sample_grid(32))),
+        "invertible_grid_16x16": _invertible_grid(11, 3, M=16),
+    }
+
+
+class TestGridIterates:
+    INPUTS = _grid_inputs()
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_match_dense_orbit_product(self, name):
+        C = self.INPUTS[name]
+        top = float(np.abs(C.matrix.samples).max())
+        for n, F in enumerate(iterates(C, 4), start=1):
+            ref = _dense_orbit_product(C, n)
+            assert np.abs(F.samples - ref).max() <= 1e-13 * top ** n
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_never_interpolate(self, name, monkeypatch):
+        C = self.INPUTS[name]
+
+        def refuse(self, points):
+            raise AssertionError("dense interpolation on the orbit")
+
+        monkeypatch.setattr(GridMatrixFunction, "sample_at", refuse)
+        assert len(list(iterates(C, 4))) == 4
+        rank_profile(C)
+        detect_nilpotency(C)
+
+
 class TestFlagReason:
     @pytest.mark.parametrize("C", [
         fx.nilpotent_3x3_variable_rank(),
@@ -395,6 +445,51 @@ class TestRankProfile:
         p = rank_profile(fx.twofrequency_rank_one(M=32))
         assert p.ranks == [1, 0]
         assert p.min_rank == 0
+
+    @pytest.mark.parametrize("C", [
+        fx.nilpotent_3x3_variable_rank(), fx.random_nilpotent(3),
+        fx.twofrequency_rank_one(M=32),
+    ])
+    def test_walks_the_iterate_ladder_once(self, C, monkeypatch):
+        # the reference: one max_rank per iterate(C, n), as the profile
+        # measures it (against the n-th power of the largest singular value)
+        want = rank_profile(C)
+        s1 = float(np.linalg.svd(
+            C.matrix.all_samples() if not C.is_exact
+            else C.matrix.sample_grid(max(64, default_grid_size(C.matrix.degree))),
+            compute_uv=False).max())
+        ref = [max_rank(iterate(C, n), scale=s1 ** n)
+               for n in range(1, len(want.ranks) + 1)]
+        assert want.ranks == [r for r, _ in ref]
+        assert want.exceptional == {
+            n: exc for n, (_, exc) in enumerate(ref, start=1)}
+        ladders = []
+        real = cocycle_module.iterates
+
+        def counted(*args, **kwargs):
+            ladders.append(args)
+            return real(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("iterate rebuilt from scratch")
+
+        monkeypatch.setattr(cocycle_module, "iterates", counted)
+        monkeypatch.setattr(cocycle_module, "iterate", refuse)
+        got = rank_profile(C)
+        assert len(ladders) == 1
+        assert (got.ranks, got.stabilized_at, got.exceptional) == (
+            want.ranks, want.stabilized_at, want.exceptional)
+
+    def test_degree_overflow_where_iterate_overflows(self):
+        # rank one of two, so the profile needs the second iterate, of
+        # degree 4200 > DEGREE_CAP
+        z = TrigPoly.zero()
+        C = Cocycle((GOLDEN_MEAN,), MatrixFunction(
+            [[z, TrigPoly.harmonic(2100)], [z, TrigPoly.constant(1.0)]]))
+        with pytest.raises(DegreeOverflow):
+            iterate(C, 2)
+        with pytest.raises(DegreeOverflow):
+            rank_profile(C)
 
 
 class TestNilpotency:

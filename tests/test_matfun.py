@@ -11,6 +11,7 @@ from cocycles.matfun import (
     jacobi_svd,
     max_rank,
     poly_det,
+    shift_samples,
     svd_at,
     vstack,
 )
@@ -273,3 +274,44 @@ class TestGridMatrixFunction:
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
             GridMatrixFunction(np.zeros((12, 12, 2, 2)))
+
+
+class TestShiftSamples:
+    ALPHA = (0.6180339887498949, 0.41421356237309515)
+
+    @staticmethod
+    def field(rng, grid, tail=(2, 3)):
+        return rng.standard_normal(grid + tail) + 1j * rng.standard_normal(grid + tail)
+
+    @pytest.mark.parametrize("grid", [(8,), (16,), (8, 4), (4, 8, 2)])
+    def test_lattice_shift_is_a_roll(self, grid):
+        rng = np.random.default_rng(len(grid))
+        vals = self.field(rng, grid)
+        for js in [(1,) * len(grid), tuple(range(3, 3 + len(grid))), (0,) * len(grid)]:
+            got = shift_samples(vals, [j / m for j, m in zip(js, grid)])
+            want = np.roll(vals, [-j for j in js], axis=tuple(range(len(grid))))
+            assert np.abs(got - want).max() < 1e-13 * np.abs(vals).max()
+
+    @pytest.mark.parametrize("grid", [(16,), (8, 8)])
+    def test_shift_and_back(self, grid):
+        rng = np.random.default_rng(7)
+        vals = self.field(rng, grid, tail=(3,))
+        alpha = np.array(self.ALPHA[:len(grid)])
+        back = shift_samples(shift_samples(vals, alpha), -alpha)
+        assert np.abs(back - vals).max() < 1e-13 * np.abs(vals).max()
+
+    def test_matches_exact_shifted_grid(self):
+        F = rand_matrix(np.random.default_rng(3), 3, degree=5)
+        for M in (16, 64):
+            for a in (self.ALPHA[0], -self.ALPHA[1], 2.25):
+                got = shift_samples(F.sample_grid(M), a)
+                want = F.sample_grid(M, shift=a)
+                assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+
+    def test_spectrum_is_reused_as_given(self):
+        rng = np.random.default_rng(9)
+        vals = self.field(rng, (8, 8))
+        spec = np.fft.fftn(vals, axes=(0, 1))
+        shift = np.array(self.ALPHA)
+        assert np.array_equal(shift_samples(vals, shift, spec),
+                              shift_samples(vals, shift))
