@@ -66,10 +66,9 @@ from .matfun import (
     MatrixFunction,
     exterior_power,
     hstack,
-    jacobi_svd,
     max_rank,
     poly_det,
-    singular_values_grid,
+    poly_from_samples,
     vstack,
 )
 from .normalform import (

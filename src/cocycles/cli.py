@@ -28,7 +28,6 @@ from .cocycle import Cocycle, detect_nilpotency, lyapunov_spectrum, rank_profile
 from .domination import dominated_splitting, is_dominated, split_infinite_part
 from .errors import CocycleError, UnsupportedBase
 from .normalform import jordan_form, triangularize
-from .trigpoly import default_grid_size
 
 
 class _InputError(Exception):
@@ -194,38 +193,33 @@ def _exponent_rows(rep):
             for j, (e, s) in enumerate(zip(rep.exponents, rep.stderr))]
 
 
-def _triangular_samples(T, M=None):
-    """Per-sample residual of the triangular form: unitarity defect of U and
-    mass on or below the diagonal blocks of B."""
-    if M is None:
-        M = max(256, default_grid_size(max(T.U.degree, 1)))
-    us = T.U.sample_grid(M)
-    d = T.U.cols
-    unit = np.abs(np.conj(np.swapaxes(us, 1, 2)) @ us - np.eye(d)).max(axis=(1, 2))
-    bs = T.B.sample_grid(M)
-    edges = np.concatenate([[0], np.cumsum(T.block_sizes)])
-    shape = np.zeros(M)
-    for n in range(len(T.block_sizes)):
-        low = np.abs(bs[:, edges[n]:, edges[n]:edges[n + 1]])
-        if low.size:
-            shape = np.maximum(shape, low.max(axis=(1, 2)))
-    return np.arange(M) / M, np.maximum(unit, shape)
+def _sample_rows(vals):
+    """(x, value) rows of per-sample values on the grid x_j = j/len(vals)."""
+    return [(j / len(vals), float(v)) for j, v in enumerate(vals)]
 
 
-def _jordan_samples(C, F, M=None):
-    """Per-sample spectral norm of M(x+a)^{-1} A(x) M(x) - J."""
-    if M is None:
-        M = max(256, default_grid_size(max(F.M.degree, 1)))
-    msamp = F.M.sample_grid(M)
-    mshift = F.M.sample_grid(M, shift=C.alpha)
-    asamp = C.matrix.sample_grid(M)
-    conj = np.linalg.solve(mshift, asamp @ msamp)
-    vals = np.linalg.svd(conj - F.J, compute_uv=False)[:, 0]
-    return np.arange(M) / M, vals
+def _dominate(C, args, gaps_path):
+    """Split, domination verdict and, when dominated, the splitting.
 
-
-def _sample_rows(xs, vals):
-    return [(float(x), float(v)) for x, v in zip(xs, vals)]
+    Returns the split form, the splitting result (None when not dominated),
+    the report fields they share and the sidecar names; the gap certificate
+    is written to gaps_path.
+    """
+    S = split_infinite_part(C, M=args.grid, **_tolkw(args))
+    verdict = is_dominated(S, C, **_tolkw(args))
+    section = {
+        "k": S.k,
+        "p": S.p,
+        "split_residual": S.residual,
+        "dominated": verdict["dominated"],
+        "evidence": verdict["evidence"],
+    }
+    if not verdict["dominated"]:
+        return S, None, section, []
+    R = dominated_splitting(S, **_tolkw(args))
+    section["splitting_residual"] = R.residual
+    rows = [(n, float(r)) for n, r in sorted(R.gap_certificate.items())]
+    return S, R, section, [_write_csv(gaps_path, ("n", "ratio"), rows).name]
 
 
 def cmd_lyapunov(args):
@@ -256,9 +250,8 @@ def cmd_triangularize(args):
         "B": T.B.to_json_dict(),
     }
     report["timings"] = {"triangularize": time.perf_counter() - t0}
-    xs, vals = _triangular_samples(T)
     side = _write_csv(outdir / f"{stem}.triangularize.residuals.csv",
-                      ("x", "value"), _sample_rows(xs, vals))
+                      ("x", "value"), _sample_rows(T.samples))
     report["sidecars"] = [side.name]
     print(_write_report(outdir / f"{stem}.triangularize.json", report))
     return 0
@@ -278,9 +271,8 @@ def cmd_jordan(args):
         "M": F.M.to_json_dict(),
     }
     report["timings"] = {"jordan": time.perf_counter() - t0}
-    xs, vals = _jordan_samples(C, F)
     side = _write_csv(outdir / f"{stem}.jordan.residuals.csv",
-                      ("x", "value"), _sample_rows(xs, vals))
+                      ("x", "value"), _sample_rows(F.samples))
     report["sidecars"] = [side.name]
     print(_write_report(outdir / f"{stem}.jordan.json", report))
     return 0
@@ -290,26 +282,12 @@ def cmd_dominate(args):
     C, digest = _load(args)
     outdir, stem = _outplace(args)
     report = _base_report("dominate", args, digest)
-    sidecars = []
     t0 = time.perf_counter()
-    S = split_infinite_part(C, M=args.grid, **_tolkw(args))
-    verdict = is_dominated(S, C, **_tolkw(args))
-    section = {
-        "k": S.k,
-        "p": S.p,
-        "split_residual": S.residual,
-        "dominated": verdict["dominated"],
-        "evidence": verdict["evidence"],
-        "U": S.U.to_json_dict(),
-    }
-    if verdict["dominated"]:
-        R = dominated_splitting(S, **_tolkw(args))
+    S, R, section, sidecars = _dominate(C, args, outdir / f"{stem}.dominate.gaps.csv")
+    section["U"] = S.U.to_json_dict()
+    if R is not None:
         section["M"] = R.M.to_json_dict()
         section["C"] = R.C.to_json_dict()
-        section["splitting_residual"] = R.residual
-        rows = [(n, float(r)) for n, r in sorted(R.gap_certificate.items())]
-        sidecars.append(_write_csv(outdir / f"{stem}.dominate.gaps.csv",
-                                   ("n", "ratio"), rows).name)
     report["dominate"] = section
     report["timings"] = {"dominate": time.perf_counter() - t0}
     report["sidecars"] = sidecars
@@ -363,10 +341,9 @@ def cmd_analyze(args):
             pipeline = "triangularize"
             result["block_sizes"] = list(T.block_sizes)
             result["residual"] = T.residual
-            xs, vals = _triangular_samples(T)
             sidecars.append(_write_csv(outdir / f"{stem}.analyze.residuals.csv",
                                        ("x", "value"),
-                                       _sample_rows(xs, vals)).name)
+                                       _sample_rows(T.samples)).name)
             try:
                 F = jordan_form(C, M=args.grid, **_tolkw(args))
             except CocycleError as exc:
@@ -385,23 +362,13 @@ def cmd_analyze(args):
     elif prof.stabilized_at is not None and 0 < prof.min_rank < C.dim:
         t0 = time.perf_counter()
         try:
-            S = split_infinite_part(C, M=args.grid, **_tolkw(args))
+            _, _, section, gaps = _dominate(C, args, outdir / f"{stem}.analyze.gaps.csv")
         except UnsupportedBase as exc:
             result["note"] = f"splitting unavailable: {exc}"
         else:
             pipeline = "dominate"
-            verdict = is_dominated(S, C, **_tolkw(args))
-            result["k"] = S.k
-            result["p"] = S.p
-            result["split_residual"] = S.residual
-            result["dominated"] = verdict["dominated"]
-            result["evidence"] = verdict["evidence"]
-            if verdict["dominated"]:
-                R = dominated_splitting(S, **_tolkw(args))
-                result["splitting_residual"] = R.residual
-                rows = [(n, float(r)) for n, r in sorted(R.gap_certificate.items())]
-                sidecars.append(_write_csv(outdir / f"{stem}.analyze.gaps.csv",
-                                           ("n", "ratio"), rows).name)
+            result.update(section)
+            sidecars += gaps
         timings["splitting"] = time.perf_counter() - t0
     else:
         result["note"] = "all exponents finite; spectrum only"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Cocycle, iterate, rank_profile
+from .cocycle import Cocycle, iterate, iterates, rank_profile
 from .errors import (
     FullyNilpotent,
     InversionBlowup,
@@ -22,9 +22,8 @@ from .errors import (
     TailTooFat,
     UnsupportedBase,
 )
-from .frames import kernel_field, orthocomplement
-from .matfun import MatrixFunction, hstack, poly_det, shift_samples, vstack
-from .normalform import _analytic_gauge, _poly_from_samples
+from .frames import analytic_gauge, kernel_field, orthocomplement
+from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, shift_samples, vstack
 from .trigpoly import default_grid_size
 
 
@@ -80,16 +79,17 @@ def split_infinite_part(C, M=None, tol=1e-9):
         grids = [base, 2 * base, 4 * base, 8 * base]
     else:
         grids = [M]
+    Ap = iterate(C, p)
     err = None
     for Mg in grids:
-        ker = kernel_field(iterate(C, p), Mg, tol)
+        ker = kernel_field(Ap, Mg, tol)
         if ker.k != nk:
             raise StructureViolation(
                 f"kernel of iterate {p} has dimension {ker.k}, expected {nk}"
             )
         fields = [ker, orthocomplement(ker)]
         try:
-            blocks = [_poly_from_samples(_analytic_gauge(S), tol=1e-9) for S in fields]
+            blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
         except TailTooFat as exc:
             err = exc
             continue
@@ -195,7 +195,7 @@ def dominated_splitting(S, tol=1e-9):
         msum = msum + mn
         csamp = asamp @ mn
     cp_mass = float(np.abs(csamp).max())
-    mfun = _poly_from_samples(msum, tol=1e-6)
+    mfun = poly_from_samples(msum, tol=1e-6)
     Mv = 2 * Mg
     msamp = mfun.sample_grid(Mv)
     mshift = mfun.sample_grid(Mv, shift=C.alpha)
@@ -207,8 +207,7 @@ def dominated_splitting(S, tol=1e-9):
     bfull = Cocycle(C.frequencies, vstack([hstack([S.a, S.b]),
                                            hstack([zero_bl, S.d])]))
     cert = {}
-    for n in range(1, 3 * p + 1):
-        F = iterate(bfull, n)
+    for n, F in enumerate(iterates(bfull, 3 * p), start=1):
         sv = np.linalg.svd(
             F.sample_grid(max(256, default_grid_size(F.degree))), compute_uv=False
         )

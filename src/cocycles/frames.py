@@ -9,15 +9,17 @@ neighbors come from one batched SVD, a log-depth prefix product chains them
 into the per-sample corrections, and two Newton-Schulz steps re-unitarise the
 chained products.  Composite operations (intersection, complement within)
 align only their result.  phase_align additionally treats the closure around
-the circle, recording the integer winding it removed; to_analytic_frame
-converts an aligned closed field into trigonometric-polynomial form.
+the circle, recording the integer winding it removed.  analytic_gauge samples
+a section of a field as smooth as the bundle itself, and to_analytic_frame
+checks that an aligned field closes before matfun.poly_from_samples turns it
+into trigonometric-polynomial form.
 """
 
 import numpy as np
 
-from .errors import ClosureDefect, DimensionUnstable, TailTooFat
-from .matfun import MatrixFunction
-from .trigpoly import TrigPoly
+from .errors import ClosureDefect, DimensionUnstable
+from .matfun import poly_from_samples
+from .trigpoly import default_grid_size
 
 
 def cont_budget_default(degree, M, k):
@@ -185,17 +187,10 @@ def range_field(F, M=None, tol=1e-9):
     """Field of column spans of F, at the generic dimension."""
     if M is None:
         M = _default_field_grid(F)
-    samples = F.sample_grid(M)
-    return range_field_from_samples(samples, F.degree, tol)
-
-
-def range_field_from_samples(samples, degree, tol=1e-9):
-    samples = np.asarray(samples, dtype=complex)
-    u, _, _, local = _svd_rank_split(samples, tol)
+    u, _, _, local = _svd_rank_split(F.sample_grid(M), tol)
     r = int(local.max())
-    frames = u[:, :, :r]
     exc = [int(i) for i in np.nonzero(local < r)[0]]
-    return _finish(frames, exc, cont_budget_default(degree, samples.shape[0], max(r, 1)))
+    return _finish(u[:, :, :r], exc, cont_budget_default(F.degree, M, max(r, 1)))
 
 
 def field_from_vectors(vecs, degree, tol=1e-7):
@@ -335,37 +330,42 @@ def phase_align(S):
                          theta_total)
 
 
+def analytic_gauge(S, seed=7):
+    """Sample an analytic orthonormal section of a subspace field.
+
+    Rolling-aligned frames carry broadband gauge noise that dominates their
+    Fourier tail; pushing one fixed matrix through the per-sample projectors
+    and polar-orthonormalizing gives sections exactly as smooth as the bundle
+    itself.  When every candidate gauge degenerates somewhere on the circle
+    (a twisted bundle) this falls back to loop alignment.
+    """
+    proj = S.projectors()
+    rng = np.random.default_rng(seed)
+    cands = [S.frames[0]]
+    for _ in range(3):
+        g = rng.standard_normal((S.d, S.k)) + 1j * rng.standard_normal((S.d, S.k))
+        cands.append(np.linalg.qr(g)[0])
+    for g in cands:
+        sec = proj @ g
+        sv = np.linalg.svd(sec, compute_uv=False)
+        if float(sv[:, -1].min()) > 0.1 * float(sv[:, 0].max()):
+            gram = np.conj(np.swapaxes(sec, 1, 2)) @ sec
+            w, vecs = np.linalg.eigh(gram)
+            root = (vecs * (1.0 / np.sqrt(w))[:, None, :]) @ np.conj(
+                np.swapaxes(vecs, 1, 2)
+            )
+            return sec @ root
+    return phase_align(S).frames
+
+
 def to_analytic_frame(S, N=None, tol=1e-8):
     """Trigonometric-polynomial frame from an aligned, closed field."""
     if S.closure_residual is None:
         raise ValueError("field must be phase_aligned before extracting a frame")
     if S.cont_budget is not None and S.closure_residual > S.cont_budget:
         raise ValueError("field does not close; no analytic frame exists")
-    M, d, k = S.frames.shape
-    if N is None:
-        N = M // 4
-    coeffs = np.fft.fft(S.frames, axis=0) / M
-    freqs = np.rint(np.fft.fftfreq(M, d=1.0 / M)).astype(int)
-    keep = np.abs(freqs) <= N
-    total = float((np.abs(coeffs) ** 2).sum())
-    dropped = float((np.abs(coeffs[~keep]) ** 2).sum())
-    # summing the excluded mass directly avoids the sqrt(eps) cancellation
-    # floor of total-minus-kept
-    tail = np.sqrt(dropped / total) if total > 0 else 0.0
-    if tail > tol:
-        raise TailTooFat(tail, f"frame spectrum tail {tail:.3e} exceeds {tol:.1e}")
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(k):
-            terms = {int(f): coeffs[m, i, j]
-                     for m, f in enumerate(freqs) if keep[m]}
-            row.append(TrigPoly.from_dict(terms))
-        rows.append(row)
-    return MatrixFunction(rows)
+    return poly_from_samples(S.frames, N, tol)
 
 
 def _default_field_grid(F):
-    from .trigpoly import default_grid_size
-
     return max(128, default_grid_size(F.degree))

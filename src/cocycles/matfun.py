@@ -2,18 +2,19 @@
 
 MatrixFunction stores a rows x cols array of TrigPoly entries and supports
 exact algebra (products, translation, adjoint) plus fast exact sampling on
-uniform grids through the FFT. GridMatrixFunction carries samples of a
-band-limited matrix function over an l-dimensional torus grid and evaluates
-anywhere through its trigonometric interpolant; it is the only backing
-supported for multi-frequency base dynamics.
+uniform grids through the FFT; poly_from_samples is the way back from grid
+samples to a MatrixFunction, with a Fourier tail check.  GridMatrixFunction
+carries samples of a band-limited matrix function over an l-dimensional torus
+grid and evaluates anywhere through its trigonometric interpolant; it is the
+only backing supported for multi-frequency base dynamics.
 """
 
 import itertools
 
 import numpy as np
 
-from .errors import AliasingRisk, RootFindingError
-from .trigpoly import TrigPoly, _as_poly
+from .errors import AliasingRisk, TailTooFat
+from .trigpoly import TrigPoly, _as_poly, default_grid_size
 
 _TWO_PI_I = 2j * np.pi
 
@@ -232,6 +233,38 @@ def vstack(mats):
     return MatrixFunction(np.concatenate(blocks, axis=0))
 
 
+def poly_from_samples(vals, N=None, tol=1e-7):
+    """MatrixFunction of degree <= N from samples (M, rows, cols) at x_j = j/M.
+
+    N defaults to M/4.  Coefficients outside [-N, N], and those below 1e-14
+    of the largest one (so degrees stay honest at the noise floor), are
+    dropped; TailTooFat is raised when their relative l2 mass exceeds tol.
+    Raises AliasingRisk when N >= M/2.
+    """
+    vals = np.asarray(vals)
+    M, rows, cols = vals.shape
+    N = M // 4 if N is None else int(N)
+    if 2 * N >= M:
+        raise AliasingRisk(f"degree N={N} not recoverable from M={M} samples (need N < M/2)")
+    co = np.fft.fft(vals, axis=0) / M
+    band = np.arange(-N, N + 1) % M
+    inband = np.zeros(M, dtype=bool)
+    inband[band] = True
+    amp = np.abs(co)
+    keep = inband[:, None, None] & (amp > 1e-14 * amp.max())
+    total = float((amp ** 2).sum())
+    # summing the dropped mass directly avoids the sqrt(eps) cancellation
+    # floor of total-minus-kept
+    dropped = float((amp[~keep] ** 2).sum())
+    tail = np.sqrt(dropped / total) if total > 0 else 0.0
+    if tail > tol:
+        raise TailTooFat(f"sample spectrum tail {tail:.3e} exceeds {tol:.1e}", tail)
+    kept = np.where(keep, co, 0.0)[band]
+    return MatrixFunction(
+        [[TrigPoly(-N, kept[:, i, j]) for j in range(cols)] for i in range(rows)]
+    )
+
+
 def shift_samples(samples, shift, spectrum=None):
     """Samples of a band-limited field at x + shift from its samples at x.
 
@@ -349,97 +382,6 @@ class GridMatrixFunction:
         return cls(re + 1j * im)
 
 
-# -- pointwise singular value machinery -------------------------------------
-
-
-def jacobi_svd(a, tol=1e-13, max_sweeps=40):
-    """One-sided Jacobi SVD of a complex matrix.
-
-    Returns (s, u, vh) with a = u @ diag(s) @ vh, s descending. Column
-    pairs are rotated until all mutual inner products fall below
-    tol * |col_p| * |col_q|; small singular values keep high relative
-    accuracy. Raises RootFindingError if the sweep cap is exceeded.
-    """
-    a = np.asarray(a, dtype=complex)
-    m, n = a.shape
-    if m < n:
-        s, u, vh = jacobi_svd(a.conj().T, tol=tol, max_sweeps=max_sweeps)
-        return s, vh.conj().T, u.conj().T
-    w = a.copy()
-    v = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wp = w[:, p].copy()
-                wq = w[:, q].copy()
-                app = float(np.real(wp.conj() @ wp))
-                aqq = float(np.real(wq.conj() @ wq))
-                apq = wp.conj() @ wq
-                mag = abs(apq)
-                if mag == 0.0 or mag <= tol * np.sqrt(app * aqq):
-                    continue
-                off = max(off, mag / max(np.sqrt(app * aqq), 1e-300))
-                # phase-align column q, then a real Jacobi rotation
-                phase = apq / mag
-                wq *= np.conj(phase)
-                vq = v[:, q] * np.conj(phase)
-                zeta = (aqq - app) / (2.0 * mag)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta)) if zeta != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s_ = c * t
-                w[:, p] = c * wp - s_ * wq
-                w[:, q] = s_ * wp + c * wq
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s_ * vq
-                v[:, q] = s_ * vp + c * vq
-        if off <= tol:
-            break
-    else:
-        raise RootFindingError(f"jacobi sweeps did not converge (off={off:.2e})", residual=off)
-    sig = np.sqrt(np.sum(np.abs(w) ** 2, axis=0))
-    order = np.argsort(sig)[::-1]
-    sig = sig[order]
-    w = w[:, order]
-    v = v[:, order]
-    r = int(np.sum(sig > 0))
-    u = np.zeros((m, m), dtype=complex)
-    for j in range(r):
-        u[:, j] = w[:, j] / sig[j]
-    if r < m:
-        # extend with an orthonormal basis of the complement
-        q, _ = np.linalg.qr(np.concatenate([u[:, :r], np.eye(m, dtype=complex)], axis=1))
-        u[:, r:] = q[:, r:m]
-    return sig, u, v.conj().T
-
-
-def svd_at(F, x):
-    """Singular values and frames of F(x): (sigma, U, Vh), sigma descending."""
-    mat = F.eval_mat(x) if isinstance(F, MatrixFunction) else F.eval_mat(x)
-    return jacobi_svd(mat)
-
-
-def singular_values_grid(F, M=None):
-    """Batched singular values over the sampling grid: (samples, min(r,c))."""
-    mats = _samples_for(F, M)
-    return np.linalg.svd(mats, compute_uv=False)
-
-
-def _default_rank_grid(F):
-    from .trigpoly import default_grid_size
-
-    if isinstance(F, GridMatrixFunction):
-        return None
-    return max(64, default_grid_size(F.degree))
-
-
-def _samples_for(F, M=None):
-    if isinstance(F, GridMatrixFunction):
-        return F.all_samples()
-    M = M or _default_rank_grid(F)
-    return F.sample_grid(M)
-
-
 def max_rank(F, M=None, tol=1e-9, scale=None):
     """Maximal pointwise rank over a sampling grid.
 
@@ -454,7 +396,7 @@ def max_rank(F, M=None, tol=1e-9, scale=None):
         mats = F.all_samples()
         pts = F.grid_points()
     else:
-        M = M or _default_rank_grid(F)
+        M = M or max(64, default_grid_size(F.degree))
         mats = F.sample_grid(M)
         pts = np.arange(M) / M
     sv = np.linalg.svd(mats, compute_uv=False)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Cocycle, detect_nilpotency, iterate, iterates, rank_profile
+from .cocycle import Cocycle, detect_nilpotency, iterates, rank_profile
 from .errors import (
     ConstantRankViolated,
     InconsistentProfile,
@@ -24,97 +24,60 @@ from .errors import (
     UnsupportedBase,
 )
 from .frames import (
+    analytic_gauge,
     complement_within,
     intersect_field,
     kernel_field,
     orthocomplement,
-    phase_align,
     range_field,
 )
-from .matfun import MatrixFunction, hstack, shift_samples
-from .trigpoly import TrigPoly, default_grid_size
+from .matfun import MatrixFunction, hstack, poly_from_samples, shift_samples
+from .trigpoly import default_grid_size
 
 
 @dataclass
 class TriangularForm:
-    """Unitary conjugation U*(x+a) A(x) U(x) = B(x), B strictly block upper."""
+    """Unitary conjugation U*(x+a) A(x) U(x) = B(x), B strictly block upper.
+
+    samples holds the per-sample defect on the doubled verification grid
+    x_j = j/len(samples); residual is its maximum.
+    """
 
     cocycle: Cocycle
     U: MatrixFunction
     B: MatrixFunction
     block_sizes: tuple
-    residual: float
+    samples: np.ndarray
+
+    @property
+    def residual(self):
+        return float(self.samples.max())
 
 
 @dataclass
 class JordanForm:
-    """Conjugation M(x+a)^{-1} A(x) M(x) = J with J a constant Jordan matrix."""
+    """Conjugation M(x+a)^{-1} A(x) M(x) = J with J a constant Jordan matrix.
+
+    samples holds the per-sample spectral norm of M(x+a)^{-1} A(x) M(x) - J
+    on the doubled verification grid x_j = j/len(samples); residual is its
+    maximum.
+    """
 
     M: MatrixFunction
     J: np.ndarray
     chains: tuple
     cond_max: float
-    residual: float
+    samples: np.ndarray
+
+    @property
+    def residual(self):
+        return float(self.samples.max())
 
 
-def _auto_grid(C, p):
+def _form_grid(C, p):
     # resolve the highest iterate that gets a kernel or range field
     deg = C.matrix.degree * max(p - 1, 1)
     return max(256, default_grid_size(deg))
-
-
-def _poly_from_samples(vals, N=None, tol=1e-7):
-    """FFT truncation of grid samples (M, r, c) to a MatrixFunction."""
-    Mg = vals.shape[0]
-    if N is None:
-        N = Mg // 4
-    co = np.fft.fft(vals, axis=0) / Mg
-    freqs = np.rint(np.fft.fftfreq(Mg, d=1.0 / Mg)).astype(int)
-    amp = np.abs(co)
-    # drop coefficients at the noise floor so degrees stay honest
-    keep = (np.abs(freqs)[:, None, None] <= N) & (amp > 1e-14 * amp.max())
-    total = float((amp ** 2).sum())
-    dropped = float((amp[~keep] ** 2).sum())
-    tail = np.sqrt(dropped / total) if total > 0 else 0.0
-    if tail > tol:
-        raise TailTooFat(tail, f"sample spectrum tail {tail:.3e} exceeds {tol:.1e}")
-    rows = []
-    for i in range(vals.shape[1]):
-        row = []
-        for j in range(vals.shape[2]):
-            terms = {int(f): co[m, i, j]
-                     for m, f in enumerate(freqs) if keep[m, i, j]}
-            row.append(TrigPoly.from_dict(terms))
-        rows.append(row)
-    return MatrixFunction(rows)
-
-
-def _analytic_gauge(S, seed=7):
-    """Sample an analytic orthonormal section of a subspace field.
-
-    Rolling-aligned frames carry broadband gauge noise that dominates their
-    Fourier tail; pushing one fixed matrix through the per-sample projectors
-    and polar-orthonormalizing gives sections exactly as smooth as the bundle
-    itself.  When every candidate gauge degenerates somewhere on the circle
-    (a twisted bundle) this falls back to loop alignment.
-    """
-    proj = S.projectors()
-    rng = np.random.default_rng(seed)
-    cands = [S.frames[0]]
-    for _ in range(3):
-        g = rng.standard_normal((S.d, S.k)) + 1j * rng.standard_normal((S.d, S.k))
-        cands.append(np.linalg.qr(g)[0])
-    for g in cands:
-        sec = proj @ g
-        sv = np.linalg.svd(sec, compute_uv=False)
-        if float(sv[:, -1].min()) > 0.1 * float(sv[:, 0].max()):
-            gram = np.conj(np.swapaxes(sec, 1, 2)) @ sec
-            w, vecs = np.linalg.eigh(gram)
-            root = (vecs * (1.0 / np.sqrt(w))[:, None, :]) @ np.conj(
-                np.swapaxes(vecs, 1, 2)
-            )
-            return sec @ root
-    return phase_align(S).frames
 
 
 def triangularize(C, M=None, tol=1e-9):
@@ -134,14 +97,31 @@ def triangularize(C, M=None, tol=1e-9):
     p = rep.degree
     d = C.dim
     if p == 1:
-        # the cocycle itself vanishes
-        return TriangularForm(
-            C, MatrixFunction.identity(d), C.matrix, (d,), C.matrix.max_coeff()
-        )
+        # the cocycle itself vanishes: one block in the identity frame
+        U, sizes, Mg = MatrixFunction.identity(d), (d,), M or _form_grid(C, p)
+    else:
+        U, sizes, Mg = _triangular_frame(C, p, M, tol)
+    B = U.adjoint().translate(C.alpha) @ C.matrix @ U
+    Mv = 2 * Mg
+    usamp = U.sample_grid(Mv)
+    gram = np.conj(np.swapaxes(usamp, 1, 2)) @ usamp
+    samples = np.abs(gram - np.eye(d)).max(axis=(1, 2))
+    bsamp = B.sample_grid(Mv)
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    for n in range(len(sizes)):
+        low = np.abs(bsamp[:, edges[n]:, edges[n]:edges[n + 1]])
+        if low.size:
+            samples = np.maximum(samples, low.max(axis=(1, 2)))
+    return TriangularForm(C, U, B, sizes, samples)
+
+
+def _triangular_frame(C, p, M, tol):
+    """Unitary frame U adapted to the kernel flag of a nilpotent cocycle of
+    degree p >= 2, with its block sizes and the grid its frames were built on."""
     if M is None:
         # kernel bundles of high iterates can have slow Fourier decay, so
         # widen the grid until the truncated frames carry no fat tail
-        base = _auto_grid(C, p)
+        base = _form_grid(C, p)
         grids = [base, 2 * base, 4 * base, 8 * base]
     else:
         grids = [M]
@@ -154,30 +134,15 @@ def triangularize(C, M=None, tol=1e-9):
             fields.append(complement_within(kernels[n - 2], kernels[n - 1], tol))
         fields.append(orthocomplement(kernels[-1]))
         sizes = tuple(S.k for S in fields)
-        if sum(sizes) != d:
-            raise StructureViolation(f"block sizes {sizes} do not fill dimension {d}")
+        if sum(sizes) != C.dim:
+            raise StructureViolation(f"block sizes {sizes} do not fill dimension {C.dim}")
         try:
-            blocks = [_poly_from_samples(_analytic_gauge(S), tol=1e-9) for S in fields]
+            blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
         except TailTooFat as exc:
             err = exc
             continue
-        break
-    else:
-        raise err
-    U = hstack(blocks)
-    B = U.adjoint().translate(C.alpha) @ C.matrix @ U
-    Mv = 2 * Mg
-    usamp = U.sample_grid(Mv)
-    gram = np.conj(np.swapaxes(usamp, 1, 2)) @ usamp
-    unit_defect = float(np.abs(gram - np.eye(d)).max())
-    bsamp = B.sample_grid(Mv)
-    shape_defect = 0.0
-    edges = np.concatenate([[0], np.cumsum(sizes)])
-    for n in range(len(sizes)):
-        low = np.abs(bsamp[:, edges[n]:, edges[n]:edges[n + 1]])
-        if low.size:
-            shape_defect = max(shape_defect, float(low.max()))
-    return TriangularForm(C, U, B, sizes, max(unit_defect, shape_defect))
+        return hstack(blocks), sizes, Mg
+    raise err
 
 
 def jordan_structure_from_ranks(ranks, d):
@@ -238,12 +203,13 @@ def jordan_form(C, M=None, tol=1e-9):
             )
     expected = jordan_structure_from_ranks(ranks, d)
     if M is None:
-        M = _auto_grid(C, p)
+        M = _form_grid(C, p)
     alpha = C.alpha
     asamp = C.matrix.sample_grid(M)
     kerA = kernel_field(C.matrix, M, tol)
     # V_n for n = 1..p-1; V_p is the whole space
-    vfields = {n: range_field(iterate(C, p - n).translate(-(p - n) * alpha), M, tol)
+    powers = list(iterates(C, p - 1))
+    vfields = {n: range_field(powers[p - n - 1].translate(-(p - n) * alpha), M, tol)
                for n in range(1, p)}
     dims = {n: (ranks[p - n - 1] if n < p else d) for n in range(1, p + 1)}
     chains = []
@@ -260,7 +226,7 @@ def jordan_form(C, M=None, tol=1e-9):
             kv = intersect_field(kerA, vfields[n], tol)
         born = kv if prev_kv is None else complement_within(prev_kv, kv, tol)
         if born.k:
-            frame = _analytic_gauge(born)
+            frame = analytic_gauge(born)
             for j in range(frame.shape[2]):
                 chains.append([frame[:, :, j]])
         prev_kv = kv
@@ -291,7 +257,7 @@ def jordan_form(C, M=None, tol=1e-9):
             f"recovered chains {lengths} contradict the rank profile {expected}"
         )
     cols = np.stack([v for ch in chains for v in ch], axis=2)
-    mfun = _poly_from_samples(cols)
+    mfun = poly_from_samples(cols)
     jmat = np.zeros((d, d))
     off = 0
     for L in lengths:
@@ -303,10 +269,10 @@ def jordan_form(C, M=None, tol=1e-9):
     mshift = mfun.sample_grid(Mv, shift=alpha)
     av = C.matrix.sample_grid(Mv)
     conj = np.linalg.solve(mshift, av @ msamp)
-    residual = float(np.linalg.svd(conj - jmat, compute_uv=False)[:, 0].max())
+    samples = np.linalg.svd(conj - jmat, compute_uv=False)[:, 0]
     sv = np.linalg.svd(msamp, compute_uv=False)
     cond_max = float((sv[:, 0] / sv[:, -1]).max())
-    return JordanForm(mfun, jmat, lengths, cond_max, residual)
+    return JordanForm(mfun, jmat, lengths, cond_max, samples)
 
 
 def perturb_simple(T, b, eps):

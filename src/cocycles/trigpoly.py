@@ -5,16 +5,17 @@ as a sparse-by-construction coefficient block over k in [kmin, kmax].
 Coefficients whose magnitude falls below a relative threshold are dropped,
 so the zero function is the empty coefficient map.
 
-GridFunction holds samples on the uniform grid x_j = j/M with M a power
-of two; to_grid/from_grid convert between the two representations by FFT
-and are exact while M > 2N (no aliasing).
+Grids live one level up: matfun.MatrixFunction.sample_grid samples entries
+by FFT and matfun.poly_from_samples turns grid samples back into
+polynomials.  default_grid_size(N) = 4 * 2^ceil(log2(N+1)) is the grid size
+rule that callers floor at their own minimum.
 """
 
 import cmath
 
 import numpy as np
 
-from .errors import AliasingRisk, RootFindingError
+from .errors import RootFindingError
 
 TRUNCATION_RELATIVE = 1e-12
 _TWO_PI_I = 2j * np.pi
@@ -220,83 +221,10 @@ def _as_poly(v):
     raise TypeError(f"cannot coerce {type(v)!r} to TrigPoly")
 
 
-class GridFunction:
-    """Samples of a function at x_j = j/M, with M a power of two."""
-
-    __slots__ = ("samples",)
-
-    def __init__(self, samples):
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 1:
-            raise ValueError("grid samples must be one-dimensional")
-        m = samples.shape[0]
-        if m < 2 or (m & (m - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two, got {m}")
-        self.samples = samples
-
-    @property
-    def size(self):
-        return self.samples.shape[0]
-
-    def __repr__(self):
-        return f"GridFunction(M={self.size})"
-
-
 def default_grid_size(degree):
     """Default grid for degree N: 4 * 2^ceil(log2(N+1)), at least 8."""
     n = max(int(degree), 0) + 1
     return 4 * (1 << (n - 1).bit_length())
-
-
-def to_grid(f, M=None):
-    """Sample f on the uniform grid of size M (exact placement via inverse FFT).
-
-    Raises AliasingRisk unless M > 2 * degree(f).
-    """
-    if M is None:
-        M = default_grid_size(f.degree)
-    M = int(M)
-    if M < 2 or (M & (M - 1)) != 0:
-        raise ValueError(f"grid size must be a power of two, got {M}")
-    if M <= 2 * f.degree:
-        raise AliasingRisk(f"grid M={M} cannot hold degree {f.degree} (need M > 2N)")
-    bins = np.zeros(M, dtype=complex)
-    if not f.is_zero:
-        for j, v in enumerate(f.c):
-            bins[(f.kmin + j) % M] += v
-    return GridFunction(np.fft.ifft(bins) * M)
-
-
-def from_grid(g, N, tol=0.0):
-    """Recover a TrigPoly of degree <= N from grid samples.
-
-    Coefficients with |c_k| <= tol are dropped. Raises AliasingRisk when
-    N >= M/2. Use grid_tail_mass(g, N) for the discarded out-of-band mass.
-    """
-    M = g.size
-    N = int(N)
-    if N >= M // 2:
-        raise AliasingRisk(f"degree N={N} not recoverable from M={M} samples (need N < M/2)")
-    spec = np.fft.fft(g.samples) / M
-    coeffs = {}
-    for k in range(-N, N + 1):
-        v = spec[k % M]
-        if abs(v) > tol:
-            coeffs[k] = v
-    return TrigPoly.from_dict(coeffs)
-
-
-def grid_tail_mass(g, N):
-    """l2 mass of the Fourier content of g outside frequencies [-N, N]."""
-    M = g.size
-    N = int(N)
-    if N >= M // 2:
-        return 0.0
-    spec = np.fft.fft(g.samples) / M
-    keep = np.zeros(M, dtype=bool)
-    for k in range(-N, N + 1):
-        keep[k % M] = True
-    return float(np.sqrt(np.sum(np.abs(spec[~keep]) ** 2)))
 
 
 def complex_shift(f, t):

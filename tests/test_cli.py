@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+from cocycles import fixtures
 from cocycles.cli import main
 from cocycles.cocycle import Cocycle
 
@@ -180,6 +181,22 @@ class TestWrappedCommands:
         assert rep["jordan"]["cond_max"] < 1.0 + 1e-8
         header, rows = read_csv(tmp_path / f"{src.stem}.jordan.residuals.csv")
         assert all(float(r[1]) < 1e-9 for r in rows)
+
+    @pytest.mark.parametrize("cmd, section, build", [
+        ("triangularize", "triangular",
+         lambda: fixtures.random_nilpotent(1469265225, d=4)),
+        ("jordan", "jordan",
+         lambda: fixtures.random_constant_rank_jordan(1790251936)[0]),
+    ])
+    def test_residual_csv_peaks_at_the_reported_residual(self, tmp_path, cmd,
+                                                         section, build):
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps(build().to_json_dict()))
+        assert main([cmd, str(src), "--out", str(tmp_path)]) == 0
+        rep = read_report(tmp_path, "c", cmd)
+        _, rows = read_csv(tmp_path / f"c.{cmd}.residuals.csv")
+        assert max(float(r[1]) for r in rows) == rep[section]["residual"]
+        assert [float(r[0]) for r in rows] == [j / len(rows) for j in range(len(rows))]
 
     def test_jordan_variable_rank_is_numerical_failure(self, fixture_dir,
                                                        tmp_path, capsys):

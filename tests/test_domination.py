@@ -18,8 +18,8 @@ from cocycles.fixtures import (
     random_nilpotent,
     twofrequency_rank_one,
 )
-from cocycles.matfun import MatrixFunction
-from cocycles.trigpoly import TrigPoly
+from cocycles.matfun import MatrixFunction, hstack, vstack
+from cocycles.trigpoly import TrigPoly, default_grid_size
 
 
 def constant_split_3x3():
@@ -188,6 +188,20 @@ class TestDominatedSplitting:
         B = (S.U.adjoint().translate(C.alpha) @ C.matrix @ S.U).sample_at(xs)
         conj = np.linalg.solve(gs, B @ g)
         assert np.abs(conj - R.C.sample_at(xs)).max() < 1e-9
+
+    def test_gap_certificate_from_the_exact_iterates(self):
+        S = split_infinite_part(nilpotent_plus_invertible_3x3())
+        R = dominated_splitting(S)
+        zero = MatrixFunction.zero(S.k, S.a.rows)
+        bfull = Cocycle(S.cocycle.frequencies,
+                        vstack([hstack([S.a, S.b]), hstack([zero, S.d])]))
+        assert sorted(R.gap_certificate) == list(range(1, 3 * S.p + 1))
+        for n, ratio in R.gap_certificate.items():
+            F = iterate(bfull, n)
+            sv = np.linalg.svd(F.sample_grid(max(256, default_grid_size(F.degree))),
+                               compute_uv=False)
+            floor = np.finfo(float).eps * sv[:, 0]
+            assert ratio == float((sv[:, S.k - 1] / np.maximum(sv[:, S.k], floor)).min())
 
     def test_gap_certificate_saturates(self):
         S = split_infinite_part(dominated_2x2())

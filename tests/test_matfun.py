@@ -1,18 +1,18 @@
-"""Matrix functions: sampling, Jacobi SVD, exterior powers, rank analysis."""
+"""Matrix functions: sampling, samples to polynomials, exterior powers, rank analysis."""
 
 import numpy as np
 import pytest
 
+from cocycles.errors import AliasingRisk, TailTooFat
 from cocycles.matfun import (
     GridMatrixFunction,
     MatrixFunction,
     exterior_power,
     hstack,
-    jacobi_svd,
     max_rank,
     poly_det,
+    poly_from_samples,
     shift_samples,
-    svd_at,
     vstack,
 )
 from cocycles.trigpoly import TrigPoly
@@ -103,47 +103,34 @@ class TestMatrixFunction:
         assert np.abs(back.eval_mat(x) - f.eval_mat(x)).max() < 1e-14
 
 
-class TestJacobiSVD:
-    def test_matches_lapack_on_random(self):
-        rng = np.random.default_rng(6)
-        for shape in [(4, 4), (5, 3), (3, 5)]:
-            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            s, u, vh = jacobi_svd(a)
-            s_ref = np.linalg.svd(a, compute_uv=False)
-            assert np.abs(s - s_ref).max() < 1e-12
-            k = min(shape)
-            recon = (u[:, :k] * s[:k]) @ vh[:k, :]
-            assert np.abs(recon - a).max() < 1e-12
-            assert np.abs(u.conj().T @ u - np.eye(shape[0])).max() < 1e-12
-            assert np.abs(vh @ vh.conj().T - np.eye(shape[1])).max() < 1e-12
+class TestPolyFromSamples:
+    def test_round_trips_sample_grid(self):
+        F = rand_matrix(np.random.default_rng(6), 3, degree=5)
+        back = poly_from_samples(F.sample_grid(32))
+        for e, f in zip(back.entries.flat, F.entries.flat):
+            assert (e.kmin, len(e.c)) == (f.kmin, len(f.c))
+            assert np.abs(e.c - f.c).max() < 1e-13
 
-    def test_rank_deficient(self):
-        rng = np.random.default_rng(7)
-        b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        c = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        a = b @ c
-        s, u, vh = jacobi_svd(a)
-        assert s[2] < 1e-12 * s[0]
-        assert np.abs((u[:, :4] * s) @ vh - a).max() < 1e-11
-        assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
+    def test_noise_floor_keeps_zeros_and_degrees_exact(self):
+        F = nilpotent_3x3()
+        back = poly_from_samples(F.sample_grid(64))
+        assert back.degree == 1
+        for e, f in zip(back.entries.flat, F.entries.flat):
+            assert e.is_zero == f.is_zero
 
-    def test_zero_matrix(self):
-        s, u, vh = jacobi_svd(np.zeros((3, 3), dtype=complex))
-        assert np.all(s == 0)
-        assert np.abs(u.conj().T @ u - np.eye(3)).max() < 1e-14
+    def test_out_of_band_content_is_too_fat(self):
+        F = rand_matrix(np.random.default_rng(7), 2, degree=5)
+        samples = F.sample_grid(32)
+        with pytest.raises(TailTooFat) as exc:
+            poly_from_samples(samples, N=2)
+        assert 0.1 < exc.value.tail <= 1.0
+        assert poly_from_samples(samples, N=5, tol=1e-13).degree == 5
 
-    def test_svd_at_constant_diag(self):
-        f = MatrixFunction.constant(np.diag([3.0, 2.0, 0.0]))
-        s, u, vh = svd_at(f, 0.123)
-        assert np.abs(s - np.array([3.0, 2.0, 0.0])).max() < 1e-13
-
-    def test_svd_at_rank_one_column(self):
-        z = TrigPoly.zero()
-        f = MatrixFunction([[z, TrigPoly.cosine()], [z, TrigPoly.sine()]])
-        for x in [0.0, 0.2, 0.77]:
-            s, _, _ = svd_at(f, x)
-            assert abs(s[0] - 1.0) < 1e-13
-            assert s[1] < 1e-14
+    def test_aliasing_guard(self):
+        samples = rand_matrix(np.random.default_rng(8), 2, degree=3).sample_grid(32)
+        assert poly_from_samples(samples, N=15).degree == 3
+        with pytest.raises(AliasingRisk):
+            poly_from_samples(samples, N=16)
 
 
 class TestExteriorPower:

@@ -84,6 +84,12 @@ class TestTriangularize:
         with pytest.raises(NotNilpotent):
             triangularize(dominated_2x2())
 
+    def test_vanishing_cocycle_is_verified_in_the_identity_frame(self):
+        T = triangularize(Cocycle((GOLDEN_MEAN,), MatrixFunction.zero(3)), M=64)
+        assert T.block_sizes == (3,)
+        assert np.array_equal(T.U.eval_mat(0.3), np.eye(3))
+        assert T.samples.shape == (128,) and T.residual == 0.0
+
     def test_two_frequency_base_unsupported(self):
         with pytest.raises(UnsupportedBase):
             triangularize(twofrequency_rank_one())
@@ -164,6 +170,27 @@ class TestJordanForm:
         assert np.array_equal(J.J, jmat)
         assert J.residual < 1e-8
         assert np.isfinite(J.cond_max)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_range_fields_come_from_the_exact_iterates(self, seed, monkeypatch):
+        C, _, chains = random_constant_rank_jordan(seed)
+        p = max(chains)
+        seen = []
+        real = normalform.range_field
+
+        def spy(F, M=None, tol=1e-9):
+            seen.append(F)
+            return real(F, M, tol)
+
+        monkeypatch.setattr(normalform, "range_field", spy)
+        jordan_form(C)
+        monkeypatch.undo()
+        # V_n is the range of A_{p-n} pulled back by (p-n) steps, n = 1..p-1
+        assert len(seen) == p - 1
+        for n, F in enumerate(seen, start=1):
+            want = iterate(C, p - n).translate(-(p - n) * C.alpha)
+            assert all(f.kmin == g.kmin and np.array_equal(f.c, g.c)
+                       for f, g in zip(F.entries.flat, want.entries.flat))
 
     @pytest.mark.parametrize("seed", [0, 2, 5])
     def test_chains_match_rank_duality(self, seed):

@@ -6,17 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cocycles.errors import AliasingRisk
-from cocycles.trigpoly import (
-    GridFunction,
-    TrigPoly,
-    complex_shift,
-    default_grid_size,
-    from_grid,
-    grid_tail_mass,
-    log_integral,
-    to_grid,
-)
+from cocycles.errors import AliasingRisk, TailTooFat
+from cocycles.matfun import GridMatrixFunction, MatrixFunction, poly_from_samples
+from cocycles.trigpoly import TrigPoly, complex_shift, default_grid_size, log_integral
 
 
 def rand_poly(rng, degree, scale=1.0):
@@ -143,12 +135,16 @@ class TestAlgebra:
         assert abs(g.eval(x) - direct) < 1e-12
 
 
+def sample_grid(f, M):
+    """Samples of f at j/M, through the 1x1 matrix function that owns grids."""
+    return MatrixFunction([[f]]).sample_grid(M)
+
+
 class TestGrids:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(14)
         f = rand_poly(rng, 7)
-        g = to_grid(f, 32)
-        back = from_grid(g, 7)
+        back = poly_from_samples(sample_grid(f, 32), N=7).entries[0, 0]
         for k in range(-7, 8):
             assert abs(back.coeff(k) - f.coeff(k)) < 1e-13
 
@@ -162,29 +158,31 @@ class TestGrids:
     def test_to_grid_aliasing_guard(self):
         f = rand_poly(np.random.default_rng(15), 3)
         with pytest.raises(AliasingRisk):
-            to_grid(f, 4)
+            sample_grid(f, 4)
 
     def test_from_grid_aliasing_guard(self):
-        g = to_grid(TrigPoly.cosine(), 8)
+        samples = sample_grid(TrigPoly.cosine(), 8)
         with pytest.raises(AliasingRisk):
-            from_grid(g, 4)
+            poly_from_samples(samples, N=4)
 
     def test_grid_size_must_be_power_of_two(self):
         with pytest.raises(ValueError):
-            GridFunction(np.zeros(12))
+            GridMatrixFunction(np.zeros((12, 1, 1)))
 
     def test_tail_mass_sees_out_of_band_content(self):
-        f = TrigPoly.harmonic(5, 2.0)
-        g = to_grid(f, 32)
-        assert abs(grid_tail_mass(g, 2) - 2.0) < 1e-12
-        assert grid_tail_mass(g, 6) < 1e-13
+        # all of |2|^2 out of |1|^2 + |2|^2 lies above degree 2
+        samples = sample_grid(TrigPoly.constant(1.0) + TrigPoly.harmonic(5, 2.0), 32)
+        with pytest.raises(TailTooFat) as exc:
+            poly_from_samples(samples, N=2)
+        assert abs(exc.value.tail - 2.0 / math.sqrt(5.0)) < 1e-12
+        back = poly_from_samples(samples, N=6, tol=1e-13).entries[0, 0]
+        assert abs(back.coeff(5) - 2.0) < 1e-13
 
     def test_samples_match_eval(self):
         f = rand_poly(np.random.default_rng(16), 5)
         M = 32
-        g = to_grid(f, M)
         xs = np.arange(M) / M
-        assert np.abs(g.samples - f.eval(xs)).max() < 1e-12
+        assert np.abs(sample_grid(f, M)[:, 0, 0] - f.eval(xs)).max() < 1e-12
 
 
 class TestLogIntegral:
