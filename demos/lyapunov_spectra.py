@@ -2,8 +2,10 @@
 
 The estimator runs one QR step per iteration over a lattice of starting
 points and averages log growth per direction. Nilpotent directions have no
-finite exponent; three independent signs flag them as -inf instead of
-returning a large negative number that depends on the run length.
+finite exponent: the stabilised rank k of the iterates counts the finite
+exponents, and the other slots are reported as -inf with the rank
+certificate as their reason, instead of a large negative number that depends
+on the run length.
 """
 
 import numpy as np
@@ -18,9 +20,16 @@ rep = lyapunov_spectrum(Cocycle((GOLDEN_MEAN,), MatrixFunction.constant(b)),
                         n=400, M=16)
 print("constant diag:", np.round(rep.exponents, 12))
 
-# a nilpotent cocycle: every direction is flagged
+# a nilpotent cocycle: every direction is flagged, and no orbit is swept
 rep = lyapunov_spectrum(fx.nilpotent_3x3_variable_rank(), n=500, M=32)
-print("nilpotent:", rep.exponents, " divergent:", rep.divergent)
+print("nilpotent:", rep.exponents, " reason:", rep.flag_reason)
+
+# a nilpotent block beside an invertible one: the run-length dependent
+# estimates near -18 of the nilpotent block are certified -inf
+rep = lyapunov_spectrum(fx.nilpotent_plus_invertible_3x3(), n=1000, M=32)
+print("nilpotent + invertible:", [round(v, 4) if np.isfinite(v) else v
+                                  for v in rep.exponents],
+      " raw:", np.round(rep.raw_estimates, 2), " reason:", rep.flag_reason)
 
 # mixed: one expanding direction, one structurally dead
 rep = lyapunov_spectrum(fx.dominated_2x2(), n=2000, M=32)

@@ -185,7 +185,7 @@ def _run_lyapunov(C, args):
     kw = {"n": args.iters if args.iters is not None else 1000}
     if args.grid is not None:
         kw["M"] = args.grid
-    return lyapunov_spectrum(C, **kw)
+    return lyapunov_spectrum(C, **kw, **_tolkw(args))
 
 
 def _exponent_rows(rep):
@@ -359,7 +359,7 @@ def cmd_analyze(args):
                     "residual": F.residual,
                 }
         timings["normal_form"] = time.perf_counter() - t0
-    elif prof.stabilized_at is not None and 0 < prof.min_rank < C.dim:
+    elif 0 < prof.min_rank < C.dim:
         t0 = time.perf_counter()
         try:
             _, _, section, gaps = _dominate(C, args, outdir / f"{stem}.analyze.gaps.csv")

@@ -2,9 +2,12 @@
 
 A cocycle is a rotation vector together with a matrix-valued function on the
 torus; its n-th iterate is the ordered product along the rotation orbit.
-Lyapunov exponents are estimated by QR-reorthogonalized orbit products, rank
-profiles drive nilpotency detection, and rank-one cocycles get their top
-exponent in closed form from the scalar factorization.
+Rank profiles and nilpotency are decided on the iterates of the unit-scale
+generator.  The stabilised rank k of the iterates is the number of finite
+Lyapunov exponents (the paper's first theorem applied to exterior powers);
+those k are estimated by QR-reorthogonalized orbit products and the rest are
+reported as -inf.  Rank-one cocycles get their top exponent in closed form
+from the scalar factorization.
 """
 
 import math
@@ -100,7 +103,7 @@ class LyapunovReport:
     divergent: list
     n: int
     grid: int
-    # per slot, which test of DIVERGENCE_TESTS flagged it, or None
+    # per slot, the rank certificate "rank A_p = k" of a -inf slot, or None
     flag_reason: list | None = None
 
 
@@ -171,11 +174,8 @@ def iterates(C, n_max, degree_cap=DEGREE_CAP):
 
 
 # the step matrices and phases of one chunk of the Lyapunov sweep stay near
-# this size (or one window, if larger); longer chunks save no more time but
-# raise the peak memory
+# this size; longer chunks save no more time but raise the peak memory
 _CHUNK_BYTES = 1 << 18
-
-DIVERGENCE_TESTS = ("deaths", "window", "decay")
 
 
 def _step_chunks(C, starts, M, bounds):
@@ -212,95 +212,42 @@ def _step_chunks(C, starts, M, bounds):
         yield mats
 
 
-def _window_collapses(mats, sup):
-    """Per-orbit count of collapsed length-d windows among the whole windows
-    of a chunk that starts on a window boundary, and the number of windows.
+def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
+    """Exponent estimates from M grid orbits of length n; -inf where certified.
 
-    A window collapses when its product falls below 1e-11 of the product of
-    its step norms, or below the rounding floor eps * scale * (largest
-    product with one factor removed)."""
-    T, batch, d, _ = mats.shape
-    W = T // d
-    steps = mats[:W * d].reshape(W, d, batch, d, d)
-    prod = steps[:, 0]
-    for j in range(1, d):
-        prod = steps[:, j] @ prod
-    wnorm = np.linalg.norm(prod, axis=(2, 3))
-    # one window position at a time keeps the temporaries of the norm small
-    fros = np.stack(
-        [np.linalg.norm(steps[:, j], axis=(2, 3)) for j in range(d)], axis=1
-    )
-    rel = 1e-11 * fros.prod(axis=1)
-    # an orbit grazing a zero of A drives the relative threshold under the
-    # rounding noise of the factors, so floor it at eps * scale * (largest
-    # product with one factor removed)
-    partial = np.stack([
-        np.prod(np.delete(fros, j, axis=1), axis=1) for j in range(d)
-    ]).max(axis=0)
-    noise = 64.0 * np.finfo(float).eps * sup * partial
-    return (wnorm < np.maximum(rel, noise)).sum(axis=0), W
+    The number k of finite exponents is the stabilised rank of the iterates,
+    rank_profile(C, tol).min_rank: by the paper's first theorem applied to
+    the exterior powers, L_j = -inf exactly when the j-th exterior power is
+    nilpotent, that is when rank A_p < j for p = stabilized_at.  Slots
+    k+1..d are reported as -inf with flag_reason "rank A_p = k"; for k = 0
+    no orbit is swept at all.
 
-
-def _divergence_masks(deaths, collapsed, windows, history, flag_db):
-    """The three -inf tests as boolean masks over the sorted slots, in the
-    order of DIVERGENCE_TESTS.
-
-    deaths holds per-orbit death counts in sorted slots, collapsed the
-    per-orbit count of collapsed windows out of windows, and history the
-    running sums of the orbit-mean log growth after the warmup."""
-    n_eff, d = history.shape
-    # structural deaths recur within every nilpotency window on every orbit;
-    # isolated kernel hits on special grid points do not
-    by_deaths = deaths.min(axis=0) >= max(2, n_eff // (2 * d))
-    # an orbit grazing a zero of A can push one window product above its
-    # collapse threshold by rounding alone, so long runs may miss rarely
-    by_window = np.full(
-        d, windows >= 2 and collapsed.min() >= windows - windows // 64
-    )
-    # slow analytic decay shows no deaths, so no orbit permutes its columns
-    # and the per-column history lines up with the sorted slots
-    quarter = max(n_eff // 4, 2)
-    ravg = history / np.arange(1, n_eff + 1)[:, None]
-    tail_slope = np.diff(ravg[-quarter:], axis=0)
-    by_decay = (history[-1] < -flag_db * np.log(10.0)) & np.all(
-        tail_slope < -1e-13, axis=0
-    )
-    return by_deaths, by_window, by_decay
-
-
-def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
-    """Exponent estimates from M grid orbits of length n, with divergence flags.
-
-    Products are never formed directly; a QR step per iteration keeps the
-    basis orthonormal and accumulates log singular growth per direction.  An
-    initial warmup fifth of the run (at most 64 steps) lets the random
-    starting frame settle into the growth filtration and is excluded from the
-    averages.  The step matrices and all bookkeeping are computed a chunk of
-    steps at a time; only the QR steps run one by one.
+    The finite exponents come from a QR sweep of a full d-frame: products
+    are never formed directly; a QR step per iteration keeps the basis
+    orthonormal and accumulates log singular growth per direction, and the k
+    largest estimates are reported.  An initial warmup fifth of the run (at
+    most 64 steps) lets the random starting frame settle into the growth
+    filtration and is excluded from the averages.  The step matrices and all
+    bookkeeping are computed a chunk of steps at a time; only the QR steps
+    run one by one.
 
     stderr combines the spread over orbits with a Richardson estimate of the
     still-settling bias: a running mean converging like 1/t leaves a residual
     of three times its drift over the final quarter of the run.  Spread alone
     misses that bias because every orbit shares the transient when two
     exponents nearly coincide.
-
-    Three independent signs mark directions as diverging to -inf; the
-    report's flag_reason names, per slot, the first of them that fired:
-      * "deaths": a direction's R-diagonal entry dies (exactly zero, or below
-        the per-sample relative floor 1e-14) on every orbit at a structural
-        rate, at least once per couple of nilpotency windows;
-      * "window": fresh length-d window products collapse below 1e-11 of the
-        product of their step norms, or below the absolute rounding floor
-        eps * scale * (largest partial product) where a zero product is
-        indistinguishable from noise, on every orbit in all but a rounding-
-        grazed fraction 1/64 of windows; that flags all directions at once;
-      * "decay": a direction's accumulated mean log sinks below
-        -flag_db*ln(10) while still strictly decreasing over the last quarter
-        of the run.
     """
     if n < 2:
         raise ValueError("a Lyapunov estimate needs at least 2 iterates")
     d = C.dim
+    prof = rank_profile(C, tol=tol)
+    k = prof.min_rank
+    reasons = [None] * k + [f"rank A_{prof.stabilized_at} = {k}"] * (d - k)
+    divergent = [j >= k for j in range(d)]
+    if k == 0:
+        inf = [float("-inf")] * d
+        return LyapunovReport(inf, list(inf), [0.0] * d, divergent, n, M,
+                              reasons)
     if C.base_dim == 1:
         starts = (np.arange(M) / M)[:, None]
     else:
@@ -317,30 +264,24 @@ def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
 
     warmup = min(n // 5, 64)
     n_eff = n - warmup
-    # chunks after the warmup start on window boundaries, so no window
-    # straddles two chunks
     nfreq = len(C.matrix._coeff_tensor()[0]) if C.is_exact else 0
-    per_step = 16 * batch * (d * d + nfreq)
-    chunk = max(1, _CHUNK_BYTES // per_step // d) * d
+    chunk = max(1, _CHUNK_BYTES // (16 * batch * (d * d + nfreq)))
     bounds = [(lo, min(lo + chunk, warmup)) for lo in range(0, warmup, chunk)]
     bounds += [(lo, min(lo + chunk, n)) for lo in range(warmup, n, chunk)]
 
     logr = np.zeros((batch, d))
     deaths = np.zeros((batch, d), dtype=int)
     history = np.empty((n_eff, d))
-    win_total = 0
-    win_collapsed = np.zeros(batch, dtype=int)
-    sup = 0.0
 
     for (lo, hi), mats in zip(bounds, _step_chunks(C, starts, M, bounds)):
-        if lo == 0:
-            sup = float(np.abs(mats[0]).max())
         diag = np.empty((hi - lo, batch, d))
         for i in range(hi - lo):
             q, r = np.linalg.qr(mats[i] @ q)
             diag[i] = np.abs(np.einsum("bii->bi", r))
         if lo < warmup:
             continue
+        # a direction dies at a step when its R-diagonal entry is exactly
+        # zero or below the per-sample relative floor; it then adds no growth
         floor = 1e-14 * diag.max(axis=2, keepdims=True)
         dead = diag <= floor
         deaths += dead.sum(axis=0)
@@ -350,112 +291,106 @@ def lyapunov_spectrum(C, n=1000, M=64, flag_db=40.0):
         logr = sums[-1]
         history[lo - warmup:hi - warmup] = sums.mean(axis=1)
 
-        # fresh short-window products catch iterates vanishing to float
-        # precision even when no single QR step sees a dead diagonal
-        collapsed, windows = _window_collapses(mats, sup)
-        win_collapsed += collapsed
-        win_total += windows
-
     alive = n_eff - deaths
-    finite_orbit = alive > 0
-    per_orbit = np.where(finite_orbit, logr / np.maximum(alive, 1), -np.inf)
+    per_orbit = np.where(alive > 0, logr / np.maximum(alive, 1), -np.inf)
 
     # the spectrum is a set: an orbit whose QR columns lock onto a permuted
     # filtration (a structurally dead start direction, say) still estimates
     # the same exponents, so sort each orbit descending before aggregating
-    ordb = np.argsort(-per_orbit, axis=1, kind="stable")
-    est_sorted = np.take_along_axis(per_orbit, ordb, axis=1)
-    deaths_sorted = np.take_along_axis(deaths, ordb, axis=1)
+    est_sorted = -np.sort(-per_orbit, axis=1, kind="stable")
 
     finite_dir = np.isfinite(est_sorted).all(axis=0)
     po_safe = np.where(np.isfinite(est_sorted), est_sorted, 0.0)
     raw = np.where(finite_dir, po_safe.mean(axis=0), -np.inf)
-    err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch), 0.0)
-
-    masks = _divergence_masks(deaths_sorted, win_collapsed, win_total,
-                              history, flag_db)
-    flags = masks[0] | masks[1] | masks[2]
 
     # running mean settling like 1/t leaves a bias of 3x its final-quarter
     # drift; orbit spread cannot see it since the transient is common mode
     quarter = max(n_eff // 4, 2)
     ravg = history / np.arange(1, n_eff + 1)[:, None]
     conv = 3.0 * np.abs(ravg[-1] - ravg[-quarter])
-    err = np.where(finite_dir, err + conv, 0.0)
+    err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch) + conv, 0.0)
 
-    order = np.lexsort((-raw, flags))
-    raw = raw[order]
-    err = err[order]
-    flags = flags[order]
-    reasons = [
-        next((name for name, m in zip(DIVERGENCE_TESTS, masks) if m[k]), None)
-        for k in order
-    ]
-    exponents = [
-        float("-inf") if flags[k] else float(raw[k]) for k in range(d)
-    ]
-    return LyapunovReport(exponents, [float(v) for v in raw],
-                          [float(v) for v in err],
-                          [bool(f) for f in flags], n, M, reasons)
+    order = np.argsort(-raw, kind="stable")
+    raw = [float(v) for v in raw[order]]
+    exponents = raw[:k] + [float("-inf")] * (d - k)
+    return LyapunovReport(exponents, raw, [float(v) for v in err[order]],
+                          divergent, n, M, reasons)
 
 
-def rank_profile(C, n_max=None, tol=1e-9, M=None):
+def _unit_scale(C, scale):
+    """C with its generator divided by scale.
+
+    rank_profile and detect_nilpotency decide on the iterates of this
+    cocycle against an absolute tolerance, so their verdicts do not depend on
+    the units of A, and the iterates neither underflow nor overflow.
+    """
+    if C.is_exact:
+        return Cocycle(C.frequencies, C.matrix * (1.0 / scale))
+    return Cocycle(C.frequencies,
+                   GridMatrixFunction(C.matrix.samples * (1.0 / scale)))
+
+
+def rank_profile(C, tol=1e-9):
     """Maximal ranks of the iterates until they stabilize.
 
-    Singular values of the n-th iterate are measured against the n-th power
-    of the cocycle's own largest singular value, so an iterate that collapses
-    below float noise registers as rank zero instead of noise rank.
+    The generator is divided by its largest sampled singular value and the
+    singular values of each unit-scale iterate are counted above tol, so an
+    iterate that collapses below float noise registers as rank zero instead
+    of noise rank.  The ranks fall strictly until they stop, by step d at
+    the latest, so stabilized_at is always set: it is the first p with
+    rank A_p = min_rank.
     """
     d = C.dim
-    if n_max is None:
-        n_max = d + 1
     if C.is_exact:
         samples = C.matrix.sample_grid(max(64, default_grid_size(C.matrix.degree)))
     else:
         samples = C.matrix.all_samples()
     s1 = float(np.linalg.svd(samples, compute_uv=False).max())
+    if s1 == 0.0:
+        return RankProfile([0], 1, 0, {1: []})
     ranks = []
     exceptional = {}
-    stabilized = None
-    for n, F in enumerate(iterates(C, n_max), start=1):
-        r, exc = max_rank(F, M=M, tol=tol, scale=s1 ** n)
+    for n, F in enumerate(iterates(_unit_scale(C, s1), d + 1), start=1):
+        r, exc = max_rank(F, tol=tol, scale=1.0)
         if ranks and r > ranks[-1]:
             raise StructureViolation(
                 f"rank increased from {ranks[-1]} to {r} at step {n}; "
                 "tolerance too loose for this grid"
             )
         if ranks and r == ranks[-1]:
-            stabilized = n - 1
             break
         ranks.append(r)
         exceptional[n] = exc
         if r == 0 or (n == 1 and r == d):
             # zero iterates stay zero; a somewhere-invertible product of
             # somewhere-invertible factors keeps full maximal rank
-            stabilized = n
             break
-    # stabilized stays None when the sequence was still falling at n_max
-    return RankProfile(ranks, stabilized, ranks[-1], exceptional)
+    return RankProfile(ranks, len(ranks), ranks[-1], exceptional)
 
 
 def detect_nilpotency(C, tol=1e-10):
     """Decide whether some iterate vanishes identically, with a certificate.
 
-    The rank of the first iterate bounds the search: if no iterate up to
-    max_rank(A)+1 vanishes, none ever does.
+    The generator is divided by its scale (the entrywise coefficient bound of
+    exact entries, the largest sample of a grid) and the iterates of that
+    unit-scale cocycle are compared with tol, so the verdict does not depend
+    on the units of A; the certificate and the witness's sample norm are
+    unit-scale numbers.  The rank of the first iterate bounds the search: if
+    no iterate up to max_rank(A)+1 vanishes, none ever does.
     """
     scale = C.matrix.sup_bound() if C.is_exact else float(
         np.abs(C.matrix.samples).max()
     )
     if scale == 0.0:
         return NilpotencyReport(True, 1, {"certificate": 0.0, "scale": 0.0})
-    r1, _ = max_rank(C.matrix)
-    for n, last in enumerate(iterates(C, r1 + 1), start=1):
+    U = _unit_scale(C, scale)
+    r1, _ = max_rank(U.matrix)
+    for n, last in enumerate(iterates(U, r1 + 1), start=1):
         if C.is_exact:
             cert = last.max_coeff()
         else:
             cert = float(np.abs(last.samples).max())
-        if cert <= tol * scale:
+        if cert <= tol:
             return NilpotencyReport(True, n, {"certificate": cert, "scale": scale})
     if C.is_exact:
         M = max(64, default_grid_size(last.degree))

@@ -65,13 +65,11 @@ def split_infinite_part(C, M=None, tol=1e-9):
         raise UnsupportedBase("splitting needs a one-frequency base")
     prof = rank_profile(C, tol=tol)
     k = prof.min_rank
-    if prof.stabilized_at is None:
-        raise NoInfinitePart("rank profile still falling; no stable kernel bundle")
     if k == C.dim:
         raise NoInfinitePart("cocycle keeps full rank; every exponent is finite")
     if k == 0:
         raise FullyNilpotent("all exponents degenerate; use the normal forms")
-    p = prof.ranks.index(k) + 1
+    p = prof.stabilized_at
     d = C.dim
     nk = d - k
     if M is None:

@@ -295,12 +295,3 @@ def random_rank_one(seed, d=2, degree=2, vanishing_coupling=False,
     a = (phi @ psi.adjoint()) * c
     return Cocycle((alpha,), a)
 
-
-def complexify_shift(C, t):
-    """Shift the sampling circle into the complex strip: coefficients pick up
-    the factor exp(-2 pi k t).  Useful to move rank-degenerate samples off
-    the real circle."""
-    from .trigpoly import complex_shift
-
-    entries = [[complex_shift(p, t) for p in row] for row in C.matrix.entries]
-    return Cocycle(C.frequencies, MatrixFunction(entries))

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import AliasingRisk, TailTooFat
-from .trigpoly import TrigPoly, _as_poly, default_grid_size
+from .trigpoly import TrigPoly, default_grid_size
 
 _TWO_PI_I = 2j * np.pi
 
@@ -51,11 +51,6 @@ class MatrixFunction:
     def zero(cls, rows, cols=None):
         cols = rows if cols is None else cols
         return cls([[TrigPoly.zero() for _ in range(cols)] for _ in range(rows)])
-
-    @classmethod
-    def from_rows(cls, rows):
-        """Build from nested lists; scalars are promoted to constants."""
-        return cls([[_as_poly(v) for v in row] for row in rows])
 
     # -- queries ----------------------------------------------------------
 

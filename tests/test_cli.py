@@ -11,7 +11,8 @@ import pytest
 
 from cocycles import fixtures
 from cocycles.cli import main
-from cocycles.cocycle import Cocycle
+from cocycles.cocycle import GOLDEN_MEAN, Cocycle
+from cocycles.matfun import MatrixFunction
 
 
 @pytest.fixture(scope="module")
@@ -152,12 +153,37 @@ class TestWrappedCommands:
         # integral of ln|2+cos| over the circle
         assert abs(top - math.log((2.0 + math.sqrt(3.0)) / 2.0)) < 0.05
         assert rep["lyapunov"]["exponents"][1] == "-inf"
-        assert rep["lyapunov"]["flag_reason"][0] is None
-        assert rep["lyapunov"]["flag_reason"][1] in ("deaths", "window", "decay")
+        assert rep["lyapunov"]["flag_reason"] == [None, "rank A_1 = 1"]
         header, rows = read_csv(tmp_path / f"{src.stem}.lyapunov.exponents.csv")
         assert header == ["j", "exponent", "stderr"]
         assert rows[1][1] == "-inf"
         assert "." in rows[0][1] and "," not in rows[0][1]
+
+    def test_finite_exponents_match_the_reported_rank(self, fixture_dir,
+                                                       tmp_path):
+        # the report's rank profile and its -inf slots are one decision
+        for src in sorted(fixture_dir.glob("*.json")):
+            assert main(["analyze", str(src), "--out", str(tmp_path),
+                         "--iters", "200"]) == 0
+            rep = read_report(tmp_path, src.stem, "analyze")
+            k = rep["rank_profile"]["min_rank"]
+            exps = rep["lyapunov"]["exponents"]
+            assert sum(e != "-inf" for e in exps) == k, src.stem
+            assert exps[k:] == ["-inf"] * (len(exps) - k)
+
+    @pytest.mark.parametrize("cmd", ["lyapunov", "analyze"])
+    def test_tol_sets_the_rank_behind_the_slots(self, cmd, tmp_path):
+        # the second singular value 1e-6 is rank at the default tolerance
+        # and below --tol 1e-5
+        C = Cocycle((GOLDEN_MEAN,), MatrixFunction.constant(np.diag([1.0, 1e-6])))
+        src = tmp_path / "diag.json"
+        src.write_text(json.dumps(C.to_json_dict()))
+        for tol, reasons in ((None, [None, None]), ("1e-5", [None, "rank A_1 = 1"])):
+            flags = [] if tol is None else ["--tol", tol]
+            assert main([cmd, str(src), "--out", str(tmp_path),
+                         "--iters", "100", *flags]) == 0
+            rep = read_report(tmp_path, src.stem, cmd)
+            assert rep["lyapunov"]["flag_reason"] == reasons
 
     def test_triangularize_round_trip_file(self, fixture_dir, tmp_path):
         src = fixture_dir / "synthetic_nilpotent_seed42.json"

@@ -5,7 +5,6 @@ from scipy.integrate import quad
 from cocycles import cocycle as cocycle_module
 from cocycles import fixtures as fx
 from cocycles.cocycle import (
-    DIVERGENCE_TESTS,
     GOLDEN_MEAN,
     Cocycle,
     detect_nilpotency,
@@ -102,18 +101,19 @@ class TestRunningProduct:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 5])
     def test_nilpotency_certificate_is_the_iterate(self, seed):
+        # the certificate is the iterate of the unit-scale generator
         C = fx.random_nilpotent(seed)
         rep = detect_nilpotency(C)
-        tol = 1e-10 * rep.witness["scale"]
-        assert rep.witness["certificate"] == iterate(C, rep.degree).max_coeff()
+        U = cocycle_module._unit_scale(C, rep.witness["scale"])
+        assert rep.witness["certificate"] == iterate(U, rep.degree).max_coeff()
         for n in range(1, rep.degree):
-            assert iterate(C, n).max_coeff() > tol
+            assert iterate(U, n).max_coeff() > 1e-10
 
     def test_non_nilpotent_witness_is_the_last_iterate(self):
         C = fx.random_invertible(2, d=3)
         rep = detect_nilpotency(C)
         assert not rep.nilpotent
-        last = iterate(C, C.dim + 1)
+        last = iterate(cocycle_module._unit_scale(C, rep.witness["scale"]), C.dim + 1)
         M = max(64, default_grid_size(last.degree))
         norms = np.linalg.norm(last.sample_grid(M), ord=2, axis=(1, 2))
         assert rep.witness["max_sample_norm"] == float(norms.max())
@@ -191,11 +191,14 @@ class TestLyapunov:
         assert abs(rep1.exponents[0] + rep1.exponents[1] - rep2.exponents[0]) < tol
 
 
-def _per_step_reference(C, n, M, flag_db=40.0):
+def _per_step_reference(C, n, M):
     """The sweep one orbit step at a time: step matrix, QR, death floor, log
-    accumulation, history row and window product, then the three tests.
+    accumulation and history row; k from the rank profile.
     Returns (exponents, raw_estimates, stderr, divergent)."""
     d = C.dim
+    k = rank_profile(C).min_rank
+    if k == 0:
+        return [float("-inf")] * d, [float("-inf")] * d, [0.0] * d, [True] * d
     if C.base_dim == 1:
         starts = (np.arange(M) / M)[:, None]
     else:
@@ -234,17 +237,12 @@ def _per_step_reference(C, n, M, flag_db=40.0):
     logr = np.zeros((batch, d))
     deaths = np.zeros((batch, d), dtype=int)
     history = np.empty((n_eff, d))
-    win_prod, win_fros, win_total = None, [], 0
-    win_collapsed = np.zeros(batch, dtype=int)
-    sup = 0.0
     for t in range(n):
         if C.is_exact:
             mats = (phases @ cmat).reshape(batch, d, d)
             phases *= step
         else:
             mats = lattice(t).reshape(batch, d, d)
-        if t == 0:
-            sup = float(np.abs(mats).max())
         q, r = np.linalg.qr(mats @ q)
         if t < warmup:
             continue
@@ -253,44 +251,23 @@ def _per_step_reference(C, n, M, flag_db=40.0):
         deaths += dead
         logr += np.where(dead, 0.0, np.log(np.where(dead, 1.0, diag)))
         history[t - warmup] = logr.mean(axis=0)
-        win_prod = mats.copy() if win_prod is None else mats @ win_prod
-        win_fros.append(np.linalg.norm(mats, axis=(1, 2)))
-        if len(win_fros) == d:
-            wnorm = np.linalg.norm(win_prod, axis=(1, 2))
-            fros = np.stack(win_fros)
-            rel = 1e-11 * fros.prod(axis=0)
-            partial = np.stack([
-                np.prod(np.delete(fros, j, axis=0), axis=0) for j in range(d)
-            ]).max(axis=0)
-            noise = 64.0 * np.finfo(float).eps * sup * partial
-            win_collapsed += wnorm < np.maximum(rel, noise)
-            win_total += 1
-            win_prod, win_fros = None, []
 
     alive = n_eff - deaths
     per_orbit = np.where(alive > 0, logr / np.maximum(alive, 1), -np.inf)
     ordb = np.argsort(-per_orbit, axis=1, kind="stable")
     est_sorted = np.take_along_axis(per_orbit, ordb, axis=1)
-    deaths_sorted = np.take_along_axis(deaths, ordb, axis=1)
     finite_dir = np.isfinite(est_sorted).all(axis=0)
     po_safe = np.where(np.isfinite(est_sorted), est_sorted, 0.0)
     raw = np.where(finite_dir, po_safe.mean(axis=0), -np.inf)
     err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch), 0.0)
-    structural = deaths_sorted.min(axis=0) >= max(2, n_eff // (2 * d))
-    if win_total >= 2 and win_collapsed.min() >= win_total - win_total // 64:
-        structural = np.ones(d, dtype=bool)
     quarter = max(n_eff // 4, 2)
     ravg = history / np.arange(1, n_eff + 1)[:, None]
-    soft = (history[-1] < -flag_db * np.log(10.0)) & np.all(
-        np.diff(ravg[-quarter:], axis=0) < -1e-13, axis=0
-    )
-    flags = structural | soft
     err = np.where(finite_dir, err + 3.0 * np.abs(ravg[-1] - ravg[-quarter]), 0.0)
-    order = np.lexsort((-raw, flags))
-    raw, err, flags = raw[order], err[order], flags[order]
-    exponents = [float("-inf") if f else float(v) for f, v in zip(flags, raw)]
+    order = np.argsort(-raw, kind="stable")
+    raw, err = raw[order], err[order]
+    exponents = [float(v) for v in raw[:k]] + [float("-inf")] * (d - k)
     return (exponents, [float(v) for v in raw], [float(v) for v in err],
-            [bool(f) for f in flags])
+            [j >= k for j in range(d)])
 
 
 def _invertible_grid(seed, d, M):
@@ -408,8 +385,9 @@ class TestFlagReason:
     ])
     def test_every_divergent_slot_of_a_nilpotent_has_a_reason(self, C):
         rep = lyapunov_spectrum(C, n=300, M=16)
+        prof = rank_profile(C)
         assert all(rep.divergent)
-        assert all(r in DIVERGENCE_TESTS for r in rep.flag_reason)
+        assert rep.flag_reason == [f"rank A_{prof.stabilized_at} = 0"] * C.dim
 
     def test_invertible_slots_have_no_reason(self):
         for seed in range(3):
@@ -419,7 +397,38 @@ class TestFlagReason:
     def test_reasons_follow_the_flags(self):
         rep = lyapunov_spectrum(fx.not_dominated_2x2(), n=600, M=32)
         assert rep.divergent == [False, True]
-        assert rep.flag_reason[0] is None and rep.flag_reason[1] is not None
+        assert rep.flag_reason == [None, "rank A_1 = 1"]
+
+    def test_nilpotent_block_beside_an_invertible_one(self):
+        # the nilpotent block decays at a finite-looking rate in every
+        # finite run; the rank profile (2, 1) certifies its two -inf slots
+        rep = lyapunov_spectrum(fx.nilpotent_plus_invertible_3x3(), n=1000, M=32)
+        assert abs(rep.exponents[0] - np.log(3.0)) <= 3 * rep.stderr[0]
+        assert rep.exponents[1:] == [float("-inf")] * 2
+        assert rep.divergent == [False, True, True]
+        assert rep.flag_reason == [None, "rank A_2 = 1", "rank A_2 = 1"]
+
+    def test_no_sweep_without_finite_exponents(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sweep for a cocycle with no finite exponent")
+
+        monkeypatch.setattr(cocycle_module, "_step_chunks", refuse)
+        for C in (fx.nilpotent_3x3_variable_rank(), fx.twofrequency_rank_one(M=32)):
+            rep = lyapunov_spectrum(C, n=500, M=16)
+            assert rep.exponents == rep.raw_estimates == [float("-inf")] * C.dim
+            assert rep.stderr == [0.0] * C.dim
+            assert (rep.n, rep.grid) == (500, 16)
+
+    def test_tol_is_the_rank_tolerance(self):
+        # a rank drop below tol is structural: slot 2 of diag(1, 1e-6) is
+        # finite at the default tol and -inf at tol = 1e-5
+        C = const_cocycle(np.diag([1.0, 1e-6]))
+        assert lyapunov_spectrum(C, n=100, M=8).divergent == [False, False]
+        rep = lyapunov_spectrum(C, n=100, M=8, tol=1e-5)
+        assert abs(rep.exponents[0]) < 1e-12
+        assert rep.exponents[1] == float("-inf")
+        assert rep.flag_reason == [None, "rank A_1 = 1"]
+
 
 class TestRankProfile:
     def test_variable_rank_3x3(self):
@@ -530,6 +539,32 @@ class TestNilpotency:
     def test_grid_two_frequency(self):
         rep = detect_nilpotency(fx.twofrequency_rank_one(M=32))
         assert rep.nilpotent and rep.degree == 2
+
+
+class TestUnits:
+    """Scaling A by c keeps every structure decision and shifts every finite
+    exponent by ln c."""
+
+    @pytest.mark.parametrize("name", [
+        "nilpotent_3x3_variable_rank", "dominated_2x2",
+        "nilpotent_plus_invertible_3x3",
+    ])
+    @pytest.mark.parametrize("c", [1e-200, 1e-30, 1e30, 1e200])
+    def test_scaling_keeps_ranks_degree_and_shifts_exponents(self, name, c):
+        C = getattr(fx, name)()
+        Cc = Cocycle(C.frequencies, C.matrix * c)
+        want, got = rank_profile(C), rank_profile(Cc)
+        assert (got.ranks, got.stabilized_at, got.min_rank) == (
+            want.ranks, want.stabilized_at, want.min_rank)
+        assert detect_nilpotency(Cc).degree == detect_nilpotency(C).degree
+        ref = lyapunov_spectrum(C, n=400, M=16)
+        rep = lyapunov_spectrum(Cc, n=400, M=16)
+        assert rep.divergent == ref.divergent
+        for e, e1, err in zip(rep.exponents, ref.exponents, ref.stderr):
+            if np.isfinite(e1):
+                assert abs(e - (e1 + np.log(c))) <= err
+            else:
+                assert e == float("-inf")
 
 
 class TestRankOneFactor:
