@@ -1,7 +1,7 @@
 """Estimate Lyapunov spectra, including directions that diverge to -inf.
 
-The estimator runs one QR step per iteration over a lattice of starting
-points and averages log growth per direction. Nilpotent directions have no
+The estimator runs one QR step per block of orbit steps over a lattice of
+starting points and averages log growth per direction. Nilpotent directions have no
 finite exponent: the stabilised rank k of the iterates counts the finite
 exponents, and the other slots are reported as -inf with the rank
 certificate as their reason, instead of a large negative number that depends
@@ -24,8 +24,8 @@ print("constant diag:", np.round(rep.exponents, 12))
 rep = lyapunov_spectrum(fx.nilpotent_3x3_variable_rank(), n=500, M=32)
 print("nilpotent:", rep.exponents, " reason:", rep.flag_reason)
 
-# a nilpotent block beside an invertible one: the run-length dependent
-# estimates near -18 of the nilpotent block are certified -inf
+# a nilpotent block beside an invertible one: its two directions are
+# certified -inf by the rank profile, whatever the sweep reads for them
 rep = lyapunov_spectrum(fx.nilpotent_plus_invertible_3x3(), n=1000, M=32)
 print("nilpotent + invertible:", [round(v, 4) if np.isfinite(v) else v
                                   for v in rep.exponents],

@@ -102,6 +102,24 @@ def _apply_threads(n):
     return True
 
 
+# the results the analysis rests on hold over irrational rotations; within
+# _RATIONAL_TOL of p/q with a small q every orbit closes up after q steps,
+# and the verdicts describe a different system (alpha = 0 with the matrix of
+# fixtures.dominated_2x2 reads as dominated)
+_RATIONAL_Q_MAX = 64
+_RATIONAL_TOL = 1e-12
+
+
+def _nearby_rational(a):
+    """(p, q) in lowest terms with q <= _RATIONAL_Q_MAX and |a - p/q| within
+    _RATIONAL_TOL modulo 1, or None."""
+    for q in range(1, _RATIONAL_Q_MAX + 1):
+        p = round(a * q)
+        if abs(a - p / q) <= _RATIONAL_TOL:
+            return p % q, q
+    return None
+
+
 def _load(args):
     p = Path(args.path)
     try:
@@ -120,6 +138,12 @@ def _load(args):
         if C.base_dim != 1:
             raise _InputError("--alpha override needs a one-frequency cocycle")
         C = Cocycle((args.alpha,), C.matrix)
+    for a in C.frequencies:
+        pq = _nearby_rational(a)
+        if pq is not None:
+            raise _InputError(
+                f"frequency {a!r} is within {_RATIONAL_TOL:g} of {pq[0]}/{pq[1]}; "
+                "rational rotations are not supported")
     return C, hashlib.sha256(raw).hexdigest()
 
 

@@ -5,8 +5,9 @@ torus; its n-th iterate is the ordered product along the rotation orbit.
 Rank profiles and nilpotency are decided on the iterates of the unit-scale
 generator.  The stabilised rank k of the iterates is the number of finite
 Lyapunov exponents (the paper's first theorem applied to exterior powers);
-those k are estimated by QR-reorthogonalized orbit products and the rest are
-reported as -inf.  Rank-one cocycles get their top exponent in closed form
+those k are estimated by orbit products re-orthonormalised by one QR per
+block of steps (one per step during the warmup), and the rest are reported
+as -inf.  Rank-one cocycles get their top exponent in closed form
 from the scalar factorization.
 """
 
@@ -177,6 +178,14 @@ def iterates(C, n_max, degree_cap=DEGREE_CAP):
 # this size; longer chunks save no more time but raise the peak memory
 _CHUNK_BYTES = 1 << 18
 
+# after the warmup the sweep re-orthonormalises once per block of s orbit
+# steps, s a power of two up to _BLOCK_MAX; s times the widest per-step
+# spread of the finite R-diagonal stays below the log of the condition
+# number a block product may reach before QR loses digits of its smallest
+# finite direction
+_BLOCK_MAX = 16
+_BLOCK_LOG_COND = math.log(1e6)
+
 
 def _step_chunks(C, starts, M, bounds):
     """Yield the step matrices A(x_b + t a), shape (T, batch, d, d), for each
@@ -212,6 +221,44 @@ def _step_chunks(C, starts, M, bounds):
         yield mats
 
 
+def _block_length(diag, k):
+    """Orbit steps per QR after the warmup, from warmup R-diagonals.
+
+    diag holds |R_jj| of single steps, shape (steps, batch, d).  The spread
+    g is the widest log ratio among the first k entries of a step and orbit
+    where none of them has died; s is the largest power of two up to
+    _BLOCK_MAX with s * g <= _BLOCK_LOG_COND.
+    """
+    fin = diag[..., :k]
+    lo, hi = fin.min(axis=-1), fin.max(axis=-1)
+    alive = lo > 1e-14 * diag.max(axis=-1)
+    gap = float(np.log(hi[alive] / lo[alive]).max()) if alive.any() else 0.0
+    s = _BLOCK_MAX
+    while s > 1 and s * gap > _BLOCK_LOG_COND:
+        s //= 2
+    return s
+
+
+def _block_products(mats, s):
+    """The ordered products of s consecutive step matrices, shape
+    (ceil(T/s), batch, d, d); a short last block multiplies the steps left.
+
+    The short block is not padded with identities: a padded copy of the
+    chunk would raise the sweep's peak memory.
+    """
+    full = mats.shape[0] // s
+    blocks = mats[:full * s].reshape((full, s) + mats.shape[1:])
+    prod = blocks[:, 0]
+    for i in range(1, s):
+        prod = blocks[:, i] @ prod
+    if full * s < mats.shape[0]:
+        last = mats[full * s]
+        for m in mats[full * s + 1:]:
+            last = m @ last
+        prod = np.concatenate([prod, last[None]])
+    return prod
+
+
 def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     """Exponent estimates from M grid orbits of length n; -inf where certified.
 
@@ -223,13 +270,21 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     no orbit is swept at all.
 
     The finite exponents come from a QR sweep of a full d-frame: products
-    are never formed directly; a QR step per iteration keeps the basis
-    orthonormal and accumulates log singular growth per direction, and the k
-    largest estimates are reported.  An initial warmup fifth of the run (at
-    most 64 steps) lets the random starting frame settle into the growth
-    filtration and is excluded from the averages.  The step matrices and all
-    bookkeeping are computed a chunk of steps at a time; only the QR steps
-    run one by one.
+    of the whole orbit are never formed; QR re-orthonormalises the basis and
+    accumulates log singular growth per direction, and the k largest
+    estimates are reported.  An initial warmup fifth of the run (at most 64
+    steps) lets the random starting frame settle into the growth filtration
+    and is excluded from the averages; it runs one QR per step.  After it,
+    one QR per block of s steps: the R-diagonal of a block product is the
+    product of the per-step R-diagonals, and s (a power of two, at most 16)
+    is chosen from the spread of the finite R-diagonal in the second half of
+    the warmup so that a block product stays well conditioned.  The sweep
+    runs on the generator divided by a power of two near its size, so a
+    block product neither overflows nor underflows, and adds the log of that
+    scale back.  Step matrices, block products and all bookkeeping are
+    computed a chunk of steps at a time.  A direction whose R-diagonal entry
+    dies in a block (exactly zero or below 1e-14 of the largest) adds no
+    growth and its steps are not counted in its average.
 
     stderr combines the spread over orbits with a Richardson estimate of the
     still-settling bias: a running mean converging like 1/t leaves a residual
@@ -255,6 +310,10 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
         mesh = np.meshgrid(*axes, indexing="ij")
         starts = np.stack([g.ravel() for g in mesh], axis=1)
     batch = starts.shape[0]
+    # dividing by a power of two is exact: the unit-scale step matrices are
+    # those of C with a shifted exponent
+    scale = math.ldexp(1.0, math.frexp(_sup_scale(C))[1] - 1)
+    U = _unit_scale(C, scale)
     # a fixed random orthonormal start keeps no basis vector exactly inside a
     # structural kernel, which an identity start would do for triangular input
     rng = np.random.default_rng(12345)
@@ -264,35 +323,49 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
 
     warmup = min(n // 5, 64)
     n_eff = n - warmup
-    nfreq = len(C.matrix._coeff_tensor()[0]) if C.is_exact else 0
-    chunk = max(1, _CHUNK_BYTES // (16 * batch * (d * d + nfreq)))
-    bounds = [(lo, min(lo + chunk, warmup)) for lo in range(0, warmup, chunk)]
-    bounds += [(lo, min(lo + chunk, n)) for lo in range(warmup, n, chunk)]
+    # the Richardson term reads the running mean after mid swept steps and
+    # after all of them, so a chunk, and with it a block, ends at both
+    quarter = max(n_eff // 4, 2)
+    mid = n_eff - quarter + 1
+    nfreq = len(U.matrix._coeff_tensor()[0]) if U.is_exact else 0
+    # whole maximal blocks per chunk leave at most one short block per range
+    chunk = _BLOCK_MAX * max(
+        1, _CHUNK_BYTES // (16 * batch * (d * d + nfreq) * _BLOCK_MAX))
+    bounds = []
+    for a, b in ((0, warmup), (warmup, warmup + mid), (warmup + mid, n)):
+        bounds += [(lo, min(lo + chunk, b)) for lo in range(a, b, chunk)]
 
+    s = 1
+    settled = []
     logr = np.zeros((batch, d))
     deaths = np.zeros((batch, d), dtype=int)
-    history = np.empty((n_eff, d))
+    running = {}
 
-    for (lo, hi), mats in zip(bounds, _step_chunks(C, starts, M, bounds)):
-        diag = np.empty((hi - lo, batch, d))
-        for i in range(hi - lo):
-            q, r = np.linalg.qr(mats[i] @ q)
+    for (lo, hi), mats in zip(bounds, _step_chunks(U, starts, M, bounds)):
+        prods = _block_products(mats, s)
+        diag = np.empty(prods.shape[:2] + (d,))
+        for i in range(len(prods)):
+            q, r = np.linalg.qr(prods[i] @ q)
             diag[i] = np.abs(np.einsum("bii->bi", r))
         if lo < warmup:
+            settled.append(diag[max(warmup // 2 - lo, 0):])
+            if hi == warmup:
+                s = _block_length(np.concatenate(settled), k)
             continue
-        # a direction dies at a step when its R-diagonal entry is exactly
+        # a direction dies in a block when its R-diagonal entry is exactly
         # zero or below the per-sample relative floor; it then adds no growth
+        # and the block's steps count as dead
         floor = 1e-14 * diag.max(axis=2, keepdims=True)
         dead = diag <= floor
-        deaths += dead.sum(axis=0)
+        steps = np.minimum(s, hi - lo - s * np.arange(len(diag)))
+        deaths += (dead * steps[:, None, None]).sum(axis=0)
         grow = np.where(dead, 0.0, np.log(np.where(dead, 1.0, diag)))
-        # a cumulative sum seeded with the running total adds in step order
-        sums = np.cumsum(np.concatenate([logr[None], grow]), axis=0)[1:]
-        logr = sums[-1]
-        history[lo - warmup:hi - warmup] = sums.mean(axis=1)
+        logr = logr + grow.sum(axis=0)
+        running[hi - warmup] = logr.mean(axis=0) / (hi - warmup)
 
     alive = n_eff - deaths
-    per_orbit = np.where(alive > 0, logr / np.maximum(alive, 1), -np.inf)
+    per_orbit = np.where(alive > 0, logr / np.maximum(alive, 1) + math.log(scale),
+                         -np.inf)
 
     # the spectrum is a set: an orbit whose QR columns lock onto a permuted
     # filtration (a structurally dead start direction, say) still estimates
@@ -305,9 +378,7 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
 
     # running mean settling like 1/t leaves a bias of 3x its final-quarter
     # drift; orbit spread cannot see it since the transient is common mode
-    quarter = max(n_eff // 4, 2)
-    ravg = history / np.arange(1, n_eff + 1)[:, None]
-    conv = 3.0 * np.abs(ravg[-1] - ravg[-quarter])
+    conv = 3.0 * np.abs(running[n_eff] - running[mid])
     err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch) + conv, 0.0)
 
     order = np.argsort(-raw, kind="stable")
@@ -315,6 +386,14 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     exponents = raw[:k] + [float("-inf")] * (d - k)
     return LyapunovReport(exponents, raw, [float(v) for v in err[order]],
                           divergent, n, M, reasons)
+
+
+def _sup_scale(C):
+    """The entrywise coefficient bound of exact entries, the largest sample
+    of a grid."""
+    if C.is_exact:
+        return C.matrix.sup_bound()
+    return float(np.abs(C.matrix.samples).max())
 
 
 def _unit_scale(C, scale):
@@ -378,9 +457,7 @@ def detect_nilpotency(C, tol=1e-10):
     unit-scale numbers.  The rank of the first iterate bounds the search: if
     no iterate up to max_rank(A)+1 vanishes, none ever does.
     """
-    scale = C.matrix.sup_bound() if C.is_exact else float(
-        np.abs(C.matrix.samples).max()
-    )
+    scale = _sup_scale(C)
     if scale == 0.0:
         return NilpotencyReport(True, 1, {"certificate": 0.0, "scale": 0.0})
     U = _unit_scale(C, scale)

@@ -127,6 +127,16 @@ class TestAnalyze:
                        "--iters", "200"])
             assert rc == 0, src.name
 
+    @pytest.mark.parametrize("c", [1e-300, 1e300])
+    def test_extreme_units_analyze_cleanly(self, tmp_path, c):
+        C = Cocycle((GOLDEN_MEAN,), MatrixFunction.constant(c * np.eye(2)))
+        src = tmp_path / "scaled_identity.json"
+        src.write_text(json.dumps(C.to_json_dict()))
+        assert main(["analyze", str(src), "--out", str(tmp_path)]) == 0
+        rep = read_report(tmp_path, src.stem, "analyze")
+        np.testing.assert_allclose(rep["lyapunov"]["exponents"],
+                                   [math.log(c)] * 2, rtol=0, atol=1e-9)
+
     def test_reports_are_deterministic_modulo_timings(self, fixture_dir,
                                                       tmp_path):
         src = fixture_dir / "dominated_2x2.json"
@@ -313,6 +323,24 @@ class TestExitCodes:
         assert main([cmd, str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and want in err
+
+    @pytest.mark.parametrize("how", ["file", "flag"])
+    @pytest.mark.parametrize("alpha, name", [
+        (0.0, "0/1"), (0.5, "1/2"), (0.5 + 5e-13, "1/2"), (3 / 7, "3/7")])
+    def test_rational_rotation_is_input_error(self, fixture_dir, tmp_path,
+                                              capsys, alpha, name, how):
+        src = fixture_dir / "dominated_2x2.json"
+        argv = ["analyze", str(src), "--out", str(tmp_path)]
+        if how == "file":
+            doc = json.loads(src.read_text())
+            doc["frequencies"] = [alpha]
+            argv[1] = str(tmp_path / "rational.json")
+            (tmp_path / "rational.json").write_text(json.dumps(doc))
+        else:
+            argv += ["--alpha", repr(alpha)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f" of {name};" in err
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -298,9 +298,26 @@ def _equivalence_inputs():
 
 
 class TestChunkedSweep:
-    """The chunked sweep reports exactly what the per-step loop reports."""
+    """The blocked, chunked sweep reports what the per-step loop reports, up
+    to the rounding that forming block products changes: finite exponents
+    to 1e-12, their stderr to 1e-6 relative, the -inf slots and their flags
+    exactly."""
 
     INPUTS = _equivalence_inputs()
+
+    @staticmethod
+    def assert_matches(C, rep, n, M):
+        exps, raw, err, div = _per_step_reference(C, n, M)
+        prof = rank_profile(C)
+        k = prof.min_rank
+        assert rep.divergent == div
+        assert rep.flag_reason == (
+            [None] * k + [f"rank A_{prof.stabilized_at} = {k}"] * (C.dim - k))
+        assert rep.exponents[k:] == exps[k:]
+        np.testing.assert_allclose(rep.exponents[:k], exps[:k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rep.raw_estimates[:k], raw[:k], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(rep.stderr[:k], err[:k], rtol=1e-6, atol=0)
 
     @pytest.mark.parametrize("name", sorted(INPUTS))
     @pytest.mark.parametrize("n", ["2", "d", "13", "997", "1000"])
@@ -308,25 +325,73 @@ class TestChunkedSweep:
         C = self.INPUTS[name]
         n = C.dim if n == "d" else int(n)
         M = 16 if C.is_exact else 8
-        rep = lyapunov_spectrum(C, n=n, M=M)
-        got = (rep.exponents, rep.raw_estimates, rep.stderr, rep.divergent)
-        assert got == _per_step_reference(C, n, M)
+        self.assert_matches(C, lyapunov_spectrum(C, n=n, M=M), n, M)
 
     @pytest.mark.parametrize("name", sorted(INPUTS))
     def test_matches_with_minimal_chunks(self, name, monkeypatch):
-        # one window per chunk puts chunk boundaries inside the warmup and
-        # at every window edge
+        # chunks of one maximal block put chunk boundaries inside the warmup
+        # and leave a short block at the end of each range
         monkeypatch.setattr(cocycle_module, "_CHUNK_BYTES", 1)
         C = self.INPUTS[name]
         M = 16 if C.is_exact else 8
-        rep = lyapunov_spectrum(C, n=101, M=M)
-        got = (rep.exponents, rep.raw_estimates, rep.stderr, rep.divergent)
-        assert got == _per_step_reference(C, 101, M)
+        self.assert_matches(C, lyapunov_spectrum(C, n=101, M=M), 101, M)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_iterates_is_an_error(self, n):
         with pytest.raises(ValueError):
             lyapunov_spectrum(fx.dominated_2x2(), n=n, M=8)
+
+
+def _sweep_record(monkeypatch):
+    """Record the block length and the step ranges of each sweep."""
+    rec = {"s": [], "bounds": []}
+    block_length, step_chunks = (cocycle_module._block_length,
+                                 cocycle_module._step_chunks)
+
+    def length(diag, k):
+        rec["s"].append(block_length(diag, k))
+        return rec["s"][-1]
+
+    def chunks(C, starts, M, bounds):
+        rec["bounds"].append(list(bounds))
+        return step_chunks(C, starts, M, bounds)
+
+    monkeypatch.setattr(cocycle_module, "_block_length", length)
+    monkeypatch.setattr(cocycle_module, "_step_chunks", chunks)
+    return rec
+
+
+class TestBlockLength:
+    """One QR per block of s orbit steps, s set by the warmup's spread."""
+
+    def test_wide_spread_runs_one_step_per_block(self, monkeypatch):
+        rec = _sweep_record(monkeypatch)
+        C = const_cocycle(np.array([[np.exp(6.0), 1.0], [0.0, np.exp(-6.0)]]))
+        rep = lyapunov_spectrum(C, n=400, M=16)
+        assert rec["s"] == [1]
+        np.testing.assert_allclose(rep.exponents, [6.0, -6.0], rtol=0, atol=1e-12)
+
+    def test_random_invertible_runs_long_blocks(self, monkeypatch):
+        rec = _sweep_record(monkeypatch)
+        lyapunov_spectrum(fx.random_invertible(3), n=400, M=16)
+        assert rec["s"][0] >= 8
+
+    @pytest.mark.parametrize("n", [13, 400, 2000])
+    def test_qr_calls_per_block(self, n, monkeypatch):
+        rec = _sweep_record(monkeypatch)
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            calls.append(1)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(cocycle_module.np.linalg, "qr", counted)
+        lyapunov_spectrum(fx.random_invertible(3), n=n, M=16)
+        warmup = min(n // 5, 64)
+        s, = rec["s"]
+        bounds, = rec["bounds"]
+        assert len(calls) <= warmup + -(-(n - warmup) // s) + len(bounds)
 
 
 def _dense_orbit_product(C, n):
@@ -549,7 +614,7 @@ class TestUnits:
         "nilpotent_3x3_variable_rank", "dominated_2x2",
         "nilpotent_plus_invertible_3x3",
     ])
-    @pytest.mark.parametrize("c", [1e-200, 1e-30, 1e30, 1e200])
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-30, 1e30, 1e200, 1e300])
     def test_scaling_keeps_ranks_degree_and_shifts_exponents(self, name, c):
         C = getattr(fx, name)()
         Cc = Cocycle(C.frequencies, C.matrix * c)
