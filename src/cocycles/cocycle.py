@@ -5,9 +5,10 @@ torus; its n-th iterate is the ordered product along the rotation orbit.
 Rank profiles and nilpotency are decided on the iterates of the unit-scale
 generator.  The stabilised rank k of the iterates is the number of finite
 Lyapunov exponents (the paper's first theorem applied to exterior powers);
-those k are estimated by orbit products re-orthonormalised by one QR per
-block of steps (one per step during the warmup), and the rest are reported
-as -inf.  Rank-one cocycles get their top exponent in closed form
+those k are estimated by orbit products re-orthonormalised once per block
+of steps (once per step during the warmup), by LAPACK QR on narrow orbit
+batches and by a batch-last Gram-Schmidt step on wide ones, and the rest
+are reported as -inf.  Rank-one cocycles get their top exponent in closed form
 from the scalar factorization.
 """
 
@@ -25,7 +26,13 @@ from .errors import (
     TailTooFat,
     UnsupportedBase,
 )
-from .matfun import GridMatrixFunction, MatrixFunction, max_rank, shift_samples
+from .matfun import (
+    GridMatrixFunction,
+    MatrixFunction,
+    max_rank,
+    resample_lattice,
+    shift_samples,
+)
 from .trigpoly import TrigPoly, default_grid_size, log_integral
 
 GOLDEN_MEAN = 0.6180339887498949
@@ -186,12 +193,22 @@ _CHUNK_BYTES = 1 << 18
 _BLOCK_MAX = 16
 _BLOCK_LOG_COND = math.log(1e6)
 
+# orbit batches at least this wide run the sweep batch-last: step matrices,
+# block products and frames are held as (d, d, ..., batch), so each
+# arithmetic op covers every orbit at once, where numpy's stacked matmul and
+# QR make one BLAS or LAPACK call per orbit.  On the 32 orbits of a
+# one-frequency sweep the batch-last step is no faster at d = 3 and half
+# again slower at d = 6, so narrower batches keep the LAPACK step
+_BATCH_LAST_MIN = 256
+
 
 def _step_chunks(C, starts, M, bounds):
-    """Yield the step matrices A(x_b + t a), shape (T, batch, d, d), for each
-    half-open step range in bounds, in order."""
+    """Yield the step matrices A(x_b + t a) for each half-open step range in
+    bounds, in order: shape (T, batch, d, d), or (d, d, T, batch) when the
+    batch of orbits is at least _BATCH_LAST_MIN wide."""
     d = C.dim
     batch = starts.shape[0]
+    last = batch >= _BATCH_LAST_MIN
     if C.is_exact:
         freqs, cmat = C.matrix._coeff_tensor()
         phases = np.exp(2j * np.pi * np.outer(starts[:, 0], freqs))
@@ -204,20 +221,26 @@ def _step_chunks(C, starts, M, bounds):
             for i in range(hi - lo):
                 buf[i] = phases
                 phases *= step
-            mats = (buf @ cmat).reshape(hi - lo, batch, d, d)
+            if last:
+                flat = buf.reshape(-1, len(freqs))
+                mats = (cmat.T @ flat.T).reshape(d, d, hi - lo, batch)
+            else:
+                mats = (buf @ cmat).reshape(hi - lo, batch, d, d)
             del buf  # not held while the caller works on the chunk
             yield mats
         return
-    if C.matrix.grid_shape == (M,) * C.base_dim:
-        base = C.matrix.samples
-    else:
-        base = C.matrix.sample_at(starts).reshape((M,) * C.base_dim + (d, d))
+    base = resample_lattice(C.matrix, M)
     spec = np.fft.fftn(base, axes=tuple(range(C.base_dim)))
     alpha = np.array(C.frequencies)
     for lo, hi in bounds:
-        mats = np.empty((hi - lo, batch, d, d), dtype=complex)
+        mats = np.empty((d, d, hi - lo, batch) if last else (hi - lo, batch, d, d),
+                        dtype=complex)
         for i, t in enumerate(range(lo, hi)):
-            mats[i] = shift_samples(base, t * alpha, spec).reshape(batch, d, d)
+            at = shift_samples(base, t * alpha, spec).reshape(batch, d, d)
+            if last:
+                mats[:, :, i] = at.transpose(1, 2, 0)
+            else:
+                mats[i] = at
         yield mats
 
 
@@ -259,6 +282,85 @@ def _block_products(mats, s):
     return prod
 
 
+def _mul_last(a, b):
+    """The products a @ b of two batch-last stacks, (d, d, ...) each: d
+    broadcast multiply-adds over the whole stack."""
+    out = a[:, :1] * b[:1]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[j:j + 1]
+    return out
+
+
+def _block_products_last(mats, s):
+    """_block_products for step matrices held batch-last: (d, d, T, batch)
+    to (d, d, ceil(T/s), batch).
+
+    The factors of a block are multiplied in neighbouring pairs, later step
+    on the left, in log2 s levels of _mul_last; a short last block is
+    reduced the same way.
+    """
+    d, _, T, batch = mats.shape
+    full = T // s
+    blocks = []
+    if full:
+        blocks.append(mats[:, :, :full * s].reshape(d, d, full, s, batch))
+    if full * s < T:
+        blocks.append(mats[:, :, None, full * s:])
+    prods = []
+    for m in blocks:
+        while m.shape[3] > 1:
+            n = m.shape[3]
+            pairs = _mul_last(m[:, :, :, 1::2], m[:, :, :, 0:n - 1:2])
+            m = pairs if n % 2 == 0 else np.concatenate([pairs, m[:, :, :, -1:]],
+                                                        axis=3)
+        prods.append(m[:, :, :, 0])
+    return prods[0] if len(prods) == 1 else np.concatenate(prods, axis=2)
+
+
+def _orthogonalise(v, q):
+    """v, (d, batch), less its components along the orthonormal columns of
+    q, (d, j, batch), projected out twice."""
+    for _ in range(2 if q.shape[1] else 0):
+        v = v - (q * (q.conj() * v[:, None]).sum(axis=0)).sum(axis=1)
+    return v
+
+
+def _norm(v):
+    return np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+
+
+def _gram_schmidt(y):
+    """The orthonormal frame and |R_jj| of a batch-last stack y, (d, d, batch):
+    the Q and |diag R| of a QR factorisation, shapes (d, d, batch) and
+    (d, batch).
+
+    Classical Gram-Schmidt with one reorthogonalisation pass, which keeps the
+    frame orthonormal to working precision.  A column whose residual is
+    exactly zero (its orbit fell into a kernel) records |R_jj| = 0 and is
+    completed by the standard basis vector with the largest residual against
+    the earlier columns, orthogonalised twice.
+    """
+    d = y.shape[0]
+    q = np.empty_like(y)
+    r = np.empty(y.shape[1:])
+    for j in range(d):
+        v = _orthogonalise(y[:, j], q[:, :j])
+        r[j] = norm = _norm(v)
+        dead = np.nonzero(norm == 0.0)[0]
+        if dead.size:
+            v, norm = v.copy(), norm.copy()
+            for m in range(d):
+                e = np.zeros((d, dead.size), dtype=complex)
+                e[m] = 1.0
+                e = _orthogonalise(e, q[:, :j, dead])
+                en = _norm(e)
+                better = en > norm[dead]
+                v[:, dead[better]] = e[:, better]
+                norm[dead[better]] = en[better]
+        q[:, j] = v / norm
+    return q, r
+
+
 def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     """Exponent estimates from M grid orbits of length n; -inf where certified.
 
@@ -286,11 +388,27 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     dies in a block (exactly zero or below 1e-14 of the largest) adds no
     growth and its steps are not counted in its average.
 
+    Which step re-orthonormalises depends on the number of orbits, M^l for
+    l frequencies.  Below _BATCH_LAST_MIN (256) orbits, numpy's batched
+    matmul and LAPACK QR run one call per orbit.  From 256 orbits on (the
+    M^2 lattice of a two-frequency grid at M >= 16), every array is held
+    batch-last, (d, d, ..., batch), so one arithmetic op covers all orbits:
+    block products are formed pairwise in log2 s levels, and P q is
+    re-orthonormalised by classical Gram-Schmidt with one reorthogonalisation
+    pass (Benettin, Galgani, Giorgilli and Strelcyn 1980; "twice is
+    enough", Giraud, Langou and Rozloznik 2005).  A column whose residual
+    there is exactly zero, an orbit fallen into ker A, records |R_jj| = 0,
+    which the death floor counts, and the frame is completed by the basis
+    vector with the largest residual, orthogonalised twice.  Grid samples
+    reach the orbit lattice by resample_lattice, one inverse FFT.
+
     stderr combines the spread over orbits with a Richardson estimate of the
     still-settling bias: a running mean converging like 1/t leaves a residual
     of three times its drift over the final quarter of the run.  Spread alone
     misses that bias because every orbit shares the transient when two
-    exponents nearly coincide.
+    exponents nearly coincide.  The certified -inf slots report raw
+    estimate -inf and stderr 0: what a sweep measures along a dead direction
+    is noise.
     """
     if n < 2:
         raise ValueError("a Lyapunov estimate needs at least 2 iterates")
@@ -319,7 +437,11 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     rng = np.random.default_rng(12345)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q0, _ = np.linalg.qr(g)
-    q = np.broadcast_to(q0, (batch, d, d)).copy()
+    last = batch >= _BATCH_LAST_MIN
+    if last:
+        q = np.broadcast_to(q0[..., None], (d, d, batch)).copy()
+    else:
+        q = np.broadcast_to(q0, (batch, d, d)).copy()
 
     warmup = min(n // 5, 64)
     n_eff = n - warmup
@@ -342,11 +464,18 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     running = {}
 
     for (lo, hi), mats in zip(bounds, _step_chunks(U, starts, M, bounds)):
-        prods = _block_products(mats, s)
-        diag = np.empty(prods.shape[:2] + (d,))
-        for i in range(len(prods)):
-            q, r = np.linalg.qr(prods[i] @ q)
-            diag[i] = np.abs(np.einsum("bii->bi", r))
+        if last:
+            prods = _block_products_last(mats, s)
+            diag = np.empty((prods.shape[2], batch, d))
+            for i in range(len(diag)):
+                q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
+                diag[i] = r.T
+        else:
+            prods = _block_products(mats, s)
+            diag = np.empty(prods.shape[:2] + (d,))
+            for i in range(len(prods)):
+                q, r = np.linalg.qr(prods[i] @ q)
+                diag[i] = np.abs(np.einsum("bii->bi", r))
         if lo < warmup:
             settled.append(diag[max(warmup // 2 - lo, 0):])
             if hi == warmup:
@@ -381,11 +510,11 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     conv = 3.0 * np.abs(running[n_eff] - running[mid])
     err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch) + conv, 0.0)
 
+    # slots k+1..d are certified -inf; what the sweep measured there is noise
     order = np.argsort(-raw, kind="stable")
-    raw = [float(v) for v in raw[order]]
-    exponents = raw[:k] + [float("-inf")] * (d - k)
-    return LyapunovReport(exponents, raw, [float(v) for v in err[order]],
-                          divergent, n, M, reasons)
+    raw = [float(v) for v in raw[order][:k]] + [float("-inf")] * (d - k)
+    err = [float(v) for v in err[order][:k]] + [0.0] * (d - k)
+    return LyapunovReport(list(raw), raw, err, divergent, n, M, reasons)
 
 
 def _sup_scale(C):

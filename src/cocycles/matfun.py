@@ -6,7 +6,9 @@ uniform grids through the FFT; poly_from_samples is the way back from grid
 samples to a MatrixFunction, with a Fourier tail check.  GridMatrixFunction
 carries samples of a band-limited matrix function over an l-dimensional torus
 grid and evaluates anywhere through its trigonometric interpolant; it is the
-only backing supported for multi-frequency base dynamics.
+only backing supported for multi-frequency base dynamics.  shift_samples and
+resample_lattice move grid samples by FFT, so this module owns the Fourier
+conventions of the grid representation.
 """
 
 import itertools
@@ -280,6 +282,25 @@ def shift_samples(samples, shift, spectrum=None):
     return np.fft.ifftn(s, axes=gaxes)
 
 
+def resample_lattice(F, M):
+    """Values of a GridMatrixFunction's interpolant on the lattice x = j/M.
+
+    Returns (M, ..., M, rows, cols), one M per grid axis: the samples
+    themselves when the lattice is F's grid, else one spectrum placement and
+    one inverse FFT.  Each Fourier coefficient of F, at the frequency
+    F._spectrum() gives it and sample_at evaluates, goes to the bin of its
+    frequency mod M: a zero-padded spectrum when M exceeds the grid, an
+    alias sum when M is smaller, since e^{2 pi i k j/M} depends on k mod M
+    only.  O(M^l log M) work against O(M^l prod(grid)) for sample_at.
+    """
+    if F.grid_shape == (M,) * F.base_dim:
+        return F.samples
+    kflat, flat = F._spectrum()
+    bins = np.zeros((M,) * F.base_dim + F.shape, dtype=complex)
+    np.add.at(bins, tuple((kflat % M).T), flat)
+    return np.fft.ifftn(bins, axes=tuple(range(F.base_dim))) * M ** F.base_dim
+
+
 class GridMatrixFunction:
     """Band-limited matrix function on an l-torus held as grid samples.
 
@@ -288,7 +309,9 @@ class GridMatrixFunction:
     function has degree < M_i/2 in each variable.  Along a rotation orbit
     the samples are moved with shift_samples (one FFT phase twist,
     O(M^l log M) per step), not by evaluating the interpolant point by point
-    (O(M^2l)), so iterates never call sample_at.
+    (O(M^2l)), and the Lyapunov sweep puts them on its orbit lattice with
+    resample_lattice (one inverse FFT), so neither iterates nor the sweep
+    call sample_at.
     """
 
     __slots__ = ("samples", "grid_shape", "_spec")

@@ -74,27 +74,44 @@ class JordanForm:
         return float(self.samples.max())
 
 
+# rank tolerance of the kernel and range fields when the caller gives none
+_FRAME_TOL = 1e-9
+
+
 def _form_grid(C, p):
     # resolve the highest iterate that gets a kernel or range field
     deg = C.matrix.degree * max(p - 1, 1)
     return max(256, default_grid_size(deg))
 
 
-def triangularize(C, M=None, tol=1e-9):
+def _nilpotent(C, tol, refusal):
+    """The nilpotency degree of C and the rank tolerance of its frames.
+
+    tol is the caller's tolerance for both the nilpotency verdict and the
+    frames; None keeps detect_nilpotency's default for the verdict and
+    _FRAME_TOL for the frames.  Raises NotNilpotent with refusal.
+    """
+    rep = detect_nilpotency(C) if tol is None else detect_nilpotency(C, tol=tol)
+    if not rep.nilpotent:
+        raise NotNilpotent(refusal)
+    return rep.degree, _FRAME_TOL if tol is None else tol
+
+
+def triangularize(C, M=None, tol=None):
     """Strictly block-triangular form of a nilpotent cocycle.
 
     Block n spans the part of ker A_n orthogonal to ker A_{n-1}; the unitary
     U stacks analytic frames of these blocks, and B = U*(x+a) A(x) U(x) is
     returned as an exact polynomial product.  The residual bounds both the
     unitarity defect of the truncated frames and the mass on and below the
-    block diagonal of B, measured on a doubled verification grid.
+    block diagonal of B, measured on a doubled verification grid.  tol is
+    the rank tolerance of the nilpotency verdict and of the kernel fields;
+    None keeps detect_nilpotency's default for the verdict and 1e-9 for the
+    fields.
     """
     if C.base_dim != 1:
         raise UnsupportedBase("triangular form needs a one-frequency base")
-    rep = detect_nilpotency(C)
-    if not rep.nilpotent:
-        raise NotNilpotent("no iterate vanishes; nothing to triangularize")
-    p = rep.degree
+    p, tol = _nilpotent(C, tol, "no iterate vanishes; nothing to triangularize")
     d = C.dim
     if p == 1:
         # the cocycle itself vanishes: one block in the identity frame
@@ -179,19 +196,21 @@ def _restricted_lift(asamp, fin, head, alpha, tol):
     return (fin @ coords)[..., 0]
 
 
-def jordan_form(C, M=None, tol=1e-9):
+def jordan_form(C, M=None, tol=None):
     """Constant Jordan form of a nilpotent cocycle with constant-rank iterates.
 
     Works up the flag V_n(x) = ran A_{p-n}(x - (p-n)a): chain heads are
     lifted through the restriction of A to V_n, and new length-one chains
     are opened from the part of ker A entering V_n at stage n.  Any rank
     drop of any iterate at any sample aborts with ConstantRankViolated.
+    tol is the rank tolerance of the nilpotency verdict, the rank profile
+    and the fields; None keeps detect_nilpotency's default for the verdict
+    and 1e-9 for the rest.
     """
     if C.base_dim != 1:
         raise UnsupportedBase("jordan form needs a one-frequency base")
-    rep = detect_nilpotency(C)
-    if not rep.nilpotent:
-        raise NotNilpotent("no iterate vanishes; spectrum is not fully degenerate")
+    _, tol = _nilpotent(C, tol,
+                        "no iterate vanishes; spectrum is not fully degenerate")
     prof = rank_profile(C, tol=tol)
     ranks = prof.ranks
     p = len(ranks)

@@ -195,6 +195,24 @@ class TestWrappedCommands:
             rep = read_report(tmp_path, src.stem, cmd)
             assert rep["lyapunov"]["flag_reason"] == reasons
 
+    def test_tol_reaches_the_normal_forms(self, tmp_path):
+        # 1e-7 I off a nilpotent Jordan block: not nilpotent at the default
+        # tolerance, nilpotent of degree 3 at --tol 1e-5, where the normal
+        # forms must take the same verdict
+        J = fixtures.constant_jordan((3,))
+        C = Cocycle(J.frequencies,
+                    J.matrix + MatrixFunction.constant(1e-7 * np.eye(3)))
+        src = tmp_path / "near_jordan.json"
+        src.write_text(json.dumps(C.to_json_dict()))
+        for flags, nilpotent, pipeline in (([], False, "dominate"),
+                                           (["--tol", "1e-5"], True, "jordan")):
+            assert main(["analyze", str(src), "--out", str(tmp_path),
+                         "--iters", "100", *flags]) == 0
+            rep = read_report(tmp_path, src.stem, "analyze")
+            assert rep["nilpotency"]["nilpotent"] is nilpotent
+            assert rep["pipeline"] == pipeline
+        assert rep["result"]["jordan"]["chains"] == [3]
+
     def test_triangularize_round_trip_file(self, fixture_dir, tmp_path):
         src = fixture_dir / "synthetic_nilpotent_seed42.json"
         assert main(["triangularize", str(src), "--out", str(tmp_path)]) == 0

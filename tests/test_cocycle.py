@@ -20,7 +20,9 @@ from cocycles.matfun import (
     GridMatrixFunction,
     MatrixFunction,
     exterior_power,
+    hstack,
     max_rank,
+    vstack,
 )
 from cocycles.trigpoly import TrigPoly, default_grid_size
 
@@ -270,6 +272,25 @@ def _per_step_reference(C, n, M):
             [j >= k for j in range(d)])
 
 
+def _partially_degenerate(seed, m, k):
+    """A strictly upper m x m block coupled to an invertible k x k block,
+    conjugated by a constant unitary: rank profile stabilising at k."""
+    rng = np.random.default_rng(seed)
+    nil = fx.random_strictly_upper(rng, m, degree=1)
+    core = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    core += 2.0 * k * np.eye(k)
+    smin = np.linalg.svd(core, compute_uv=False)[-1]
+    pert = MatrixFunction(
+        [[fx.random_trigpoly(rng, 1) for _ in range(k)] for _ in range(k)])
+    inv = MatrixFunction.constant(core) + pert * (0.4 * smin / pert.sup_bound())
+    coupling = MatrixFunction(
+        [[fx.random_trigpoly(rng, 1) for _ in range(k)] for _ in range(m)])
+    block = vstack([hstack([nil, coupling]),
+                    hstack([MatrixFunction.zero(k, m), inv])])
+    u = fx.random_unitary_function(rng, m + k, degree=0)
+    return Cocycle((GOLDEN_MEAN,), u.translate(GOLDEN_MEAN) @ block @ u.adjoint())
+
+
 def _invertible_grid(seed, d, M):
     rng = np.random.default_rng(seed)
     core = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -285,6 +306,7 @@ def _invertible_grid(seed, d, M):
 
 def _equivalence_inputs():
     C = fx.random_invertible(3)
+    C4 = fx.random_invertible(4)
     return {
         "nilpotent_plus_invertible_3x3": fx.nilpotent_plus_invertible_3x3(),
         "not_dominated_2x2": fx.not_dominated_2x2(),
@@ -292,6 +314,8 @@ def _equivalence_inputs():
         "random_invertible": C,
         "random_invertible_wedge2": Cocycle(C.frequencies,
                                             exterior_power(C.matrix, 2)),
+        "random_invertible_4_wedge2": Cocycle(C4.frequencies,
+                                              exterior_power(C4.matrix, 2)),
         "twofrequency_rank_one": fx.twofrequency_rank_one(M=32),
         "invertible_grid": _invertible_grid(7, 2, M=8),
     }
@@ -342,6 +366,52 @@ class TestChunkedSweep:
             lyapunov_spectrum(fx.dominated_2x2(), n=n, M=8)
 
 
+class TestChunkedSweepBatchLast(TestChunkedSweep):
+    """The same equivalence with every orbit batch swept batch-last,
+    including not_dominated_2x2, whose orbit from x = 0 falls into ker A and
+    leaves a Gram-Schmidt column exactly zero."""
+
+    @pytest.fixture(autouse=True)
+    def batch_last(self, monkeypatch):
+        monkeypatch.setattr(cocycle_module, "_BATCH_LAST_MIN", 1)
+
+
+def _batch_last(a):
+    return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+
+
+class TestBatchLastStep:
+    def test_block_products_match_batched_matmul(self):
+        rng = np.random.default_rng(4)
+        mats = rng.standard_normal((13, 5, 3, 3)) + 1j * rng.standard_normal((13, 5, 3, 3))
+        for s in (1, 2, 4, 16):
+            want = cocycle_module._block_products(mats, s)
+            got = cocycle_module._block_products_last(_batch_last(mats), s)
+            np.testing.assert_allclose(got, _batch_last(want), rtol=1e-12)
+
+    def test_gram_schmidt_is_a_qr(self):
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
+        q, r = cocycle_module._gram_schmidt(_batch_last(y))
+        want_q, want_r = np.linalg.qr(y)
+        np.testing.assert_allclose(r.T, np.abs(np.einsum("bii->bi", want_r)),
+                                   rtol=1e-12)
+        # equal up to a phase per column
+        phase = (want_q.conj() * np.moveaxis(q, 2, 0)).sum(axis=1)
+        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-12)
+
+    def test_zero_columns_complete_the_frame(self):
+        # a zero column and one in the span of the first: |R_jj| = 0 for
+        # both, as a Householder QR reports, and an orthonormal frame
+        y = np.zeros((3, 3, 2), dtype=complex)
+        y[:, :, 0] = [[1, 0, 1], [0, 0, 0], [0, 0, 0]]
+        q, r = cocycle_module._gram_schmidt(y)
+        np.testing.assert_array_equal(r, [[1, 0], [0, 0], [0, 0]])
+        for b in range(2):
+            np.testing.assert_allclose(q[:, :, b].conj().T @ q[:, :, b],
+                                       np.eye(3), rtol=0, atol=1e-15)
+
+
 def _sweep_record(monkeypatch):
     """Record the block length and the step ranges of each sweep."""
     rec = {"s": [], "bounds": []}
@@ -378,20 +448,30 @@ class TestBlockLength:
 
     @pytest.mark.parametrize("n", [13, 400, 2000])
     def test_qr_calls_per_block(self, n, monkeypatch):
+        # whichever step runs: LAPACK QR on 16 orbits, batch-last
+        # Gram-Schmidt on _BATCH_LAST_MIN orbits
         rec = _sweep_record(monkeypatch)
-        calls = []
-        qr = np.linalg.qr
+        calls = {"qr": 0, "gram_schmidt": 0}
 
-        def counted(a, *args, **kwargs):
-            calls.append(1)
-            return qr(a, *args, **kwargs)
+        def counted(name, f):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(cocycle_module.np.linalg, "qr", counted)
-        lyapunov_spectrum(fx.random_invertible(3), n=n, M=16)
+        monkeypatch.setattr(cocycle_module.np.linalg, "qr",
+                            counted("qr", np.linalg.qr))
+        monkeypatch.setattr(cocycle_module, "_gram_schmidt",
+                            counted("gram_schmidt", cocycle_module._gram_schmidt))
         warmup = min(n // 5, 64)
-        s, = rec["s"]
-        bounds, = rec["bounds"]
-        assert len(calls) <= warmup + -(-(n - warmup) // s) + len(bounds)
+        for M, step in ((16, "qr"), (cocycle_module._BATCH_LAST_MIN, "gram_schmidt")):
+            before = dict(calls)
+            lyapunov_spectrum(fx.random_invertible(3), n=n, M=M)
+            made = {name: calls[name] - before[name] for name in calls}
+            s, bounds = rec["s"][-1], rec["bounds"][-1]
+            # the selected step runs every warmup step and at least one block
+            assert made[step] >= warmup + 1
+            assert sum(made.values()) <= warmup + -(-(n - warmup) // s) + len(bounds)
 
 
 def _dense_orbit_product(C, n):
@@ -472,6 +552,22 @@ class TestFlagReason:
         assert rep.exponents[1:] == [float("-inf")] * 2
         assert rep.divergent == [False, True, True]
         assert rep.flag_reason == [None, "rank A_2 = 1", "rank A_2 = 1"]
+
+    @pytest.mark.parametrize("C", [
+        _partially_degenerate(1004882659, 2, 2),
+        _partially_degenerate(5, 2, 1),
+        fx.nilpotent_plus_invertible_3x3(),
+        fx.not_dominated_2x2(),
+    ])
+    def test_certified_slots_report_no_estimate(self, C):
+        # what a sweep measures along a dead direction is noise: in a block
+        # of s steps it can sit above the death floor and read finite
+        rep = lyapunov_spectrum(C, n=1000, M=64)
+        k = rank_profile(C).min_rank
+        assert 0 < k < C.dim
+        assert all(np.isfinite(rep.raw_estimates[:k]))
+        assert rep.raw_estimates[k:] == [float("-inf")] * (C.dim - k)
+        assert rep.stderr[k:] == [0.0] * (C.dim - k)
 
     def test_no_sweep_without_finite_exponents(self, monkeypatch):
         def refuse(*args):

@@ -12,6 +12,7 @@ from cocycles.matfun import (
     max_rank,
     poly_det,
     poly_from_samples,
+    resample_lattice,
     shift_samples,
     vstack,
 )
@@ -261,6 +262,26 @@ class TestGridMatrixFunction:
     def test_power_of_two_enforced(self):
         with pytest.raises(ValueError):
             GridMatrixFunction(np.zeros((12, 12, 2, 2)))
+
+
+class TestResampleLattice:
+    @pytest.mark.parametrize("grid", [(16,), (16, 16), (16, 8)])
+    @pytest.mark.parametrize("ratio", [0.5, 1, 2])
+    def test_matches_the_interpolant(self, grid, ratio):
+        # M = m/2 aliases the spectrum, M = 2m zero-pads it
+        rng = np.random.default_rng(len(grid))
+        F = GridMatrixFunction(rng.standard_normal(grid + (2, 3))
+                               + 1j * rng.standard_normal(grid + (2, 3)))
+        M = int(grid[0] * ratio)
+        lattice = GridMatrixFunction(np.zeros((M,) * len(grid) + (1, 1)))
+        want = F.sample_at(lattice.grid_points()).reshape((M,) * len(grid) + (2, 3))
+        got = resample_lattice(F, M)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(F.samples).max()
+
+    def test_own_grid_is_the_samples(self):
+        F = GridMatrixFunction(np.ones((8, 8, 2, 2)))
+        assert resample_lattice(F, 8) is F.samples
 
 
 class TestShiftSamples:
