@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures
-from .cocycle import Cocycle, detect_nilpotency, lyapunov_spectrum, rank_profile
+from .cocycle import Cocycle, Structure, detect_nilpotency, lyapunov_spectrum, rank_profile
 from .domination import dominated_splitting, is_dominated, split_infinite_part
 from .errors import CocycleError, UnsupportedBase
 from .normalform import jordan_form, triangularize
@@ -205,11 +205,11 @@ def _lyap_section(rep):
     }
 
 
-def _run_lyapunov(C, args):
+def _run_lyapunov(C, args, structure=None):
     kw = {"n": args.iters if args.iters is not None else 1000}
     if args.grid is not None:
         kw["M"] = args.grid
-    return lyapunov_spectrum(C, **kw, **_tolkw(args))
+    return lyapunov_spectrum(C, **kw, structure=structure, **_tolkw(args))
 
 
 def _exponent_rows(rep):
@@ -222,15 +222,15 @@ def _sample_rows(vals):
     return [(j / len(vals), float(v)) for j, v in enumerate(vals)]
 
 
-def _dominate(C, args, gaps_path):
+def _dominate(C, args, gaps_path, structure):
     """Split, domination verdict and, when dominated, the splitting.
 
     Returns the split form, the splitting result (None when not dominated),
     the report fields they share and the sidecar names; the gap certificate
     is written to gaps_path.
     """
-    S = split_infinite_part(C, M=args.grid, **_tolkw(args))
-    verdict = is_dominated(S, C, **_tolkw(args))
+    S = split_infinite_part(C, M=args.grid, structure=structure, **_tolkw(args))
+    verdict = is_dominated(S, C, structure=structure, **_tolkw(args))
     section = {
         "k": S.k,
         "p": S.p,
@@ -240,7 +240,7 @@ def _dominate(C, args, gaps_path):
     }
     if not verdict["dominated"]:
         return S, None, section, []
-    R = dominated_splitting(S, **_tolkw(args))
+    R = dominated_splitting(S, verdict=verdict, **_tolkw(args))
     section["splitting_residual"] = R.residual
     rows = [(n, float(r)) for n, r in sorted(R.gap_certificate.items())]
     return S, R, section, [_write_csv(gaps_path, ("n", "ratio"), rows).name]
@@ -307,7 +307,8 @@ def cmd_dominate(args):
     outdir, stem = _outplace(args)
     report = _base_report("dominate", args, digest)
     t0 = time.perf_counter()
-    S, R, section, sidecars = _dominate(C, args, outdir / f"{stem}.dominate.gaps.csv")
+    S, R, section, sidecars = _dominate(C, args, outdir / f"{stem}.dominate.gaps.csv",
+                                        Structure(C, args.tol))
     section["U"] = S.U.to_json_dict()
     if R is not None:
         section["M"] = R.M.to_json_dict()
@@ -326,8 +327,10 @@ def cmd_analyze(args):
     timings = {}
     sidecars = []
 
+    # one structure serves every stage; the first two build its ladder
+    st = Structure(C, args.tol)
     t0 = time.perf_counter()
-    prof = rank_profile(C, **_tolkw(args))
+    prof = rank_profile(C, structure=st)
     timings["rank_profile"] = time.perf_counter() - t0
     report["rank_profile"] = {
         "ranks": list(prof.ranks),
@@ -337,7 +340,7 @@ def cmd_analyze(args):
     }
 
     t0 = time.perf_counter()
-    nil = detect_nilpotency(C, **_tolkw(args))
+    nil = detect_nilpotency(C, structure=st)
     timings["nilpotency"] = time.perf_counter() - t0
     report["nilpotency"] = {
         "nilpotent": nil.nilpotent,
@@ -346,7 +349,7 @@ def cmd_analyze(args):
     }
 
     t0 = time.perf_counter()
-    lyap = _run_lyapunov(C, args)
+    lyap = _run_lyapunov(C, args, st)
     timings["lyapunov"] = time.perf_counter() - t0
     report["lyapunov"] = _lyap_section(lyap)
     sidecars.append(_write_csv(outdir / f"{stem}.analyze.exponents.csv",
@@ -358,7 +361,7 @@ def cmd_analyze(args):
     if nil.nilpotent:
         t0 = time.perf_counter()
         try:
-            T = triangularize(C, M=args.grid, **_tolkw(args))
+            T = triangularize(C, M=args.grid, structure=st, **_tolkw(args))
         except UnsupportedBase as exc:
             result["note"] = f"normal forms unavailable: {exc}"
         else:
@@ -369,7 +372,7 @@ def cmd_analyze(args):
                                        ("x", "value"),
                                        _sample_rows(T.samples)).name)
             try:
-                F = jordan_form(C, M=args.grid, **_tolkw(args))
+                F = jordan_form(C, M=args.grid, structure=st, **_tolkw(args))
             except CocycleError as exc:
                 # the complete reduction is optional: rank variation or a
                 # non-analytic kernel bundle leaves the triangular form
@@ -386,7 +389,8 @@ def cmd_analyze(args):
     elif 0 < prof.min_rank < C.dim:
         t0 = time.perf_counter()
         try:
-            _, _, section, gaps = _dominate(C, args, outdir / f"{stem}.analyze.gaps.csv")
+            _, _, section, gaps = _dominate(C, args, outdir / f"{stem}.analyze.gaps.csv",
+                                            st)
         except UnsupportedBase as exc:
             result["note"] = f"splitting unavailable: {exc}"
         else:

@@ -2,18 +2,21 @@
 
 A cocycle is a rotation vector together with a matrix-valued function on the
 torus; its n-th iterate is the ordered product along the rotation orbit.
-Rank profiles and nilpotency are decided on the iterates of the unit-scale
-generator.  The stabilised rank k of the iterates is the number of finite
-Lyapunov exponents (the paper's first theorem applied to exterior powers);
-those k are estimated by orbit products re-orthonormalised once per block
-of steps (once per step during the warmup), by LAPACK QR on narrow orbit
-batches and by a batch-last Gram-Schmidt step on wide ones, and the rest
-are reported as -inf.  Rank-one cocycles get their top exponent in closed form
-from the scalar factorization.
+One Structure per input holds the lazily built iterates of the unit-scale
+generator and the rank profile and nilpotency verdict decided on them; the
+spectrum, normal forms and splitting share it, so an analysis builds one.
+The stabilised rank k of the iterates is the number of finite Lyapunov
+exponents (the paper's first theorem applied to exterior powers); those k
+are estimated by orbit products re-orthonormalised once per block of steps
+(once per step during the warmup), by LAPACK QR on narrow orbit batches and
+by a batch-last Gram-Schmidt step on wide ones, and the rest are reported
+as -inf.  Rank-one cocycles get their top exponent in closed form from the
+scalar factorization.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -361,15 +364,15 @@ def _gram_schmidt(y):
     return q, r
 
 
-def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
+def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
     """Exponent estimates from M grid orbits of length n; -inf where certified.
 
     The number k of finite exponents is the stabilised rank of the iterates,
-    rank_profile(C, tol).min_rank: by the paper's first theorem applied to
-    the exterior powers, L_j = -inf exactly when the j-th exterior power is
-    nilpotent, that is when rank A_p < j for p = stabilized_at.  Slots
-    k+1..d are reported as -inf with flag_reason "rank A_p = k"; for k = 0
-    no orbit is swept at all.
+    structure.profile.min_rank, structure = Structure(C, tol) if None: by the
+    paper's first theorem applied to the exterior powers, L_j = -inf exactly
+    when the j-th exterior power is nilpotent, that is when rank A_p < j for
+    p = stabilized_at.  Slots k+1..d are reported as -inf with flag_reason
+    "rank A_p = k"; for k = 0 no orbit is swept at all.
 
     The finite exponents come from a QR sweep of a full d-frame: products
     of the whole orbit are never formed; QR re-orthonormalises the basis and
@@ -381,12 +384,12 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     product of the per-step R-diagonals, and s (a power of two, at most 16)
     is chosen from the spread of the finite R-diagonal in the second half of
     the warmup so that a block product stays well conditioned.  The sweep
-    runs on the generator divided by a power of two near its size, so a
-    block product neither overflows nor underflows, and adds the log of that
-    scale back.  Step matrices, block products and all bookkeeping are
-    computed a chunk of steps at a time.  A direction whose R-diagonal entry
-    dies in a block (exactly zero or below 1e-14 of the largest) adds no
-    growth and its steps are not counted in its average.
+    runs on structure.unit, the generator divided by a power of two near its
+    size, so a block product neither overflows nor underflows, and adds the
+    log of that scale back.  Step matrices, block products and all
+    bookkeeping are computed a chunk of steps at a time.  A direction whose
+    R-diagonal entry dies in a block (exactly zero or below 1e-14 of the
+    largest) adds no growth and its steps are not counted in its average.
 
     Which step re-orthonormalises depends on the number of orbits, M^l for
     l frequencies.  Below _BATCH_LAST_MIN (256) orbits, numpy's batched
@@ -413,7 +416,8 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
     if n < 2:
         raise ValueError("a Lyapunov estimate needs at least 2 iterates")
     d = C.dim
-    prof = rank_profile(C, tol=tol)
+    st = structure or Structure(C, tol)
+    prof = st.profile
     k = prof.min_rank
     reasons = [None] * k + [f"rank A_{prof.stabilized_at} = {k}"] * (d - k)
     divergent = [j >= k for j in range(d)]
@@ -428,10 +432,7 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9):
         mesh = np.meshgrid(*axes, indexing="ij")
         starts = np.stack([g.ravel() for g in mesh], axis=1)
     batch = starts.shape[0]
-    # dividing by a power of two is exact: the unit-scale step matrices are
-    # those of C with a shifted exponent
-    scale = math.ldexp(1.0, math.frexp(_sup_scale(C))[1] - 1)
-    U = _unit_scale(C, scale)
+    scale, U = st.scale, st.unit
     # a fixed random orthonormal start keeps no basis vector exactly inside a
     # structural kernel, which an identity start would do for triangular input
     rng = np.random.default_rng(12345)
@@ -526,90 +527,126 @@ def _sup_scale(C):
 
 
 def _unit_scale(C, scale):
-    """C with its generator divided by scale.
-
-    rank_profile and detect_nilpotency decide on the iterates of this
-    cocycle against an absolute tolerance, so their verdicts do not depend on
-    the units of A, and the iterates neither underflow nor overflow.
-    """
+    """C with its generator divided by scale."""
     if C.is_exact:
         return Cocycle(C.frequencies, C.matrix * (1.0 / scale))
     return Cocycle(C.frequencies,
                    GridMatrixFunction(C.matrix.samples * (1.0 / scale)))
 
 
-def rank_profile(C, tol=1e-9):
+class Structure:
+    """The iterate structure of a cocycle, built once per input and shared.
+
+    The ladder holds L_n = A_n / scale^n, scale the power of two in
+    (size/2, size] for size = _sup_scale(C): an exact division, so L_n has
+    the kernels and ranges of A_n and thresholds move by a known factor.  It
+    grows only as far as a question needs.  profile (rank_profile; k and p
+    are its min_rank and stabilized_at) and nilpotency (detect_nilpotency)
+    are computed on first use, with tol or their defaults 1e-9 and 1e-10.
+    """
+
+    def __init__(self, C, tol=None):
+        self.cocycle = C
+        self.tol = tol
+        self.size = _sup_scale(C)
+        self.scale = math.ldexp(1.0, math.frexp(self.size)[1] - 1)
+        self.unit = _unit_scale(C, self.scale)
+        # no question reads past L_{d+1}
+        self._ladder = iterates(self.unit, C.dim + 1)
+        self._iterates = []
+
+    def iterate(self, n):
+        """L_n = A_n / scale^n."""
+        while len(self._iterates) < n:
+            self._iterates.append(next(self._ladder))
+        return self._iterates[n - 1]
+
+    @cached_property
+    def profile(self):
+        tol = 1e-9 if self.tol is None else self.tol
+        F = self.iterate(1)
+        if self.cocycle.is_exact:
+            samples = F.sample_grid(max(64, default_grid_size(F.degree)))
+        else:
+            samples = F.all_samples()
+        s1 = float(np.linalg.svd(samples, compute_uv=False).max())
+        if s1 == 0.0:
+            return RankProfile([0], 1, 0, {1: []})
+        d = self.cocycle.dim
+        ranks = []
+        exceptional = {}
+        for n in range(1, d + 2):
+            r, exc = max_rank(self.iterate(n), tol=tol, scale=s1 ** n)
+            if ranks and r > ranks[-1]:
+                raise StructureViolation(
+                    f"rank increased from {ranks[-1]} to {r} at step {n}; "
+                    "tolerance too loose for this grid"
+                )
+            if ranks and r == ranks[-1]:
+                break
+            ranks.append(r)
+            exceptional[n] = exc
+            if r == 0 or (n == 1 and r == d):
+                # zero iterates stay zero; a somewhere-invertible product of
+                # somewhere-invertible factors keeps full maximal rank
+                break
+        return RankProfile(ranks, len(ranks), ranks[-1], exceptional)
+
+    @cached_property
+    def nilpotency(self):
+        tol = 1e-10 if self.tol is None else self.tol
+        scale = self.size
+        if scale == 0.0:
+            return NilpotencyReport(True, 1, {"certificate": 0.0, "scale": 0.0})
+        # L_n unit^n is A_n / size^n, the unit-scale iterate the report reads
+        unit = self.scale / scale
+        r1, _ = max_rank(self.iterate(1))
+        for n in range(1, r1 + 2):
+            last = self.iterate(n)
+            if self.cocycle.is_exact:
+                cert = last.max_coeff() * unit ** n
+            else:
+                cert = float(np.abs(last.samples).max()) * unit ** n
+            if cert <= tol:
+                return NilpotencyReport(True, n, {"certificate": cert, "scale": scale})
+        if self.cocycle.is_exact:
+            M = max(64, default_grid_size(last.degree))
+            norms = np.linalg.norm(last.sample_grid(M), ord=2, axis=(1, 2)) * unit ** n
+            j = int(norms.argmax())
+            witness = {"max_sample_norm": float(norms[j]), "at": j / M, "scale": scale}
+        else:
+            norms = np.abs(last.samples).max(axis=(-2, -1)) * unit ** n
+            j = np.unravel_index(int(norms.argmax()), norms.shape)
+            witness = {"max_sample_norm": float(norms[j]), "at": tuple(int(i) for i in j),
+                       "scale": scale}
+        return NilpotencyReport(False, None, witness)
+
+
+def rank_profile(C, tol=1e-9, structure=None):
     """Maximal ranks of the iterates until they stabilize.
 
-    The generator is divided by its largest sampled singular value and the
-    singular values of each unit-scale iterate are counted above tol, so an
-    iterate that collapses below float noise registers as rank zero instead
-    of noise rank.  The ranks fall strictly until they stop, by step d at
-    the latest, so stabilized_at is always set: it is the first p with
-    rank A_p = min_rank.
+    The profile of structure, or of Structure(C, tol) when structure is
+    None.  The singular values of each L_n are counted above tol times the
+    n-th power of the largest sampled singular value of L_1, as if the
+    generator were divided by that value, so an iterate that collapses below
+    float noise registers as rank zero instead of noise rank.  The ranks
+    fall strictly until they stop, by step d at the latest, so stabilized_at
+    is always set: it is the first p with rank A_p = min_rank.
     """
-    d = C.dim
-    if C.is_exact:
-        samples = C.matrix.sample_grid(max(64, default_grid_size(C.matrix.degree)))
-    else:
-        samples = C.matrix.all_samples()
-    s1 = float(np.linalg.svd(samples, compute_uv=False).max())
-    if s1 == 0.0:
-        return RankProfile([0], 1, 0, {1: []})
-    ranks = []
-    exceptional = {}
-    for n, F in enumerate(iterates(_unit_scale(C, s1), d + 1), start=1):
-        r, exc = max_rank(F, tol=tol, scale=1.0)
-        if ranks and r > ranks[-1]:
-            raise StructureViolation(
-                f"rank increased from {ranks[-1]} to {r} at step {n}; "
-                "tolerance too loose for this grid"
-            )
-        if ranks and r == ranks[-1]:
-            break
-        ranks.append(r)
-        exceptional[n] = exc
-        if r == 0 or (n == 1 and r == d):
-            # zero iterates stay zero; a somewhere-invertible product of
-            # somewhere-invertible factors keeps full maximal rank
-            break
-    return RankProfile(ranks, len(ranks), ranks[-1], exceptional)
+    return (structure or Structure(C, tol)).profile
 
 
-def detect_nilpotency(C, tol=1e-10):
+def detect_nilpotency(C, tol=1e-10, structure=None):
     """Decide whether some iterate vanishes identically, with a certificate.
 
-    The generator is divided by its scale (the entrywise coefficient bound of
-    exact entries, the largest sample of a grid) and the iterates of that
-    unit-scale cocycle are compared with tol, so the verdict does not depend
-    on the units of A; the certificate and the witness's sample norm are
-    unit-scale numbers.  The rank of the first iterate bounds the search: if
-    no iterate up to max_rank(A)+1 vanishes, none ever does.
+    The verdict of structure, or of Structure(C, tol) when structure is
+    None.  The iterates of the generator divided by its scale (_sup_scale)
+    are compared with tol, so the verdict does not depend on the units of
+    A; the certificate and the witness's sample norm are unit-scale numbers,
+    read off L_n.  The rank of the first iterate bounds the search: if no
+    iterate up to max_rank(A)+1 vanishes, none ever does.
     """
-    scale = _sup_scale(C)
-    if scale == 0.0:
-        return NilpotencyReport(True, 1, {"certificate": 0.0, "scale": 0.0})
-    U = _unit_scale(C, scale)
-    r1, _ = max_rank(U.matrix)
-    for n, last in enumerate(iterates(U, r1 + 1), start=1):
-        if C.is_exact:
-            cert = last.max_coeff()
-        else:
-            cert = float(np.abs(last.samples).max())
-        if cert <= tol:
-            return NilpotencyReport(True, n, {"certificate": cert, "scale": scale})
-    if C.is_exact:
-        M = max(64, default_grid_size(last.degree))
-        samples = last.sample_grid(M)
-        norms = np.linalg.norm(samples, ord=2, axis=(1, 2))
-        j = int(norms.argmax())
-        witness = {"max_sample_norm": float(norms[j]), "at": j / M, "scale": scale}
-    else:
-        norms = np.abs(last.samples).max(axis=(-2, -1))
-        j = np.unravel_index(int(norms.argmax()), norms.shape)
-        witness = {"max_sample_norm": float(norms[j]), "at": tuple(int(i) for i in j),
-                   "scale": scale}
-    return NilpotencyReport(False, None, witness)
+    return (structure or Structure(C, tol)).nilpotency
 
 
 def rank_one_factor(C, M=None, tol=1e-9):

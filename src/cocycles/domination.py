@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Cocycle, iterate, iterates, rank_profile
+from .cocycle import Cocycle, Structure, iterates
 from .errors import (
     FullyNilpotent,
     InversionBlowup,
@@ -54,22 +54,23 @@ class SplittingResult:
     residual: float
 
 
-def split_infinite_part(C, M=None, tol=1e-9):
+def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     """Adapted frame separating the divergent directions from the finite ones.
 
     Needs the rank profile to stabilize at some 0 < k < d; the kernel bundle
     of A_p then has constant dimension d-k and the complementary block d
-    carries the k finite exponents.
+    carries the k finite exponents.  Profile and A_p are those of structure,
+    built as Structure(C, tol) when None.
     """
     if C.base_dim != 1:
         raise UnsupportedBase("splitting needs a one-frequency base")
-    prof = rank_profile(C, tol=tol)
-    k = prof.min_rank
+    st = structure or Structure(C, tol)
+    k = st.profile.min_rank
     if k == C.dim:
         raise NoInfinitePart("cocycle keeps full rank; every exponent is finite")
     if k == 0:
         raise FullyNilpotent("all exponents degenerate; use the normal forms")
-    p = prof.stabilized_at
+    p = st.profile.stabilized_at
     d = C.dim
     nk = d - k
     if M is None:
@@ -77,7 +78,7 @@ def split_infinite_part(C, M=None, tol=1e-9):
         grids = [base, 2 * base, 4 * base, 8 * base]
     else:
         grids = [M]
-    Ap = iterate(C, p)
+    Ap = st.iterate(p)
     err = None
     for Mg in grids:
         ker = kernel_field(Ap, Mg, tol)
@@ -121,20 +122,23 @@ def split_infinite_part(C, M=None, tol=1e-9):
     return SplitForm(C, k, p, U, a, b, dd, residual)
 
 
-def is_dominated(S, C=None, tol=1e-9):
+def is_dominated(S, C=None, tol=1e-9, structure=None):
     """Decide domination by the iterate-rank and block-determinant criteria.
 
     Both quantities are compared against tol times their own geometric mean
     over the grid, which makes the test scale covariant; the two verdicts
-    must agree and the minimizing sample is reported as evidence.
+    must agree and the minimizing sample is reported as evidence.  The
+    iterate is read off structure, built as Structure(C, tol) when None, and
+    its singular values are reported in the units of A.
     """
     if C is None:
         C = S.cocycle
+    st = structure or Structure(C, tol)
     k, p, d = S.k, S.p, C.dim
     nstar = max(p + 1, d - k)
-    F = iterate(C, nstar)
+    F = st.iterate(nstar)
     Mg = max(256, default_grid_size(F.degree))
-    sv = np.linalg.svd(F.sample_grid(Mg), compute_uv=False)
+    sv = np.linalg.svd(F.sample_grid(Mg), compute_uv=False) * st.scale ** nstar
     sk = sv[:, k - 1]
     gm_rank = float(np.exp(np.log(np.maximum(sk, 1e-300)).mean()))
     rank_ok = bool(sk.min() > tol * gm_rank)
@@ -159,17 +163,17 @@ def is_dominated(S, C=None, tol=1e-9):
     return {"dominated": rank_ok, "evidence": evidence}
 
 
-def dominated_splitting(S, tol=1e-9):
+def dominated_splitting(S, tol=1e-9, verdict=None):
     """Conjugate the coupling away: p steps of the block recursion.
 
     Starting from c = b, each step divides by the invertible block one
     translate back and feeds the result through a; nilpotency of a kills c
     after exactly p steps and the accumulated M solves
     a(x) M(x) + b(x) = M(x+alpha) d(x), so [[I, M], [0, I]] block-diagonalizes
-    the split form.
+    the split form.  verdict is is_dominated(S, tol=tol), computed when None.
     """
     C = S.cocycle
-    verdict = is_dominated(S, C, tol)
+    verdict = verdict or is_dominated(S, C, tol)
     if not verdict["dominated"]:
         raise NotDominated(
             f"finite block vanishes near x = {verdict['evidence']['minimizer']:.6f}"

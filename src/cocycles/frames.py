@@ -72,12 +72,6 @@ class SubspaceField:
     def projectors(self):
         return self.frames @ np.conj(np.swapaxes(self.frames, 1, 2))
 
-    def orthonormality_defect(self):
-        f = self.frames
-        g = np.conj(np.swapaxes(f, 1, 2)) @ f
-        eye = np.eye(self.k)
-        return float(np.abs(g - eye).max()) if self.k else 0.0
-
 
 def subspace_distance(s, t):
     """Max over samples of the spectral norm gap between the projectors."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Cocycle, detect_nilpotency, iterates, rank_profile
+from .cocycle import Cocycle, Structure
 from .errors import (
     ConstantRankViolated,
     InconsistentProfile,
@@ -84,20 +84,7 @@ def _form_grid(C, p):
     return max(256, default_grid_size(deg))
 
 
-def _nilpotent(C, tol, refusal):
-    """The nilpotency degree of C and the rank tolerance of its frames.
-
-    tol is the caller's tolerance for both the nilpotency verdict and the
-    frames; None keeps detect_nilpotency's default for the verdict and
-    _FRAME_TOL for the frames.  Raises NotNilpotent with refusal.
-    """
-    rep = detect_nilpotency(C) if tol is None else detect_nilpotency(C, tol=tol)
-    if not rep.nilpotent:
-        raise NotNilpotent(refusal)
-    return rep.degree, _FRAME_TOL if tol is None else tol
-
-
-def triangularize(C, M=None, tol=None):
+def triangularize(C, M=None, tol=None, structure=None):
     """Strictly block-triangular form of a nilpotent cocycle.
 
     Block n spans the part of ker A_n orthogonal to ker A_{n-1}; the unitary
@@ -107,17 +94,21 @@ def triangularize(C, M=None, tol=None):
     block diagonal of B, measured on a doubled verification grid.  tol is
     the rank tolerance of the nilpotency verdict and of the kernel fields;
     None keeps detect_nilpotency's default for the verdict and 1e-9 for the
-    fields.
+    fields.  The kernels are those of the iterates of structure, built as
+    Structure(C, tol) when None.
     """
     if C.base_dim != 1:
         raise UnsupportedBase("triangular form needs a one-frequency base")
-    p, tol = _nilpotent(C, tol, "no iterate vanishes; nothing to triangularize")
+    st = structure or Structure(C, tol)
+    if not st.nilpotency.nilpotent:
+        raise NotNilpotent("no iterate vanishes; nothing to triangularize")
+    p, tol = st.nilpotency.degree, _FRAME_TOL if tol is None else tol
     d = C.dim
     if p == 1:
         # the cocycle itself vanishes: one block in the identity frame
         U, sizes, Mg = MatrixFunction.identity(d), (d,), M or _form_grid(C, p)
     else:
-        U, sizes, Mg = _triangular_frame(C, p, M, tol)
+        U, sizes, Mg = _triangular_frame(C, st, p, M, tol)
     B = U.adjoint().translate(C.alpha) @ C.matrix @ U
     Mv = 2 * Mg
     usamp = U.sample_grid(Mv)
@@ -132,9 +123,9 @@ def triangularize(C, M=None, tol=None):
     return TriangularForm(C, U, B, sizes, samples)
 
 
-def _triangular_frame(C, p, M, tol):
+def _triangular_frame(C, st, p, M, tol):
     """Unitary frame U adapted to the kernel flag of a nilpotent cocycle of
-    degree p >= 2, with its block sizes and the grid its frames were built on."""
+    structure st and degree p >= 2, with its block sizes and frames' grid."""
     if M is None:
         # kernel bundles of high iterates can have slow Fourier decay, so
         # widen the grid until the truncated frames carry no fat tail
@@ -142,7 +133,7 @@ def _triangular_frame(C, p, M, tol):
         grids = [base, 2 * base, 4 * base, 8 * base]
     else:
         grids = [M]
-    powers = list(iterates(C, p - 1))
+    powers = [st.iterate(n) for n in range(1, p)]
     err = None
     for Mg in grids:
         kernels = [kernel_field(F, Mg, tol) for F in powers]
@@ -196,7 +187,7 @@ def _restricted_lift(asamp, fin, head, alpha, tol):
     return (fin @ coords)[..., 0]
 
 
-def jordan_form(C, M=None, tol=None):
+def jordan_form(C, M=None, tol=None, structure=None):
     """Constant Jordan form of a nilpotent cocycle with constant-rank iterates.
 
     Works up the flag V_n(x) = ran A_{p-n}(x - (p-n)a): chain heads are
@@ -205,13 +196,15 @@ def jordan_form(C, M=None, tol=None):
     drop of any iterate at any sample aborts with ConstantRankViolated.
     tol is the rank tolerance of the nilpotency verdict, the rank profile
     and the fields; None keeps detect_nilpotency's default for the verdict
-    and 1e-9 for the rest.
+    and 1e-9 for the rest.  Profile, verdict and iterates are those of
+    structure, built as Structure(C, tol) when None.
     """
     if C.base_dim != 1:
         raise UnsupportedBase("jordan form needs a one-frequency base")
-    _, tol = _nilpotent(C, tol,
-                        "no iterate vanishes; spectrum is not fully degenerate")
-    prof = rank_profile(C, tol=tol)
+    st = structure or Structure(C, tol)
+    if not st.nilpotency.nilpotent:
+        raise NotNilpotent("no iterate vanishes; spectrum is not fully degenerate")
+    prof, tol = st.profile, _FRAME_TOL if tol is None else tol
     ranks = prof.ranks
     p = len(ranks)
     d = C.dim
@@ -227,7 +220,7 @@ def jordan_form(C, M=None, tol=None):
     asamp = C.matrix.sample_grid(M)
     kerA = kernel_field(C.matrix, M, tol)
     # V_n for n = 1..p-1; V_p is the whole space
-    powers = list(iterates(C, p - 1))
+    powers = [st.iterate(n) for n in range(1, p)]
     vfields = {n: range_field(powers[p - n - 1].translate(-(p - n) * alpha), M, tol)
                for n in range(1, p)}
     dims = {n: (ranks[p - n - 1] if n < p else d) for n in range(1, p + 1)}

@@ -101,14 +101,6 @@ class TrigPoly:
     def is_zero(self):
         return self.c.size == 0
 
-    def coeff(self, k):
-        if self.is_zero or k < self.kmin or k > self.kmax:
-            return 0.0 + 0.0j
-        return complex(self.c[k - self.kmin])
-
-    def coeffs_dict(self):
-        return {self.kmin + j: complex(v) for j, v in enumerate(self.c) if v != 0}
-
     def max_coeff(self):
         return 0.0 if self.is_zero else float(np.abs(self.c).max())
 

@@ -1,17 +1,20 @@
 """Command line front end: exit codes, report schema, determinism, sidecars."""
 
 import csv
+import functools
 import json
 import math
 import sys
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from cocycles import cocycle as cocycle_module
 from cocycles import fixtures
 from cocycles.cli import main
-from cocycles.cocycle import GOLDEN_MEAN, Cocycle
+from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure
 from cocycles.matfun import MatrixFunction
 
 
@@ -151,6 +154,78 @@ class TestAnalyze:
         assert ra == rb
         for f in sorted(a.glob("*.csv")):
             assert (b / f.name).read_bytes() == f.read_bytes()
+
+
+def _same_result(got, want):
+    """Equal report sections; floats equal to 1e-12, relative or absolute
+    (noise-level residuals may move with the BLAS build)."""
+    if isinstance(want, dict):
+        assert set(got) == set(want)
+        for key in want:
+            _same_result(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_result(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    else:
+        assert got == want
+
+
+class TestStructurePass:
+    """analyze builds the iterate structure once per input: one ladder of
+    iterates, one rank profile and one nilpotency verdict serve every stage
+    of the jordan, dominate and spectrum-only pipelines."""
+
+    # input, pipeline and the result section analyze reports for it
+    CASES = {
+        "constant_jordan_3": (
+            lambda: fixtures.constant_jordan((3,)), "jordan",
+            {"block_sizes": [1, 1, 1], "residual": 0.0,
+             "jordan": {"chains": [3], "cond_max": 1.0, "residual": 0.0}}),
+        "nilpotent_plus_invertible_3x3": (
+            fixtures.nilpotent_plus_invertible_3x3, "dominate",
+            {"dominated": True, "k": 1, "p": 2, "split_residual": 0.0,
+             "splitting_residual": 6.781200058775884e-16,
+             "evidence": {"det_min": 3.0000000000000004,
+                          "det_scale": 2.9999999999999996,
+                          "minimizer": 0.0, "minimizer_sample": 0, "n_star": 3,
+                          "sigma_k_min": 27.861072373084337,
+                          "sigma_k_scale": 29.270102723967792}}),
+        "random_invertible_0_3": (
+            lambda: fixtures.random_invertible(0, d=3), "lyapunov",
+            {"note": "all exponents finite; spectrum only"}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_structure_per_input(self, name, tmp_path, monkeypatch):
+        make, pipeline, result = self.CASES[name]
+        counts = Counter()
+
+        def counting(label, real):
+            def counted(*args, **kwargs):
+                counts[label] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for prop in ("profile", "nilpotency"):
+            wrapped = functools.cached_property(
+                counting(prop, Structure.__dict__[prop].func))
+            wrapped.__set_name__(Structure, prop)
+            monkeypatch.setattr(Structure, prop, wrapped)
+        monkeypatch.setattr(Structure, "__init__",
+                            counting("structures", Structure.__init__))
+        monkeypatch.setattr(cocycle_module, "iterates",
+                            counting("ladders", cocycle_module.iterates))
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(make().to_json_dict()))
+        assert main(["analyze", str(src), "--out", str(tmp_path)]) == 0
+        assert counts == {"structures": 1, "ladders": 1, "profile": 1,
+                          "nilpotency": 1}
+        rep = read_report(tmp_path, name, "analyze")
+        assert rep["pipeline"] == pipeline
+        _same_result(rep["result"], result)
 
 
 class TestWrappedCommands:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -29,6 +31,12 @@ from cocycles.trigpoly import TrigPoly, default_grid_size
 
 def const_cocycle(mat, alpha=GOLDEN_MEAN):
     return Cocycle((alpha,), MatrixFunction.constant(mat))
+
+
+def _power_of_two_unit(scale):
+    """The power of two c in (scale/2, scale] and c / scale."""
+    c = math.ldexp(1.0, math.frexp(scale)[1] - 1)
+    return c, c / scale
 
 
 class TestIterate:
@@ -103,22 +111,27 @@ class TestRunningProduct:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 5])
     def test_nilpotency_certificate_is_the_iterate(self, seed):
-        # the certificate is the iterate of the unit-scale generator
+        # the certificate is the iterate of the generator divided by the
+        # power of two c just below its scale, times (c / scale)^n
         C = fx.random_nilpotent(seed)
         rep = detect_nilpotency(C)
-        U = cocycle_module._unit_scale(C, rep.witness["scale"])
-        assert rep.witness["certificate"] == iterate(U, rep.degree).max_coeff()
+        c, unit = _power_of_two_unit(rep.witness["scale"])
+        U = cocycle_module._unit_scale(C, c)
+        assert rep.witness["certificate"] == (
+            iterate(U, rep.degree).max_coeff() * unit ** rep.degree)
         for n in range(1, rep.degree):
-            assert iterate(U, n).max_coeff() > 1e-10
+            assert iterate(U, n).max_coeff() * unit ** n > 1e-10
 
     def test_non_nilpotent_witness_is_the_last_iterate(self):
         C = fx.random_invertible(2, d=3)
         rep = detect_nilpotency(C)
         assert not rep.nilpotent
-        last = iterate(cocycle_module._unit_scale(C, rep.witness["scale"]), C.dim + 1)
+        c, unit = _power_of_two_unit(rep.witness["scale"])
+        last = iterate(cocycle_module._unit_scale(C, c), C.dim + 1)
         M = max(64, default_grid_size(last.degree))
         norms = np.linalg.norm(last.sample_grid(M), ord=2, axis=(1, 2))
-        assert rep.witness["max_sample_norm"] == float(norms.max())
+        assert rep.witness["max_sample_norm"] == (
+            float(norms.max()) * unit ** (C.dim + 1))
 
     def test_degree_overflow_where_iterate_overflows(self):
         # A is invertible, so detect_nilpotency goes on to the second
@@ -183,6 +196,16 @@ class TestLyapunov:
         assert all(np.isfinite(rep.exponents))
         assert not any(rep.divergent)
         assert rep.exponents == sorted(rep.exponents, reverse=True)
+
+    def test_invertible_builds_no_iterate_product(self, monkeypatch):
+        # full rank at the first iterate settles k = d, so the structure
+        # behind the spectrum stops at L_1 and multiplies nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("iterate product formed")
+
+        monkeypatch.setattr(MatrixFunction, "__matmul__", refuse)
+        rep = lyapunov_spectrum(fx.random_invertible(3), n=50, M=8)
+        assert all(np.isfinite(rep.exponents))
 
     def test_exterior_power_sums_top_exponents(self):
         C = fx.random_invertible(3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,9 +114,13 @@ class TestTriangularizeIterates:
         monkeypatch.undo()
         p = len(T.block_sizes)
         assert p >= 2 and len(seen) % (p - 1) == 0
-        # every grid tried reuses the same products A_1, ..., A_{p-1}
+        # every grid tried reuses the same products A_1, ..., A_{p-1}, held
+        # as A_n / c^n, bit for bit, for the power of two c in (s/2, s],
+        # s the coefficient bound of A
+        c = math.ldexp(1.0, math.frexp(C.matrix.sup_bound())[1] - 1)
         for i, F in enumerate(seen):
-            want = iterate(C, i % (p - 1) + 1)
+            n = i % (p - 1) + 1
+            want = iterate(C, n) * (1.0 / c ** n)
             assert all(f.kmin == g.kmin and np.array_equal(f.c, g.c)
                        for f, g in zip(F.entries.flat, want.entries.flat))
 

@@ -19,6 +19,13 @@ def rand_poly(rng, degree, scale=1.0):
     return TrigPoly.from_dict(coeffs)
 
 
+def coeff(f, k):
+    """The coefficient of e^{2 pi i k x} in f, 0 outside its stored band."""
+    if f.is_zero or not f.kmin <= k <= f.kmax:
+        return 0.0
+    return complex(f.c[k - f.kmin])
+
+
 def quad_log_abs(f, singular_points=()):
     """Adaptive-quadrature oracle for the mean of ln|f| over [0, 1]."""
     pts = sorted(set(float(p) for p in singular_points))
@@ -120,7 +127,7 @@ class TestAlgebra:
 
     def test_tiny_coefficients_are_absent(self):
         f = TrigPoly.from_dict({0: 1.0, 5: 1e-16})
-        assert f.coeff(5) == 0
+        assert coeff(f, 5) == 0
         assert f.degree == 0
 
     def test_complex_shift_oracle(self):
@@ -130,7 +137,7 @@ class TestAlgebra:
         g = complex_shift(f, t)
         x = 0.37
         direct = sum(
-            v * np.exp(2j * np.pi * k * (x + 1j * t)) for k, v in f.coeffs_dict().items()
+            v * np.exp(2j * np.pi * k * (x + 1j * t)) for k, v in enumerate(f.c, start=f.kmin)
         )
         assert abs(g.eval(x) - direct) < 1e-12
 
@@ -146,7 +153,7 @@ class TestGrids:
         f = rand_poly(rng, 7)
         back = poly_from_samples(sample_grid(f, 32), N=7).entries[0, 0]
         for k in range(-7, 8):
-            assert abs(back.coeff(k) - f.coeff(k)) < 1e-13
+            assert abs(coeff(back, k) - coeff(f, k)) < 1e-13
 
     def test_default_grid_size(self):
         # 4 * 2^ceil(log2(N+1))
@@ -176,7 +183,7 @@ class TestGrids:
             poly_from_samples(samples, N=2)
         assert abs(exc.value.tail - 2.0 / math.sqrt(5.0)) < 1e-12
         back = poly_from_samples(samples, N=6, tol=1e-13).entries[0, 0]
-        assert abs(back.coeff(5) - 2.0) < 1e-13
+        assert abs(coeff(back, 5) - 2.0) < 1e-13
 
     def test_samples_match_eval(self):
         f = rand_poly(np.random.default_rng(16), 5)
@@ -245,7 +252,7 @@ class TestSerialization:
         f = rand_poly(rng, 5)
         back = TrigPoly.from_json_dict(f.to_json_dict())
         for k in range(-5, 6):
-            assert abs(back.coeff(k) - f.coeff(k)) < 1e-15
+            assert abs(coeff(back, k) - coeff(f, k)) < 1e-15
 
     def test_json_shape(self):
         d = TrigPoly.cosine().to_json_dict()
