@@ -240,7 +240,7 @@ def _dominate(C, args, gaps_path, structure):
     }
     if not verdict["dominated"]:
         return S, None, section, []
-    R = dominated_splitting(S, verdict=verdict, **_tolkw(args))
+    R = dominated_splitting(S, verdict=verdict, structure=structure, **_tolkw(args))
     section["splitting_residual"] = R.residual
     rows = [(n, float(r)) for n, r in sorted(R.gap_certificate.items())]
     return S, R, section, [_write_csv(gaps_path, ("n", "ratio"), rows).name]

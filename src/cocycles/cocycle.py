@@ -8,9 +8,8 @@ spectrum, normal forms and splitting share it, so an analysis builds one.
 The stabilised rank k of the iterates is the number of finite Lyapunov
 exponents (the paper's first theorem applied to exterior powers); those k
 are estimated by orbit products re-orthonormalised once per block of steps
-(once per step during the warmup), by LAPACK QR on narrow orbit batches and
-by a batch-last Gram-Schmidt step on wide ones, and the rest are reported
-as -inf.  Rank-one cocycles get their top exponent in closed form from the
+(once per step during the warmup) by a batch-last Gram-Schmidt step, and the
+rest are reported as -inf.  Rank-one cocycles get their top exponent in closed form from the
 scalar factorization.
 """
 
@@ -36,11 +35,9 @@ from .matfun import (
     resample_lattice,
     shift_samples,
 )
-from .trigpoly import TrigPoly, default_grid_size, log_integral
+from .trigpoly import DEGREE_CAP, TrigPoly, default_grid_size, log_integral, real_divide
 
 GOLDEN_MEAN = 0.6180339887498949
-
-DEGREE_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -70,6 +67,10 @@ class Cocycle:
             raise TypeError("matrix must be a MatrixFunction or GridMatrixFunction")
         if mat.rows != mat.cols:
             raise ValueError("cocycle matrix must be square")
+        # every decision reads the generator divided by this size
+        if not math.isfinite(_sup_scale(self)):
+            raise ValueError("coefficient bound (largest sample) of the matrix "
+                             "is not finite")
 
     @property
     def dim(self):
@@ -196,22 +197,12 @@ _CHUNK_BYTES = 1 << 18
 _BLOCK_MAX = 16
 _BLOCK_LOG_COND = math.log(1e6)
 
-# orbit batches at least this wide run the sweep batch-last: step matrices,
-# block products and frames are held as (d, d, ..., batch), so each
-# arithmetic op covers every orbit at once, where numpy's stacked matmul and
-# QR make one BLAS or LAPACK call per orbit.  On the 32 orbits of a
-# one-frequency sweep the batch-last step is no faster at d = 3 and half
-# again slower at d = 6, so narrower batches keep the LAPACK step
-_BATCH_LAST_MIN = 256
-
 
 def _step_chunks(C, starts, M, bounds):
     """Yield the step matrices A(x_b + t a) for each half-open step range in
-    bounds, in order: shape (T, batch, d, d), or (d, d, T, batch) when the
-    batch of orbits is at least _BATCH_LAST_MIN wide."""
+    bounds, in order, held batch-last: shape (d, d, T, batch)."""
     d = C.dim
     batch = starts.shape[0]
-    last = batch >= _BATCH_LAST_MIN
     if C.is_exact:
         freqs, cmat = C.matrix._coeff_tensor()
         phases = np.exp(2j * np.pi * np.outer(starts[:, 0], freqs))
@@ -224,11 +215,8 @@ def _step_chunks(C, starts, M, bounds):
             for i in range(hi - lo):
                 buf[i] = phases
                 phases *= step
-            if last:
-                flat = buf.reshape(-1, len(freqs))
-                mats = (cmat.T @ flat.T).reshape(d, d, hi - lo, batch)
-            else:
-                mats = (buf @ cmat).reshape(hi - lo, batch, d, d)
+            flat = buf.reshape(-1, len(freqs))
+            mats = (cmat.T @ flat.T).reshape(d, d, hi - lo, batch)
             del buf  # not held while the caller works on the chunk
             yield mats
         return
@@ -236,14 +224,10 @@ def _step_chunks(C, starts, M, bounds):
     spec = np.fft.fftn(base, axes=tuple(range(C.base_dim)))
     alpha = np.array(C.frequencies)
     for lo, hi in bounds:
-        mats = np.empty((d, d, hi - lo, batch) if last else (hi - lo, batch, d, d),
-                        dtype=complex)
+        mats = np.empty((d, d, hi - lo, batch), dtype=complex)
         for i, t in enumerate(range(lo, hi)):
             at = shift_samples(base, t * alpha, spec).reshape(batch, d, d)
-            if last:
-                mats[:, :, i] = at.transpose(1, 2, 0)
-            else:
-                mats[i] = at
+            mats[:, :, i] = at.transpose(1, 2, 0)
         yield mats
 
 
@@ -265,26 +249,6 @@ def _block_length(diag, k):
     return s
 
 
-def _block_products(mats, s):
-    """The ordered products of s consecutive step matrices, shape
-    (ceil(T/s), batch, d, d); a short last block multiplies the steps left.
-
-    The short block is not padded with identities: a padded copy of the
-    chunk would raise the sweep's peak memory.
-    """
-    full = mats.shape[0] // s
-    blocks = mats[:full * s].reshape((full, s) + mats.shape[1:])
-    prod = blocks[:, 0]
-    for i in range(1, s):
-        prod = blocks[:, i] @ prod
-    if full * s < mats.shape[0]:
-        last = mats[full * s]
-        for m in mats[full * s + 1:]:
-            last = m @ last
-        prod = np.concatenate([prod, last[None]])
-    return prod
-
-
 def _mul_last(a, b):
     """The products a @ b of two batch-last stacks, (d, d, ...) each: d
     broadcast multiply-adds over the whole stack."""
@@ -295,12 +259,14 @@ def _mul_last(a, b):
 
 
 def _block_products_last(mats, s):
-    """_block_products for step matrices held batch-last: (d, d, T, batch)
-    to (d, d, ceil(T/s), batch).
+    """The ordered products of s consecutive step matrices held batch-last,
+    (d, d, T, batch) to (d, d, ceil(T/s), batch); a short last block
+    multiplies the steps left.
 
     The factors of a block are multiplied in neighbouring pairs, later step
     on the left, in log2 s levels of _mul_last; a short last block is
-    reduced the same way.
+    reduced the same way, not padded with identities: a padded copy of the
+    chunk would raise the sweep's peak memory.
     """
     d, _, T, batch = mats.shape
     full = T // s
@@ -391,11 +357,8 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
     R-diagonal entry dies in a block (exactly zero or below 1e-14 of the
     largest) adds no growth and its steps are not counted in its average.
 
-    Which step re-orthonormalises depends on the number of orbits, M^l for
-    l frequencies.  Below _BATCH_LAST_MIN (256) orbits, numpy's batched
-    matmul and LAPACK QR run one call per orbit.  From 256 orbits on (the
-    M^2 lattice of a two-frequency grid at M >= 16), every array is held
-    batch-last, (d, d, ..., batch), so one arithmetic op covers all orbits:
+    Every array of the sweep is held batch-last, (d, d, ..., batch) over the
+    M^l orbits of l frequencies, so one arithmetic op covers all orbits:
     block products are formed pairwise in log2 s levels, and P q is
     re-orthonormalised by classical Gram-Schmidt with one reorthogonalisation
     pass (Benettin, Galgani, Giorgilli and Strelcyn 1980; "twice is
@@ -438,11 +401,7 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
     rng = np.random.default_rng(12345)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q0, _ = np.linalg.qr(g)
-    last = batch >= _BATCH_LAST_MIN
-    if last:
-        q = np.broadcast_to(q0[..., None], (d, d, batch)).copy()
-    else:
-        q = np.broadcast_to(q0, (batch, d, d)).copy()
+    q = np.broadcast_to(q0[..., None], (d, d, batch)).copy()
 
     warmup = min(n // 5, 64)
     n_eff = n - warmup
@@ -465,18 +424,11 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
     running = {}
 
     for (lo, hi), mats in zip(bounds, _step_chunks(U, starts, M, bounds)):
-        if last:
-            prods = _block_products_last(mats, s)
-            diag = np.empty((prods.shape[2], batch, d))
-            for i in range(len(diag)):
-                q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
-                diag[i] = r.T
-        else:
-            prods = _block_products(mats, s)
-            diag = np.empty(prods.shape[:2] + (d,))
-            for i in range(len(prods)):
-                q, r = np.linalg.qr(prods[i] @ q)
-                diag[i] = np.abs(np.einsum("bii->bi", r))
+        prods = _block_products_last(mats, s)
+        diag = np.empty((prods.shape[2], batch, d))
+        for i in range(len(diag)):
+            q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
+            diag[i] = r.T
         if lo < warmup:
             settled.append(diag[max(warmup // 2 - lo, 0):])
             if hi == warmup:
@@ -497,10 +449,15 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
     per_orbit = np.where(alive > 0, logr / np.maximum(alive, 1) + math.log(scale),
                          -np.inf)
 
-    # the spectrum is a set: an orbit whose QR columns lock onto a permuted
-    # filtration (a structurally dead start direction, say) still estimates
-    # the same exponents, so sort each orbit descending before aggregating
-    est_sorted = -np.sort(-per_orbit, axis=1, kind="stable")
+    # only k directions grow: a dead one that cleared the death floor in a
+    # few blocks carries a noise estimate that can outrank a finite one, so
+    # each orbit keeps its k longest-lived directions.  The spectrum is a
+    # set: an orbit whose QR columns lock onto a permuted filtration (a
+    # structurally dead start direction, say) still estimates the same
+    # exponents, so sort each orbit descending before aggregating
+    longest = np.argsort(-alive, axis=1, kind="stable")[:, :k]
+    est_sorted = -np.sort(-np.take_along_axis(per_orbit, longest, axis=1),
+                          axis=1, kind="stable")
 
     finite_dir = np.isfinite(est_sorted).all(axis=0)
     po_safe = np.where(np.isfinite(est_sorted), est_sorted, 0.0)
@@ -508,13 +465,13 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
 
     # running mean settling like 1/t leaves a bias of 3x its final-quarter
     # drift; orbit spread cannot see it since the transient is common mode
-    conv = 3.0 * np.abs(running[n_eff] - running[mid])
+    conv = 3.0 * np.abs(running[n_eff] - running[mid])[:k]
     err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch) + conv, 0.0)
 
     # slots k+1..d are certified -inf; what the sweep measured there is noise
     order = np.argsort(-raw, kind="stable")
-    raw = [float(v) for v in raw[order][:k]] + [float("-inf")] * (d - k)
-    err = [float(v) for v in err[order][:k]] + [0.0] * (d - k)
+    raw = [float(v) for v in raw[order]] + [float("-inf")] * (d - k)
+    err = [float(v) for v in err[order]] + [0.0] * (d - k)
     return LyapunovReport(list(raw), raw, err, divergent, n, M, reasons)
 
 
@@ -527,11 +484,12 @@ def _sup_scale(C):
 
 
 def _unit_scale(C, scale):
-    """C with its generator divided by scale."""
+    """C with its generator divided by scale, a power of two: exact, and
+    1/scale, which overflows when scale is subnormal, is never formed."""
     if C.is_exact:
-        return Cocycle(C.frequencies, C.matrix * (1.0 / scale))
+        return Cocycle(C.frequencies, C.matrix / scale)
     return Cocycle(C.frequencies,
-                   GridMatrixFunction(C.matrix.samples * (1.0 / scale)))
+                   GridMatrixFunction(real_divide(C.matrix.samples, scale)))
 
 
 class Structure:

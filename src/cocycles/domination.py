@@ -8,6 +8,7 @@ entirely is exactly the question of dominated splitting, decided here by two
 independent criteria that must agree.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .frames import analytic_gauge, kernel_field, orthocomplement
 from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, shift_samples, vstack
-from .trigpoly import default_grid_size
+from .trigpoly import default_grid_size, real_divide
 
 
 @dataclass
@@ -71,6 +72,7 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     if k == 0:
         raise FullyNilpotent("all exponents degenerate; use the normal forms")
     p = st.profile.stabilized_at
+    e = math.frexp(st.scale)[1] - 1
     d = C.dim
     nk = d - k
     if M is None:
@@ -106,12 +108,16 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     gram = np.conj(np.swapaxes(usamp, 1, 2)) @ usamp
     unit_defect = float(np.abs(gram - np.eye(d)).max())
     low_mass = float(np.abs(low.sample_grid(Mv)).max()) if nk and k else 0.0
-    # invariance forces the kernel block to die by step p
-    ap = a
+    # invariance forces the kernel block to die by step p: |a_p| is compared
+    # with max(|a|, 1)^p, both formed at unit scale, where p factors stay in
+    # the float range (2^e max(|a / 2^e|, 2^-e) is max(|a|, 1))
+    au = a / st.scale
+    ap = au
     for j in range(1, p):
-        ap = a.translate(j * C.alpha) @ ap
-    scale = max(a.sup_bound(), 1.0)
-    ap_mass = float(np.abs(ap.sample_grid(Mv)).max()) / scale ** p
+        ap = au.translate(j * C.alpha) @ ap
+    with np.errstate(over="ignore"):
+        size = np.float64(max(au.sup_bound(), np.ldexp(1.0, -e)))
+        ap_mass = float(np.abs(ap.sample_grid(Mv)).max() / size ** p)
     if ap_mass > 1e-6:
         raise StructureViolation(
             f"kernel block is not nilpotent of degree {p}: |a_p| = {ap_mass:.3e}"
@@ -127,23 +133,24 @@ def is_dominated(S, C=None, tol=1e-9, structure=None):
 
     Both quantities are compared against tol times their own geometric mean
     over the grid, which makes the test scale covariant; the two verdicts
-    must agree and the minimizing sample is reported as evidence.  The
-    iterate is read off structure, built as Structure(C, tol) when None, and
-    its singular values are reported in the units of A.
+    must agree and the minimizing sample is reported as evidence.  Both are
+    decided at unit scale, on the iterate L_n* of structure (built as
+    Structure(C, tol) when None) and on the block d divided by its scale
+    2^e, so no power of the scale over- or underflows; the evidence is
+    reported in the units of A, inf or 0 where those leave the float range.
     """
     if C is None:
         C = S.cocycle
     st = structure or Structure(C, tol)
     k, p, d = S.k, S.p, C.dim
     nstar = max(p + 1, d - k)
+    e = math.frexp(st.scale)[1] - 1
     F = st.iterate(nstar)
     Mg = max(256, default_grid_size(F.degree))
-    sv = np.linalg.svd(F.sample_grid(Mg), compute_uv=False) * st.scale ** nstar
-    sk = sv[:, k - 1]
+    sk = np.linalg.svd(F.sample_grid(Mg), compute_uv=False)[:, k - 1]
     gm_rank = float(np.exp(np.log(np.maximum(sk, 1e-300)).mean()))
     rank_ok = bool(sk.min() > tol * gm_rank)
-    dsamp = S.d.sample_grid(Mg)
-    dets = np.abs(np.linalg.det(dsamp))
+    dets = np.abs(np.linalg.det(real_divide(S.d.sample_grid(Mg), st.scale)))
     gm_det = float(np.exp(np.log(np.maximum(dets, 1e-300)).mean()))
     det_ok = bool(dets.min() > tol * gm_det)
     if rank_ok != det_ok:
@@ -151,19 +158,22 @@ def is_dominated(S, C=None, tol=1e-9, structure=None):
             f"domination criteria disagree: rank says {rank_ok}, det says {det_ok}"
         )
     j = int(dets.argmin())
+    with np.errstate(over="ignore"):
+        sig = np.ldexp([sk.min(), gm_rank], e * nstar)
+        det = np.ldexp([dets.min(), gm_det], e * k)
     evidence = {
         "n_star": nstar,
-        "sigma_k_min": float(sk.min()),
-        "sigma_k_scale": gm_rank,
-        "det_min": float(dets.min()),
-        "det_scale": gm_det,
+        "sigma_k_min": float(sig[0]),
+        "sigma_k_scale": float(sig[1]),
+        "det_min": float(det[0]),
+        "det_scale": float(det[1]),
         "minimizer": j / Mg,
         "minimizer_sample": j,
     }
     return {"dominated": rank_ok, "evidence": evidence}
 
 
-def dominated_splitting(S, tol=1e-9, verdict=None):
+def dominated_splitting(S, tol=1e-9, verdict=None, structure=None):
     """Conjugate the coupling away: p steps of the block recursion.
 
     Starting from c = b, each step divides by the invertible block one
@@ -171,26 +181,32 @@ def dominated_splitting(S, tol=1e-9, verdict=None):
     after exactly p steps and the accumulated M solves
     a(x) M(x) + b(x) = M(x+alpha) d(x), so [[I, M], [0, I]] block-diagonalizes
     the split form.  verdict is is_dominated(S, tol=tol), computed when None.
+    M and the gap ratios do not depend on units, so both are computed on the
+    blocks divided by the scale of structure (Structure(C, tol) when None),
+    where no product leaves the float range; the residual is reported in the
+    units of A.
     """
     C = S.cocycle
-    verdict = verdict or is_dominated(S, C, tol)
+    st = structure or Structure(C, tol)
+    verdict = verdict or is_dominated(S, C, tol, structure=st)
     if not verdict["dominated"]:
         raise NotDominated(
             f"finite block vanishes near x = {verdict['evidence']['minimizer']:.6f}"
         )
     k, p = S.k, S.p
     nk = S.a.rows
-    deg = max(S.a.degree, S.b.degree, S.d.degree, 1)
+    a, b, d = (X / st.scale for X in (S.a, S.b, S.d))
+    deg = max(a.degree, b.degree, d.degree, 1)
     Mg = max(512, default_grid_size(4 * deg))
-    dshift = S.d.sample_grid(Mg, shift=-C.alpha)
+    dshift = d.sample_grid(Mg, shift=-C.alpha)
     conds = np.linalg.cond(dshift)
     if float(conds.max()) > 1.0 / tol:
         raise InversionBlowup(
             f"finite block condition number {conds.max():.3e} exceeds 1/tol"
         )
     dinv_shift = np.linalg.inv(dshift)
-    asamp = S.a.sample_grid(Mg)
-    csamp = S.b.sample_grid(Mg)
+    asamp = a.sample_grid(Mg)
+    csamp = b.sample_grid(Mg)
     msum = np.zeros((Mg, nk, k), dtype=complex)
     for _ in range(p):
         mn = shift_samples(csamp, -C.alpha) @ dinv_shift
@@ -201,13 +217,14 @@ def dominated_splitting(S, tol=1e-9, verdict=None):
     Mv = 2 * Mg
     msamp = mfun.sample_grid(Mv)
     mshift = mfun.sample_grid(Mv, shift=C.alpha)
-    off = S.a.sample_grid(Mv) @ msamp + S.b.sample_grid(Mv) - mshift @ S.d.sample_grid(Mv)
-    residual = max(cp_mass, float(np.abs(off).max()))
+    off = a.sample_grid(Mv) @ msamp + b.sample_grid(Mv) - mshift @ d.sample_grid(Mv)
+    with np.errstate(over="ignore"):
+        residual = float(np.ldexp(max(cp_mass, float(np.abs(off).max())),
+                                  math.frexp(st.scale)[1] - 1))
     zero_tr = MatrixFunction.zero(nk, k)
     zero_bl = MatrixFunction.zero(k, nk)
     cdiag = vstack([hstack([S.a, zero_tr]), hstack([zero_bl, S.d])])
-    bfull = Cocycle(C.frequencies, vstack([hstack([S.a, S.b]),
-                                           hstack([zero_bl, S.d])]))
+    bfull = Cocycle(C.frequencies, vstack([hstack([a, b]), hstack([zero_bl, d])]))
     cert = {}
     for n, F in enumerate(iterates(bfull, 3 * p), start=1):
         sv = np.linalg.svd(

@@ -195,6 +195,10 @@ class MatrixFunction:
     def __rmul__(self, scalar):
         return self.__mul__(scalar)
 
+    def __truediv__(self, x):
+        """Entrywise division by a real number x."""
+        return MatrixFunction([[e / x for e in row] for row in self.entries])
+
     def block(self, r0, r1, c0, c1):
         return MatrixFunction(self.entries[r0:r1, c0:c1])
 

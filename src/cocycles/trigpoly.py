@@ -20,6 +20,17 @@ from .errors import RootFindingError
 TRUNCATION_RELATIVE = 1e-12
 _TWO_PI_I = 2j * np.pi
 
+# the largest frequency an input coefficient or an iterate may carry
+DEGREE_CAP = 4096
+
+
+def real_divide(a, x):
+    """Complex values a over a real x, part by part: numpy divides complex
+    by real through 1/x, which overflows when x is subnormal."""
+    out = np.empty(np.shape(a), dtype=complex)
+    out.real, out.imag = np.real(a) / x, np.imag(a) / x
+    return out
+
 
 def _trimmed(kmin, c):
     """Drop sub-threshold coefficients and leading/trailing zeros."""
@@ -105,8 +116,12 @@ class TrigPoly:
         return 0.0 if self.is_zero else float(np.abs(self.c).max())
 
     def sup_bound(self):
-        """Upper bound for sup |f|: the l1 norm of the coefficients."""
-        return 0.0 if self.is_zero else float(np.abs(self.c).sum())
+        """Upper bound for sup |f|: the l1 norm of the coefficients (inf
+        when it overflows)."""
+        if self.is_zero:
+            return 0.0
+        with np.errstate(over="ignore"):
+            return float(np.abs(self.c).sum())
 
     def __repr__(self):
         if self.is_zero:
@@ -185,6 +200,10 @@ class TrigPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
+    def __truediv__(self, x):
+        """f / x for a real number x."""
+        return TrigPoly(self.kmin, real_divide(self.c, x))
+
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self):
@@ -198,8 +217,16 @@ class TrigPoly:
 
     @classmethod
     def from_json_dict(cls, data):
-        coeffs = {int(e["k"]): complex(float(e["re"]), float(e["im"]))
-                  for e in data["coeffs"]}
+        coeffs = {}
+        for e in data["coeffs"]:
+            k = e["k"]
+            # from_dict allocates kmin..kmax densely, so k is bounded first
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise ValueError(f"coefficient index {k!r} is not an integer")
+            if abs(k) > DEGREE_CAP:
+                raise ValueError(
+                    f"coefficient index {k} exceeds the degree cap {DEGREE_CAP}")
+            coeffs[k] = complex(float(e["re"]), float(e["im"]))
         if not all(cmath.isfinite(v) for v in coeffs.values()):
             raise ValueError("coefficients must be finite")
         return cls.from_dict(coeffs)

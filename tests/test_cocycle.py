@@ -366,12 +366,18 @@ class TestChunkedSweep:
                                    atol=1e-12)
         np.testing.assert_allclose(rep.stderr[:k], err[:k], rtol=1e-6, atol=0)
 
+    # orbits per frequency of exact and of grid input
+    ORBITS = (16, 8)
+
+    def orbits(self, C):
+        return self.ORBITS[0] if C.is_exact else self.ORBITS[1]
+
     @pytest.mark.parametrize("name", sorted(INPUTS))
     @pytest.mark.parametrize("n", ["2", "d", "13", "997", "1000"])
     def test_matches_per_step_loop(self, name, n):
         C = self.INPUTS[name]
         n = C.dim if n == "d" else int(n)
-        M = 16 if C.is_exact else 8
+        M = self.orbits(C)
         self.assert_matches(C, lyapunov_spectrum(C, n=n, M=M), n, M)
 
     @pytest.mark.parametrize("name", sorted(INPUTS))
@@ -380,7 +386,7 @@ class TestChunkedSweep:
         # and leave a short block at the end of each range
         monkeypatch.setattr(cocycle_module, "_CHUNK_BYTES", 1)
         C = self.INPUTS[name]
-        M = 16 if C.is_exact else 8
+        M = self.orbits(C)
         self.assert_matches(C, lyapunov_spectrum(C, n=101, M=M), 101, M)
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -390,17 +396,33 @@ class TestChunkedSweep:
 
 
 class TestChunkedSweepBatchLast(TestChunkedSweep):
-    """The same equivalence with every orbit batch swept batch-last,
-    including not_dominated_2x2, whose orbit from x = 0 falls into ker A and
-    leaves a Gram-Schmidt column exactly zero."""
+    """The same equivalence on an odd orbit count, 5 orbits per frequency:
+    the batch-last step on a batch that is no power of two, and grid
+    samples resampled onto a lattice coarser than their own grid (an alias
+    sum in resample_lattice)."""
 
-    @pytest.fixture(autouse=True)
-    def batch_last(self, monkeypatch):
-        monkeypatch.setattr(cocycle_module, "_BATCH_LAST_MIN", 1)
+    ORBITS = (5, 5)
 
 
 def _batch_last(a):
     return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+
+
+def _block_products(mats, s):
+    """The ordered products of s consecutive step matrices (T, batch, d, d)
+    by stacked matmul, (ceil(T/s), batch, d, d); a short last block
+    multiplies the steps left.  The reference for _block_products_last."""
+    full = mats.shape[0] // s
+    blocks = mats[:full * s].reshape((full, s) + mats.shape[1:])
+    prod = blocks[:, 0]
+    for i in range(1, s):
+        prod = blocks[:, i] @ prod
+    if full * s < mats.shape[0]:
+        last = mats[full * s]
+        for m in mats[full * s + 1:]:
+            last = m @ last
+        prod = np.concatenate([prod, last[None]])
+    return prod
 
 
 class TestBatchLastStep:
@@ -408,7 +430,7 @@ class TestBatchLastStep:
         rng = np.random.default_rng(4)
         mats = rng.standard_normal((13, 5, 3, 3)) + 1j * rng.standard_normal((13, 5, 3, 3))
         for s in (1, 2, 4, 16):
-            want = cocycle_module._block_products(mats, s)
+            want = _block_products(mats, s)
             got = cocycle_module._block_products_last(_batch_last(mats), s)
             np.testing.assert_allclose(got, _batch_last(want), rtol=1e-12)
 
@@ -471,8 +493,8 @@ class TestBlockLength:
 
     @pytest.mark.parametrize("n", [13, 400, 2000])
     def test_qr_calls_per_block(self, n, monkeypatch):
-        # whichever step runs: LAPACK QR on 16 orbits, batch-last
-        # Gram-Schmidt on _BATCH_LAST_MIN orbits
+        # one step for every orbit count: batch-last Gram-Schmidt on a
+        # narrow (16) and on a wide (256) batch
         rec = _sweep_record(monkeypatch)
         calls = {"qr": 0, "gram_schmidt": 0}
 
@@ -487,13 +509,15 @@ class TestBlockLength:
         monkeypatch.setattr(cocycle_module, "_gram_schmidt",
                             counted("gram_schmidt", cocycle_module._gram_schmidt))
         warmup = min(n // 5, 64)
-        for M, step in ((16, "qr"), (cocycle_module._BATCH_LAST_MIN, "gram_schmidt")):
+        for M in (16, 256):
             before = dict(calls)
             lyapunov_spectrum(fx.random_invertible(3), n=n, M=M)
             made = {name: calls[name] - before[name] for name in calls}
             s, bounds = rec["s"][-1], rec["bounds"][-1]
-            # the selected step runs every warmup step and at least one block
-            assert made[step] >= warmup + 1
+            # Gram-Schmidt runs every warmup step and at least one block;
+            # LAPACK QR runs only on the random starting frame
+            assert made["qr"] <= 1
+            assert made["gram_schmidt"] >= warmup + 1
             assert sum(made.values()) <= warmup + -(-(n - warmup) // s) + len(bounds)
 
 
