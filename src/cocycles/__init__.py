@@ -32,6 +32,7 @@ from .errors import (
     ConstantRankViolated,
     DegreeOverflow,
     DimensionUnstable,
+    FloatRangeExceeded,
     FullyNilpotent,
     InconsistentProfile,
     IndependenceLost,

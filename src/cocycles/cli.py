@@ -14,6 +14,7 @@ reproducibility; everything else is deterministic at --threads 1.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -442,8 +443,19 @@ def cmd_fixtures(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line and exits 2; subcommand parsers
+    are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: usage error: {message}\n")
+
+
+@functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and building it costs a few milliseconds per call of main."""
+    parser = _Parser(
         prog="cocycles",
         description="Structure analysis of analytic matrix cocycles "
                     "over torus rotations.",

@@ -8,9 +8,9 @@ spectrum, normal forms and splitting share it, so an analysis builds one.
 The stabilised rank k of the iterates is the number of finite Lyapunov
 exponents (the paper's first theorem applied to exterior powers); those k
 are estimated by orbit products re-orthonormalised once per block of steps
-(once per step during the warmup) by a batch-last Gram-Schmidt step, and the
-rest are reported as -inf.  Rank-one cocycles get their top exponent in closed form from the
-scalar factorization.
+(once per step during the warmup) by one batch-last Gram-Schmidt step for
+every orbit count, and the rest are reported as -inf.  Rank-one cocycles get
+their top exponent in closed form from the scalar factorization.
 """
 
 import math

@@ -9,12 +9,14 @@ independent criteria that must agree.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cocycle import Cocycle, Structure, iterates
 from .errors import (
+    FloatRangeExceeded,
     FullyNilpotent,
     InversionBlowup,
     NoInfinitePart,
@@ -63,8 +65,9 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     carries the k finite exponents.  Profile and A_p are those of structure,
     built as Structure(C, tol) when None.
     """
-    if C.base_dim != 1:
-        raise UnsupportedBase("splitting needs a one-frequency base")
+    if not C.is_exact:
+        raise UnsupportedBase("splitting needs exact entries over a "
+                              "one-frequency base")
     st = structure or Structure(C, tol)
     k = st.profile.min_rank
     if k == C.dim:
@@ -98,7 +101,13 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     else:
         raise err
     U = hstack(blocks)
-    B = U.adjoint().translate(C.alpha) @ C.matrix @ U
+    # formed at unit scale, where the products stay in the float range, and
+    # read back in the units of A (exact: the scale is a power of two)
+    Bu = U.adjoint().translate(C.alpha) @ st.iterate(1) @ U
+    if Bu.max_coeff() > sys.float_info.max / st.scale:
+        raise FloatRangeExceeded("the split form leaves the float range in the "
+                                 "units of A")
+    B = Bu * st.scale
     a = B.block(0, nk, 0, nk)
     b = B.block(0, nk, nk, d)
     dd = B.block(nk, d, nk, d)
@@ -111,7 +120,7 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     # invariance forces the kernel block to die by step p: |a_p| is compared
     # with max(|a|, 1)^p, both formed at unit scale, where p factors stay in
     # the float range (2^e max(|a / 2^e|, 2^-e) is max(|a|, 1))
-    au = a / st.scale
+    au = Bu.block(0, nk, 0, nk)
     ap = au
     for j in range(1, p):
         ap = au.translate(j * C.alpha) @ ap
@@ -122,7 +131,7 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
         raise StructureViolation(
             f"kernel block is not nilpotent of degree {p}: |a_p| = {ap_mass:.3e}"
         )
-    if poly_det(dd).is_zero:
+    if poly_det(Bu.block(nk, d, nk, d)).is_zero:
         raise StructureViolation("finite block degenerates identically")
     residual = max(unit_defect, low_mass, ap_mass)
     return SplitForm(C, k, p, U, a, b, dd, residual)

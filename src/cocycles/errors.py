@@ -95,5 +95,9 @@ class InversionBlowup(CocycleError):
     """Pointwise inverse of the finite block exceeded the conditioning cap."""
 
 
+class FloatRangeExceeded(CocycleError):
+    """A quantity the analysis needs leaves the float range in the units of A."""
+
+
 class StructureViolation(CocycleError):
     """Numerical output contradicts a structural theorem; tolerances are suspect."""

@@ -15,6 +15,7 @@ import numpy as np
 from .cocycle import Cocycle, Structure
 from .errors import (
     ConstantRankViolated,
+    FloatRangeExceeded,
     InconsistentProfile,
     IndependenceLost,
     NotNilpotent,
@@ -97,8 +98,9 @@ def triangularize(C, M=None, tol=None, structure=None):
     fields.  The kernels are those of the iterates of structure, built as
     Structure(C, tol) when None.
     """
-    if C.base_dim != 1:
-        raise UnsupportedBase("triangular form needs a one-frequency base")
+    if not C.is_exact:
+        raise UnsupportedBase("triangular form needs exact entries over a "
+                              "one-frequency base")
     st = structure or Structure(C, tol)
     if not st.nilpotency.nilpotent:
         raise NotNilpotent("no iterate vanishes; nothing to triangularize")
@@ -177,14 +179,22 @@ def jordan_structure_from_ranks(ranks, d):
 
 
 def _restricted_lift(asamp, fin, head, alpha, tol):
-    """Solve A(x) w(x) = head(x+a) with w in the span of the frames fin."""
+    """Solve A(x) w(x) = head(x+a) with w in the span of the frames fin.
+
+    w grows like head / |A|, so below some size of A it leaves the float
+    range; that raises FloatRangeExceeded.
+    """
     target = shift_samples(head, alpha)
-    if fin is None:
-        sol = np.linalg.pinv(asamp, rcond=tol) @ target[..., None]
-        return sol[..., 0]
-    af = asamp @ fin
-    coords = np.linalg.pinv(af, rcond=tol) @ target[..., None]
-    return (fin @ coords)[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fin is None:
+            w = (np.linalg.pinv(asamp, rcond=tol) @ target[..., None])[..., 0]
+        else:
+            coords = np.linalg.pinv(asamp @ fin, rcond=tol) @ target[..., None]
+            w = (fin @ coords)[..., 0]
+    if not np.isfinite(w).all():
+        raise FloatRangeExceeded(
+            "a Jordan chain vector leaves the float range at the units of A")
+    return w
 
 
 def jordan_form(C, M=None, tol=None, structure=None):
@@ -199,8 +209,9 @@ def jordan_form(C, M=None, tol=None, structure=None):
     and 1e-9 for the rest.  Profile, verdict and iterates are those of
     structure, built as Structure(C, tol) when None.
     """
-    if C.base_dim != 1:
-        raise UnsupportedBase("jordan form needs a one-frequency base")
+    if not C.is_exact:
+        raise UnsupportedBase("jordan form needs exact entries over a "
+                              "one-frequency base")
     st = structure or Structure(C, tol)
     if not st.nilpotency.nilpotent:
         raise NotNilpotent("no iterate vanishes; spectrum is not fully degenerate")

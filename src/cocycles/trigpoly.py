@@ -15,7 +15,7 @@ import cmath
 
 import numpy as np
 
-from .errors import RootFindingError
+from .errors import FloatRangeExceeded, RootFindingError
 
 TRUNCATION_RELATIVE = 1e-12
 _TWO_PI_I = 2j * np.pi
@@ -41,6 +41,9 @@ def _trimmed(kmin, c):
     top = mags.max()
     if top == 0.0:
         return 0, np.zeros(0, dtype=complex)
+    if not np.isfinite(top):
+        # an overflow upstream; the relative threshold would keep nothing
+        raise FloatRangeExceeded("a Fourier coefficient left the float range")
     keep = mags > TRUNCATION_RELATIVE * top
     c = np.where(keep, c, 0.0)
     nz = np.nonzero(keep)[0]

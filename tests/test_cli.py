@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cocycles import cli
 from cocycles import cocycle as cocycle_module
 from cocycles import fixtures
 from cocycles.cli import main
@@ -23,6 +24,13 @@ def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fx")
     assert main(["fixtures", str(d)]) == 0
     return d
+
+
+def _one_by_one(coeffs):
+    """A 1x1 cocycle document with the given (k, value) coefficients."""
+    return {"frequencies": [GOLDEN_MEAN],
+            "matrix": {"rows": 1, "cols": 1, "entries": [[{"coeffs": [
+                {"k": k, "re": v, "im": 0.0} for k, v in coeffs]}]]}}
 
 
 def read_report(outdir, stem, cmd):
@@ -434,6 +442,43 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f" of {name};" in err
+
+    @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
+    @pytest.mark.parametrize("k", [1.5, True, "1", 10**15, -10**15])
+    def test_bad_coefficient_index_is_input_error(self, tmp_path, capsys, cmd, k):
+        # 10**15 is a span numpy refuses to allocate at once
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_one_by_one([(0, 1.0), (k, 1.0)])))
+        assert main([cmd, str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "coefficient index" in err
+
+    @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
+    def test_overflowing_coefficient_bound_is_input_error(self, tmp_path, capsys,
+                                                          cmd):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_one_by_one([(0, 1e308), (1, 1e308)])))
+        assert main([cmd, str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not finite" in err
+
+    @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
+    def test_subnormal_generator_is_analysed(self, tmp_path, cmd):
+        src = tmp_path / "tiny.json"
+        src.write_text(json.dumps(_one_by_one([(0, 1e-310)])))
+        assert main([cmd, str(src), "--out", str(tmp_path)]) == 0
+        rep = read_report(tmp_path, src.stem, cmd)
+        np.testing.assert_allclose(rep["lyapunov"]["exponents"],
+                                   [math.log(1e-310)], rtol=0, atol=1e-9)
+
+    def test_parser_is_built_once(self, fixture_dir, capsys):
+        cli._build_parser.cache_clear()
+        src = str(fixture_dir / "dominated_2x2.json")
+        for _ in range(2):
+            assert main(["--version"]) == 0
+            assert main(["analyze", src, "--bogus"]) == 2
+        assert cli._build_parser.cache_info().misses == 1
+        capsys.readouterr()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2

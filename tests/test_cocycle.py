@@ -17,6 +17,7 @@ from cocycles.cocycle import (
     rank_one_factor,
     rank_profile,
 )
+from cocycles.domination import is_dominated, split_infinite_part
 from cocycles.errors import DegreeOverflow, RankNotOne, UnsupportedBase
 from cocycles.matfun import (
     GridMatrixFunction,
@@ -773,6 +774,16 @@ class TestUnits:
                 assert abs(e - (e1 + np.log(c))) <= err
             else:
                 assert e == float("-inf")
+
+    @pytest.mark.parametrize("name", [
+        "dominated_2x2", "not_dominated_2x2", "nilpotent_plus_invertible_3x3",
+    ])
+    @pytest.mark.parametrize("c", [1e-310, 1e-200, 1e-30, 1e30, 1e200])
+    def test_scaling_keeps_the_domination_verdict(self, name, c):
+        C = getattr(fx, name)()
+        Cc = Cocycle(C.frequencies, C.matrix * c)
+        want = is_dominated(split_infinite_part(C))["dominated"]
+        assert is_dominated(split_infinite_part(Cc))["dominated"] == want
 
 
 class TestRankOneFactor:
