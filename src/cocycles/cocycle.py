@@ -495,10 +495,10 @@ def _unit_scale(C, scale):
 class Structure:
     """The iterate structure of a cocycle, built once per input and shared.
 
-    The ladder holds L_n = A_n / scale^n, scale the power of two in
-    (size/2, size] for size = _sup_scale(C): an exact division, so L_n has
-    the kernels and ranges of A_n and thresholds move by a known factor.  It
-    grows only as far as a question needs.  profile (rank_profile; k and p
+    The ladder holds L_n = A_n / scale^n, scale = 2^exponent the power of
+    two in (size/2, size] for size = _sup_scale(C): an exact division, so
+    L_n has the kernels and ranges of A_n and thresholds move by a known
+    factor.  It grows only as far as a question needs.  profile (rank_profile; k and p
     are its min_rank and stabilized_at) and nilpotency (detect_nilpotency)
     are computed on first use, with tol or their defaults 1e-9 and 1e-10.
     """
@@ -507,7 +507,8 @@ class Structure:
         self.cocycle = C
         self.tol = tol
         self.size = _sup_scale(C)
-        self.scale = math.ldexp(1.0, math.frexp(self.size)[1] - 1)
+        self.exponent = math.frexp(self.size)[1] - 1
+        self.scale = math.ldexp(1.0, self.exponent)
         self.unit = _unit_scale(C, self.scale)
         # no question reads past L_{d+1}
         self._ladder = iterates(self.unit, C.dim + 1)

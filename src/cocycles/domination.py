@@ -8,7 +8,6 @@ entirely is exactly the question of dominated splitting, decided here by two
 independent criteria that must agree.
 """
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .frames import analytic_gauge, kernel_field, orthocomplement
 from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, shift_samples, vstack
-from .trigpoly import default_grid_size, real_divide
+from .trigpoly import default_grid_size
 
 
 @dataclass
@@ -75,7 +74,6 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     if k == 0:
         raise FullyNilpotent("all exponents degenerate; use the normal forms")
     p = st.profile.stabilized_at
-    e = math.frexp(st.scale)[1] - 1
     d = C.dim
     nk = d - k
     if M is None:
@@ -125,7 +123,7 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     for j in range(1, p):
         ap = au.translate(j * C.alpha) @ ap
     with np.errstate(over="ignore"):
-        size = np.float64(max(au.sup_bound(), np.ldexp(1.0, -e)))
+        size = np.float64(max(au.sup_bound(), np.ldexp(1.0, -st.exponent)))
         ap_mass = float(np.abs(ap.sample_grid(Mv)).max() / size ** p)
     if ap_mass > 1e-6:
         raise StructureViolation(
@@ -144,22 +142,21 @@ def is_dominated(S, C=None, tol=1e-9, structure=None):
     over the grid, which makes the test scale covariant; the two verdicts
     must agree and the minimizing sample is reported as evidence.  Both are
     decided at unit scale, on the iterate L_n* of structure (built as
-    Structure(C, tol) when None) and on the block d divided by its scale
-    2^e, so no power of the scale over- or underflows; the evidence is
-    reported in the units of A, inf or 0 where those leave the float range.
+    Structure(C, tol) when None) and on the block d divided by its scale,
+    so no power of the scale over- or underflows; the evidence is reported
+    in the units of A, inf or 0 where those leave the float range.
     """
     if C is None:
         C = S.cocycle
     st = structure or Structure(C, tol)
     k, p, d = S.k, S.p, C.dim
     nstar = max(p + 1, d - k)
-    e = math.frexp(st.scale)[1] - 1
     F = st.iterate(nstar)
     Mg = max(256, default_grid_size(F.degree))
     sk = np.linalg.svd(F.sample_grid(Mg), compute_uv=False)[:, k - 1]
     gm_rank = float(np.exp(np.log(np.maximum(sk, 1e-300)).mean()))
     rank_ok = bool(sk.min() > tol * gm_rank)
-    dets = np.abs(np.linalg.det(real_divide(S.d.sample_grid(Mg), st.scale)))
+    dets = np.abs(np.linalg.det((S.d / st.scale).sample_grid(Mg)))
     gm_det = float(np.exp(np.log(np.maximum(dets, 1e-300)).mean()))
     det_ok = bool(dets.min() > tol * gm_det)
     if rank_ok != det_ok:
@@ -168,8 +165,8 @@ def is_dominated(S, C=None, tol=1e-9, structure=None):
         )
     j = int(dets.argmin())
     with np.errstate(over="ignore"):
-        sig = np.ldexp([sk.min(), gm_rank], e * nstar)
-        det = np.ldexp([dets.min(), gm_det], e * k)
+        sig = np.ldexp([sk.min(), gm_rank], st.exponent * nstar)
+        det = np.ldexp([dets.min(), gm_det], st.exponent * k)
     evidence = {
         "n_star": nstar,
         "sigma_k_min": float(sig[0]),
@@ -229,7 +226,7 @@ def dominated_splitting(S, tol=1e-9, verdict=None, structure=None):
     off = a.sample_grid(Mv) @ msamp + b.sample_grid(Mv) - mshift @ d.sample_grid(Mv)
     with np.errstate(over="ignore"):
         residual = float(np.ldexp(max(cp_mass, float(np.abs(off).max())),
-                                  math.frexp(st.scale)[1] - 1))
+                                  st.exponent))
     zero_tr = MatrixFunction.zero(nk, k)
     zero_bl = MatrixFunction.zero(k, nk)
     cdiag = vstack([hstack([S.a, zero_tr]), hstack([zero_bl, S.d])])
