@@ -14,6 +14,7 @@ their top exponent in closed form from the scalar factorization.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import frames as fr
 from .errors import (
     DegreeOverflow,
+    FloatRangeExceeded,
     NotPolynomializable,
     RankNotOne,
     StructureViolation,
@@ -342,10 +344,11 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
 
     The finite exponents come from a QR sweep of a full d-frame: products
     of the whole orbit are never formed; QR re-orthonormalises the basis and
-    accumulates log singular growth per direction, and the k largest
-    estimates are reported.  An initial warmup fifth of the run (at most 64
-    steps) lets the random starting frame settle into the growth filtration
-    and is excluded from the averages; it runs one QR per step.  After it,
+    accumulates log singular growth per direction, and the k directions of
+    each orbit that stay alive longest give the estimates.  An initial
+    warmup fifth of the run (at most 64 steps) lets the random starting
+    frame settle into the growth filtration and is excluded from the
+    averages; it runs one QR per step.  After it,
     one QR per block of s steps: the R-diagonal of a block product is the
     product of the per-step R-diagonals, and s (a power of two, at most 16)
     is chosen from the spread of the finite R-diagonal in the second half of
@@ -388,12 +391,8 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
         inf = [float("-inf")] * d
         return LyapunovReport(inf, list(inf), [0.0] * d, divergent, n, M,
                               reasons)
-    if C.base_dim == 1:
-        starts = (np.arange(M) / M)[:, None]
-    else:
-        axes = [np.arange(M) / M] * C.base_dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        starts = np.stack([g.ravel() for g in mesh], axis=1)
+    mesh = np.meshgrid(*[np.arange(M) / M] * C.base_dim, indexing="ij")
+    starts = np.stack([g.ravel() for g in mesh], axis=1)
     batch = starts.shape[0]
     scale, U = st.scale, st.unit
     # a fixed random orthonormal start keeps no basis vector exactly inside a
@@ -519,6 +518,15 @@ class Structure:
         while len(self._iterates) < n:
             self._iterates.append(next(self._ladder))
         return self._iterates[n - 1]
+
+    def conjugate(self, U):
+        """U*(x+a) A(x) U(x), formed on the unit-scale generator, where its
+        products stay in the float range, and read back in the units of A
+        (exact: the scale is a power of two)."""
+        B = U.adjoint().translate(self.cocycle.alpha) @ self.iterate(1) @ U
+        if B.max_coeff() > sys.float_info.max / self.scale:
+            raise FloatRangeExceeded("a conjugated generator leaves the float range")
+        return B * self.scale
 
     @cached_property
     def profile(self):

@@ -8,23 +8,20 @@ entirely is exactly the question of dominated splitting, decided here by two
 independent criteria that must agree.
 """
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cocycle import Cocycle, Structure, iterates
 from .errors import (
-    FloatRangeExceeded,
     FullyNilpotent,
     InversionBlowup,
     NoInfinitePart,
     NotDominated,
     StructureViolation,
-    TailTooFat,
     UnsupportedBase,
 )
-from .frames import analytic_gauge, kernel_field, orthocomplement
+from .frames import analytic_frame, kernel_field, orthocomplement
 from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, shift_samples, vstack
 from .trigpoly import default_grid_size
 
@@ -76,36 +73,19 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     p = st.profile.stabilized_at
     d = C.dim
     nk = d - k
-    if M is None:
-        base = max(256, default_grid_size(C.matrix.degree * p))
-        grids = [base, 2 * base, 4 * base, 8 * base]
-    else:
-        grids = [M]
     Ap = st.iterate(p)
-    err = None
-    for Mg in grids:
+
+    def fields_on(Mg):
         ker = kernel_field(Ap, Mg, tol)
         if ker.k != nk:
             raise StructureViolation(
                 f"kernel of iterate {p} has dimension {ker.k}, expected {nk}"
             )
-        fields = [ker, orthocomplement(ker)]
-        try:
-            blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
-        except TailTooFat as exc:
-            err = exc
-            continue
-        break
-    else:
-        raise err
-    U = hstack(blocks)
-    # formed at unit scale, where the products stay in the float range, and
-    # read back in the units of A (exact: the scale is a power of two)
-    Bu = U.adjoint().translate(C.alpha) @ st.iterate(1) @ U
-    if Bu.max_coeff() > sys.float_info.max / st.scale:
-        raise FloatRangeExceeded("the split form leaves the float range in the "
-                                 "units of A")
-    B = Bu * st.scale
+        return [ker, orthocomplement(ker)]
+
+    base = max(256, default_grid_size(C.matrix.degree * p))
+    U, _, Mg = analytic_frame(fields_on, base, M)
+    B = st.conjugate(U)
     a = B.block(0, nk, 0, nk)
     b = B.block(0, nk, nk, d)
     dd = B.block(nk, d, nk, d)
@@ -118,7 +98,7 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     # invariance forces the kernel block to die by step p: |a_p| is compared
     # with max(|a|, 1)^p, both formed at unit scale, where p factors stay in
     # the float range (2^e max(|a / 2^e|, 2^-e) is max(|a|, 1))
-    au = Bu.block(0, nk, 0, nk)
+    au = a / st.scale
     ap = au
     for j in range(1, p):
         ap = au.translate(j * C.alpha) @ ap
@@ -129,7 +109,7 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
         raise StructureViolation(
             f"kernel block is not nilpotent of degree {p}: |a_p| = {ap_mass:.3e}"
         )
-    if poly_det(Bu.block(nk, d, nk, d)).is_zero:
+    if poly_det(dd / st.scale).is_zero:
         raise StructureViolation("finite block degenerates identically")
     residual = max(unit_defect, low_mass, ap_mass)
     return SplitForm(C, k, p, U, a, b, dd, residual)
@@ -187,10 +167,8 @@ def dominated_splitting(S, tol=1e-9, verdict=None, structure=None):
     after exactly p steps and the accumulated M solves
     a(x) M(x) + b(x) = M(x+alpha) d(x), so [[I, M], [0, I]] block-diagonalizes
     the split form.  verdict is is_dominated(S, tol=tol), computed when None.
-    M and the gap ratios do not depend on units, so both are computed on the
-    blocks divided by the scale of structure (Structure(C, tol) when None),
-    where no product leaves the float range; the residual is reported in the
-    units of A.
+    M and the gap ratios are computed on the blocks divided by the scale of
+    structure (Structure(C, tol) when None); the residual is in units of A.
     """
     C = S.cocycle
     st = structure or Structure(C, tol)

@@ -17,8 +17,8 @@ into trigonometric-polynomial form.
 
 import numpy as np
 
-from .errors import ClosureDefect, DimensionUnstable
-from .matfun import poly_from_samples
+from .errors import ClosureDefect, DimensionUnstable, TailTooFat
+from .matfun import hstack, poly_from_samples
 from .trigpoly import default_grid_size
 
 
@@ -350,6 +350,22 @@ def analytic_gauge(S, seed=7):
             )
             return sec @ root
     return phase_align(S).frames
+
+
+def analytic_frame(fields_on, base, M=None):
+    """The frame stacking analytic gauges of the fields fields_on(Mg), with
+    those fields and Mg: on the grid M if given, else on the first of base,
+    2 base, 4 base and 8 base whose truncated gauges carry no fat Fourier
+    tail (kernel bundles of high iterates can decay slowly)."""
+    for Mg in [base << i for i in range(4)] if M is None else [M]:
+        fields = fields_on(Mg)
+        try:
+            blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
+        except TailTooFat as exc:
+            err = exc
+            continue
+        return hstack(blocks), fields, Mg
+    raise err
 
 
 def to_analytic_frame(S, N=None, tol=1e-8):

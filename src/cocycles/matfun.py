@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .errors import AliasingRisk, TailTooFat
-from .trigpoly import TrigPoly, default_grid_size
+from .trigpoly import TrigPoly, default_grid_size, real_divide
 
 _TWO_PI_I = 2j * np.pi
 
@@ -197,7 +197,8 @@ class MatrixFunction:
 
     def __truediv__(self, x):
         """Entrywise division by a real number x."""
-        return MatrixFunction([[e / x for e in row] for row in self.entries])
+        return MatrixFunction([[TrigPoly(e.kmin, real_divide(e.c, x)) for e in row]
+                               for row in self.entries])
 
     def block(self, r0, r1, c0, c1):
         return MatrixFunction(self.entries[r0:r1, c0:c1])

@@ -21,10 +21,10 @@ from .errors import (
     NotNilpotent,
     NotStrictlyOrdered,
     StructureViolation,
-    TailTooFat,
     UnsupportedBase,
 )
 from .frames import (
+    analytic_frame,
     analytic_gauge,
     complement_within,
     intersect_field,
@@ -32,7 +32,7 @@ from .frames import (
     orthocomplement,
     range_field,
 )
-from .matfun import MatrixFunction, hstack, poly_from_samples, shift_samples
+from .matfun import MatrixFunction, poly_from_samples, shift_samples
 from .trigpoly import default_grid_size
 
 
@@ -111,7 +111,7 @@ def triangularize(C, M=None, tol=None, structure=None):
         U, sizes, Mg = MatrixFunction.identity(d), (d,), M or _form_grid(C, p)
     else:
         U, sizes, Mg = _triangular_frame(C, st, p, M, tol)
-    B = U.adjoint().translate(C.alpha) @ C.matrix @ U
+    B = st.conjugate(U)
     Mv = 2 * Mg
     usamp = U.sample_grid(Mv)
     gram = np.conj(np.swapaxes(usamp, 1, 2)) @ usamp
@@ -128,16 +128,9 @@ def triangularize(C, M=None, tol=None, structure=None):
 def _triangular_frame(C, st, p, M, tol):
     """Unitary frame U adapted to the kernel flag of a nilpotent cocycle of
     structure st and degree p >= 2, with its block sizes and frames' grid."""
-    if M is None:
-        # kernel bundles of high iterates can have slow Fourier decay, so
-        # widen the grid until the truncated frames carry no fat tail
-        base = _form_grid(C, p)
-        grids = [base, 2 * base, 4 * base, 8 * base]
-    else:
-        grids = [M]
     powers = [st.iterate(n) for n in range(1, p)]
-    err = None
-    for Mg in grids:
+
+    def fields_on(Mg):
         kernels = [kernel_field(F, Mg, tol) for F in powers]
         fields = [kernels[0]]
         for n in range(2, p):
@@ -146,13 +139,10 @@ def _triangular_frame(C, st, p, M, tol):
         sizes = tuple(S.k for S in fields)
         if sum(sizes) != C.dim:
             raise StructureViolation(f"block sizes {sizes} do not fill dimension {C.dim}")
-        try:
-            blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
-        except TailTooFat as exc:
-            err = exc
-            continue
-        return hstack(blocks), sizes, Mg
-    raise err
+        return fields
+
+    U, fields, Mg = analytic_frame(fields_on, _form_grid(C, p), M)
+    return U, tuple(S.k for S in fields), Mg
 
 
 def jordan_structure_from_ranks(ranks, d):

@@ -121,8 +121,6 @@ class TrigPoly:
     def sup_bound(self):
         """Upper bound for sup |f|: the l1 norm of the coefficients (inf
         when it overflows)."""
-        if self.is_zero:
-            return 0.0
         with np.errstate(over="ignore"):
             return float(np.abs(self.c).sum())
 
@@ -203,10 +201,6 @@ class TrigPoly:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __truediv__(self, x):
-        """f / x for a real number x."""
-        return TrigPoly(self.kmin, real_divide(self.c, x))
-
     # -- serialization -------------------------------------------------
 
     def to_json_dict(self):
@@ -224,11 +218,9 @@ class TrigPoly:
         for e in data["coeffs"]:
             k = e["k"]
             # from_dict allocates kmin..kmax densely, so k is bounded first
-            if isinstance(k, bool) or not isinstance(k, int):
-                raise ValueError(f"coefficient index {k!r} is not an integer")
-            if abs(k) > DEGREE_CAP:
-                raise ValueError(
-                    f"coefficient index {k} exceeds the degree cap {DEGREE_CAP}")
+            if isinstance(k, bool) or not isinstance(k, int) or abs(k) > DEGREE_CAP:
+                raise ValueError(f"coefficient index {k!r} is not an integer of "
+                                 f"size at most the degree cap {DEGREE_CAP}")
             coeffs[k] = complex(float(e["re"]), float(e["im"]))
         if not all(cmath.isfinite(v) for v in coeffs.values()):
             raise ValueError("coefficients must be finite")
