@@ -12,6 +12,7 @@ rule that callers floor at their own minimum.
 """
 
 import cmath
+import math
 
 import numpy as np
 
@@ -41,7 +42,7 @@ def _trimmed(kmin, c):
     top = mags.max()
     if top == 0.0:
         return 0, np.zeros(0, dtype=complex)
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         # an overflow upstream; the relative threshold would keep nothing
         raise FloatRangeExceeded("a Fourier coefficient left the float range")
     keep = mags > TRUNCATION_RELATIVE * top
