@@ -70,7 +70,9 @@ class Cocycle:
         if mat.rows != mat.cols:
             raise ValueError("cocycle matrix must be square")
         # every decision reads the generator divided by this size
-        if not math.isfinite(_sup_scale(self)):
+        with np.errstate(over="ignore"):
+            size = _sup_scale(self)
+        if not math.isfinite(size):
             raise ValueError("coefficient bound (largest sample) of the matrix "
                              "is not finite")
 

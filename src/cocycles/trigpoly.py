@@ -120,10 +120,8 @@ class TrigPoly:
         return 0.0 if self.is_zero else float(np.abs(self.c).max())
 
     def sup_bound(self):
-        """Upper bound for sup |f|: the l1 norm of the coefficients (inf
-        when it overflows)."""
-        with np.errstate(over="ignore"):
-            return float(np.abs(self.c).sum())
+        """Upper bound for sup |f|: the l1 norm of the coefficients."""
+        return 0.0 if self.is_zero else float(np.abs(self.c).sum())
 
     def __repr__(self):
         if self.is_zero:

@@ -405,6 +405,16 @@ class TestChunkedSweepBatchLast(TestChunkedSweep):
     ORBITS = (5, 5)
 
 
+class TestDeadDirections:
+    def test_dead_direction_noise_never_outranks_a_finite_exponent(self):
+        # on one of these 64 orbits a dead direction clears the death floor
+        # in one short block, and its noise estimate lies above the second
+        # finite exponent: sorting all d directions of that orbit would mix
+        # the noise into the reported spectrum
+        C = _partially_degenerate(1004882659, 2, 2)
+        TestChunkedSweep.assert_matches(C, lyapunov_spectrum(C, n=1000, M=64), 1000, 64)
+
+
 def _batch_last(a):
     return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
 
