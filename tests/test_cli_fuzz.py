@@ -141,7 +141,7 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(cmd=st.sampled_from(["analyze", "lyapunov"]), doc=_document(), flags=_flags())
 def test_every_input_ends_in_a_documented_exit_code(workdir, cmd, doc, flags):
     src = workdir / "input.json"
