@@ -8,13 +8,11 @@ from .cocycle import (
     Cocycle,
     LyapunovReport,
     NilpotencyReport,
-    RankOneFactor,
     RankProfile,
     detect_nilpotency,
     exact_L1_rank_one,
     iterate,
     lyapunov_spectrum,
-    rank_one_factor,
     rank_profile,
 )
 from .fixtures import SILVER_MEAN
@@ -40,7 +38,6 @@ from .errors import (
     NoInfinitePart,
     NotDominated,
     NotNilpotent,
-    NotPolynomializable,
     NotStrictlyOrdered,
     RankNotOne,
     RootFindingError,

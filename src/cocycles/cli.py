@@ -231,7 +231,7 @@ def _dominate(C, args, gaps_path, structure):
     is written to gaps_path.
     """
     S = split_infinite_part(C, M=args.grid, structure=structure, **_tolkw(args))
-    verdict = is_dominated(S, C, structure=structure, **_tolkw(args))
+    verdict = is_dominated(S, structure=structure, **_tolkw(args))
     section = {
         "k": S.k,
         "p": S.p,

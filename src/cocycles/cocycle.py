@@ -10,7 +10,7 @@ exponents (the paper's first theorem applied to exterior powers); those k
 are estimated by orbit products re-orthonormalised once per block of steps
 (once per step during the warmup) by one batch-last Gram-Schmidt step for
 every orbit count, and the rest are reported as -inf.  Rank-one cocycles get
-their top exponent in closed form from the scalar factorization.
+their top exponent in closed form from two Mahler measures.
 """
 
 import math
@@ -20,14 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from . import frames as fr
 from .errors import (
     DegreeOverflow,
     FloatRangeExceeded,
-    NotPolynomializable,
     RankNotOne,
     StructureViolation,
-    TailTooFat,
     UnsupportedBase,
 )
 from .matfun import (
@@ -37,7 +34,7 @@ from .matfun import (
     resample_lattice,
     shift_samples,
 )
-from .trigpoly import DEGREE_CAP, TrigPoly, default_grid_size, log_integral, real_divide
+from .trigpoly import DEGREE_CAP, default_grid_size, log_integral, real_divide
 
 GOLDEN_MEAN = 0.6180339887498949
 
@@ -136,14 +133,6 @@ class NilpotencyReport:
     nilpotent: bool
     degree: int | None
     witness: dict
-
-
-@dataclass
-class RankOneFactor:
-    c: TrigPoly
-    phi: MatrixFunction
-    psi: MatrixFunction
-    residual: float
 
 
 def _check_degree(C, n, degree_cap):
@@ -618,72 +607,28 @@ def detect_nilpotency(C, tol=1e-10, structure=None):
     return (structure or Structure(C, tol)).nilpotency
 
 
-def rank_one_factor(C, M=None, tol=1e-9):
-    """Scalar times outer-product form c(x) phi(x) psi*(x) for rank-one cocycles.
-
-    phi spans the range of A and psi the range of A*; both are built from the
-    best-conditioned column (largest maximal norm), phase-aligned around the
-    circle, and returned as unit-norm trig-polynomial columns.
-    """
-    if not C.is_exact:
-        raise UnsupportedBase("rank-one factorization needs exact entries")
-    A = C.matrix
-    r, _ = max_rank(A)
-    if r != 1:
-        raise RankNotOne(f"maximal rank is {r}, not 1")
-    if M is None:
-        M = max(256, default_grid_size(4 * max(A.degree, 1)))
-    samples = A.sample_grid(M)
-
-    phi = _aligned_column_lift(samples, A.degree, M)
-    psi = _aligned_column_lift(np.conj(np.swapaxes(samples, 1, 2)), A.degree, M)
-
-    c_mat = phi.adjoint() @ A @ psi
-    c = c_mat.entries[0][0]
-
-    recon = phi @ c_mat @ psi.adjoint()
-    residual = float(
-        np.abs(recon.sample_grid(M) - samples).max()
-    )
-    scale = float(np.abs(samples).max())
-    if residual > 1e-6 * scale:
-        raise RankNotOne(
-            f"factor reconstruction residual {residual:.3e} too large"
-        )
-    return RankOneFactor(c, phi, psi, residual)
-
-
-def _aligned_column_lift(samples, degree, M):
-    norms = np.linalg.norm(samples, axis=1)
-    j = int(norms.max(axis=0).argmax())
-    field = fr.field_from_vectors(samples[:, :, j], degree)
-    aligned = fr.phase_align(field)
-    try:
-        return fr.to_analytic_frame(aligned, N=M // 2 - 1, tol=1e-7)
-    except TailTooFat as e:
-        raise NotPolynomializable(str(e)) from e
-
-
-def exact_L1_rank_one(C, zero_tol=1e-10):
+def exact_L1_rank_one(C):
     """Top exponent of a rank-one cocycle in closed form.
 
-    Splits as the log integral of the scalar factor plus the log integral of
-    the coupling psi*(x+a) phi(x); the result is -inf exactly when the
-    coupling vanishes identically, which forces the second iterate to vanish
-    (verified before returning).
+    For rank-one A and an entry a_ij that is not identically zero,
+    A = A e_j e_i* A / a_ij, so the n-th iterate is
+    col_j A(x+(n-1)a) * prod_{m<n-1} kappa(x+ma) * row_i A(x) / prod_{m<n} a_ij(x+ma)
+    with kappa(x) = row_i A(x+a) . col_j A(x), the (i, j) entry of A_2, and
+    L1 = int ln|kappa| - int ln|a_ij|: two Mahler measures of exact
+    polynomials.  Both are read on the unit-scale generator of Structure(C),
+    at its largest entry, and the log of the scale is added back.  The
+    result is -inf exactly when the rank profile certifies rank A_p = 0,
+    the certificate lyapunov_spectrum reports for its -inf slots.
     """
-    f = rank_one_factor(C)
-    coupling_mat = f.psi.adjoint().translate(C.alpha) @ f.phi
-    coupling = coupling_mat.entries[0][0]
-    if coupling.max_coeff() < zero_tol:
-        coupling = TrigPoly.zero()
-    if coupling.is_zero:
-        a2 = iterate(C, 2)
-        scale = C.matrix.sup_bound()
-        if a2.max_coeff() > 1e-8 * scale * scale:
-            raise StructureViolation(
-                "coupling vanishes but the second iterate does not; "
-                "lift tolerance too loose"
-            )
+    if not C.is_exact:
+        raise UnsupportedBase("the closed-form exponent needs exact entries")
+    st = Structure(C)
+    if st.profile.ranks[0] != 1:
+        raise RankNotOne(f"maximal rank is {st.profile.ranks[0]}, not 1")
+    if st.profile.min_rank == 0:
         return float("-inf")
-    return log_integral(f.c) + log_integral(coupling)
+    entries = st.unit.matrix.entries
+    i, j = np.unravel_index(
+        int(np.argmax([e.max_coeff() for e in entries.flat])), entries.shape)
+    kappa = st.iterate(2).entries[i, j]
+    return log_integral(kappa) - log_integral(entries[i, j]) + math.log(st.scale)

@@ -115,21 +115,19 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     return SplitForm(C, k, p, U, a, b, dd, residual)
 
 
-def is_dominated(S, C=None, tol=1e-9, structure=None):
+def is_dominated(S, tol=1e-9, structure=None):
     """Decide domination by the iterate-rank and block-determinant criteria.
 
     Both quantities are compared against tol times their own geometric mean
     over the grid, which makes the test scale covariant; the two verdicts
     must agree and the minimizing sample is reported as evidence.  Both are
     decided at unit scale, on the iterate L_n* of structure (built as
-    Structure(C, tol) when None) and on the block d divided by its scale,
-    so no power of the scale over- or underflows; the evidence is reported
-    in the units of A, inf or 0 where those leave the float range.
+    Structure(S.cocycle, tol) when None) and on the block d divided by its
+    scale, so no power of the scale over- or underflows; the evidence is
+    reported in the units of A, inf or 0 where those leave the float range.
     """
-    if C is None:
-        C = S.cocycle
-    st = structure or Structure(C, tol)
-    k, p, d = S.k, S.p, C.dim
+    st = structure or Structure(S.cocycle, tol)
+    k, p, d = S.k, S.p, S.cocycle.dim
     nstar = max(p + 1, d - k)
     F = st.iterate(nstar)
     Mg = max(256, default_grid_size(F.degree))
@@ -172,7 +170,7 @@ def dominated_splitting(S, tol=1e-9, verdict=None, structure=None):
     """
     C = S.cocycle
     st = structure or Structure(C, tol)
-    verdict = verdict or is_dominated(S, C, tol, structure=st)
+    verdict = verdict or is_dominated(S, tol, structure=st)
     if not verdict["dominated"]:
         raise NotDominated(
             f"finite block vanishes near x = {verdict['evidence']['minimizer']:.6f}"

@@ -30,10 +30,6 @@ class RankNotOne(CocycleError):
     """Operation requires a cocycle whose generator has maximal rank one."""
 
 
-class NotPolynomializable(CocycleError):
-    """Analytic data did not round-trip to trigonometric polynomials within tolerance."""
-
-
 class UnsupportedBase(CocycleError):
     """Operation defined only for one-frequency (circle) base dynamics."""
 

@@ -32,8 +32,8 @@ from .frames import (
     orthocomplement,
     range_field,
 )
-from .matfun import MatrixFunction, poly_from_samples, shift_samples
-from .trigpoly import default_grid_size
+from .matfun import MatrixFunction, hstack, poly_from_samples, shift_samples
+from .trigpoly import TrigPoly, default_grid_size
 
 
 @dataclass
@@ -59,9 +59,11 @@ class TriangularForm:
 class JordanForm:
     """Conjugation M(x+a)^{-1} A(x) M(x) = J with J a constant Jordan matrix.
 
-    samples holds the per-sample spectral norm of M(x+a)^{-1} A(x) M(x) - J
-    on the doubled verification grid x_j = j/len(samples); residual is its
-    maximum.
+    samples holds the per-sample spectral norm of the unit-scale conjugation
+    defect, Mu(x+a)^{-1} L_1(x) Mu(x) - J with L_1 = A / scale the generator
+    of the Structure and column m of a chain in Mu equal to scale^m times
+    the one in M, on the doubled verification grid x_j = j/len(samples);
+    residual is its maximum.  At scale 1 this is the defect of M itself.
     """
 
     M: MatrixFunction
@@ -171,8 +173,8 @@ def jordan_structure_from_ranks(ranks, d):
 def _restricted_lift(asamp, fin, head, alpha, tol):
     """Solve A(x) w(x) = head(x+a) with w in the span of the frames fin.
 
-    w grows like head / |A|, so below some size of A it leaves the float
-    range; that raises FloatRangeExceeded.
+    w grows like head / |A|, so where A nearly vanishes on fin it can leave
+    the float range; that raises FloatRangeExceeded.
     """
     target = shift_samples(head, alpha)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -183,7 +185,7 @@ def _restricted_lift(asamp, fin, head, alpha, tol):
             w = (fin @ coords)[..., 0]
     if not np.isfinite(w).all():
         raise FloatRangeExceeded(
-            "a Jordan chain vector leaves the float range at the units of A")
+            "a Jordan chain vector leaves the float range")
     return w
 
 
@@ -198,6 +200,12 @@ def jordan_form(C, M=None, tol=None, structure=None):
     and the fields; None keeps detect_nilpotency's default for the verdict
     and 1e-9 for the rest.  Profile, verdict and iterates are those of
     structure, built as Structure(C, tol) when None.
+
+    The chains are built on the unit-scale generator L_1 = A / 2^e of the
+    structure, where vectors of one chain keep comparable sizes, and
+    chain vector m (m = 0 in ker A) is read back into the units of A by the
+    exact factor 2^(-e m), so J keeps its ones; a column that leaves the
+    float range there raises FloatRangeExceeded.
     """
     if not C.is_exact:
         raise UnsupportedBase("jordan form needs exact entries over a "
@@ -218,8 +226,9 @@ def jordan_form(C, M=None, tol=None, structure=None):
     if M is None:
         M = _form_grid(C, p)
     alpha = C.alpha
-    asamp = C.matrix.sample_grid(M)
-    kerA = kernel_field(C.matrix, M, tol)
+    L1 = st.iterate(1)
+    asamp = L1.sample_grid(M)
+    kerA = kernel_field(L1, M, tol)
     # V_n for n = 1..p-1; V_p is the whole space
     powers = [st.iterate(n) for n in range(1, p)]
     vfields = {n: range_field(powers[p - n - 1].translate(-(p - n) * alpha), M, tol)
@@ -270,7 +279,7 @@ def jordan_form(C, M=None, tol=None, structure=None):
             f"recovered chains {lengths} contradict the rank profile {expected}"
         )
     cols = np.stack([v for ch in chains for v in ch], axis=2)
-    mfun = poly_from_samples(cols)
+    unit = poly_from_samples(cols)
     jmat = np.zeros((d, d))
     off = 0
     for L in lengths:
@@ -278,14 +287,30 @@ def jordan_form(C, M=None, tol=None, structure=None):
             jmat[off + j, off + j + 1] = 1.0
         off += L
     Mv = 2 * M
-    msamp = mfun.sample_grid(Mv)
-    mshift = mfun.sample_grid(Mv, shift=alpha)
-    av = C.matrix.sample_grid(Mv)
-    conj = np.linalg.solve(mshift, av @ msamp)
+    conj = np.linalg.solve(unit.sample_grid(Mv, shift=alpha),
+                           L1.sample_grid(Mv) @ unit.sample_grid(Mv))
     samples = np.linalg.svd(conj - jmat, compute_uv=False)[:, 0]
-    sv = np.linalg.svd(msamp, compute_uv=False)
+    mfun = _in_units(unit, [m for L in lengths for m in range(L)], st.exponent)
+    sv = np.linalg.svd(mfun.sample_grid(Mv), compute_uv=False)
     cond_max = float((sv[:, 0] / sv[:, -1]).max())
     return JordanForm(mfun, jmat, lengths, cond_max, samples)
+
+
+def _in_units(unit, positions, exponent):
+    """The chain matrix in the units of A: column c, vector number
+    positions[c] of its chain, times 2^(-exponent * positions[c]), exact
+    while the column stays in the normal float range."""
+    cols = []
+    for c, m in enumerate(positions):
+        with np.errstate(over="ignore", under="ignore"):
+            col = MatrixFunction([[TrigPoly(e.kmin, np.ldexp(e.c.real, -exponent * m)
+                                            + 1j * np.ldexp(e.c.imag, -exponent * m))]
+                                  for e in unit.entries[:, c]])
+        if col.max_coeff() < np.finfo(float).tiny:
+            raise FloatRangeExceeded(
+                f"Jordan chain column {c} underflows in the units of A")
+        cols.append(col)
+    return hstack(cols)
 
 
 def perturb_simple(T, b, eps):

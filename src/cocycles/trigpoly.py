@@ -240,17 +240,6 @@ def default_grid_size(degree):
     return 4 * (1 << (n - 1).bit_length())
 
 
-def complex_shift(f, t):
-    """Evaluate along the shifted circle x + i t: c_k -> c_k e^{-2 pi k t}.
-
-    Fixture-construction helper; t > 0 damps positive frequencies.
-    """
-    if f.is_zero:
-        return TrigPoly.zero()
-    ks = np.arange(f.kmin, f.kmax + 1)
-    return TrigPoly(f.kmin, f.c * np.exp(-2.0 * np.pi * ks * t))
-
-
 def log_integral(f, on_circle_tol=1e-10, residual_tol=1e-6):
     """Mean of ln|f| over the circle, computed exactly from the roots.
 

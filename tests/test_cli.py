@@ -319,6 +319,22 @@ class TestWrappedCommands:
         header, rows = read_csv(tmp_path / f"{src.stem}.jordan.residuals.csv")
         assert all(float(r[1]) < 1e-9 for r in rows)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-100, 1e-10, 1e10, 1e100, 1e300])
+    def test_jordan_in_extreme_units(self, tmp_path, c):
+        a = np.array([[0.0, 0.0], [1j * c, 0.0]])
+        C = Cocycle((GOLDEN_MEAN,), MatrixFunction.constant(a))
+        src = tmp_path / "scaled_shift.json"
+        src.write_text(json.dumps(C.to_json_dict()))
+        assert main(["jordan", str(src), "--out", str(tmp_path)]) == 0
+        rep = read_report(tmp_path, src.stem, "jordan")
+        assert rep["jordan"]["chains"] == [2]
+        assert rep["jordan"]["residual"] < 1e-9
+        assert math.isclose(rep["jordan"]["cond_max"], max(c, 1 / c), rel_tol=1e-9)
+        # M is constant here, so A M = M J is the conjugation in the units of A
+        m = MatrixFunction.from_json_dict(rep["jordan"]["M"]).eval_mat(0.0)
+        jmat = np.asarray(rep["jordan"]["J"]["re"])
+        np.testing.assert_allclose(a @ m, m @ jmat, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("cmd, section, build", [
         ("triangularize", "triangular",
          lambda: fixtures.random_nilpotent(1469265225, d=4)),

@@ -14,7 +14,6 @@ from cocycles.cocycle import (
     iterate,
     iterates,
     lyapunov_spectrum,
-    rank_one_factor,
     rank_profile,
 )
 from cocycles.domination import is_dominated, split_infinite_part
@@ -797,36 +796,19 @@ class TestUnits:
 
 
 class TestRankOneFactor:
-    def test_reconstruction(self):
-        C = fx.not_dominated_2x2()
-        f = rank_one_factor(C)
-        assert f.residual < 1e-8
-        M = 128
-        xs = np.arange(M) / M
-        recon = (f.phi @ MatrixFunction([[f.c]]) @ f.psi.adjoint()).sample_at(xs)
-        assert np.abs(recon - C.matrix.sample_at(xs)).max() < 1e-8
-        # factors are unit columns
-        nphi = np.linalg.norm(f.phi.sample_at(xs), axis=1)
-        assert np.abs(nphi - 1.0).max() < 1e-8
+    """Inputs the rank-one closed form refuses."""
 
     def test_rejects_higher_rank(self):
         with pytest.raises(RankNotOne):
-            rank_one_factor(fx.nilpotent_3x3_variable_rank())
+            exact_L1_rank_one(fx.nilpotent_3x3_variable_rank())
 
     def test_rejects_zero(self):
         with pytest.raises(RankNotOne):
-            rank_one_factor(const_cocycle(np.zeros((2, 2))))
+            exact_L1_rank_one(const_cocycle(np.zeros((2, 2))))
 
     def test_rejects_grid_base(self):
         with pytest.raises(UnsupportedBase):
-            rank_one_factor(fx.twofrequency_rank_one(M=32))
-
-    @pytest.mark.parametrize("seed", [11, 13])
-    def test_random_rank_one(self, seed):
-        C = fx.random_rank_one(seed)
-        f = rank_one_factor(C)
-        scale = C.matrix.sup_bound()
-        assert f.residual < 1e-7 * scale
+            exact_L1_rank_one(fx.twofrequency_rank_one(M=32))
 
 
 class TestExactTopExponent:
@@ -873,6 +855,13 @@ class TestExactTopExponent:
             assert a2.max_coeff() < 1e-10 * scale
         else:
             assert a2.max_coeff() > 1e-10 * scale
+
+    @pytest.mark.parametrize("name", ["dominated_2x2", "not_dominated_2x2"])
+    @pytest.mark.parametrize("c", [1e-310, 1e-300, 1e-100, 1e100, 1e300])
+    def test_scaling_shifts_by_log_c(self, name, c):
+        C = getattr(fx, name)()
+        Cc = Cocycle(C.frequencies, C.matrix * c)
+        assert abs(exact_L1_rank_one(Cc) - exact_L1_rank_one(C) - np.log(c)) < 1e-12
 
     def test_agrees_with_orbit_estimate(self):
         C = fx.not_dominated_2x2()

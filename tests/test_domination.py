@@ -225,6 +225,6 @@ class TestDominatedSplitting:
         ]
         C = Cocycle((GOLDEN_MEAN,), MatrixFunction(rows))
         S = split_infinite_part(C)
-        assert is_dominated(S, C, tol=0.2)["dominated"] is True
+        assert is_dominated(S, tol=0.2)["dominated"] is True
         with pytest.raises(InversionBlowup):
             dominated_splitting(S, tol=0.2)

@@ -8,6 +8,7 @@ from cocycles.cocycle import GOLDEN_MEAN, Cocycle, iterate, lyapunov_spectrum, r
 from cocycles.errors import (
     ConstantRankViolated,
     DegreeOverflow,
+    FloatRangeExceeded,
     InconsistentProfile,
     NotNilpotent,
     NotStrictlyOrdered,
@@ -214,6 +215,28 @@ class TestJordanForm:
         asamp = C.matrix.sample_at(xs)
         conj = np.linalg.solve(mshift, asamp @ msamp)
         assert np.abs(conj - J.J).max() < 10 * max(J.residual, 1e-12)
+
+    @pytest.mark.parametrize("k", [-300, 300])
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_power_of_two_units_scale_the_chains_exactly(self, seed, k):
+        # the unit-scale generator of 2^k A is that of A, so chain vector m
+        # of the form of 2^k A is 2^(-k m) times the one of A, bit for bit
+        C, _, _ = random_constant_rank_jordan(seed)
+        ref = jordan_form(C)
+        F = jordan_form(Cocycle(C.frequencies, C.matrix * math.ldexp(1.0, k)))
+        assert F.chains == ref.chains and np.array_equal(F.J, ref.J)
+        assert F.residual == ref.residual
+        positions = [m for L in ref.chains for m in range(L)]
+        for c, m in enumerate(positions):
+            for f, g in zip(F.M.entries[:, c], ref.M.entries[:, c]):
+                assert f.kmin == g.kmin
+                assert np.array_equal(f.c, g.c * math.ldexp(1.0, -k * m))
+
+    @pytest.mark.parametrize("c", [1e-100, 1e100])
+    def test_chain_out_of_float_range_in_the_units_of_a(self, c):
+        C = constant_jordan((5,))
+        with pytest.raises(FloatRangeExceeded):
+            jordan_form(Cocycle(C.frequencies, C.matrix * c))
 
     def test_variable_rank_3x3_rejected(self):
         with pytest.raises(ConstantRankViolated):

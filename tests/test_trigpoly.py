@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from cocycles.errors import AliasingRisk, TailTooFat
 from cocycles.matfun import GridMatrixFunction, MatrixFunction, poly_from_samples
-from cocycles.trigpoly import TrigPoly, complex_shift, default_grid_size, log_integral
+from cocycles.trigpoly import TrigPoly, default_grid_size, log_integral
 
 
 def rand_poly(rng, degree, scale=1.0):
@@ -129,17 +129,6 @@ class TestAlgebra:
         f = TrigPoly.from_dict({0: 1.0, 5: 1e-16})
         assert coeff(f, 5) == 0
         assert f.degree == 0
-
-    def test_complex_shift_oracle(self):
-        rng = np.random.default_rng(13)
-        f = rand_poly(rng, 3)
-        t = 0.05
-        g = complex_shift(f, t)
-        x = 0.37
-        direct = sum(
-            v * np.exp(2j * np.pi * k * (x + 1j * t)) for k, v in enumerate(f.c, start=f.kmin)
-        )
-        assert abs(g.eval(x) - direct) < 1e-12
 
 
 def sample_grid(f, M):
