@@ -33,7 +33,6 @@ from .errors import (
     FloatRangeExceeded,
     FullyNilpotent,
     InconsistentProfile,
-    IndependenceLost,
     InversionBlowup,
     NoInfinitePart,
     NotDominated,

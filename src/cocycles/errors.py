@@ -63,10 +63,6 @@ class ConstantRankViolated(CocycleError):
     """Some iterate has non-constant pointwise rank; Jordan form unavailable."""
 
 
-class IndependenceLost(CocycleError):
-    """Constructed chain vectors failed pointwise linear independence."""
-
-
 class InconsistentProfile(CocycleError):
     """Rank profile does not correspond to any Jordan structure."""
 

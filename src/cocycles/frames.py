@@ -225,10 +225,8 @@ def preimage_field(F, S, M=None, tol=1e-9):
     fsamp = F.sample_grid(M)
     perp = _complement(S)
     w = np.conj(np.swapaxes(fsamp, 1, 2)) @ perp.frames
-    u, s, _ = np.linalg.svd(w)
-    smax = float(s[..., 0].max()) if s.size and s.shape[-1] else 0.0
-    local = (s > tol * max(smax, 1e-300)).sum(axis=-1) if smax else np.zeros(M, int)
-    r = int(local.max()) if s.size and s.shape[-1] else 0
+    u, _, _, local = _svd_rank_split(w, tol)
+    r = int(local.max())
     frames = u[:, :, r:]
     exc = sorted(set(S.exceptional) | {int(i) for i in np.nonzero(local < r)[0]})
     budget = cont_budget_default(F.degree, M, max(frames.shape[2], 1))
@@ -295,9 +293,7 @@ def phase_align(S):
 
     g, theta_acc = _rolling_align(S.frames)
 
-    c = np.conj(g[0].T) @ g[-1]
-    u, _, vh = np.linalg.svd(c)
-    defect = u @ vh
+    defect = polar_unitary(np.conj(g[0].T) @ g[-1])
     theta_d = float(np.angle(np.linalg.det(defect)))
     su = defect * np.exp(-1j * theta_d / k)
     evals, q = np.linalg.eig(su)
@@ -352,20 +348,27 @@ def analytic_gauge(S, seed=7):
     return phase_align(S).frames
 
 
-def analytic_frame(fields_on, base, M=None):
-    """The frame stacking analytic gauges of the fields fields_on(Mg), with
-    those fields and Mg: on the grid M if given, else on the first of base,
-    2 base, 4 base and 8 base whose truncated gauges carry no fat Fourier
-    tail (kernel bundles of high iterates can decay slowly)."""
+def on_widening_grid(build, base, M=None):
+    """build(Mg) on the grid M if given, else on the first of base, 2 base,
+    4 base and 8 base where it raises no TailTooFat (kernel bundles of high
+    iterates can decay slowly)."""
     for Mg in [base << i for i in range(4)] if M is None else [M]:
-        fields = fields_on(Mg)
         try:
-            blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
+            return build(Mg)
         except TailTooFat as exc:
             err = exc
-            continue
-        return hstack(blocks), fields, Mg
     raise err
+
+
+def analytic_frame(fields_on, base, M=None):
+    """The frame stacking analytic gauges of the fields fields_on(Mg), with
+    those fields and Mg, on the grid on_widening_grid settles on."""
+    def build(Mg):
+        fields = fields_on(Mg)
+        blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
+        return hstack(blocks), fields, Mg
+
+    return on_widening_grid(build, base, M)
 
 
 def to_analytic_frame(S, N=None, tol=1e-8):

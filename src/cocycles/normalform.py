@@ -1,11 +1,14 @@
 """Analytic normal forms for nilpotent cocycles over circle rotations.
 
-Two levels of structure.  triangularize conjugates any nilpotent analytic
-cocycle into strictly block upper triangular shape by a unitary-valued
-polynomial change of frames; it only needs the kernels of the exact iterates.
-jordan_form goes further and produces a constant Jordan matrix, but that
-requires every iterate to have constant rank over the circle; the rank
-dropping anywhere is a hard obstruction, not a numerical one.
+Two levels of structure, both read off the kernel flag K_n = ker A_n of the
+exact iterates.  triangularize conjugates any nilpotent analytic cocycle into
+strictly block upper triangular shape by a unitary-valued polynomial change
+of frames adapted to the flag.  jordan_form goes further and produces a
+constant Jordan matrix, but that requires every iterate to have constant rank
+over the circle; the rank dropping anywhere is a hard obstruction, not a
+numerical one.  Its chains start at analytic tops fitted from samples of the
+flag and descend by exact polynomial products with A, so the tops are the
+only columns fitted.
 """
 
 from dataclasses import dataclass
@@ -17,22 +20,22 @@ from .errors import (
     ConstantRankViolated,
     FloatRangeExceeded,
     InconsistentProfile,
-    IndependenceLost,
     NotNilpotent,
     NotStrictlyOrdered,
     StructureViolation,
     UnsupportedBase,
 )
 from .frames import (
+    SubspaceField,
     analytic_frame,
     analytic_gauge,
     complement_within,
-    intersect_field,
     kernel_field,
+    on_widening_grid,
     orthocomplement,
-    range_field,
+    sum_field,
 )
-from .matfun import MatrixFunction, hstack, poly_from_samples, shift_samples
+from .matfun import MatrixFunction, hstack, poly_from_samples
 from .trigpoly import TrigPoly, default_grid_size
 
 
@@ -170,36 +173,22 @@ def jordan_structure_from_ranks(ranks, d):
     return tuple(lengths)
 
 
-def _restricted_lift(asamp, fin, head, alpha, tol):
-    """Solve A(x) w(x) = head(x+a) with w in the span of the frames fin.
-
-    w grows like head / |A|, so where A nearly vanishes on fin it can leave
-    the float range; that raises FloatRangeExceeded.
-    """
-    target = shift_samples(head, alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if fin is None:
-            w = (np.linalg.pinv(asamp, rcond=tol) @ target[..., None])[..., 0]
-        else:
-            coords = np.linalg.pinv(asamp @ fin, rcond=tol) @ target[..., None]
-            w = (fin @ coords)[..., 0]
-    if not np.isfinite(w).all():
-        raise FloatRangeExceeded(
-            "a Jordan chain vector leaves the float range")
-    return w
-
-
 def jordan_form(C, M=None, tol=None, structure=None):
     """Constant Jordan form of a nilpotent cocycle with constant-rank iterates.
 
-    Works up the flag V_n(x) = ran A_{p-n}(x - (p-n)a): chain heads are
-    lifted through the restriction of A to V_n, and new length-one chains
-    are opened from the part of ker A entering V_n at stage n.  Any rank
-    drop of any iterate at any sample aborts with ConstantRankViolated.
-    tol is the rank tolerance of the nilpotency verdict, the rank profile
-    and the fields; None keeps detect_nilpotency's default for the verdict
-    and 1e-9 for the rest.  Profile, verdict and iterates are those of
-    structure, built as Structure(C, tol) when None.
+    Walks down the kernel flag K_n = ker A_n, from K_p (the whole space) to
+    K_1 = ker A.  At stage L every open chain is pushed one step by the
+    exact product v -> A(x-a) v(x-a), which maps K_{L+1}(x-a) into K_L(x),
+    and the chains of length L open at analytic tops spanning the part of
+    K_L orthogonal to K_{L-1} and the pushed vectors; chains come out
+    longest first.  Only the tops are fitted from samples, on the grid
+    on_widening_grid settles on, so the conjugation defect is A applied to
+    the kernel ends, as small as the tops' distance from their kernels.
+    Any rank drop of any iterate at any sample aborts with
+    ConstantRankViolated.  tol is the rank tolerance of the nilpotency
+    verdict, the rank profile and the fields; None keeps detect_nilpotency's
+    default for the verdict and 1e-9 for the rest.  Profile, verdict and
+    iterates are those of structure, built as Structure(C, tol) when None.
 
     The chains are built on the unit-scale generator L_1 = A / 2^e of the
     structure, where vectors of one chain keep comparable sizes, and
@@ -222,75 +211,49 @@ def jordan_form(C, M=None, tol=None, structure=None):
             raise ConstantRankViolated(
                 f"iterate {n} loses rank at {len(exc)} grid samples"
             )
-    expected = jordan_structure_from_ranks(ranks, d)
-    if M is None:
-        M = _form_grid(C, p)
+    lengths = jordan_structure_from_ranks(ranks, d)
     alpha = C.alpha
     L1 = st.iterate(1)
-    asamp = L1.sample_grid(M)
-    kerA = kernel_field(L1, M, tol)
-    # V_n for n = 1..p-1; V_p is the whole space
+    push = L1.translate(-alpha)
     powers = [st.iterate(n) for n in range(1, p)]
-    vfields = {n: range_field(powers[p - n - 1].translate(-(p - n) * alpha), M, tol)
-               for n in range(1, p)}
-    dims = {n: (ranks[p - n - 1] if n < p else d) for n in range(1, p + 1)}
-    chains = []
-    prev_kv = None
-    for n in range(1, p + 1):
-        fin = vfields[n].frames if n < p else None
-        for ch in chains:
-            ch.append(_restricted_lift(asamp, fin, ch[-1], alpha, tol))
-        if n == p:
-            kv = kerA
-        elif n == 1:
-            kv = vfields[1]
-        else:
-            kv = intersect_field(kerA, vfields[n], tol)
-        born = kv if prev_kv is None else complement_within(prev_kv, kv, tol)
-        if born.k:
-            frame = analytic_gauge(born)
-            for j in range(frame.shape[2]):
-                chains.append([frame[:, :, j]])
-        prev_kv = kv
-        total = sum(len(ch) for ch in chains)
-        if total != dims[n]:
-            raise StructureViolation(
-                f"stage {n} carries {total} vectors but dim V_n = {dims[n]}"
-            )
-        cols = np.stack([v for ch in chains for v in ch], axis=2)
-        sv = np.linalg.svd(cols, compute_uv=False)
-        if float(sv[:, -1].min()) < tol * float(sv[:, 0].max()):
-            raise IndependenceLost(
-                f"chain vectors degenerate at stage {n}: "
-                f"min singular value {sv[:, -1].min():.3e}"
-            )
 
-    def head_key(ch):
-        first = ch[-1][0]
-        parts = []
-        for z in first:
-            parts.extend((round(float(z.real), 9), round(float(z.imag), 9)))
-        return (-len(ch), *parts)
+    def fronts_on(Mg):
+        # K_1, ..., K_p; fronts[m] holds chain vector m of every chain
+        # longer than m
+        flag = [kernel_field(F, Mg, tol) for F in powers]
+        flag.append(SubspaceField(np.broadcast_to(np.eye(d), (Mg, d, d))))
+        front, fronts = None, []
+        for L in range(p, 0, -1):
+            inner = flag[L - 2] if L > 1 else None
+            if front is not None:
+                front = push @ front.translate(-alpha)
+                span = SubspaceField(front.sample_grid(Mg))
+                inner = span if inner is None else sum_field(inner, span, tol)
+            born = flag[L - 1] if inner is None else complement_within(
+                inner, flag[L - 1], tol)
+            if born.k != lengths.count(L):
+                raise StructureViolation(
+                    f"stage {L} opens {born.k} chains but the rank profile "
+                    f"forces {lengths.count(L)}"
+                )
+            if born.k:
+                tops = poly_from_samples(analytic_gauge(born))
+                front = tops if front is None else hstack([front, tops])
+            fronts.append(front)
+        return fronts[::-1], Mg
 
-    chains.sort(key=head_key)
-    lengths = tuple(len(ch) for ch in chains)
-    if lengths != expected:
-        raise StructureViolation(
-            f"recovered chains {lengths} contradict the rank profile {expected}"
-        )
-    cols = np.stack([v for ch in chains for v in ch], axis=2)
-    unit = poly_from_samples(cols)
-    jmat = np.zeros((d, d))
-    off = 0
-    for L in lengths:
-        for j in range(L - 1):
-            jmat[off + j, off + j + 1] = 1.0
-        off += L
+    fronts, M = on_widening_grid(fronts_on, _form_grid(C, p), M)
+    unit = MatrixFunction(np.stack(
+        [fronts[m].entries[:, c] for c, L in enumerate(lengths) for m in range(L)],
+        axis=1))
+    positions = [m for L in lengths for m in range(L)]
+    # a one above the diagonal wherever a chain continues
+    jmat = np.diag([float(m > 0) for m in positions[1:]], 1)
     Mv = 2 * M
     conj = np.linalg.solve(unit.sample_grid(Mv, shift=alpha),
                            L1.sample_grid(Mv) @ unit.sample_grid(Mv))
     samples = np.linalg.svd(conj - jmat, compute_uv=False)[:, 0]
-    mfun = _in_units(unit, [m for L in lengths for m in range(L)], st.exponent)
+    mfun = _in_units(unit, positions, st.exponent)
     sv = np.linalg.svd(mfun.sample_grid(Mv), compute_uv=False)
     cond_max = float((sv[:, 0] / sv[:, -1]).max())
     return JordanForm(mfun, jmat, lengths, cond_max, samples)

@@ -98,32 +98,41 @@ class TestTriangularize:
             triangularize(twofrequency_rank_one())
 
 
+def _spy_kernels(monkeypatch):
+    # the iterates normalform asks kernel fields of, in call order
+    seen = []
+    real = normalform.kernel_field
+
+    def spy(F, M=None, tol=1e-9):
+        seen.append(F)
+        return real(F, M, tol)
+
+    monkeypatch.setattr(normalform, "kernel_field", spy)
+    return seen
+
+
+def _assert_unit_iterates(C, seen, p):
+    assert p >= 2 and len(seen) % (p - 1) == 0
+    # every grid tried reuses the same products A_1, ..., A_{p-1}, held
+    # as A_n / c^n, bit for bit, for the power of two c in (s/2, s],
+    # s the coefficient bound of A
+    c = math.ldexp(1.0, math.frexp(C.matrix.sup_bound())[1] - 1)
+    for i, F in enumerate(seen):
+        n = i % (p - 1) + 1
+        want = iterate(C, n) * (1.0 / c ** n)
+        assert all(f.kmin == g.kmin and np.array_equal(f.c, g.c)
+                   for f, g in zip(F.entries.flat, want.entries.flat))
+
+
 class TestTriangularizeIterates:
     # seed 4 widens the grid twice
     @pytest.mark.parametrize("seed", [0, 4, 6])
     def test_kernels_come_from_the_exact_iterates(self, seed, monkeypatch):
         C = random_nilpotent(seed)
-        seen = []
-        real = normalform.kernel_field
-
-        def spy(F, M=None, tol=1e-9):
-            seen.append(F)
-            return real(F, M, tol)
-
-        monkeypatch.setattr(normalform, "kernel_field", spy)
+        seen = _spy_kernels(monkeypatch)
         T = triangularize(C)
         monkeypatch.undo()
-        p = len(T.block_sizes)
-        assert p >= 2 and len(seen) % (p - 1) == 0
-        # every grid tried reuses the same products A_1, ..., A_{p-1}, held
-        # as A_n / c^n, bit for bit, for the power of two c in (s/2, s],
-        # s the coefficient bound of A
-        c = math.ldexp(1.0, math.frexp(C.matrix.sup_bound())[1] - 1)
-        for i, F in enumerate(seen):
-            n = i % (p - 1) + 1
-            want = iterate(C, n) * (1.0 / c ** n)
-            assert all(f.kmin == g.kmin and np.array_equal(f.c, g.c)
-                       for f, g in zip(F.entries.flat, want.entries.flat))
+        _assert_unit_iterates(C, seen, len(T.block_sizes))
 
     def test_degree_overflow(self):
         # invertible, so the nilpotency search reaches the second iterate,
@@ -178,26 +187,26 @@ class TestJordanForm:
         assert J.residual < 1e-8
         assert np.isfinite(J.cond_max)
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_range_fields_come_from_the_exact_iterates(self, seed, monkeypatch):
-        C, _, chains = random_constant_rank_jordan(seed)
-        p = max(chains)
-        seen = []
-        real = normalform.range_field
-
-        def spy(F, M=None, tol=1e-9):
-            seen.append(F)
-            return real(F, M, tol)
-
-        monkeypatch.setattr(normalform, "range_field", spy)
-        jordan_form(C)
+    # random_nilpotent(24) widens the grid once
+    @pytest.mark.parametrize("make", [
+        lambda: random_constant_rank_jordan(0)[0],
+        lambda: random_constant_rank_jordan(4)[0],
+        lambda: random_nilpotent(24),
+    ], ids=["jordan0", "jordan4", "nilpotent24"])
+    def test_kernels_come_from_the_exact_iterates(self, make, monkeypatch):
+        C = make()
+        seen = _spy_kernels(monkeypatch)
+        F = jordan_form(C)
         monkeypatch.undo()
-        # V_n is the range of A_{p-n} pulled back by (p-n) steps, n = 1..p-1
-        assert len(seen) == p - 1
-        for n, F in enumerate(seen, start=1):
-            want = iterate(C, p - n).translate(-(p - n) * C.alpha)
-            assert all(f.kmin == g.kmin and np.array_equal(f.c, g.c)
-                       for f, g in zip(F.entries.flat, want.entries.flat))
+        # K_1, ..., K_{p-1}; K_p is the whole space
+        _assert_unit_iterates(C, seen, F.chains[0])
+
+    @pytest.mark.parametrize("seed", list(range(20)))
+    def test_round_trip_without_known_form(self, seed):
+        C = random_nilpotent(seed)
+        F = jordan_form(C)
+        assert F.chains == jordan_structure_from_ranks(rank_profile(C).ranks, C.dim)
+        assert F.residual <= 1e-7
 
     @pytest.mark.parametrize("seed", [0, 2, 5])
     def test_chains_match_rank_duality(self, seed):
@@ -207,14 +216,14 @@ class TestJordanForm:
         assert J.chains == jordan_structure_from_ranks(prof.ranks, C.dim)
 
     def test_conjugation_on_fresh_grid(self):
-        C, _, _ = random_constant_rank_jordan(1)
-        J = jordan_form(C)
-        xs = (np.arange(211) + 0.17) / 211
-        msamp = J.M.sample_at(xs)
-        mshift = J.M.sample_at((xs + C.alpha) % 1.0)
-        asamp = C.matrix.sample_at(xs)
-        conj = np.linalg.solve(mshift, asamp @ msamp)
-        assert np.abs(conj - J.J).max() < 10 * max(J.residual, 1e-12)
+        for C in (random_constant_rank_jordan(1)[0], random_nilpotent(1)):
+            J = jordan_form(C)
+            xs = (np.arange(211) + 0.17) / 211
+            msamp = J.M.sample_at(xs)
+            mshift = J.M.sample_at((xs + C.alpha) % 1.0)
+            asamp = C.matrix.sample_at(xs)
+            conj = np.linalg.solve(mshift, asamp @ msamp)
+            assert np.abs(conj - J.J).max() < 10 * max(J.residual, 1e-12)
 
     @pytest.mark.parametrize("k", [-300, 300])
     @pytest.mark.parametrize("seed", [1, 4])
