@@ -213,14 +213,24 @@ def _run_lyapunov(C, args, structure=None):
     return lyapunov_spectrum(C, **kw, structure=structure, **_tolkw(args))
 
 
-def _exponent_rows(rep):
-    return [(j, float(e), float(s))
-            for j, (e, s) in enumerate(zip(rep.exponents, rep.stderr))]
+def _exponents_csv(path, rep):
+    rows = [(j, float(e), float(s))
+                for j, (e, s) in enumerate(zip(rep.exponents, rep.stderr))]
+    return _write_csv(path, ("j", "exponent", "stderr"), rows).name
 
 
-def _sample_rows(vals):
+def _residuals_csv(path, vals):
     """(x, value) rows of per-sample values on the grid x_j = j/len(vals)."""
-    return [(j / len(vals), float(v)) for j, v in enumerate(vals)]
+    rows = [(j / len(vals), float(v)) for j, v in enumerate(vals)]
+    return _write_csv(path, ("x", "value"), rows).name
+
+
+def _triangular_summary(T):
+    return {"block_sizes": list(T.block_sizes), "residual": T.residual}
+
+
+def _jordan_summary(F):
+    return {"chains": list(F.chains), "cond_max": F.cond_max, "residual": F.residual}
 
 
 def _dominate(C, args, gaps_path, structure):
@@ -247,78 +257,56 @@ def _dominate(C, args, gaps_path, structure):
     return S, R, section, [_write_csv(gaps_path, ("n", "ratio"), rows).name]
 
 
-def cmd_lyapunov(args):
+def _single(args, name, key, stage):
+    """Load the input, run stage(C, sidecar) and write the report: stage
+    returns the section, stored under key, and the names of the sidecars
+    it wrote to the paths sidecar(kind); the timing covers all of stage."""
     C, digest = _load(args)
     outdir, stem = _outplace(args)
+    report = _base_report(name, args, digest)
     t0 = time.perf_counter()
-    rep = _run_lyapunov(C, args)
-    report = _base_report("lyapunov", args, digest)
-    report["lyapunov"] = _lyap_section(rep)
-    report["timings"] = {"lyapunov": time.perf_counter() - t0}
-    side = _write_csv(outdir / f"{stem}.lyapunov.exponents.csv",
-                      ("j", "exponent", "stderr"), _exponent_rows(rep))
-    report["sidecars"] = [side.name]
-    print(_write_report(outdir / f"{stem}.lyapunov.json", report))
+    report[key], report["sidecars"] = stage(
+        C, lambda kind: outdir / f"{stem}.{name}.{kind}.csv")
+    report["timings"] = {name: time.perf_counter() - t0}
+    print(_write_report(outdir / f"{stem}.{name}.json", report))
     return 0
+
+
+def cmd_lyapunov(args):
+    def stage(C, sidecar):
+        rep = _run_lyapunov(C, args)
+        return _lyap_section(rep), [_exponents_csv(sidecar("exponents"), rep)]
+    return _single(args, "lyapunov", "lyapunov", stage)
 
 
 def cmd_triangularize(args):
-    C, digest = _load(args)
-    outdir, stem = _outplace(args)
-    t0 = time.perf_counter()
-    T = triangularize(C, M=args.grid, **_tolkw(args))
-    report = _base_report("triangularize", args, digest)
-    report["triangular"] = {
-        "block_sizes": list(T.block_sizes),
-        "residual": T.residual,
-        "U": T.U.to_json_dict(),
-        "B": T.B.to_json_dict(),
-    }
-    report["timings"] = {"triangularize": time.perf_counter() - t0}
-    side = _write_csv(outdir / f"{stem}.triangularize.residuals.csv",
-                      ("x", "value"), _sample_rows(T.samples))
-    report["sidecars"] = [side.name]
-    print(_write_report(outdir / f"{stem}.triangularize.json", report))
-    return 0
+    def stage(C, sidecar):
+        T = triangularize(C, M=args.grid, **_tolkw(args))
+        section = {**_triangular_summary(T), "U": T.U.to_json_dict(),
+                   "B": T.B.to_json_dict()}
+        return section, [_residuals_csv(sidecar("residuals"), T.samples)]
+    return _single(args, "triangularize", "triangular", stage)
 
 
 def cmd_jordan(args):
-    C, digest = _load(args)
-    outdir, stem = _outplace(args)
-    t0 = time.perf_counter()
-    F = jordan_form(C, M=args.grid, **_tolkw(args))
-    report = _base_report("jordan", args, digest)
-    report["jordan"] = {
-        "chains": list(F.chains),
-        "J": _mat_pairs(F.J),
-        "cond_max": F.cond_max,
-        "residual": F.residual,
-        "M": F.M.to_json_dict(),
-    }
-    report["timings"] = {"jordan": time.perf_counter() - t0}
-    side = _write_csv(outdir / f"{stem}.jordan.residuals.csv",
-                      ("x", "value"), _sample_rows(F.samples))
-    report["sidecars"] = [side.name]
-    print(_write_report(outdir / f"{stem}.jordan.json", report))
-    return 0
+    def stage(C, sidecar):
+        F = jordan_form(C, M=args.grid, **_tolkw(args))
+        section = {**_jordan_summary(F), "J": _mat_pairs(F.J),
+                   "M": F.M.to_json_dict()}
+        return section, [_residuals_csv(sidecar("residuals"), F.samples)]
+    return _single(args, "jordan", "jordan", stage)
 
 
 def cmd_dominate(args):
-    C, digest = _load(args)
-    outdir, stem = _outplace(args)
-    report = _base_report("dominate", args, digest)
-    t0 = time.perf_counter()
-    S, R, section, sidecars = _dominate(C, args, outdir / f"{stem}.dominate.gaps.csv",
-                                        Structure(C, args.tol))
-    section["U"] = S.U.to_json_dict()
-    if R is not None:
-        section["M"] = R.M.to_json_dict()
-        section["C"] = R.C.to_json_dict()
-    report["dominate"] = section
-    report["timings"] = {"dominate": time.perf_counter() - t0}
-    report["sidecars"] = sidecars
-    print(_write_report(outdir / f"{stem}.dominate.json", report))
-    return 0
+    def stage(C, sidecar):
+        S, R, section, sidecars = _dominate(C, args, sidecar("gaps"),
+                                            Structure(C, args.tol))
+        section["U"] = S.U.to_json_dict()
+        if R is not None:
+            section["M"] = R.M.to_json_dict()
+            section["C"] = R.C.to_json_dict()
+        return section, sidecars
+    return _single(args, "dominate", "dominate", stage)
 
 
 def cmd_analyze(args):
@@ -353,9 +341,7 @@ def cmd_analyze(args):
     lyap = _run_lyapunov(C, args, st)
     timings["lyapunov"] = time.perf_counter() - t0
     report["lyapunov"] = _lyap_section(lyap)
-    sidecars.append(_write_csv(outdir / f"{stem}.analyze.exponents.csv",
-                               ("j", "exponent", "stderr"),
-                               _exponent_rows(lyap)).name)
+    sidecars.append(_exponents_csv(outdir / f"{stem}.analyze.exponents.csv", lyap))
 
     pipeline = "lyapunov"
     result = {}
@@ -367,11 +353,9 @@ def cmd_analyze(args):
             result["note"] = f"normal forms unavailable: {exc}"
         else:
             pipeline = "triangularize"
-            result["block_sizes"] = list(T.block_sizes)
-            result["residual"] = T.residual
-            sidecars.append(_write_csv(outdir / f"{stem}.analyze.residuals.csv",
-                                       ("x", "value"),
-                                       _sample_rows(T.samples)).name)
+            result.update(_triangular_summary(T))
+            sidecars.append(_residuals_csv(outdir / f"{stem}.analyze.residuals.csv",
+                                           T.samples))
             try:
                 F = jordan_form(C, M=args.grid, structure=st, **_tolkw(args))
             except CocycleError as exc:
@@ -381,11 +365,7 @@ def cmd_analyze(args):
                                     "detail": str(exc)}
             else:
                 pipeline = "jordan"
-                result["jordan"] = {
-                    "chains": list(F.chains),
-                    "cond_max": F.cond_max,
-                    "residual": F.residual,
-                }
+                result["jordan"] = _jordan_summary(F)
         timings["normal_form"] = time.perf_counter() - t0
     elif 0 < prof.min_rank < C.dim:
         t0 = time.perf_counter()

@@ -565,7 +565,8 @@ class Structure:
                 cert = last.max_coeff() * unit ** n
             else:
                 cert = float(np.abs(last.samples).max()) * unit ** n
-            if cert <= tol:
+            # a nilpotent A has A_d = 0: a later iterate below tol has decayed
+            if cert <= tol and n <= self.cocycle.dim:
                 return NilpotencyReport(True, n, {"certificate": cert, "scale": scale})
         if self.cocycle.is_exact:
             M = max(64, default_grid_size(last.degree))
@@ -602,7 +603,8 @@ def detect_nilpotency(C, tol=1e-10, structure=None):
     are compared with tol, so the verdict does not depend on the units of
     A; the certificate and the witness's sample norm are unit-scale numbers,
     read off L_n.  The rank of the first iterate bounds the search: if no
-    iterate up to max_rank(A)+1 vanishes, none ever does.
+    iterate up to max_rank(A)+1 vanishes, none ever does.  A nilpotent
+    d x d cocycle has A_d = 0, so no degree above d is reported.
     """
     return (structure or Structure(C, tol)).nilpotency
 

@@ -21,7 +21,7 @@ from .errors import (
     StructureViolation,
     UnsupportedBase,
 )
-from .frames import analytic_frame, kernel_field, orthocomplement
+from .frames import field_grid, flag_frame
 from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, shift_samples, vstack
 from .trigpoly import default_grid_size
 
@@ -73,18 +73,7 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     p = st.profile.stabilized_at
     d = C.dim
     nk = d - k
-    Ap = st.iterate(p)
-
-    def fields_on(Mg):
-        ker = kernel_field(Ap, Mg, tol)
-        if ker.k != nk:
-            raise StructureViolation(
-                f"kernel of iterate {p} has dimension {ker.k}, expected {nk}"
-            )
-        return [ker, orthocomplement(ker)]
-
-    base = max(256, default_grid_size(C.matrix.degree * p))
-    U, _, Mg = analytic_frame(fields_on, base, M)
+    U, _, Mg = flag_frame([st.iterate(p)], [nk], field_grid(C.matrix.degree * p), M, tol)
     B = st.conjugate(U)
     a = B.block(0, nk, 0, nk)
     b = B.block(0, nk, nk, d)
@@ -130,7 +119,8 @@ def is_dominated(S, tol=1e-9, structure=None):
     k, p, d = S.k, S.p, S.cocycle.dim
     nstar = max(p + 1, d - k)
     F = st.iterate(nstar)
-    Mg = max(256, default_grid_size(F.degree))
+    # a grid that resolves the iterate, grown only where it would alias S.d
+    Mg = max(field_grid(F.degree), 1 << (2 * S.d.degree).bit_length())
     sk = np.linalg.svd(F.sample_grid(Mg), compute_uv=False)[:, k - 1]
     gm_rank = float(np.exp(np.log(np.maximum(sk, 1e-300)).mean()))
     rank_ok = bool(sk.min() > tol * gm_rank)
@@ -209,9 +199,7 @@ def dominated_splitting(S, tol=1e-9, verdict=None, structure=None):
     bfull = Cocycle(C.frequencies, vstack([hstack([a, b]), hstack([zero_bl, d])]))
     cert = {}
     for n, F in enumerate(iterates(bfull, 3 * p), start=1):
-        sv = np.linalg.svd(
-            F.sample_grid(max(256, default_grid_size(F.degree))), compute_uv=False
-        )
+        sv = np.linalg.svd(F.sample_grid(field_grid(F.degree)), compute_uv=False)
         # ratios saturate at 1/eps once the lower part is degenerate to noise
         floor = np.finfo(float).eps * sv[:, 0]
         cert[n] = float((sv[:, k - 1] / np.maximum(sv[:, k], floor)).min())

@@ -12,14 +12,22 @@ align only their result.  phase_align additionally treats the closure around
 the circle, recording the integer winding it removed.  analytic_gauge samples
 a section of a field as smooth as the bundle itself, and to_analytic_frame
 checks that an aligned field closes before matfun.poly_from_samples turns it
-into trigonometric-polynomial form.
+into trigonometric-polynomial form.  flag_frame fits the unitary frame
+adapted to the kernels of given iterates, from the base grid field_grid
+sets for every field.
 """
 
 import numpy as np
 
-from .errors import ClosureDefect, DimensionUnstable, TailTooFat
+from .errors import ClosureDefect, DimensionUnstable, StructureViolation, TailTooFat
 from .matfun import hstack, poly_from_samples
 from .trigpoly import default_grid_size
+
+
+def field_grid(degree):
+    """Base grid of a field of subspaces of data of the given degree, such
+    as the kernels of an iterate."""
+    return max(256, default_grid_size(degree))
 
 
 def cont_budget_default(degree, M, k):
@@ -162,7 +170,7 @@ def _svd_rank_split(samples, tol):
 def kernel_field(F, M=None, tol=1e-9):
     """Field of right null spaces of F, at the generic (maximal-rank) dimension."""
     if M is None:
-        M = _default_field_grid(F)
+        M = field_grid(F.degree)
     samples = F.sample_grid(M)
     return kernel_field_from_samples(samples, F.degree, tol)
 
@@ -180,7 +188,7 @@ def kernel_field_from_samples(samples, degree, tol=1e-9):
 def range_field(F, M=None, tol=1e-9):
     """Field of column spans of F, at the generic dimension."""
     if M is None:
-        M = _default_field_grid(F)
+        M = field_grid(F.degree)
     u, _, _, local = _svd_rank_split(F.sample_grid(M), tol)
     r = int(local.max())
     exc = [int(i) for i in np.nonzero(local < r)[0]]
@@ -356,17 +364,33 @@ def on_widening_grid(build, base, M=None):
         try:
             return build(Mg)
         except TailTooFat as exc:
-            err = exc
+            # a kept traceback would hold the failed build's frames in a cycle
+            err = exc.with_traceback(None)
     raise err
 
 
-def analytic_frame(fields_on, base, M=None):
-    """The frame stacking analytic gauges of the fields fields_on(Mg), with
-    those fields and Mg, on the grid on_widening_grid settles on."""
+def flag_frame(powers, dims, base, M=None, tol=1e-9):
+    """Unitary frame adapted to the kernel flag of the iterates powers.
+
+    Block 1 spans ker powers[0], block n the part of ker powers[n-1]
+    orthogonal to ker powers[n-2], the last block the rest.  The kernels
+    must have the dimensions dims and the blocks must fill the space, both
+    checked before any fit.  Returns the frame of analytic gauges (1e-9
+    tail), the block sizes and the grid on_widening_grid settles on.
+    """
     def build(Mg):
-        fields = fields_on(Mg)
+        kernels = [kernel_field(F, Mg, tol) for F in powers]
+        if [K.k for K in kernels] != list(dims):
+            raise StructureViolation(f"kernel dimensions {[K.k for K in kernels]}, "
+                                     f"the rank profile gives {list(dims)}")
+        fields = ([kernels[0]]
+                  + [complement_within(a, b, tol) for a, b in zip(kernels, kernels[1:])]
+                  + [orthocomplement(kernels[-1])])
+        sizes, d = tuple(S.k for S in fields), kernels[0].d
+        if sum(sizes) != d:
+            raise StructureViolation(f"block sizes {sizes} do not fill dimension {d}")
         blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
-        return hstack(blocks), fields, Mg
+        return hstack(blocks), sizes, Mg
 
     return on_widening_grid(build, base, M)
 
@@ -379,6 +403,3 @@ def to_analytic_frame(S, N=None, tol=1e-8):
         raise ValueError("field does not close; no analytic frame exists")
     return poly_from_samples(S.frames, N, tol)
 
-
-def _default_field_grid(F):
-    return max(128, default_grid_size(F.degree))

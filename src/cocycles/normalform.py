@@ -2,8 +2,8 @@
 
 Two levels of structure, both read off the kernel flag K_n = ker A_n of the
 exact iterates.  triangularize conjugates any nilpotent analytic cocycle into
-strictly block upper triangular shape by a unitary-valued polynomial change
-of frames adapted to the flag.  jordan_form goes further and produces a
+strictly block upper triangular shape by the unitary-valued polynomial frame
+frames.flag_frame fits to the flag.  jordan_form goes further and produces a
 constant Jordan matrix, but that requires every iterate to have constant rank
 over the circle; the rank dropping anywhere is a hard obstruction, not a
 numerical one.  Its chains start at analytic tops fitted from samples of the
@@ -27,16 +27,16 @@ from .errors import (
 )
 from .frames import (
     SubspaceField,
-    analytic_frame,
     analytic_gauge,
     complement_within,
+    field_grid,
+    flag_frame,
     kernel_field,
     on_widening_grid,
-    orthocomplement,
     sum_field,
 )
 from .matfun import MatrixFunction, hstack, poly_from_samples
-from .trigpoly import TrigPoly, default_grid_size
+from .trigpoly import TrigPoly
 
 
 @dataclass
@@ -84,12 +84,6 @@ class JordanForm:
 _FRAME_TOL = 1e-9
 
 
-def _form_grid(C, p):
-    # resolve the highest iterate that gets a kernel or range field
-    deg = C.matrix.degree * max(p - 1, 1)
-    return max(256, default_grid_size(deg))
-
-
 def triangularize(C, M=None, tol=None, structure=None):
     """Strictly block-triangular form of a nilpotent cocycle.
 
@@ -101,7 +95,8 @@ def triangularize(C, M=None, tol=None, structure=None):
     the rank tolerance of the nilpotency verdict and of the kernel fields;
     None keeps detect_nilpotency's default for the verdict and 1e-9 for the
     fields.  The kernels are those of the iterates of structure, built as
-    Structure(C, tol) when None.
+    Structure(C, tol) when None, and must have the dimensions its rank
+    profile gives, or StructureViolation is raised before any fit.
     """
     if not C.is_exact:
         raise UnsupportedBase("triangular form needs exact entries over a "
@@ -111,11 +106,17 @@ def triangularize(C, M=None, tol=None, structure=None):
         raise NotNilpotent("no iterate vanishes; nothing to triangularize")
     p, tol = st.nilpotency.degree, _FRAME_TOL if tol is None else tol
     d = C.dim
+    # the grid resolves A_{p-1}, the highest iterate that gets a kernel field
+    base = field_grid(C.matrix.degree * max(p - 1, 1))
     if p == 1:
         # the cocycle itself vanishes: one block in the identity frame
-        U, sizes, Mg = MatrixFunction.identity(d), (d,), M or _form_grid(C, p)
+        U, sizes, Mg = MatrixFunction.identity(d), (d,), M or base
     else:
-        U, sizes, Mg = _triangular_frame(C, st, p, M, tol)
+        # A_n has rank r_n, which stays at the profile's last rank past its end
+        ranks = st.profile.ranks
+        U, sizes, Mg = flag_frame(
+            [st.iterate(n) for n in range(1, p)],
+            [d - ranks[min(n, len(ranks)) - 1] for n in range(1, p)], base, M, tol)
     B = st.conjugate(U)
     Mv = 2 * Mg
     usamp = U.sample_grid(Mv)
@@ -128,26 +129,6 @@ def triangularize(C, M=None, tol=None, structure=None):
         if low.size:
             samples = np.maximum(samples, low.max(axis=(1, 2)))
     return TriangularForm(C, U, B, sizes, samples)
-
-
-def _triangular_frame(C, st, p, M, tol):
-    """Unitary frame U adapted to the kernel flag of a nilpotent cocycle of
-    structure st and degree p >= 2, with its block sizes and frames' grid."""
-    powers = [st.iterate(n) for n in range(1, p)]
-
-    def fields_on(Mg):
-        kernels = [kernel_field(F, Mg, tol) for F in powers]
-        fields = [kernels[0]]
-        for n in range(2, p):
-            fields.append(complement_within(kernels[n - 2], kernels[n - 1], tol))
-        fields.append(orthocomplement(kernels[-1]))
-        sizes = tuple(S.k for S in fields)
-        if sum(sizes) != C.dim:
-            raise StructureViolation(f"block sizes {sizes} do not fill dimension {C.dim}")
-        return fields
-
-    U, fields, Mg = analytic_frame(fields_on, _form_grid(C, p), M)
-    return U, tuple(S.k for S in fields), Mg
 
 
 def jordan_structure_from_ranks(ranks, d):
@@ -242,7 +223,8 @@ def jordan_form(C, M=None, tol=None, structure=None):
             fronts.append(front)
         return fronts[::-1], Mg
 
-    fronts, M = on_widening_grid(fronts_on, _form_grid(C, p), M)
+    fronts, M = on_widening_grid(fronts_on,
+                                 field_grid(C.matrix.degree * max(p - 1, 1)), M)
     unit = MatrixFunction(np.stack(
         [fronts[m].entries[:, c] for c, L in enumerate(lengths) for m in range(L)],
         axis=1))

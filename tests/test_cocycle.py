@@ -26,6 +26,7 @@ from cocycles.matfun import (
     max_rank,
     vstack,
 )
+from cocycles.normalform import perturb_simple, triangularize
 from cocycles.trigpoly import TrigPoly, default_grid_size
 
 
@@ -757,6 +758,16 @@ class TestNilpotency:
     def test_grid_two_frequency(self):
         rep = detect_nilpotency(fx.twofrequency_rank_one(M=32))
         assert rep.nilpotent and rep.degree == 2
+
+    def test_degree_never_exceeds_dimension(self):
+        # a simple-spectrum perturbation of a 3 x 3 nilpotent: at tol 1e-6
+        # its fourth iterate has decayed below tol, but A_3 has not vanished
+        T = triangularize(fx.nilpotent_3x3_variable_rank())
+        P, _ = perturb_simple(T, (4, 2, 1), 1e-4)
+        rep = detect_nilpotency(P, tol=1e-6)
+        assert not rep.nilpotent and rep.degree is None
+        # the witness is the last iterate formed, L_4
+        assert 0 < rep.witness["max_sample_norm"] <= 1e-6
 
 
 class TestUnits:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from cocycles.cocycle import GOLDEN_MEAN, Cocycle, iterate
+from cocycles import frames
+from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure, iterate
 from cocycles.domination import dominated_splitting, is_dominated, split_infinite_part
 from cocycles.errors import (
     FullyNilpotent,
     InversionBlowup,
     NoInfinitePart,
     NotDominated,
+    StructureViolation,
     UnsupportedBase,
 )
 from cocycles.fixtures import (
@@ -16,6 +18,9 @@ from cocycles.fixtures import (
     not_dominated_2x2,
     random_invertible,
     random_nilpotent,
+    random_strictly_upper,
+    random_trigpoly,
+    random_unitary_function,
     twofrequency_rank_one,
 )
 from cocycles.matfun import MatrixFunction, hstack, vstack
@@ -84,6 +89,21 @@ class TestSplitInfinitePart:
         with pytest.raises(FullyNilpotent):
             split_infinite_part(random_nilpotent(0))
 
+    def test_wrong_kernel_dimension_raises_before_any_fit(self, monkeypatch):
+        # at tol 1e-4 the profile misses the shift by 1e-6 I, which leaves
+        # A_2 a kernel of dimension 1 at the frame tolerance 1e-9
+        C0 = nilpotent_plus_invertible_3x3()
+        C = Cocycle(C0.frequencies, C0.matrix + MatrixFunction.constant(1e-6 * np.eye(3)))
+        st = Structure(C, 1e-4)
+        assert (st.profile.min_rank, st.profile.stabilized_at) == (1, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame was fitted")
+
+        monkeypatch.setattr(frames, "analytic_gauge", refuse)
+        with pytest.raises(StructureViolation, match="kernel dimensions"):
+            split_infinite_part(C, structure=st)
+
     def test_two_frequency_base_unsupported(self):
         with pytest.raises(UnsupportedBase):
             split_infinite_part(twofrequency_rank_one())
@@ -115,6 +135,37 @@ class TestIsDominated:
     def test_nilpotent_plus_invertible(self):
         S = split_infinite_part(nilpotent_plus_invertible_3x3())
         assert is_dominated(S)["dominated"] is True
+
+
+def degree_one_conjugated_split(seed, m, k):
+    """A strictly upper m x m block coupled to an everywhere-invertible k x k
+    block, conjugated by a random unitary of degree 1: dominated by
+    construction, with a finite block of high degree."""
+    rng = np.random.default_rng(seed)
+    nil = random_strictly_upper(rng, m, degree=1)
+    core = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    core += np.eye(k) * (2.0 * k)
+    smin = np.linalg.svd(core, compute_uv=False)[-1]
+    pert = MatrixFunction([[random_trigpoly(rng, 1) for _ in range(k)] for _ in range(k)])
+    inv = MatrixFunction.constant(core) + pert * (0.4 * smin / pert.sup_bound())
+    coupling = MatrixFunction([[random_trigpoly(rng, 1) for _ in range(k)] for _ in range(m)])
+    block = vstack([hstack([nil, coupling]), hstack([MatrixFunction.zero(k, m), inv])])
+    u = random_unitary_function(rng, m + k, degree=1)
+    return Cocycle((GOLDEN_MEAN,), u.translate(GOLDEN_MEAN) @ block @ u.adjoint())
+
+
+class TestHighDegreeSplit:
+    # the finite block's degree outgrows the grid that resolves L_n*
+    @pytest.mark.parametrize("seed, m, k", [(1003, 2, 2), (1016, 1, 1)])
+    def test_dominated_without_aliasing(self, seed, m, k):
+        C = degree_one_conjugated_split(seed, m, k)
+        S = split_infinite_part(C)
+        v = is_dominated(S)
+        assert v["dominated"] is True
+        # the grid resolving L_n* alone would alias the block
+        F = iterate(C, v["evidence"]["n_star"])
+        assert 2 * S.d.degree >= max(256, default_grid_size(F.degree))
+        assert dominated_splitting(S, verdict=v).residual < 1e-8
 
 
 class TestDominatedSplitting:

@@ -1,16 +1,24 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from cocycles import fixtures as fx
-from cocycles.errors import ClosureDefect, DimensionUnstable, TailTooFat
+from cocycles import frames
+from cocycles.cocycle import Structure
+from cocycles.errors import ClosureDefect, DimensionUnstable, StructureViolation, TailTooFat
 from cocycles.frames import (
     SubspaceField,
     _rolling_align,
     complement_within,
     field_from_vectors,
+    field_grid,
+    flag_frame,
     intersect_field,
     kernel_field,
     kernel_field_from_samples,
+    on_widening_grid,
     orthocomplement,
     phase_align,
     preimage_field,
@@ -261,6 +269,46 @@ class TestAnalyticFrame:
         F = to_analytic_frame(out)
         prod = C.matrix @ F
         assert prod.max_coeff() < 1e-9
+
+
+class TestFlagFrame:
+    def test_field_grid(self):
+        assert [field_grid(n) for n in (0, 63, 64, 200)] == [256, 256, 512, 1024]
+        F = fx.nilpotent_3x3_variable_rank().matrix
+        assert kernel_field(F).M == range_field(F).M == 256
+
+    def test_kernel_dimensions_checked_before_any_fit(self, monkeypatch):
+        # the kernels of L_1 and L_2 have dimensions 1 and 2
+        st = Structure(fx.nilpotent_3x3_variable_rank())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame was fitted")
+
+        monkeypatch.setattr(frames, "analytic_gauge", refuse)
+        with pytest.raises(StructureViolation, match="kernel dimensions"):
+            flag_frame([st.iterate(1), st.iterate(2)], [1, 1], 256)
+
+
+class TestWideningGrid:
+    def test_rejected_builds_are_freed_without_a_collection(self):
+        class Samples:
+            pass
+
+        held = []
+
+        def build(Mg):
+            samples = Samples()
+            held.append(weakref.ref(samples))
+            if Mg < 4:
+                raise TailTooFat("tail too fat")
+            return Mg
+
+        gc.disable()
+        try:
+            assert on_widening_grid(build, 1) == 4
+            assert [ref() is None for ref in held] == [True, True, True]
+        finally:
+            gc.enable()
 
 
 def _sequential_align(frames):

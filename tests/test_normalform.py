@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cocycles import normalform
+from cocycles import frames, normalform
 from cocycles.cocycle import GOLDEN_MEAN, Cocycle, iterate, lyapunov_spectrum, rank_profile
+from cocycles.domination import split_infinite_part
 from cocycles.errors import (
     ConstantRankViolated,
     DegreeOverflow,
@@ -19,6 +20,7 @@ from cocycles.fixtures import (
     dominated_2x2,
     nilpotent_3x3_variable_rank,
     nilpotent_4x4_variable_rank2,
+    nilpotent_plus_invertible_3x3,
     random_constant_rank_jordan,
     random_nilpotent,
     twofrequency_rank_one,
@@ -99,26 +101,29 @@ class TestTriangularize:
 
 
 def _spy_kernels(monkeypatch):
-    # the iterates normalform asks kernel fields of, in call order
+    # the iterates the forms ask kernel fields of, in call order: flag_frame
+    # looks kernel_field up in frames, the Jordan chains in normalform
     seen = []
-    real = normalform.kernel_field
+    real = frames.kernel_field
 
     def spy(F, M=None, tol=1e-9):
         seen.append(F)
         return real(F, M, tol)
 
+    monkeypatch.setattr(frames, "kernel_field", spy)
     monkeypatch.setattr(normalform, "kernel_field", spy)
     return seen
 
 
-def _assert_unit_iterates(C, seen, p):
-    assert p >= 2 and len(seen) % (p - 1) == 0
-    # every grid tried reuses the same products A_1, ..., A_{p-1}, held
-    # as A_n / c^n, bit for bit, for the power of two c in (s/2, s],
-    # s the coefficient bound of A
+def _assert_unit_iterates(C, seen, ns):
+    # every grid tried asks for the kernels of L_n, n in ns, in order; at
+    # least one grid is tried, so a spy that sees nothing fails
+    assert ns and len(seen) >= len(ns) and len(seen) % len(ns) == 0
+    # each reuses the products A_n held as A_n / c^n, bit for bit, for the
+    # power of two c in (s/2, s], s the coefficient bound of A
     c = math.ldexp(1.0, math.frexp(C.matrix.sup_bound())[1] - 1)
     for i, F in enumerate(seen):
-        n = i % (p - 1) + 1
+        n = ns[i % len(ns)]
         want = iterate(C, n) * (1.0 / c ** n)
         assert all(f.kmin == g.kmin and np.array_equal(f.c, g.c)
                    for f, g in zip(F.entries.flat, want.entries.flat))
@@ -132,7 +137,7 @@ class TestTriangularizeIterates:
         seen = _spy_kernels(monkeypatch)
         T = triangularize(C)
         monkeypatch.undo()
-        _assert_unit_iterates(C, seen, len(T.block_sizes))
+        _assert_unit_iterates(C, seen, list(range(1, len(T.block_sizes))))
 
     def test_degree_overflow(self):
         # invertible, so the nilpotency search reaches the second iterate,
@@ -142,6 +147,17 @@ class TestTriangularizeIterates:
             [[z, TrigPoly.harmonic(2100)], [TrigPoly.constant(1.0), z]]))
         with pytest.raises(DegreeOverflow):
             triangularize(C)
+
+
+class TestSplitIterates:
+    # the split frame is flag_frame on L_p alone
+    @pytest.mark.parametrize("make", [nilpotent_plus_invertible_3x3, dominated_2x2])
+    def test_kernel_comes_from_the_stable_iterate(self, make, monkeypatch):
+        C = make()
+        seen = _spy_kernels(monkeypatch)
+        S = split_infinite_part(C)
+        monkeypatch.undo()
+        _assert_unit_iterates(C, seen, [S.p])
 
 
 class TestJordanStructure:
@@ -199,7 +215,7 @@ class TestJordanForm:
         F = jordan_form(C)
         monkeypatch.undo()
         # K_1, ..., K_{p-1}; K_p is the whole space
-        _assert_unit_iterates(C, seen, F.chains[0])
+        _assert_unit_iterates(C, seen, list(range(1, F.chains[0])))
 
     @pytest.mark.parametrize("seed", list(range(20)))
     def test_round_trip_without_known_form(self, seed):
