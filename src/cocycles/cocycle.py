@@ -27,6 +27,7 @@ from .errors import (
     StructureViolation,
     UnsupportedBase,
 )
+from .frames import raw_kernel_field
 from .matfun import (
     GridMatrixFunction,
     MatrixFunction,
@@ -491,6 +492,8 @@ class Structure:
     factor.  It grows only as far as a question needs.  profile (rank_profile; k and p
     are its min_rank and stabilized_at) and nilpotency (detect_nilpotency)
     are computed on first use, with tol or their defaults 1e-9 and 1e-10.
+    kernel builds the kernel field of L_n once per grid and rank tolerance,
+    so the normal forms and the splitting share it.
     """
 
     def __init__(self, C, tol=None):
@@ -503,12 +506,21 @@ class Structure:
         # no question reads past L_{d+1}
         self._ladder = iterates(self.unit, C.dim + 1)
         self._iterates = []
+        self._kernels = {}
 
     def iterate(self, n):
         """L_n = A_n / scale^n."""
         while len(self._iterates) < n:
             self._iterates.append(next(self._ladder))
         return self._iterates[n - 1]
+
+    def kernel(self, n, M, tol):
+        """The raw (unaligned) kernel field of L_n sampled on the grid M."""
+        key = (n, M, tol)
+        if key not in self._kernels:
+            F = self.iterate(n)
+            self._kernels[key] = raw_kernel_field(F.sample_grid(M), F.degree, tol)
+        return self._kernels[key]
 
     def conjugate(self, U):
         """U*(x+a) A(x) U(x), formed on the unit-scale generator, where its

@@ -73,7 +73,8 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     p = st.profile.stabilized_at
     d = C.dim
     nk = d - k
-    U, _, Mg = flag_frame([st.iterate(p)], [nk], field_grid(C.matrix.degree * p), M, tol)
+    U, _, Mg = flag_frame(lambda Mg: [st.kernel(p, Mg, tol)], [nk],
+                          field_grid(C.matrix.degree * p), M, tol)
     B = st.conjugate(U)
     a = B.block(0, nk, 0, nk)
     b = B.block(0, nk, nk, d)

@@ -1,20 +1,28 @@
 """Analytically varying subspaces as phase-aligned orthonormal frames on a grid.
 
-A SubspaceField stores one orthonormal frame per grid sample.  Constructors
-(kernel, range, preimage, sum, intersection) mark samples where the defining
-rank degenerates as exceptional and fill them by continuation from neighbors,
-then gauge the frames along the grid so adjacent frames are maximally aligned.
-The alignment needs no per-sample loop: the Procrustes step factors between
-neighbors come from one batched SVD, a log-depth prefix product chains them
-into the per-sample corrections, and two Newton-Schulz steps re-unitarise the
-chained products.  Composite operations (intersection, complement within)
-align only their result.  phase_align additionally treats the closure around
-the circle, recording the integer winding it removed.  analytic_gauge samples
-a section of a field as smooth as the bundle itself, and to_analytic_frame
-checks that an aligned field closes before matfun.poly_from_samples turns it
-into trigonometric-polynomial form.  flag_frame fits the unitary frame
-adapted to the kernels of given iterates, from the base grid field_grid
-sets for every field.
+A SubspaceField stores one orthonormal frame per grid sample.  Raw builders
+(raw_kernel_field, raw_sum_field, raw_orthocomplement, raw_complement_within)
+mark samples where the defining rank degenerates as exceptional, fill them by
+continuation from neighbors and leave the frames in the gauge of the SVD
+that built them.  A field built by an SVD keeps the orthogonal complement
+that SVD gave as its perp, recomputed only at the filled samples, so its
+complement costs no further SVD; a complement carries the field it
+complements as its own perp.  The public constructors (kernel, range,
+preimage, sum, intersection, complements) are raw builders followed by an
+alignment that gauges the frames along the grid so adjacent frames are
+maximally aligned.  The alignment needs no per-sample loop: the Procrustes
+step factors between neighbors come from one batched SVD, a log-depth prefix
+product chains them into the per-sample corrections, and two Newton-Schulz
+steps re-unitarise the chained products.  Code that reads no gauge uses the
+raw builders: analytic_gauge reads projectors and frames[0], which the
+alignment leaves unchanged, so flag_frame and the Jordan chains align
+nothing.  phase_align aligns its input itself and also treats the closure
+around the circle, recording the integer winding it removed.  analytic_gauge
+samples a section of a field as smooth as the bundle itself, and
+to_analytic_frame checks that an aligned field closes before
+matfun.poly_from_samples turns it into trigonometric-polynomial form.
+flag_frame fits the unitary frame adapted to a flag of kernel fields, from
+the base grid field_grid sets for every field.
 """
 
 import numpy as np
@@ -37,7 +45,11 @@ def cont_budget_default(degree, M, k):
 
 
 def polar_unitary(a):
-    """Unitary factor of the polar decomposition (batched over leading axes)."""
+    """Unitary factor of the polar decomposition (batched over leading axes);
+    z/|z| for 1 x 1 input, with 0 -> 1 as the SVD gives."""
+    if a.shape[-2:] == (1, 1):
+        r = np.abs(a)
+        return np.where(r > 0, a / np.where(r > 0, r, 1.0), 1.0)
     u, _, vh = np.linalg.svd(a)
     return u @ vh
 
@@ -47,14 +59,15 @@ class SubspaceField:
 
     align_phase accumulates the determinant phase of every gauge correction
     applied to the raw frames so far; phase_align folds it into the winding
-    count when it closes the loop.
+    count when it closes the loop.  perp, when set, holds orthonormal frames
+    of the per-sample orthogonal complement.
     """
 
     __slots__ = ("frames", "exceptional", "winding", "closure_residual",
-                 "cont_budget", "align_phase")
+                 "cont_budget", "align_phase", "perp")
 
     def __init__(self, frames, exceptional=(), winding=None, closure_residual=None,
-                 cont_budget=None, align_phase=0.0):
+                 cont_budget=None, align_phase=0.0, perp=None):
         frames = np.asarray(frames, dtype=complex)
         if frames.ndim != 3:
             raise ValueError("frames must be (M, d, k)")
@@ -64,6 +77,7 @@ class SubspaceField:
         self.closure_residual = closure_residual
         self.cont_budget = cont_budget
         self.align_phase = float(align_phase)
+        self.perp = perp
 
     @property
     def M(self):
@@ -139,20 +153,25 @@ def _rolling_align(frames):
     return frames @ w, theta
 
 
-def _filled(frames, exceptional, budget):
-    # unaligned field with its degenerate samples continued from neighbors
+def _filled(frames, exceptional, budget, perp=None):
+    # unaligned field with its degenerate samples continued from neighbors;
+    # the complement perp of the raw frames is recomputed where they moved
     if len(exceptional) > 0.1 * frames.shape[0]:
         raise DimensionUnstable(
             f"{len(exceptional)} of {frames.shape[0]} samples degenerate"
         )
-    filled = _fill_exceptional(frames, exceptional) if exceptional else frames
-    return SubspaceField(filled, exceptional, cont_budget=budget)
+    if exceptional:
+        frames = _fill_exceptional(frames, exceptional)
+        if perp is not None and frames.shape[2]:
+            perp = perp.copy()
+            perp[exceptional] = np.linalg.svd(frames[exceptional])[0][:, :, frames.shape[2]:]
+    return SubspaceField(frames, exceptional, cont_budget=budget, perp=perp)
 
 
 def _aligned(S):
     frames, theta = _rolling_align(S.frames)
     return SubspaceField(frames, S.exceptional, cont_budget=S.cont_budget,
-                         align_phase=theta)
+                         align_phase=theta, perp=S.perp)
 
 
 def _finish(frames, exceptional, budget):
@@ -176,13 +195,20 @@ def kernel_field(F, M=None, tol=1e-9):
 
 
 def kernel_field_from_samples(samples, degree, tol=1e-9):
+    return _aligned(raw_kernel_field(samples, degree, tol))
+
+
+def raw_kernel_field(samples, degree, tol=1e-9):
+    """kernel_field_from_samples unaligned; the first rows of each vh span
+    the complement, kept as perp."""
     samples = np.asarray(samples, dtype=complex)
     _, _, vh, local = _svd_rank_split(samples, tol)
     r = int(local.max())
     k = samples.shape[2] - r
-    frames = np.conj(np.swapaxes(vh[:, r:, :], 1, 2))
+    right = np.conj(np.swapaxes(vh, 1, 2))
     exc = [int(i) for i in np.nonzero(local < r)[0]]
-    return _finish(frames, exc, cont_budget_default(degree, samples.shape[0], max(k, 1)))
+    return _filled(right[:, :, r:], exc,
+                   cont_budget_default(degree, samples.shape[0], max(k, 1)), right[:, :, :r])
 
 
 def range_field(F, M=None, tol=1e-9):
@@ -208,19 +234,24 @@ def field_from_vectors(vecs, degree, tol=1e-7):
     return _finish(frames, exc, cont_budget_default(degree, vecs.shape[0], 1))
 
 
-def _complement(S):
-    # per-sample orthogonal complement in the raw SVD gauge
+def raw_orthocomplement(S):
+    """orthocomplement unaligned: S.perp when the SVD that built S gave it,
+    else from a fresh SVD; its own perp is S."""
     M, d, k = S.frames.shape
     if k == 0:
-        eye = np.broadcast_to(np.eye(d, dtype=complex), (M, d, d)).copy()
-        return SubspaceField(eye, S.exceptional, cont_budget=S.cont_budget)
-    u, _, _ = np.linalg.svd(S.frames)
-    return SubspaceField(u[:, :, k:], S.exceptional, cont_budget=S.cont_budget)
+        perp = np.broadcast_to(np.eye(d, dtype=complex), (M, d, d)).copy()
+    elif S.perp is not None:
+        perp = S.perp
+    elif k == d:
+        perp = np.empty((M, d, 0), dtype=complex)
+    else:
+        perp = np.linalg.svd(S.frames)[0][:, :, k:]
+    return SubspaceField(perp, S.exceptional, cont_budget=S.cont_budget, perp=S.frames)
 
 
 def orthocomplement(S):
     """Per-sample orthogonal complement; dimensions add up to d."""
-    P = _complement(S)
+    P = raw_orthocomplement(S)
     return P if S.k == 0 else _aligned(P)
 
 
@@ -231,7 +262,7 @@ def preimage_field(F, S, M=None, tol=1e-9):
     if M != S.M:
         raise ValueError("grid size must match the field")
     fsamp = F.sample_grid(M)
-    perp = _complement(S)
+    perp = raw_orthocomplement(S)
     w = np.conj(np.swapaxes(fsamp, 1, 2)) @ perp.frames
     u, _, _, local = _svd_rank_split(w, tol)
     r = int(local.max())
@@ -243,25 +274,25 @@ def preimage_field(F, S, M=None, tol=1e-9):
     return _finish(frames, exc, budget)
 
 
-def _span_sum(S, T, tol):
-    # pointwise span of the union at the generic dimension, unaligned
+def raw_sum_field(S, T, tol=1e-9):
+    """sum_field unaligned; the last columns of each u span the complement,
+    kept as perp."""
     if S.M != T.M:
         raise ValueError("grid size mismatch")
     stacked = np.concatenate([S.frames, T.frames], axis=2)
     if stacked.shape[2] == 0:
         return SubspaceField(stacked, cont_budget=S.cont_budget)
-    u, s, _, local = _svd_rank_split(stacked, tol)
+    u, _, _, local = _svd_rank_split(stacked, tol)
     r = int(local.max())
-    frames = u[:, :, :r]
     exc = sorted(set(S.exceptional) | set(T.exceptional)
                  | {int(i) for i in np.nonzero(local < r)[0]})
     budget = max(S.cont_budget or 0.0, T.cont_budget or 0.0) or None
-    return _filled(frames, exc, budget)
+    return _filled(u[:, :, :r], exc, budget, u[:, :, r:])
 
 
 def sum_field(S, T, tol=1e-9):
     """Pointwise span of the union, at the generic dimension."""
-    return _aligned(_span_sum(S, T, tol))
+    return _aligned(raw_sum_field(S, T, tol))
 
 
 def intersect_field(S, T, tol=1e-9):
@@ -270,7 +301,13 @@ def intersect_field(S, T, tol=1e-9):
     The two complements and their sum are intermediate spans whose gauge
     nothing observes, so only the result is aligned.
     """
-    return orthocomplement(_span_sum(_complement(S), _complement(T), tol))
+    return orthocomplement(raw_sum_field(raw_orthocomplement(S),
+                                         raw_orthocomplement(T), tol))
+
+
+def raw_complement_within(inner, outer, tol=1e-9):
+    """complement_within unaligned."""
+    return raw_orthocomplement(raw_sum_field(raw_orthocomplement(outer), inner, tol))
 
 
 def complement_within(inner, outer, tol=1e-9):
@@ -279,7 +316,7 @@ def complement_within(inner, outer, tol=1e-9):
     This is the intersection of `outer` with the complement of `inner`, whose
     own complement is `inner` itself, so one complement pair is skipped.
     """
-    return orthocomplement(_span_sum(_complement(outer), inner, tol))
+    return _aligned(raw_complement_within(inner, outer, tol))
 
 
 def phase_align(S):
@@ -369,24 +406,26 @@ def on_widening_grid(build, base, M=None):
     raise err
 
 
-def flag_frame(powers, dims, base, M=None, tol=1e-9):
-    """Unitary frame adapted to the kernel flag of the iterates powers.
+def flag_frame(kernels, dims, base, M=None, tol=1e-9):
+    """Unitary frame adapted to the flag of kernel fields kernels(Mg) gives
+    on the grid Mg, such as Structure.kernel's fields of its iterates.
 
-    Block 1 spans ker powers[0], block n the part of ker powers[n-1]
-    orthogonal to ker powers[n-2], the last block the rest.  The kernels
+    Block 1 spans kernels(Mg)[0], block n the part of kernels(Mg)[n-1]
+    orthogonal to kernels(Mg)[n-2], the last block the rest.  The kernels
     must have the dimensions dims and the blocks must fill the space, both
-    checked before any fit.  Returns the frame of analytic gauges (1e-9
-    tail), the block sizes and the grid on_widening_grid settles on.
+    checked before any fit.  The blocks are raw fields, since analytic_gauge
+    reads no gauge.  Returns the frame of analytic gauges (1e-9 tail), the
+    block sizes and the grid on_widening_grid settles on.
     """
     def build(Mg):
-        kernels = [kernel_field(F, Mg, tol) for F in powers]
-        if [K.k for K in kernels] != list(dims):
-            raise StructureViolation(f"kernel dimensions {[K.k for K in kernels]}, "
+        flag = kernels(Mg)
+        if [K.k for K in flag] != list(dims):
+            raise StructureViolation(f"kernel dimensions {[K.k for K in flag]}, "
                                      f"the rank profile gives {list(dims)}")
-        fields = ([kernels[0]]
-                  + [complement_within(a, b, tol) for a, b in zip(kernels, kernels[1:])]
-                  + [orthocomplement(kernels[-1])])
-        sizes, d = tuple(S.k for S in fields), kernels[0].d
+        fields = ([flag[0]]
+                  + [raw_complement_within(a, b, tol) for a, b in zip(flag, flag[1:])]
+                  + [raw_orthocomplement(flag[-1])])
+        sizes, d = tuple(S.k for S in fields), flag[0].d
         if sum(sizes) != d:
             raise StructureViolation(f"block sizes {sizes} do not fill dimension {d}")
         blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]

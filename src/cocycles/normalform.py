@@ -28,12 +28,12 @@ from .errors import (
 from .frames import (
     SubspaceField,
     analytic_gauge,
-    complement_within,
     field_grid,
     flag_frame,
-    kernel_field,
     on_widening_grid,
-    sum_field,
+    raw_complement_within,
+    raw_orthocomplement,
+    raw_sum_field,
 )
 from .matfun import MatrixFunction, hstack, poly_from_samples
 from .trigpoly import TrigPoly
@@ -94,9 +94,10 @@ def triangularize(C, M=None, tol=None, structure=None):
     block diagonal of B, measured on a doubled verification grid.  tol is
     the rank tolerance of the nilpotency verdict and of the kernel fields;
     None keeps detect_nilpotency's default for the verdict and 1e-9 for the
-    fields.  The kernels are those of the iterates of structure, built as
-    Structure(C, tol) when None, and must have the dimensions its rank
-    profile gives, or StructureViolation is raised before any fit.
+    fields.  The kernel fields come from structure.kernel, which shares them
+    with jordan_form (structure is Structure(C, tol) when None), and must
+    have the dimensions its rank profile gives, or StructureViolation is
+    raised before any fit.
     """
     if not C.is_exact:
         raise UnsupportedBase("triangular form needs exact entries over a "
@@ -115,7 +116,7 @@ def triangularize(C, M=None, tol=None, structure=None):
         # A_n has rank r_n, which stays at the profile's last rank past its end
         ranks = st.profile.ranks
         U, sizes, Mg = flag_frame(
-            [st.iterate(n) for n in range(1, p)],
+            lambda Mg: [st.kernel(n, Mg, tol) for n in range(1, p)],
             [d - ranks[min(n, len(ranks)) - 1] for n in range(1, p)], base, M, tol)
     B = st.conjugate(U)
     Mv = 2 * Mg
@@ -196,22 +197,24 @@ def jordan_form(C, M=None, tol=None, structure=None):
     alpha = C.alpha
     L1 = st.iterate(1)
     push = L1.translate(-alpha)
-    powers = [st.iterate(n) for n in range(1, p)]
 
     def fronts_on(Mg):
-        # K_1, ..., K_p; fronts[m] holds chain vector m of every chain
+        # K_1, ..., K_{p-1}, raw: the fields below feed only span sums and
+        # analytic_gauge; fronts[m] holds chain vector m of every chain
         # longer than m
-        flag = [kernel_field(F, Mg, tol) for F in powers]
-        flag.append(SubspaceField(np.broadcast_to(np.eye(d), (Mg, d, d))))
+        flag = [st.kernel(n, Mg, tol) for n in range(1, p)]
         front, fronts = None, []
         for L in range(p, 0, -1):
-            inner = flag[L - 2] if L > 1 else None
-            if front is not None:
+            if L == p:
+                # K_p is the whole space: the chains of length p open in the
+                # complement of K_{p-1}
+                born = raw_orthocomplement(flag[-1]) if flag else SubspaceField(
+                    np.broadcast_to(np.eye(d), (Mg, d, d)))
+            else:
                 front = push @ front.translate(-alpha)
                 span = SubspaceField(front.sample_grid(Mg))
-                inner = span if inner is None else sum_field(inner, span, tol)
-            born = flag[L - 1] if inner is None else complement_within(
-                inner, flag[L - 1], tol)
+                inner = raw_sum_field(flag[L - 2], span, tol) if L > 1 else span
+                born = raw_complement_within(inner, flag[L - 1], tol)
             if born.k != lengths.count(L):
                 raise StructureViolation(
                     f"stage {L} opens {born.k} chains but the rank profile "

@@ -10,7 +10,9 @@ from cocycles.cocycle import Structure
 from cocycles.errors import ClosureDefect, DimensionUnstable, StructureViolation, TailTooFat
 from cocycles.frames import (
     SubspaceField,
+    _aligned,
     _rolling_align,
+    analytic_gauge,
     complement_within,
     field_from_vectors,
     field_grid,
@@ -21,8 +23,12 @@ from cocycles.frames import (
     on_widening_grid,
     orthocomplement,
     phase_align,
+    polar_unitary,
     preimage_field,
     range_field,
+    raw_complement_within,
+    raw_orthocomplement,
+    raw_sum_field,
     subspace_distance,
     sum_field,
     to_analytic_frame,
@@ -165,6 +171,77 @@ class TestCalculus:
         assert P.k == C.dim
 
 
+def _raw_flag(make):
+    # the raw kernel fields K_1, ..., K_{p-1} of a nilpotent fixture on the
+    # grid 256, as the normal forms build them
+    st = Structure(make())
+    return [st.kernel(n, 256, 1e-9) for n in range(1, st.nilpotency.degree)]
+
+
+# the two variable-rank fixtures have exceptional (filled) kernel samples
+FLAG_MAKERS = [fx.nilpotent_3x3_variable_rank, fx.nilpotent_4x4_variable_rank2,
+               lambda: fx.random_nilpotent(3)]
+FLAG_IDS = ["variable3x3", "variable4x4", "nilpotent3"]
+
+
+class TestRawFields:
+    @pytest.mark.parametrize("make", FLAG_MAKERS, ids=FLAG_IDS)
+    def test_carried_complement_matches_a_fresh_svd(self, make):
+        flag = _raw_flag(make)
+        # a kernel's perp comes from vh, a sum's from u
+        fields = flag + [raw_sum_field(flag[0], raw_orthocomplement(flag[-1]))]
+        for S in fields:
+            perp = SubspaceField(S.perp)
+            fresh = SubspaceField(np.linalg.svd(S.frames)[0][:, :, S.k:])
+            assert perp.k == S.d - S.k
+            assert orthonormality_defect(perp) < 1e-12
+            assert subspace_distance(perp, fresh) < 1e-12
+            if S.exceptional:
+                rows = S.exceptional
+                gap = perp.projectors()[rows] - fresh.projectors()[rows]
+                assert np.linalg.norm(gap, ord=2, axis=(1, 2)).max() < 1e-12
+        assert any(S.exceptional for S in fields) == (make is not FLAG_MAKERS[2])
+
+    def test_complements_take_no_svd(self, monkeypatch):
+        K = _raw_flag(fx.nilpotent_3x3_variable_rank)[0]
+        whole = constant_field(64, 3, [0, 1, 2])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was taken")
+
+        monkeypatch.setattr(frames.np.linalg, "svd", refuse)
+        P = raw_orthocomplement(K)
+        assert P.frames is K.perp and P.perp is K.frames
+        assert raw_orthocomplement(whole).k == 0
+
+    @pytest.mark.parametrize("make", FLAG_MAKERS, ids=FLAG_IDS)
+    def test_analytic_gauge_reads_no_gauge(self, make):
+        flag = _raw_flag(make)
+        fields = (flag + [raw_complement_within(a, b) for a, b in zip(flag, flag[1:])]
+                  + [raw_orthocomplement(flag[-1])])
+        for S in fields:
+            twin = _aligned(S)
+            assert np.array_equal(twin.frames[0], S.frames[0])
+            raw, aligned = analytic_gauge(S), analytic_gauge(twin)
+            assert subspace_distance(SubspaceField(raw), SubspaceField(aligned)) < 1e-12
+            assert np.abs(raw - aligned).max() < 1e-12
+
+
+class TestPolarUnitary:
+    def test_scalar_matches_the_svd(self):
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((64, 1, 1)) + 1j * rng.standard_normal((64, 1, 1))
+        z *= np.logspace(-100, 100, 64)[:, None, None]
+        u, _, vh = np.linalg.svd(z)
+        assert np.abs(polar_unitary(z) - u @ vh).max() < 1e-15
+
+    def test_scalar_zero_maps_to_one_as_the_svd_does(self):
+        z = np.zeros((3, 1, 1), dtype=complex)
+        u, _, vh = np.linalg.svd(z)
+        with np.errstate(all="raise"):
+            assert np.array_equal(polar_unitary(z), u @ vh)
+
+
 class TestPhaseAlign:
     def test_winding_of_unimodular_loop(self):
         M = 256
@@ -286,7 +363,7 @@ class TestFlagFrame:
 
         monkeypatch.setattr(frames, "analytic_gauge", refuse)
         with pytest.raises(StructureViolation, match="kernel dimensions"):
-            flag_frame([st.iterate(1), st.iterate(2)], [1, 1], 256)
+            flag_frame(lambda Mg: [st.kernel(n, Mg, 1e-9) for n in (1, 2)], [1, 1], 256)
 
 
 class TestWideningGrid:

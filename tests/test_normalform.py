@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from cocycles import frames, normalform
-from cocycles.cocycle import GOLDEN_MEAN, Cocycle, iterate, lyapunov_spectrum, rank_profile
+from cocycles import cocycle as cocycle_module
+from cocycles import frames
+from cocycles.cocycle import (
+    GOLDEN_MEAN,
+    Cocycle,
+    Structure,
+    iterate,
+    lyapunov_spectrum,
+    rank_profile,
+)
 from cocycles.domination import split_infinite_part
 from cocycles.errors import (
     ConstantRankViolated,
@@ -101,17 +109,17 @@ class TestTriangularize:
 
 
 def _spy_kernels(monkeypatch):
-    # the iterates the forms ask kernel fields of, in call order: flag_frame
-    # looks kernel_field up in frames, the Jordan chains in normalform
+    # the samples and degrees of the kernel fields the forms build, in call
+    # order: every form asks Structure.kernel, which looks the raw builder
+    # up in cocycle
     seen = []
-    real = frames.kernel_field
+    real = frames.raw_kernel_field
 
-    def spy(F, M=None, tol=1e-9):
-        seen.append(F)
-        return real(F, M, tol)
+    def spy(samples, degree, tol=1e-9):
+        seen.append((samples, degree))
+        return real(samples, degree, tol)
 
-    monkeypatch.setattr(frames, "kernel_field", spy)
-    monkeypatch.setattr(normalform, "kernel_field", spy)
+    monkeypatch.setattr(cocycle_module, "raw_kernel_field", spy)
     return seen
 
 
@@ -119,14 +127,14 @@ def _assert_unit_iterates(C, seen, ns):
     # every grid tried asks for the kernels of L_n, n in ns, in order; at
     # least one grid is tried, so a spy that sees nothing fails
     assert ns and len(seen) >= len(ns) and len(seen) % len(ns) == 0
-    # each reuses the products A_n held as A_n / c^n, bit for bit, for the
+    # each samples the products A_n held as A_n / c^n, bit for bit, for the
     # power of two c in (s/2, s], s the coefficient bound of A
     c = math.ldexp(1.0, math.frexp(C.matrix.sup_bound())[1] - 1)
-    for i, F in enumerate(seen):
+    for i, (samples, degree) in enumerate(seen):
         n = ns[i % len(ns)]
         want = iterate(C, n) * (1.0 / c ** n)
-        assert all(f.kmin == g.kmin and np.array_equal(f.c, g.c)
-                   for f, g in zip(F.entries.flat, want.entries.flat))
+        assert degree == want.degree
+        assert np.array_equal(samples, want.sample_grid(len(samples)))
 
 
 class TestTriangularizeIterates:
@@ -158,6 +166,36 @@ class TestSplitIterates:
         S = split_infinite_part(C)
         monkeypatch.undo()
         _assert_unit_iterates(C, seen, [S.p])
+
+
+class TestSharedKernels:
+    # random_nilpotent(24) widens the jordan grid once
+    @pytest.mark.parametrize("make", [
+        lambda: random_constant_rank_jordan(0)[0],
+        lambda: random_nilpotent(3),
+        lambda: random_nilpotent(24),
+    ], ids=["jordan0", "nilpotent3", "nilpotent24"])
+    def test_forms_build_each_kernel_once(self, make, monkeypatch):
+        C = make()
+        st = Structure(C)
+        built = _spy_kernels(monkeypatch)
+        asked = []
+        real = Structure.kernel
+
+        def spy(self, n, M, tol):
+            asked.append((n, M, tol))
+            return real(self, n, M, tol)
+
+        monkeypatch.setattr(Structure, "kernel", spy)
+        triangularize(C, structure=st)
+        first = len(asked)
+        jordan_form(C, structure=st)
+        monkeypatch.undo()
+        # one build per (n, M, tol), and the Jordan chains reuse kernels of
+        # the triangular form (nilpotent24 settles on different grids, so
+        # only those of its base grid are shared)
+        assert len(built) == len(set(asked)) == len(st._kernels)
+        assert set(asked[:first]) & set(asked[first:])
 
 
 class TestJordanStructure:
