@@ -493,7 +493,9 @@ class Structure:
     are its min_rank and stabilized_at) and nilpotency (detect_nilpotency)
     are computed on first use, with tol or their defaults 1e-9 and 1e-10.
     kernel builds the kernel field of L_n once per grid and rank tolerance,
-    so the normal forms and the splitting share it.
+    so the normal forms and the splitting share it.  Fields of grids a
+    widening rejected are kept too, since another form may settle there:
+    at most four grids per iterate, for the life of the Structure.
     """
 
     def __init__(self, C, tol=None):

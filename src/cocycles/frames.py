@@ -45,11 +45,7 @@ def cont_budget_default(degree, M, k):
 
 
 def polar_unitary(a):
-    """Unitary factor of the polar decomposition (batched over leading axes);
-    z/|z| for 1 x 1 input, with 0 -> 1 as the SVD gives."""
-    if a.shape[-2:] == (1, 1):
-        r = np.abs(a)
-        return np.where(r > 0, a / np.where(r > 0, r, 1.0), 1.0)
+    """Unitary factor of the polar decomposition (batched over leading axes)."""
     u, _, vh = np.linalg.svd(a)
     return u @ vh
 
@@ -242,8 +238,6 @@ def raw_orthocomplement(S):
         perp = np.broadcast_to(np.eye(d, dtype=complex), (M, d, d)).copy()
     elif S.perp is not None:
         perp = S.perp
-    elif k == d:
-        perp = np.empty((M, d, 0), dtype=complex)
     else:
         perp = np.linalg.svd(S.frames)[0][:, :, k:]
     return SubspaceField(perp, S.exceptional, cont_budget=S.cont_budget, perp=S.frames)

@@ -23,7 +23,6 @@ from cocycles.frames import (
     on_widening_grid,
     orthocomplement,
     phase_align,
-    polar_unitary,
     preimage_field,
     range_field,
     raw_complement_within,
@@ -204,7 +203,6 @@ class TestRawFields:
 
     def test_complements_take_no_svd(self, monkeypatch):
         K = _raw_flag(fx.nilpotent_3x3_variable_rank)[0]
-        whole = constant_field(64, 3, [0, 1, 2])
 
         def refuse(*args, **kwargs):
             raise AssertionError("an SVD was taken")
@@ -212,7 +210,6 @@ class TestRawFields:
         monkeypatch.setattr(frames.np.linalg, "svd", refuse)
         P = raw_orthocomplement(K)
         assert P.frames is K.perp and P.perp is K.frames
-        assert raw_orthocomplement(whole).k == 0
 
     @pytest.mark.parametrize("make", FLAG_MAKERS, ids=FLAG_IDS)
     def test_analytic_gauge_reads_no_gauge(self, make):
@@ -225,21 +222,6 @@ class TestRawFields:
             raw, aligned = analytic_gauge(S), analytic_gauge(twin)
             assert subspace_distance(SubspaceField(raw), SubspaceField(aligned)) < 1e-12
             assert np.abs(raw - aligned).max() < 1e-12
-
-
-class TestPolarUnitary:
-    def test_scalar_matches_the_svd(self):
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal((64, 1, 1)) + 1j * rng.standard_normal((64, 1, 1))
-        z *= np.logspace(-100, 100, 64)[:, None, None]
-        u, _, vh = np.linalg.svd(z)
-        assert np.abs(polar_unitary(z) - u @ vh).max() < 1e-15
-
-    def test_scalar_zero_maps_to_one_as_the_svd_does(self):
-        z = np.zeros((3, 1, 1), dtype=complex)
-        u, _, vh = np.linalg.svd(z)
-        with np.errstate(all="raise"):
-            assert np.array_equal(polar_unitary(z), u @ vh)
 
 
 class TestPhaseAlign:
