@@ -9,6 +9,7 @@ from .cocycle import (
     LyapunovReport,
     NilpotencyReport,
     RankProfile,
+    Structure,
     detect_nilpotency,
     exact_L1_rank_one,
     iterate,
@@ -46,7 +47,6 @@ from .errors import (
 )
 from .frames import (
     SubspaceField,
-    complement_within,
     field_from_vectors,
     intersect_field,
     kernel_field,

@@ -145,7 +145,8 @@ def _load(args):
             raise _InputError(
                 f"frequency {a!r} is within {_RATIONAL_TOL:g} of {pq[0]}/{pq[1]}; "
                 "rational rotations are not supported")
-    return C, hashlib.sha256(raw).hexdigest()
+    # one Structure per command serves every stage
+    return Structure(C, args.tol), hashlib.sha256(raw).hexdigest()
 
 
 def _outplace(args):
@@ -190,10 +191,6 @@ def _write_csv(path, header, rows):
     return path
 
 
-def _tolkw(args):
-    return {} if args.tol is None else {"tol": args.tol}
-
-
 def _lyap_section(rep):
     return {
         "exponents": list(rep.exponents),
@@ -206,11 +203,11 @@ def _lyap_section(rep):
     }
 
 
-def _run_lyapunov(C, args, structure=None):
+def _run_lyapunov(st, args):
     kw = {"n": args.iters if args.iters is not None else 1000}
     if args.grid is not None:
         kw["M"] = args.grid
-    return lyapunov_spectrum(C, **kw, structure=structure, **_tolkw(args))
+    return lyapunov_spectrum(st, **kw)
 
 
 def _exponents_csv(path, rep):
@@ -233,15 +230,15 @@ def _jordan_summary(F):
     return {"chains": list(F.chains), "cond_max": F.cond_max, "residual": F.residual}
 
 
-def _dominate(C, args, gaps_path, structure):
+def _dominate(st, args, gaps_path):
     """Split, domination verdict and, when dominated, the splitting.
 
     Returns the split form, the splitting result (None when not dominated),
     the report fields they share and the sidecar names; the gap certificate
     is written to gaps_path.
     """
-    S = split_infinite_part(C, M=args.grid, structure=structure, **_tolkw(args))
-    verdict = is_dominated(S, structure=structure, **_tolkw(args))
+    S = split_infinite_part(st, M=args.grid)
+    verdict = is_dominated(S)
     section = {
         "k": S.k,
         "p": S.p,
@@ -251,37 +248,37 @@ def _dominate(C, args, gaps_path, structure):
     }
     if not verdict["dominated"]:
         return S, None, section, []
-    R = dominated_splitting(S, verdict=verdict, structure=structure, **_tolkw(args))
+    R = dominated_splitting(S)
     section["splitting_residual"] = R.residual
     rows = [(n, float(r)) for n, r in sorted(R.gap_certificate.items())]
     return S, R, section, [_write_csv(gaps_path, ("n", "ratio"), rows).name]
 
 
 def _single(args, name, key, stage):
-    """Load the input, run stage(C, sidecar) and write the report: stage
+    """Load the input, run stage(st, sidecar) and write the report: stage
     returns the section, stored under key, and the names of the sidecars
     it wrote to the paths sidecar(kind); the timing covers all of stage."""
-    C, digest = _load(args)
+    st, digest = _load(args)
     outdir, stem = _outplace(args)
     report = _base_report(name, args, digest)
     t0 = time.perf_counter()
     report[key], report["sidecars"] = stage(
-        C, lambda kind: outdir / f"{stem}.{name}.{kind}.csv")
+        st, lambda kind: outdir / f"{stem}.{name}.{kind}.csv")
     report["timings"] = {name: time.perf_counter() - t0}
     print(_write_report(outdir / f"{stem}.{name}.json", report))
     return 0
 
 
 def cmd_lyapunov(args):
-    def stage(C, sidecar):
-        rep = _run_lyapunov(C, args)
+    def stage(st, sidecar):
+        rep = _run_lyapunov(st, args)
         return _lyap_section(rep), [_exponents_csv(sidecar("exponents"), rep)]
     return _single(args, "lyapunov", "lyapunov", stage)
 
 
 def cmd_triangularize(args):
-    def stage(C, sidecar):
-        T = triangularize(C, M=args.grid, **_tolkw(args))
+    def stage(st, sidecar):
+        T = triangularize(st, M=args.grid)
         section = {**_triangular_summary(T), "U": T.U.to_json_dict(),
                    "B": T.B.to_json_dict()}
         return section, [_residuals_csv(sidecar("residuals"), T.samples)]
@@ -289,8 +286,8 @@ def cmd_triangularize(args):
 
 
 def cmd_jordan(args):
-    def stage(C, sidecar):
-        F = jordan_form(C, M=args.grid, **_tolkw(args))
+    def stage(st, sidecar):
+        F = jordan_form(st, M=args.grid)
         section = {**_jordan_summary(F), "J": _mat_pairs(F.J),
                    "M": F.M.to_json_dict()}
         return section, [_residuals_csv(sidecar("residuals"), F.samples)]
@@ -298,9 +295,8 @@ def cmd_jordan(args):
 
 
 def cmd_dominate(args):
-    def stage(C, sidecar):
-        S, R, section, sidecars = _dominate(C, args, sidecar("gaps"),
-                                            Structure(C, args.tol))
+    def stage(st, sidecar):
+        S, R, section, sidecars = _dominate(st, args, sidecar("gaps"))
         section["U"] = S.U.to_json_dict()
         if R is not None:
             section["M"] = R.M.to_json_dict()
@@ -310,16 +306,15 @@ def cmd_dominate(args):
 
 
 def cmd_analyze(args):
-    C, digest = _load(args)
+    st, digest = _load(args)
     outdir, stem = _outplace(args)
     report = _base_report("analyze", args, digest)
     timings = {}
     sidecars = []
 
-    # one structure serves every stage; the first two build its ladder
-    st = Structure(C, args.tol)
+    # the first two stages build the Structure's ladder
     t0 = time.perf_counter()
-    prof = rank_profile(C, structure=st)
+    prof = rank_profile(st)
     timings["rank_profile"] = time.perf_counter() - t0
     report["rank_profile"] = {
         "ranks": list(prof.ranks),
@@ -329,7 +324,7 @@ def cmd_analyze(args):
     }
 
     t0 = time.perf_counter()
-    nil = detect_nilpotency(C, structure=st)
+    nil = detect_nilpotency(st)
     timings["nilpotency"] = time.perf_counter() - t0
     report["nilpotency"] = {
         "nilpotent": nil.nilpotent,
@@ -338,7 +333,7 @@ def cmd_analyze(args):
     }
 
     t0 = time.perf_counter()
-    lyap = _run_lyapunov(C, args, st)
+    lyap = _run_lyapunov(st, args)
     timings["lyapunov"] = time.perf_counter() - t0
     report["lyapunov"] = _lyap_section(lyap)
     sidecars.append(_exponents_csv(outdir / f"{stem}.analyze.exponents.csv", lyap))
@@ -348,7 +343,7 @@ def cmd_analyze(args):
     if nil.nilpotent:
         t0 = time.perf_counter()
         try:
-            T = triangularize(C, M=args.grid, structure=st, **_tolkw(args))
+            T = triangularize(st, M=args.grid)
         except UnsupportedBase as exc:
             result["note"] = f"normal forms unavailable: {exc}"
         else:
@@ -357,7 +352,7 @@ def cmd_analyze(args):
             sidecars.append(_residuals_csv(outdir / f"{stem}.analyze.residuals.csv",
                                            T.samples))
             try:
-                F = jordan_form(C, M=args.grid, structure=st, **_tolkw(args))
+                F = jordan_form(st, M=args.grid)
             except CocycleError as exc:
                 # the complete reduction is optional: rank variation or a
                 # non-analytic kernel bundle leaves the triangular form
@@ -367,11 +362,10 @@ def cmd_analyze(args):
                 pipeline = "jordan"
                 result["jordan"] = _jordan_summary(F)
         timings["normal_form"] = time.perf_counter() - t0
-    elif 0 < prof.min_rank < C.dim:
+    elif 0 < prof.min_rank < st.cocycle.dim:
         t0 = time.perf_counter()
         try:
-            _, _, section, gaps = _dominate(C, args, outdir / f"{stem}.analyze.gaps.csv",
-                                            st)
+            _, _, section, gaps = _dominate(st, args, outdir / f"{stem}.analyze.gaps.csv")
         except UnsupportedBase as exc:
             result["note"] = f"splitting unavailable: {exc}"
         else:
@@ -379,8 +373,12 @@ def cmd_analyze(args):
             result.update(section)
             sidecars += gaps
         timings["splitting"] = time.perf_counter() - t0
-    else:
+    elif prof.min_rank == st.cocycle.dim:
         result["note"] = "all exponents finite; spectrum only"
+    else:  # rank 0 certifies every exponent -inf, the nilpotency test disagrees
+        result["note"] = (f"rank A_{prof.stabilized_at} = 0 but no iterate vanishes "
+                          f"(max_sample_norm {nil.witness['max_sample_norm']:.3g}); "
+                          "spectrum only")
 
     report["pipeline"] = pipeline
     report["result"] = result

@@ -324,12 +324,12 @@ def _gram_schmidt(y):
     return q, r
 
 
-def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
+def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     """Exponent estimates from M grid orbits of length n; -inf where certified.
 
-    The number k of finite exponents is the stabilised rank of the iterates,
-    structure.profile.min_rank, structure = Structure(C, tol) if None: by the
-    paper's first theorem applied to the exterior powers, L_j = -inf exactly
+    C is a Cocycle or its Structure (Structure.of).  The number k of finite
+    exponents is the stabilised rank of the iterates, profile.min_rank: by
+    the paper's first theorem applied to the exterior powers, L_j = -inf exactly
     when the j-th exterior power is nilpotent, that is when rank A_p < j for
     p = stabilized_at.  Slots k+1..d are reported as -inf with flag_reason
     "rank A_p = k"; for k = 0 no orbit is swept at all.
@@ -345,7 +345,7 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
     product of the per-step R-diagonals, and s (a power of two, at most 16)
     is chosen from the spread of the finite R-diagonal in the second half of
     the warmup so that a block product stays well conditioned.  The sweep
-    runs on structure.unit, the generator divided by a power of two near its
+    runs on Structure.unit, the generator divided by a power of two near its
     size, so a block product neither overflows nor underflows, and adds the
     log of that scale back.  Step matrices, block products and all
     bookkeeping are computed a chunk of steps at a time.  A direction whose
@@ -373,8 +373,8 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=1e-9, structure=None):
     """
     if n < 2:
         raise ValueError("a Lyapunov estimate needs at least 2 iterates")
-    d = C.dim
-    st = structure or Structure(C, tol)
+    st = Structure.of(C, tol)
+    C, d = st.cocycle, st.cocycle.dim
     prof = st.profile
     k = prof.min_rank
     reasons = [None] * k + [f"rank A_{prof.stabilized_at} = {k}"] * (d - k)
@@ -489,18 +489,26 @@ class Structure:
     The ladder holds L_n = A_n / scale^n, scale = 2^exponent the power of
     two in (size/2, size] for size = _sup_scale(C): an exact division, so
     L_n has the kernels and ranges of A_n and thresholds move by a known
-    factor.  It grows only as far as a question needs.  profile (rank_profile; k and p
-    are its min_rank and stabilized_at) and nilpotency (detect_nilpotency)
-    are computed on first use, with tol or their defaults 1e-9 and 1e-10.
-    kernel builds the kernel field of L_n once per grid and rank tolerance,
-    so the normal forms and the splitting share it.  Fields of grids a
-    widening rejected are kept too, since another form may settle there:
-    at most four grids per iterate, for the life of the Structure.
+    factor.  It grows only as far as a question needs.  profile
+    (rank_profile; k and p are its min_rank and stabilized_at) and
+    nilpotency (detect_nilpotency) are computed on first use.  kernel builds
+    the kernel field of L_n once per grid, so the normal forms and the
+    splitting share it.  Fields of grids a widening rejected are kept too,
+    since another form may settle there: at most four grids per iterate,
+    for the life of the Structure.
+
+    Tolerances resolve here, once: every decision read from the Structure
+    (nilpotency certificate, rank profile, kernel and frame fields,
+    domination criteria, inversion bound) uses tol; with tol None the
+    certificate uses 1e-10 (nil_tol) and every rank decision 1e-9 (tol).
     """
 
     def __init__(self, C, tol=None):
         self.cocycle = C
-        self.tol = tol
+        # bench/tracer.py reads the base of lyapunov_spectrum's first argument
+        self.frequencies = C.frequencies
+        self.tol = 1e-9 if tol is None else tol
+        self.nil_tol = 1e-10 if tol is None else tol
         self.size = _sup_scale(C)
         self.exponent = math.frexp(self.size)[1] - 1
         self.scale = math.ldexp(1.0, self.exponent)
@@ -510,19 +518,34 @@ class Structure:
         self._iterates = []
         self._kernels = {}
 
+    @classmethod
+    def of(cls, C, tol=None):
+        """C itself when it is a Structure (refused with a tol), else Structure(C, tol)."""
+        if not isinstance(C, cls):
+            return cls(C, tol)
+        if tol is not None:
+            raise ValueError("a Structure carries its own tol; build "
+                             "Structure(C, tol) to set one")
+        return C
+
+    def exact_cocycle(self, what):
+        """The cocycle; UnsupportedBase unless its entries are exact, as what needs."""
+        if not self.cocycle.is_exact:
+            raise UnsupportedBase(f"{what} needs exact entries over a one-frequency base")
+        return self.cocycle
+
     def iterate(self, n):
         """L_n = A_n / scale^n."""
         while len(self._iterates) < n:
             self._iterates.append(next(self._ladder))
         return self._iterates[n - 1]
 
-    def kernel(self, n, M, tol):
+    def kernel(self, n, M):
         """The raw (unaligned) kernel field of L_n sampled on the grid M."""
-        key = (n, M, tol)
-        if key not in self._kernels:
+        if (n, M) not in self._kernels:
             F = self.iterate(n)
-            self._kernels[key] = raw_kernel_field(F.sample_grid(M), F.degree, tol)
-        return self._kernels[key]
+            self._kernels[n, M] = raw_kernel_field(F.sample_grid(M), F.degree, self.tol)
+        return self._kernels[n, M]
 
     def conjugate(self, U):
         """U*(x+a) A(x) U(x), formed on the unit-scale generator, where its
@@ -535,7 +558,6 @@ class Structure:
 
     @cached_property
     def profile(self):
-        tol = 1e-9 if self.tol is None else self.tol
         F = self.iterate(1)
         if self.cocycle.is_exact:
             samples = F.sample_grid(max(64, default_grid_size(F.degree)))
@@ -548,7 +570,7 @@ class Structure:
         ranks = []
         exceptional = {}
         for n in range(1, d + 2):
-            r, exc = max_rank(self.iterate(n), tol=tol, scale=s1 ** n)
+            r, exc = max_rank(self.iterate(n), tol=self.tol, scale=s1 ** n)
             if ranks and r > ranks[-1]:
                 raise StructureViolation(
                     f"rank increased from {ranks[-1]} to {r} at step {n}; "
@@ -566,7 +588,6 @@ class Structure:
 
     @cached_property
     def nilpotency(self):
-        tol = 1e-10 if self.tol is None else self.tol
         scale = self.size
         if scale == 0.0:
             return NilpotencyReport(True, 1, {"certificate": 0.0, "scale": 0.0})
@@ -580,7 +601,7 @@ class Structure:
             else:
                 cert = float(np.abs(last.samples).max()) * unit ** n
             # a nilpotent A has A_d = 0: a later iterate below tol has decayed
-            if cert <= tol and n <= self.cocycle.dim:
+            if cert <= self.nil_tol and n <= self.cocycle.dim:
                 return NilpotencyReport(True, n, {"certificate": cert, "scale": scale})
         if self.cocycle.is_exact:
             M = max(64, default_grid_size(last.degree))
@@ -595,32 +616,32 @@ class Structure:
         return NilpotencyReport(False, None, witness)
 
 
-def rank_profile(C, tol=1e-9, structure=None):
+def rank_profile(C, tol=None):
     """Maximal ranks of the iterates until they stabilize.
 
-    The profile of structure, or of Structure(C, tol) when structure is
-    None.  The singular values of each L_n are counted above tol times the
-    n-th power of the largest sampled singular value of L_1, as if the
-    generator were divided by that value, so an iterate that collapses below
-    float noise registers as rank zero instead of noise rank.  The ranks
-    fall strictly until they stop, by step d at the latest, so stabilized_at
-    is always set: it is the first p with rank A_p = min_rank.
+    The profile of Structure.of(C, tol).  The singular values of each L_n
+    are counted above tol times the n-th power of the largest sampled
+    singular value of L_1, as if the generator were divided by that value,
+    so an iterate that collapses below float noise registers as rank zero
+    instead of noise rank.  The ranks fall strictly until they stop, by
+    step d at the latest, so stabilized_at is always set: it is the first
+    p with rank A_p = min_rank.
     """
-    return (structure or Structure(C, tol)).profile
+    return Structure.of(C, tol).profile
 
 
-def detect_nilpotency(C, tol=1e-10, structure=None):
+def detect_nilpotency(C, tol=None):
     """Decide whether some iterate vanishes identically, with a certificate.
 
-    The verdict of structure, or of Structure(C, tol) when structure is
-    None.  The iterates of the generator divided by its scale (_sup_scale)
-    are compared with tol, so the verdict does not depend on the units of
-    A; the certificate and the witness's sample norm are unit-scale numbers,
-    read off L_n.  The rank of the first iterate bounds the search: if no
-    iterate up to max_rank(A)+1 vanishes, none ever does.  A nilpotent
-    d x d cocycle has A_d = 0, so no degree above d is reported.
+    The verdict of Structure.of(C, tol).  The iterates of the generator
+    divided by its scale (_sup_scale) are compared with nil_tol, so the
+    verdict does not depend on the units of A; the certificate and the
+    witness's sample norm are unit-scale numbers, read off L_n.  The rank of
+    the first iterate bounds the search: if no iterate up to max_rank(A)+1
+    vanishes, none ever does.  A nilpotent d x d cocycle has A_d = 0, so no
+    degree above d is reported.
     """
-    return (structure or Structure(C, tol)).nilpotency
+    return Structure.of(C, tol).nilpotency
 
 
 def exact_L1_rank_one(C):
@@ -631,14 +652,14 @@ def exact_L1_rank_one(C):
     col_j A(x+(n-1)a) * prod_{m<n-1} kappa(x+ma) * row_i A(x) / prod_{m<n} a_ij(x+ma)
     with kappa(x) = row_i A(x+a) . col_j A(x), the (i, j) entry of A_2, and
     L1 = int ln|kappa| - int ln|a_ij|: two Mahler measures of exact
-    polynomials.  Both are read on the unit-scale generator of Structure(C),
-    at its largest entry, and the log of the scale is added back.  The
-    result is -inf exactly when the rank profile certifies rank A_p = 0,
-    the certificate lyapunov_spectrum reports for its -inf slots.
+    polynomials.  Both are read on the unit-scale generator of
+    Structure.of(C), at its largest entry, and the log of the scale is added
+    back.  The result is -inf exactly when the rank profile certifies
+    rank A_p = 0, the certificate lyapunov_spectrum reports for its -inf
+    slots.
     """
-    if not C.is_exact:
-        raise UnsupportedBase("the closed-form exponent needs exact entries")
-    st = Structure(C)
+    st = Structure.of(C)
+    st.exact_cocycle("the closed-form exponent")
     if st.profile.ranks[0] != 1:
         raise RankNotOne(f"maximal rank is {st.profile.ranks[0]}, not 1")
     if st.profile.min_rank == 0:

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Cocycle, Structure, iterates
+from .cocycle import Cocycle, Structure, iterate, iterates
 from .errors import (
     FullyNilpotent,
     InversionBlowup,
     NoInfinitePart,
     NotDominated,
     StructureViolation,
-    UnsupportedBase,
 )
 from .frames import field_grid, flag_frame
 from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, shift_samples, vstack
@@ -31,10 +30,11 @@ class SplitForm:
     """Adapted frame U*(x+a) A(x) U(x) = [[a, b], [0, d]].
 
     The first d-k columns of U span ker A_p; a is nilpotent of degree at
-    most p and d is invertible off finitely many samples.
+    most p and d is invertible off finitely many samples.  structure is the
+    Structure of A the frame was read from.
     """
 
-    cocycle: Cocycle
+    structure: Structure
     k: int
     p: int
     U: MatrixFunction
@@ -53,18 +53,16 @@ class SplittingResult:
     residual: float
 
 
-def split_infinite_part(C, M=None, tol=1e-9, structure=None):
+def split_infinite_part(C, M=None, tol=None):
     """Adapted frame separating the divergent directions from the finite ones.
 
     Needs the rank profile to stabilize at some 0 < k < d; the kernel bundle
     of A_p then has constant dimension d-k and the complementary block d
-    carries the k finite exponents.  Profile and A_p are those of structure,
-    built as Structure(C, tol) when None.
+    carries the k finite exponents.  Profile and A_p are those of
+    Structure.of(C, tol), which the split form carries.
     """
-    if not C.is_exact:
-        raise UnsupportedBase("splitting needs exact entries over a "
-                              "one-frequency base")
-    st = structure or Structure(C, tol)
+    st = Structure.of(C, tol)
+    C = st.exact_cocycle("splitting")
     k = st.profile.min_rank
     if k == C.dim:
         raise NoInfinitePart("cocycle keeps full rank; every exponent is finite")
@@ -73,8 +71,8 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     p = st.profile.stabilized_at
     d = C.dim
     nk = d - k
-    U, _, Mg = flag_frame(lambda Mg: [st.kernel(p, Mg, tol)], [nk],
-                          field_grid(C.matrix.degree * p), M, tol)
+    U, _, Mg = flag_frame(lambda Mg: [st.kernel(p, Mg)], [nk],
+                          field_grid(C.matrix.degree * p), M, st.tol)
     B = st.conjugate(U)
     a = B.block(0, nk, 0, nk)
     b = B.block(0, nk, nk, d)
@@ -89,9 +87,7 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     # with max(|a|, 1)^p, both formed at unit scale, where p factors stay in
     # the float range (2^e max(|a / 2^e|, 2^-e) is max(|a|, 1))
     au = a / st.scale
-    ap = au
-    for j in range(1, p):
-        ap = au.translate(j * C.alpha) @ ap
+    ap = iterate(Cocycle(C.frequencies, au), p)
     with np.errstate(over="ignore"):
         size = np.float64(max(au.sup_bound(), np.ldexp(1.0, -st.exponent)))
         ap_mass = float(np.abs(ap.sample_grid(Mv)).max() / size ** p)
@@ -102,22 +98,22 @@ def split_infinite_part(C, M=None, tol=1e-9, structure=None):
     if poly_det(dd / st.scale).is_zero:
         raise StructureViolation("finite block degenerates identically")
     residual = max(unit_defect, low_mass, ap_mass)
-    return SplitForm(C, k, p, U, a, b, dd, residual)
+    return SplitForm(st, k, p, U, a, b, dd, residual)
 
 
-def is_dominated(S, tol=1e-9, structure=None):
+def is_dominated(S):
     """Decide domination by the iterate-rank and block-determinant criteria.
 
     Both quantities are compared against tol times their own geometric mean
     over the grid, which makes the test scale covariant; the two verdicts
     must agree and the minimizing sample is reported as evidence.  Both are
-    decided at unit scale, on the iterate L_n* of structure (built as
-    Structure(S.cocycle, tol) when None) and on the block d divided by its
-    scale, so no power of the scale over- or underflows; the evidence is
-    reported in the units of A, inf or 0 where those leave the float range.
+    decided at unit scale, on the iterate L_n* of S.structure and on the
+    block d divided by its scale, so no power of the scale over- or
+    underflows; the evidence is reported in the units of A, inf or 0 where
+    those leave the float range.  tol is that of S.structure.
     """
-    st = structure or Structure(S.cocycle, tol)
-    k, p, d = S.k, S.p, S.cocycle.dim
+    st = S.structure
+    k, p, d, tol = S.k, S.p, st.cocycle.dim, st.tol
     nstar = max(p + 1, d - k)
     F = st.iterate(nstar)
     # a grid that resolves the iterate, grown only where it would alias S.d
@@ -148,20 +144,20 @@ def is_dominated(S, tol=1e-9, structure=None):
     return {"dominated": rank_ok, "evidence": evidence}
 
 
-def dominated_splitting(S, tol=1e-9, verdict=None, structure=None):
+def dominated_splitting(S):
     """Conjugate the coupling away: p steps of the block recursion.
 
     Starting from c = b, each step divides by the invertible block one
     translate back and feeds the result through a; nilpotency of a kills c
     after exactly p steps and the accumulated M solves
     a(x) M(x) + b(x) = M(x+alpha) d(x), so [[I, M], [0, I]] block-diagonalizes
-    the split form.  verdict is is_dominated(S, tol=tol), computed when None.
-    M and the gap ratios are computed on the blocks divided by the scale of
-    structure (Structure(C, tol) when None); the residual is in units of A.
+    the split form once is_dominated(S) holds.  M and the gap ratios are
+    computed on the blocks divided by the scale of S.structure, whose tol
+    bounds the block's condition number; the residual is in units of A.
     """
-    C = S.cocycle
-    st = structure or Structure(C, tol)
-    verdict = verdict or is_dominated(S, tol, structure=st)
+    st = S.structure
+    C = st.cocycle
+    verdict = is_dominated(S)
     if not verdict["dominated"]:
         raise NotDominated(
             f"finite block vanishes near x = {verdict['evidence']['minimizer']:.6f}"
@@ -173,7 +169,7 @@ def dominated_splitting(S, tol=1e-9, verdict=None, structure=None):
     Mg = max(512, default_grid_size(4 * deg))
     dshift = d.sample_grid(Mg, shift=-C.alpha)
     conds = np.linalg.cond(dshift)
-    if float(conds.max()) > 1.0 / tol:
+    if float(conds.max()) > 1.0 / st.tol:
         raise InversionBlowup(
             f"finite block condition number {conds.max():.3e} exceeds 1/tol"
         )

@@ -8,7 +8,7 @@ that built them.  A field built by an SVD keeps the orthogonal complement
 that SVD gave as its perp, recomputed only at the filled samples, so its
 complement costs no further SVD; a complement carries the field it
 complements as its own perp.  The public constructors (kernel, range,
-preimage, sum, intersection, complements) are raw builders followed by an
+preimage, sum, intersection, orthocomplement) are raw builders followed by an
 alignment that gauges the frames along the grid so adjacent frames are
 maximally aligned.  The alignment needs no per-sample loop: the Procrustes
 step factors between neighbors come from one batched SVD, a log-depth prefix
@@ -300,17 +300,12 @@ def intersect_field(S, T, tol=1e-9):
 
 
 def raw_complement_within(inner, outer, tol=1e-9):
-    """complement_within unaligned."""
-    return raw_orthocomplement(raw_sum_field(raw_orthocomplement(outer), inner, tol))
-
-
-def complement_within(inner, outer, tol=1e-9):
     """Vectors of `outer` orthogonal to `inner`; requires inner ⊆ outer pointwise.
 
     This is the intersection of `outer` with the complement of `inner`, whose
     own complement is `inner` itself, so one complement pair is skipped.
     """
-    return _aligned(raw_complement_within(inner, outer, tol))
+    return raw_orthocomplement(raw_sum_field(raw_orthocomplement(outer), inner, tol))
 
 
 def phase_align(S):

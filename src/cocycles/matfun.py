@@ -382,10 +382,6 @@ class GridMatrixFunction:
     def all_samples(self):
         return self.samples.reshape(-1, self.rows, self.cols)
 
-    def max_coeff(self):
-        kflat, flat = self._spectrum()
-        return float(np.abs(flat).max())
-
     def to_json_dict(self):
         return {
             "rows": self.rows,

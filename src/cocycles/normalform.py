@@ -23,7 +23,6 @@ from .errors import (
     NotNilpotent,
     NotStrictlyOrdered,
     StructureViolation,
-    UnsupportedBase,
 )
 from .frames import (
     SubspaceField,
@@ -80,33 +79,24 @@ class JordanForm:
         return float(self.samples.max())
 
 
-# rank tolerance of the kernel and range fields when the caller gives none
-_FRAME_TOL = 1e-9
-
-
-def triangularize(C, M=None, tol=None, structure=None):
+def triangularize(C, M=None, tol=None):
     """Strictly block-triangular form of a nilpotent cocycle.
 
     Block n spans the part of ker A_n orthogonal to ker A_{n-1}; the unitary
     U stacks analytic frames of these blocks, and B = U*(x+a) A(x) U(x) is
     returned as an exact polynomial product.  The residual bounds both the
     unitarity defect of the truncated frames and the mass on and below the
-    block diagonal of B, measured on a doubled verification grid.  tol is
-    the rank tolerance of the nilpotency verdict and of the kernel fields;
-    None keeps detect_nilpotency's default for the verdict and 1e-9 for the
-    fields.  The kernel fields come from structure.kernel, which shares them
-    with jordan_form (structure is Structure(C, tol) when None), and must
-    have the dimensions its rank profile gives, or StructureViolation is
-    raised before any fit.
+    block diagonal of B, measured on a doubled verification grid.  C is a
+    Cocycle or its Structure (Structure.of); the kernel fields come from
+    Structure.kernel, which shares them with jordan_form, and must have the
+    dimensions the rank profile gives, or StructureViolation is raised
+    before any fit.
     """
-    if not C.is_exact:
-        raise UnsupportedBase("triangular form needs exact entries over a "
-                              "one-frequency base")
-    st = structure or Structure(C, tol)
+    st = Structure.of(C, tol)
+    C = st.exact_cocycle("triangular form")
     if not st.nilpotency.nilpotent:
         raise NotNilpotent("no iterate vanishes; nothing to triangularize")
-    p, tol = st.nilpotency.degree, _FRAME_TOL if tol is None else tol
-    d = C.dim
+    p, d = st.nilpotency.degree, C.dim
     # the grid resolves A_{p-1}, the highest iterate that gets a kernel field
     base = field_grid(C.matrix.degree * max(p - 1, 1))
     if p == 1:
@@ -116,8 +106,8 @@ def triangularize(C, M=None, tol=None, structure=None):
         # A_n has rank r_n, which stays at the profile's last rank past its end
         ranks = st.profile.ranks
         U, sizes, Mg = flag_frame(
-            lambda Mg: [st.kernel(n, Mg, tol) for n in range(1, p)],
-            [d - ranks[min(n, len(ranks)) - 1] for n in range(1, p)], base, M, tol)
+            lambda Mg: [st.kernel(n, Mg) for n in range(1, p)],
+            [d - ranks[min(n, len(ranks)) - 1] for n in range(1, p)], base, M, st.tol)
     B = st.conjugate(U)
     Mv = 2 * Mg
     usamp = U.sample_grid(Mv)
@@ -155,7 +145,7 @@ def jordan_structure_from_ranks(ranks, d):
     return tuple(lengths)
 
 
-def jordan_form(C, M=None, tol=None, structure=None):
+def jordan_form(C, M=None, tol=None):
     """Constant Jordan form of a nilpotent cocycle with constant-rank iterates.
 
     Walks down the kernel flag K_n = ker A_n, from K_p (the whole space) to
@@ -167,24 +157,20 @@ def jordan_form(C, M=None, tol=None, structure=None):
     on_widening_grid settles on, so the conjugation defect is A applied to
     the kernel ends, as small as the tops' distance from their kernels.
     Any rank drop of any iterate at any sample aborts with
-    ConstantRankViolated.  tol is the rank tolerance of the nilpotency
-    verdict, the rank profile and the fields; None keeps detect_nilpotency's
-    default for the verdict and 1e-9 for the rest.  Profile, verdict and
-    iterates are those of structure, built as Structure(C, tol) when None.
+    ConstantRankViolated.  C is a Cocycle or its Structure (Structure.of),
+    whose profile, verdict, iterates and kernel fields the chains read.
 
     The chains are built on the unit-scale generator L_1 = A / 2^e of the
-    structure, where vectors of one chain keep comparable sizes, and
+    Structure, where vectors of one chain keep comparable sizes, and
     chain vector m (m = 0 in ker A) is read back into the units of A by the
     exact factor 2^(-e m), so J keeps its ones; a column that leaves the
     float range there raises FloatRangeExceeded.
     """
-    if not C.is_exact:
-        raise UnsupportedBase("jordan form needs exact entries over a "
-                              "one-frequency base")
-    st = structure or Structure(C, tol)
+    st = Structure.of(C, tol)
+    C, tol = st.exact_cocycle("jordan form"), st.tol
     if not st.nilpotency.nilpotent:
         raise NotNilpotent("no iterate vanishes; spectrum is not fully degenerate")
-    prof, tol = st.profile, _FRAME_TOL if tol is None else tol
+    prof = st.profile
     ranks = prof.ranks
     p = len(ranks)
     d = C.dim
@@ -202,7 +188,7 @@ def jordan_form(C, M=None, tol=None, structure=None):
         # K_1, ..., K_{p-1}, raw: the fields below feed only span sums and
         # analytic_gauge; fronts[m] holds chain vector m of every chain
         # longer than m
-        flag = [st.kernel(n, Mg, tol) for n in range(1, p)]
+        flag = [st.kernel(n, Mg) for n in range(1, p)]
         front, fronts = None, []
         for L in range(p, 0, -1):
             if L == p:

@@ -17,6 +17,7 @@ from cocycles import fixtures
 from cocycles.cli import main
 from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure
 from cocycles.matfun import MatrixFunction
+from cocycles.normalform import perturb_simple, triangularize
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,19 @@ class TestAnalyze:
         np.testing.assert_allclose(rep["lyapunov"]["exponents"],
                                    [math.log(c)] * 2, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10])
+    def test_note_agrees_with_the_spectrum(self, tmp_path, eps):
+        # the rank profile certifies rank 0 (every exponent -inf) while the
+        # nilpotency certificate finds no iterate below its tolerance
+        T = triangularize(fixtures.nilpotent_3x3_variable_rank())
+        P, _ = perturb_simple(T, (4, 2, 1), eps)
+        src = tmp_path / "perturbed.json"
+        src.write_text(json.dumps(P.to_json_dict()))
+        assert main(["analyze", str(src), "--out", str(tmp_path)]) == 0
+        rep = read_report(tmp_path, src.stem, "analyze")
+        finite = all(e != "-inf" for e in rep["lyapunov"]["exponents"])
+        assert ("all exponents finite" in rep["result"].get("note", "")) == finite
+
     def test_reports_are_deterministic_modulo_timings(self, fixture_dir,
                                                       tmp_path):
         src = fixture_dir / "dominated_2x2.json"
@@ -224,10 +238,18 @@ class TestStructurePass:
             monkeypatch.setattr(Structure, prop, wrapped)
         monkeypatch.setattr(Structure, "__init__",
                             counting("structures", Structure.__init__))
-        monkeypatch.setattr(cocycle_module, "iterates",
-                            counting("ladders", cocycle_module.iterates))
+        C = make()
+        real_iterates = cocycle_module.iterates
+
+        def ladder(F, *args, **kwargs):
+            # ladders of A's iterates; the power of the kernel block that
+            # split_infinite_part checks is a smaller cocycle
+            counts["ladders"] += F.dim == C.dim
+            return real_iterates(F, *args, **kwargs)
+
+        monkeypatch.setattr(cocycle_module, "iterates", ladder)
         src = tmp_path / f"{name}.json"
-        src.write_text(json.dumps(make().to_json_dict()))
+        src.write_text(json.dumps(C.to_json_dict()))
         assert main(["analyze", str(src), "--out", str(tmp_path)]) == 0
         assert counts == {"structures": 1, "ladders": 1, "profile": 1,
                           "nilpotency": 1}

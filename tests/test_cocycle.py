@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from cocycles import fixtures as fx
 from cocycles.cocycle import (
     GOLDEN_MEAN,
     Cocycle,
+    Structure,
     detect_nilpotency,
     exact_L1_rank_one,
     iterate,
@@ -26,7 +28,7 @@ from cocycles.matfun import (
     max_rank,
     vstack,
 )
-from cocycles.normalform import perturb_simple, triangularize
+from cocycles.normalform import jordan_form, perturb_simple, triangularize
 from cocycles.trigpoly import TrigPoly, default_grid_size
 
 
@@ -904,3 +906,48 @@ class TestSerialization:
     def test_non_finite_frequency_is_rejected(self, alpha):
         with pytest.raises(ValueError, match="finite"):
             Cocycle((alpha,), fx.dominated_2x2().matrix)
+
+
+def _plain(x):
+    """x with dataclasses, arrays and polynomials as plain values, for ==;
+    the Structure a split form carries is left out."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)
+                if f.name != "structure"}
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (MatrixFunction, TrigPoly)):
+        return x.to_json_dict()
+    return x
+
+
+class TestStructureHandle:
+    # each analysis with an input it completes on
+    ANALYSES = {
+        "rank_profile": (rank_profile, fx.nilpotent_3x3_variable_rank),
+        "detect_nilpotency": (detect_nilpotency, fx.nilpotent_3x3_variable_rank),
+        "lyapunov_spectrum": (lambda X, **kw: lyapunov_spectrum(X, n=200, M=8, **kw),
+                              fx.nilpotent_plus_invertible_3x3),
+        "exact_L1_rank_one": (exact_L1_rank_one, lambda: fx.random_rank_one(0)),
+        "triangularize": (triangularize, fx.nilpotent_3x3_variable_rank),
+        "jordan_form": (jordan_form, lambda: fx.constant_jordan((3,))),
+        "split_infinite_part": (split_infinite_part, fx.nilpotent_plus_invertible_3x3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ANALYSES))
+    def test_cocycle_and_structure_give_equal_results(self, name):
+        analysis, make = self.ANALYSES[name]
+        C = make()
+        assert _plain(analysis(Structure(C))) == _plain(analysis(C))
+
+    @pytest.mark.parametrize("name", sorted(set(ANALYSES) - {"exact_L1_rank_one"}))
+    def test_tol_with_a_structure_is_refused(self, name):
+        analysis, make = self.ANALYSES[name]
+        with pytest.raises(ValueError, match="own tol"):
+            analysis(Structure(make()), tol=1e-6)
+
+    def test_tol_resolves_in_the_structure(self):
+        st = Structure(fx.dominated_2x2(), 1e-6)
+        assert (st.tol, st.nil_tol) == (1e-6, 1e-6)
+        st = Structure(fx.dominated_2x2())
+        assert (st.tol, st.nil_tol) == (1e-9, 1e-10)

@@ -56,7 +56,7 @@ class TestSplitInfinitePart:
         assert (S.k, S.p) == (1, 2)
         assert S.residual < 1e-10
         # kernel block dies at its degree, finite block stays near 3
-        a2 = S.a.translate(S.cocycle.alpha) @ S.a
+        a2 = S.a.translate(S.structure.cocycle.alpha) @ S.a
         assert a2.max_coeff() < 1e-10
         assert np.abs(np.abs(S.d.eval_mat(0.3)[0, 0]) - 3.0) < 1e-10
 
@@ -90,11 +90,13 @@ class TestSplitInfinitePart:
             split_infinite_part(random_nilpotent(0))
 
     def test_wrong_kernel_dimension_raises_before_any_fit(self, monkeypatch):
-        # at tol 1e-4 the profile misses the shift by 1e-6 I, which leaves
-        # A_2 a kernel of dimension 1 at the frame tolerance 1e-9
-        C0 = nilpotent_plus_invertible_3x3()
-        C = Cocycle(C0.frequencies, C0.matrix + MatrixFunction.constant(1e-6 * np.eye(3)))
-        st = Structure(C, 1e-4)
+        # the profile counts the singular values of A_2 above tol s1^2 =
+        # 2.5e-4, s1 = 500 the nilpotent coupling, and misses 1e-3^2; the
+        # kernel field counts them above tol times |A_2| = 1, which leaves
+        # A_2 a kernel of dimension 2, not 3
+        a = np.diag([0.0, 0.0, 1.0, 1e-3])
+        a[0, 1] = 500.0
+        st = Structure(Cocycle((GOLDEN_MEAN,), MatrixFunction.constant(a)))
         assert (st.profile.min_rank, st.profile.stabilized_at) == (1, 2)
 
         def refuse(*args, **kwargs):
@@ -102,11 +104,28 @@ class TestSplitInfinitePart:
 
         monkeypatch.setattr(frames, "analytic_gauge", refuse)
         with pytest.raises(StructureViolation, match="kernel dimensions"):
-            split_infinite_part(C, structure=st)
+            split_infinite_part(st)
 
     def test_two_frequency_base_unsupported(self):
         with pytest.raises(UnsupportedBase):
             split_infinite_part(twofrequency_rank_one())
+
+
+class TestSplitFormStructure:
+    # the split form carries its Structure, so the domination test and the
+    # splitting build none of their own
+    @pytest.mark.parametrize("analysis", [is_dominated, dominated_splitting])
+    def test_split_then_domination_builds_one_structure(self, analysis, monkeypatch):
+        built = []
+        real = Structure.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Structure, "__init__", counting)
+        analysis(split_infinite_part(dominated_2x2()))
+        assert len(built) == 1
 
 
 class TestIsDominated:
@@ -165,7 +184,7 @@ class TestHighDegreeSplit:
         # the grid resolving L_n* alone would alias the block
         F = iterate(C, v["evidence"]["n_star"])
         assert 2 * S.d.degree >= max(256, default_grid_size(F.degree))
-        assert dominated_splitting(S, verdict=v).residual < 1e-8
+        assert dominated_splitting(S).residual < 1e-8
 
 
 class TestDominatedSplitting:
@@ -244,7 +263,7 @@ class TestDominatedSplitting:
         S = split_infinite_part(nilpotent_plus_invertible_3x3())
         R = dominated_splitting(S)
         zero = MatrixFunction.zero(S.k, S.a.rows)
-        bfull = Cocycle(S.cocycle.frequencies,
+        bfull = Cocycle(S.structure.cocycle.frequencies,
                         vstack([hstack([S.a, S.b]), hstack([zero, S.d])]))
         assert sorted(R.gap_certificate) == list(range(1, 3 * S.p + 1))
         for n, ratio in R.gap_certificate.items():
@@ -268,14 +287,17 @@ class TestDominatedSplitting:
             dominated_splitting(S)
 
     def test_ill_conditioned_inversion_blowup(self):
+        # at tol 0.1 the finite block diag(3, 1 + 0.9 cos) keeps rank 2 and
+        # its determinant minimum 0.3 clears 0.1 times its geometric mean,
+        # but its condition number reaches 30 > 1/tol
         zero = TrigPoly.zero()
         rows = [
             [zero, TrigPoly.sine(), TrigPoly.cosine()],
-            [zero, TrigPoly.constant(10.0), zero],
-            [zero, zero, TrigPoly.constant(1.0) + TrigPoly.cosine(amplitude=0.25)],
+            [zero, TrigPoly.constant(3.0), zero],
+            [zero, zero, TrigPoly.constant(1.0) + TrigPoly.cosine(amplitude=0.9)],
         ]
         C = Cocycle((GOLDEN_MEAN,), MatrixFunction(rows))
-        S = split_infinite_part(C)
-        assert is_dominated(S, tol=0.2)["dominated"] is True
+        S = split_infinite_part(C, tol=0.1)
+        assert is_dominated(S)["dominated"] is True
         with pytest.raises(InversionBlowup):
-            dominated_splitting(S, tol=0.2)
+            dominated_splitting(S)

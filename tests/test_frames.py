@@ -13,7 +13,6 @@ from cocycles.frames import (
     _aligned,
     _rolling_align,
     analytic_gauge,
-    complement_within,
     field_from_vectors,
     field_grid,
     flag_frame,
@@ -148,7 +147,7 @@ class TestCalculus:
     def test_complement_within(self):
         e12 = constant_field(64, 3, [0, 1])
         e1 = constant_field(64, 3, [0])
-        rem = complement_within(e1, e12)
+        rem = raw_complement_within(e1, e12)
         assert rem.k == 1
         assert subspace_distance(rem, constant_field(64, 3, [1])) < 1e-11
 
@@ -174,7 +173,7 @@ def _raw_flag(make):
     # the raw kernel fields K_1, ..., K_{p-1} of a nilpotent fixture on the
     # grid 256, as the normal forms build them
     st = Structure(make())
-    return [st.kernel(n, 256, 1e-9) for n in range(1, st.nilpotency.degree)]
+    return [st.kernel(n, 256) for n in range(1, st.nilpotency.degree)]
 
 
 # the two variable-rank fixtures have exceptional (filled) kernel samples
@@ -345,7 +344,7 @@ class TestFlagFrame:
 
         monkeypatch.setattr(frames, "analytic_gauge", refuse)
         with pytest.raises(StructureViolation, match="kernel dimensions"):
-            flag_frame(lambda Mg: [st.kernel(n, Mg, 1e-9) for n in (1, 2)], [1, 1], 256)
+            flag_frame(lambda Mg: [st.kernel(n, Mg) for n in (1, 2)], [1, 1], 256)
 
 
 class TestWideningGrid:

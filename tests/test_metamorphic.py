@@ -33,9 +33,8 @@ def _invariants(C):
     k = s.profile.min_rank
     verdict = None
     if 0 < k < C.dim:
-        S = split_infinite_part(C, structure=s)
-        verdict = is_dominated(S, structure=s)["dominated"]
-    rep = lyapunov_spectrum(C, n=1000, M=64, structure=s)
+        verdict = is_dominated(split_infinite_part(s))["dominated"]
+    rep = lyapunov_spectrum(s, n=1000, M=64)
     L1 = exact_L1_rank_one(C) if s.profile.ranks[0] == 1 else None
     return s.profile.ranks, s.nilpotency.degree, verdict, rep.exponents, L1
 

@@ -182,16 +182,16 @@ class TestSharedKernels:
         asked = []
         real = Structure.kernel
 
-        def spy(self, n, M, tol):
-            asked.append((n, M, tol))
-            return real(self, n, M, tol)
+        def spy(self, n, M):
+            asked.append((n, M))
+            return real(self, n, M)
 
         monkeypatch.setattr(Structure, "kernel", spy)
-        triangularize(C, structure=st)
+        triangularize(st)
         first = len(asked)
-        jordan_form(C, structure=st)
+        jordan_form(st)
         monkeypatch.undo()
-        # one build per (n, M, tol), and the Jordan chains reuse kernels of
+        # one build per (n, M), and the Jordan chains reuse kernels of
         # the triangular form (nilpotent24 settles on different grids, so
         # only those of its base grid are shared)
         assert len(built) == len(set(asked)) == len(st._kernels)
