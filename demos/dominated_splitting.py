@@ -22,7 +22,7 @@ print("split: invertible block size %d, nilpotent degree %d, residual %.1e"
 out = dominated_splitting(S)
 print("dominated:", out.dominated, " splitting residual %.1e" % out.residual)
 print("coupling after conjugation:",
-      max(out.C.entries[0][1].max_coeff(), out.C.entries[1][0].max_coeff()))
+      max(out.C.entry(0, 1).max_coeff(), out.C.entry(1, 0).max_coeff()))
 # ratios saturate near 1/eps once the nilpotent block is dead to rounding
 print("gap certificate (singular value ratio per iterate):")
 for n, ratio in sorted(out.gap_certificate.items()):

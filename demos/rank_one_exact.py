@@ -17,13 +17,12 @@ from cocycles.trigpoly import log_integral
 
 C = fx.random_rank_one(2)
 A = C.matrix
-i, j = np.unravel_index(int(np.argmax([e.max_coeff() for e in A.entries.flat])),
-                        A.shape)
-kappa = iterate(C, 2).entries[i, j]
-print(f"entry a_{i}{j}: degree {A.entries[i, j].degree}; "
+i, j = np.unravel_index(int(np.abs(A.c).max(axis=0).argmax()), A.shape)
+a_ij, kappa = A.entry(i, j), iterate(C, 2).entry(i, j)
+print(f"entry a_{i}{j}: degree {a_ij.degree}; "
       f"kappa: degree {kappa.degree}, largest coefficient {kappa.max_coeff():.6f}")
 print("int ln|kappa| - int ln|a_ij| =",
-      log_integral(kappa) - log_integral(A.entries[i, j]))
+      log_integral(kappa) - log_integral(a_ij))
 
 exact = exact_L1_rank_one(C)
 print("closed form L1 =", exact)

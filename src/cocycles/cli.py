@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__, fixtures
 from .cocycle import Cocycle, Structure, detect_nilpotency, lyapunov_spectrum, rank_profile
-from .domination import dominated_splitting, is_dominated, split_infinite_part
-from .errors import CocycleError, UnsupportedBase
+from .domination import dominated_splitting, split_infinite_part
+from .errors import CocycleError, NotDominated, UnsupportedBase
 from .normalform import jordan_form, triangularize
 
 
@@ -238,18 +238,13 @@ def _dominate(st, args, gaps_path):
     is written to gaps_path.
     """
     S = split_infinite_part(st, M=args.grid)
-    verdict = is_dominated(S)
-    section = {
-        "k": S.k,
-        "p": S.p,
-        "split_residual": S.residual,
-        "dominated": verdict["dominated"],
-        "evidence": verdict["evidence"],
-    }
-    if not verdict["dominated"]:
+    section = {"k": S.k, "p": S.p, "split_residual": S.residual}
+    try:
+        R = dominated_splitting(S)
+    except NotDominated as exc:
+        section.update(dominated=False, evidence=exc.evidence)
         return S, None, section, []
-    R = dominated_splitting(S)
-    section["splitting_residual"] = R.residual
+    section.update(dominated=True, evidence=R.evidence, splitting_residual=R.residual)
     rows = [(n, float(r)) for n, r in sorted(R.gap_certificate.items())]
     return S, R, section, [_write_csv(gaps_path, ("n", "ratio"), rows).name]
 

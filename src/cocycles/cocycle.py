@@ -69,7 +69,7 @@ class Cocycle:
             raise ValueError("cocycle matrix must be square")
         # every decision reads the generator divided by this size
         with np.errstate(over="ignore"):
-            size = _sup_scale(self)
+            size = _sup_scale(mat)
         if not math.isfinite(size):
             raise ValueError("coefficient bound (largest sample) of the matrix "
                              "is not finite")
@@ -198,7 +198,8 @@ def _step_chunks(C, starts, M, bounds):
     d = C.dim
     batch = starts.shape[0]
     if C.is_exact:
-        freqs, cmat = C.matrix._coeff_tensor()
+        freqs = np.arange(C.matrix.kmin, C.matrix.kmin + len(C.matrix.c))
+        cmat = C.matrix.c.reshape(len(freqs), d * d)
         phases = np.exp(2j * np.pi * np.outer(starts[:, 0], freqs))
         step = np.exp(2j * np.pi * freqs * C.alpha)
         for lo, hi in bounds:
@@ -400,7 +401,7 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     # after all of them, so a chunk, and with it a block, ends at both
     quarter = max(n_eff // 4, 2)
     mid = n_eff - quarter + 1
-    nfreq = len(U.matrix._coeff_tensor()[0]) if U.is_exact else 0
+    nfreq = len(U.matrix.c) if U.is_exact else 0
     # whole maximal blocks per chunk leave at most one short block per range
     chunk = _BLOCK_MAX * max(
         1, _CHUNK_BYTES // (16 * batch * (d * d + nfreq) * _BLOCK_MAX))
@@ -466,12 +467,12 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     return LyapunovReport(list(raw), raw, err, divergent, n, M, reasons)
 
 
-def _sup_scale(C):
+def _sup_scale(F):
     """The entrywise coefficient bound of exact entries, the largest sample
     of a grid."""
-    if C.is_exact:
-        return C.matrix.sup_bound()
-    return float(np.abs(C.matrix.samples).max())
+    if isinstance(F, MatrixFunction):
+        return F.sup_bound()
+    return float(np.abs(F.samples).max())
 
 
 def _unit_scale(C, scale):
@@ -487,9 +488,9 @@ class Structure:
     """The iterate structure of a cocycle, built once per input and shared.
 
     The ladder holds L_n = A_n / scale^n, scale = 2^exponent the power of
-    two in (size/2, size] for size = _sup_scale(C): an exact division, so
-    L_n has the kernels and ranges of A_n and thresholds move by a known
-    factor.  It grows only as far as a question needs.  profile
+    two in (size/2, size] for size = _sup_scale(C.matrix): an exact
+    division, so L_n has the kernels and ranges of A_n and thresholds move
+    by a known factor.  It grows only as far as a question needs.  profile
     (rank_profile; k and p are its min_rank and stabilized_at) and
     nilpotency (detect_nilpotency) are computed on first use.  kernel builds
     the kernel field of L_n once per grid, so the normal forms and the
@@ -509,7 +510,7 @@ class Structure:
         self.frequencies = C.frequencies
         self.tol = 1e-9 if tol is None else tol
         self.nil_tol = 1e-10 if tol is None else tol
-        self.size = _sup_scale(C)
+        self.size = _sup_scale(C.matrix)
         self.exponent = math.frexp(self.size)[1] - 1
         self.scale = math.ldexp(1.0, self.exponent)
         self.unit = _unit_scale(C, self.scale)
@@ -596,10 +597,7 @@ class Structure:
         r1, _ = max_rank(self.iterate(1))
         for n in range(1, r1 + 2):
             last = self.iterate(n)
-            if self.cocycle.is_exact:
-                cert = last.max_coeff() * unit ** n
-            else:
-                cert = float(np.abs(last.samples).max()) * unit ** n
+            cert = _sup_scale(last) * unit ** n
             # a nilpotent A has A_d = 0: a later iterate below tol has decayed
             if cert <= self.nil_tol and n <= self.cocycle.dim:
                 return NilpotencyReport(True, n, {"certificate": cert, "scale": scale})
@@ -636,7 +634,10 @@ def detect_nilpotency(C, tol=None):
     The verdict of Structure.of(C, tol).  The iterates of the generator
     divided by its scale (_sup_scale) are compared with nil_tol, so the
     verdict does not depend on the units of A; the certificate and the
-    witness's sample norm are unit-scale numbers, read off L_n.  The rank of
+    witness's sample norm are unit-scale numbers, read off L_n.  For exact
+    entries the certificate is the largest l1 sum of an entry's
+    coefficients, which bounds that entry on the whole circle; for grid
+    samples it is the largest sample.  The rank of
     the first iterate bounds the search: if no iterate up to max_rank(A)+1
     vanishes, none ever does.  A nilpotent d x d cocycle has A_d = 0, so no
     degree above d is reported.
@@ -664,8 +665,7 @@ def exact_L1_rank_one(C):
         raise RankNotOne(f"maximal rank is {st.profile.ranks[0]}, not 1")
     if st.profile.min_rank == 0:
         return float("-inf")
-    entries = st.unit.matrix.entries
-    i, j = np.unravel_index(
-        int(np.argmax([e.max_coeff() for e in entries.flat])), entries.shape)
-    kappa = st.iterate(2).entries[i, j]
-    return log_integral(kappa) - log_integral(entries[i, j]) + math.log(st.scale)
+    A = st.unit.matrix
+    i, j = np.unravel_index(int(np.abs(A.c).max(axis=0).argmax()), A.shape)
+    kappa = st.iterate(2).entry(i, j)
+    return log_integral(kappa) - log_integral(A.entry(i, j)) + math.log(st.scale)

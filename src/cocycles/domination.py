@@ -46,11 +46,14 @@ class SplitForm:
 
 @dataclass
 class SplittingResult:
+    """A dominated split form's splitting and its is_dominated evidence."""
+
     dominated: bool
     M: MatrixFunction
     C: MatrixFunction
     gap_certificate: dict
     residual: float
+    evidence: dict
 
 
 def split_infinite_part(C, M=None, tol=None):
@@ -151,17 +154,19 @@ def dominated_splitting(S):
     translate back and feeds the result through a; nilpotency of a kills c
     after exactly p steps and the accumulated M solves
     a(x) M(x) + b(x) = M(x+alpha) d(x), so [[I, M], [0, I]] block-diagonalizes
-    the split form once is_dominated(S) holds.  M and the gap ratios are
-    computed on the blocks divided by the scale of S.structure, whose tol
-    bounds the block's condition number; the residual is in units of A.
+    the split form once is_dominated(S) holds; it is decided here, once,
+    and a NotDominated raised otherwise carries the evidence.  M and the gap
+    ratios are computed on the blocks divided by the scale of S.structure,
+    whose tol bounds the block's condition number; the residual is in units
+    of A.
     """
     st = S.structure
     C = st.cocycle
     verdict = is_dominated(S)
     if not verdict["dominated"]:
         raise NotDominated(
-            f"finite block vanishes near x = {verdict['evidence']['minimizer']:.6f}"
-        )
+            f"finite block vanishes near x = {verdict['evidence']['minimizer']:.6f}",
+            verdict["evidence"])
     k, p = S.k, S.p
     nk = S.a.rows
     a, b, d = (X / st.scale for X in (S.a, S.b, S.d))
@@ -200,4 +205,4 @@ def dominated_splitting(S):
         # ratios saturate at 1/eps once the lower part is degenerate to noise
         floor = np.finfo(float).eps * sv[:, 0]
         cert[n] = float((sv[:, k - 1] / np.maximum(sv[:, k], floor)).min())
-    return SplittingResult(True, mfun, cdiag, cert, residual)
+    return SplittingResult(True, mfun, cdiag, cert, residual, verdict["evidence"])

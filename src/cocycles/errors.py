@@ -80,7 +80,11 @@ class FullyNilpotent(CocycleError):
 
 
 class NotDominated(CocycleError):
-    """Requested splitting requires domination, which fails on this cocycle."""
+    """The splitting needs domination, which fails here; evidence is is_dominated's."""
+
+    def __init__(self, message, evidence=None):
+        super().__init__(message)
+        self.evidence = evidence
 
 
 class InversionBlowup(CocycleError):

@@ -1,14 +1,14 @@
 """Matrix-valued analytic functions on the circle (and sampled torus grids).
 
-MatrixFunction stores a rows x cols array of TrigPoly entries and supports
-exact algebra (products, translation, adjoint) plus fast exact sampling on
-uniform grids through the FFT; poly_from_samples is the way back from grid
-samples to a MatrixFunction, with a Fourier tail check.  GridMatrixFunction
-carries samples of a band-limited matrix function over an l-dimensional torus
-grid and evaluates anywhere through its trigonometric interpolant; it is the
-only backing supported for multi-frequency base dynamics.  shift_samples and
-resample_lattice move grid samples by FFT, so this module owns the Fourier
-conventions of the grid representation.
+MatrixFunction holds a matrix function as one coefficient tensor
+c[K, rows, cols] over the frequencies kmin..kmin+K-1; products (direct
+convolution), translation, adjoint, sums, blocks and FFT sampling act on
+that tensor and truncate entry by entry as TrigPoly does.  poly_from_samples
+turns grid samples back into a MatrixFunction, with a Fourier tail check.
+GridMatrixFunction carries samples of a band-limited matrix function over an
+l-dimensional torus grid, the only backing for multi-frequency bases;
+shift_samples and resample_lattice move grid samples by FFT, so this module
+owns the Fourier conventions of the grid representation.
 """
 
 import itertools
@@ -16,34 +16,80 @@ import itertools
 import numpy as np
 
 from .errors import AliasingRisk, TailTooFat
-from .trigpoly import TrigPoly, default_grid_size, real_divide
+from .trigpoly import TrigPoly, default_grid_size, real_divide, truncated
 
 _TWO_PI_I = 2j * np.pi
 
 
-class MatrixFunction:
-    """Matrix of trigonometric polynomials; exact one-frequency representation."""
+def _aligned(mats):
+    """The lowest frequency of mats and their tensors zero-padded to one range."""
+    live = [m for m in mats if not m.is_zero]
+    kmin = min((m.kmin for m in live), default=0)
+    K = max((m.kmin + len(m.c) for m in live), default=kmin) - kmin
+    out = []
+    for m in mats:
+        t = np.zeros((K,) + m.shape, dtype=complex)
+        t[m.kmin - kmin:m.kmin - kmin + len(m.c)] = m.c
+        out.append(t)
+    return kmin, out
 
-    __slots__ = ("entries", "_grid_cache")
+
+def _convolve(ka, a, kb, b, mul, shape):
+    """The product of two coefficient sequences, out[i:i+Kb] += mul(a[i], b):
+    each term is formed on its own, so a coefficient whose terms all
+    vanish stays exactly zero."""
+    if not (len(a) and len(b)):
+        return MatrixFunction.zero(*shape)
+    out = np.zeros((len(a) + len(b) - 1,) + shape, dtype=complex)
+    for i, ai in enumerate(a):
+        out[i:i + len(b)] += mul(ai, b)
+    return MatrixFunction.from_coeffs(ka + kb, out)
+
+
+class MatrixFunction:
+    """Matrix of trigonometric polynomials; exact one-frequency representation.
+
+    c[k - kmin] is the matrix of the e^{2 pi i k x} terms; K = len(c) = 0 is
+    the zero function.  Built from a rows x cols nested list of TrigPoly
+    entries, or by from_coeffs from a coefficient tensor.
+    """
+
+    __slots__ = ("kmin", "c", "_grid_cache")
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=object)
         if entries.ndim != 2:
             raise ValueError("entries must form a 2-d array")
-        for e in entries.flat:
-            if not isinstance(e, TrigPoly):
-                raise TypeError("all entries must be TrigPoly")
-        self.entries = entries
-        self._grid_cache = {}
+        if not all(isinstance(e, TrigPoly) for e in entries.flat):
+            raise TypeError("all entries must be TrigPoly")
+        live = [e for e in entries.flat if not e.is_zero]
+        kmin = min((e.kmin for e in live), default=0)
+        K = max((e.kmax + 1 for e in live), default=kmin) - kmin
+        c = np.zeros((K, entries.size), dtype=complex)
+        for n, e in enumerate(entries.flat):
+            c[e.kmin - kmin:e.kmin - kmin + len(e.c), n] = e.c
+        self._set(kmin, c.reshape((K,) + entries.shape))
+
+    def _set(self, kmin, c):
+        c.setflags(write=False)
+        self.kmin, self.c, self._grid_cache = kmin, c, {}
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_coeffs(cls, kmin, c):
+        """From coefficients c[K, rows, cols] of the frequencies
+        kmin..kmin+K-1, truncated entry by entry."""
+        c = np.asarray(c, dtype=complex)
+        if c.ndim != 3:
+            raise ValueError("coefficients must form a (K, rows, cols) array")
+        out = cls.__new__(cls)
+        out._set(*truncated(int(kmin), c))
+        return out
+
+    @classmethod
     def constant(cls, mat):
-        mat = np.asarray(mat, dtype=complex)
-        return cls(
-            [[TrigPoly.constant(mat[i, j]) for j in range(mat.shape[1])] for i in range(mat.shape[0])]
-        )
+        return cls.from_coeffs(0, np.asarray(mat, dtype=complex)[None])
 
     @classmethod
     def identity(cls, d):
@@ -51,71 +97,59 @@ class MatrixFunction:
 
     @classmethod
     def zero(cls, rows, cols=None):
-        cols = rows if cols is None else cols
-        return cls([[TrigPoly.zero() for _ in range(cols)] for _ in range(rows)])
+        return cls.from_coeffs(0, np.zeros((0, rows, rows if cols is None else cols)))
 
     # -- queries ----------------------------------------------------------
 
     @property
     def rows(self):
-        return self.entries.shape[0]
+        return self.c.shape[1]
 
     @property
     def cols(self):
-        return self.entries.shape[1]
+        return self.c.shape[2]
 
     @property
     def shape(self):
-        return self.entries.shape
+        return self.c.shape[1:]
 
     @property
     def degree(self):
-        return max((e.degree for e in self.entries.flat), default=0)
+        """Smallest N with all frequencies in [-N, N]; 0 for the zero function."""
+        return max(abs(self.kmin), abs(self.kmin + len(self.c) - 1)) if len(self.c) else 0
 
     def __repr__(self):
         return f"MatrixFunction({self.rows}x{self.cols}, deg={self.degree})"
 
+    def entry(self, i, j):
+        """Entry (i, j) as a TrigPoly."""
+        return TrigPoly(self.kmin, self.c[:, i, j])
+
     def max_coeff(self):
         """Largest coefficient magnitude over all entries; a natural scale."""
-        return max((e.max_coeff() for e in self.entries.flat), default=0.0)
+        return float(np.abs(self.c).max(initial=0.0))
 
     def sup_bound(self):
         """Entrywise l1-coefficient bound; dominates max |A(x)| entrywise."""
-        return max((e.sup_bound() for e in self.entries.flat), default=0.0)
+        return float(np.abs(self.c).sum(axis=0).max(initial=0.0))
 
+    @property
     def is_zero(self):
-        return all(e.is_zero for e in self.entries.flat)
+        return len(self.c) == 0
 
     # -- evaluation --------------------------------------------------------
 
     def eval_mat(self, x):
         """Value at a single point x as a complex (rows, cols) array."""
-        out = np.empty(self.entries.shape, dtype=complex)
-        for (i, j), e in np.ndenumerate(self.entries):
-            out[i, j] = e.eval(x)
-        return out
-
-    def _coeff_tensor(self):
-        """Stacked coefficients: (n_freqs, rows*cols) plus the frequency list."""
-        cached = self._grid_cache.get("coeffs")
-        if cached is not None:
-            return cached
-        kmin = min((e.kmin for e in self.entries.flat if not e.is_zero), default=0)
-        kmax = max((e.kmax for e in self.entries.flat if not e.is_zero), default=0)
-        ks = np.arange(kmin, kmax + 1)
-        c = np.zeros((len(ks), self.rows * self.cols), dtype=complex)
-        for (i, j), e in np.ndenumerate(self.entries):
-            if not e.is_zero:
-                c[e.kmin - kmin:e.kmax - kmin + 1, i * self.cols + j] = e.c
-        self._grid_cache["coeffs"] = (ks, c)
-        return ks, c
+        return self.sample_at(float(x))
 
     def sample_at(self, xs):
-        """Values at an array of points: (len(xs), rows, cols)."""
+        """Values at an array of points: xs.shape + (rows, cols)."""
         xs = np.asarray(xs, dtype=float)
-        ks, c = self._coeff_tensor()
+        ks = np.arange(self.kmin, self.kmin + len(self.c))
         phases = np.exp(_TWO_PI_I * np.multiply.outer(xs, ks))
-        return (phases @ c).reshape(len(xs), self.rows, self.cols)
+        flat = self.c.reshape(len(ks), self.rows * self.cols)
+        return (phases @ flat).reshape(xs.shape + self.shape)
 
     def sample_grid(self, M, shift=0.0):
         """Exact samples at x_j = j/M + shift: (M, rows, cols); cached per (M, shift)."""
@@ -124,17 +158,12 @@ class MatrixFunction:
         if cached is not None:
             return cached
         M = int(M)
-        out = np.zeros((M, self.rows, self.cols), dtype=complex)
-        for (i, j), e in np.ndenumerate(self.entries):
-            if e.is_zero:
-                continue
-            if M <= 2 * e.degree:
-                raise AliasingRisk(f"grid M={M} cannot hold degree {e.degree}")
-            poly = e if shift == 0.0 else e.translate(shift)
-            bins = np.zeros(M, dtype=complex)
-            for l, v in enumerate(poly.c):
-                bins[(poly.kmin + l) % M] += v
-            out[:, i, j] = np.fft.ifft(bins) * M
+        if M <= 2 * self.degree:
+            raise AliasingRisk(f"grid M={M} cannot hold degree {self.degree}")
+        F = self if shift == 0.0 else self.translate(shift)
+        bins = np.zeros((M,) + self.shape, dtype=complex)
+        bins[(F.kmin + np.arange(len(F.c))) % M] = F.c
+        out = np.fft.ifft(bins, axis=0) * M
         out.setflags(write=False)
         self._grid_cache[key] = out
         return out
@@ -142,66 +171,50 @@ class MatrixFunction:
     # -- algebra -------------------------------------------------------------
 
     def translate(self, alpha):
-        return MatrixFunction(
-            [[e.translate(alpha) for e in row] for row in self.entries]
-        )
+        """F(x + alpha): c_k times e^{2 pi i k alpha}."""
+        ks = np.arange(self.kmin, self.kmin + len(self.c))
+        phases = np.exp(_TWO_PI_I * alpha * ks)
+        return MatrixFunction.from_coeffs(self.kmin, self.c * phases[:, None, None])
 
     def adjoint(self):
         """Conjugate transpose as a function: entry (i, j) -> conj of (j, i)."""
-        return MatrixFunction(
-            [[self.entries[j, i].conj() for j in range(self.rows)] for i in range(self.cols)]
-        )
+        kmax = self.kmin + len(self.c) - 1
+        return MatrixFunction.from_coeffs(-kmax, np.conj(self.c[::-1]).transpose(0, 2, 1))
 
     def __matmul__(self, other):
-        if isinstance(other, MatrixFunction):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = TrigPoly.zero()
-                    for k in range(self.cols):
-                        acc = acc + self.entries[i, k] * other.entries[k, j]
-                    row.append(acc)
-                out.append(row)
-            return MatrixFunction(out)
-        other = np.asarray(other)
-        return self @ MatrixFunction.constant(other)
-
-    def __rmatmul__(self, other):
-        return MatrixFunction.constant(np.asarray(other)) @ self
+        if not isinstance(other, MatrixFunction):
+            other = MatrixFunction.constant(np.asarray(other))
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        return _convolve(self.kmin, self.c, other.kmin, other.c, np.matmul,
+                         (self.rows, other.cols))
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return MatrixFunction(
-            [
-                [self.entries[i, j] + other.entries[i, j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
+        kmin, (a, b) = _aligned([self, other])
+        return MatrixFunction.from_coeffs(kmin, a + b)
 
     def __sub__(self, other):
         return self + (other * (-1.0))
 
     def __mul__(self, scalar):
         if isinstance(scalar, TrigPoly):
-            return MatrixFunction([[e * scalar for e in row] for row in self.entries])
+            return _convolve(self.kmin, self.c, scalar.kmin, scalar.c[:, None, None],
+                             np.multiply, self.shape)
         if not np.isscalar(scalar):
             raise TypeError("use @ for matrix products")
-        return MatrixFunction([[e * scalar for e in row] for row in self.entries])
+        return MatrixFunction.from_coeffs(self.kmin, self.c * scalar)
 
     def __rmul__(self, scalar):
         return self.__mul__(scalar)
 
     def __truediv__(self, x):
         """Entrywise division by a real number x."""
-        return MatrixFunction([[TrigPoly(e.kmin, real_divide(e.c, x)) for e in row]
-                               for row in self.entries])
+        return MatrixFunction.from_coeffs(self.kmin, real_divide(self.c, x))
 
     def block(self, r0, r1, c0, c1):
-        return MatrixFunction(self.entries[r0:r1, c0:c1])
+        return MatrixFunction.from_coeffs(self.kmin, self.c[:, r0:r1, c0:c1])
 
     # -- serialization ----------------------------------------------------------
 
@@ -209,10 +222,8 @@ class MatrixFunction:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [
-                [self.entries[i, j].to_json_dict() for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
+            "entries": [[self.entry(i, j).to_json_dict() for j in range(self.cols)]
+                        for i in range(self.rows)],
         }
 
     @classmethod
@@ -226,13 +237,13 @@ class MatrixFunction:
 
 def hstack(mats):
     """Concatenate matrix functions side by side."""
-    blocks = [m.entries for m in mats]
-    return MatrixFunction(np.concatenate(blocks, axis=1))
+    kmin, cs = _aligned(mats)
+    return MatrixFunction.from_coeffs(kmin, np.concatenate(cs, axis=2))
 
 
 def vstack(mats):
-    blocks = [m.entries for m in mats]
-    return MatrixFunction(np.concatenate(blocks, axis=0))
+    kmin, cs = _aligned(mats)
+    return MatrixFunction.from_coeffs(kmin, np.concatenate(cs, axis=1))
 
 
 def poly_from_samples(vals, N=None, tol=1e-7):
@@ -261,10 +272,7 @@ def poly_from_samples(vals, N=None, tol=1e-7):
     tail = np.sqrt(dropped / total) if total > 0 else 0.0
     if tail > tol:
         raise TailTooFat(f"sample spectrum tail {tail:.3e} exceeds {tol:.1e}", tail)
-    kept = np.where(keep, co, 0.0)[band]
-    return MatrixFunction(
-        [[TrigPoly(-N, kept[:, i, j]) for j in range(cols)] for i in range(rows)]
-    )
+    return MatrixFunction.from_coeffs(-N, np.where(keep, co, 0.0)[band])
 
 
 def shift_samples(samples, shift, spectrum=None):
@@ -446,30 +454,29 @@ def exterior_power(F, k):
         raise ValueError("exterior power defined for square matrices")
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d}")
+    ent = _entries(F)
     subsets = list(itertools.combinations(range(d), k))
-    out = []
-    for rows_idx in subsets:
-        row = []
-        for cols_idx in subsets:
-            row.append(_poly_det(F.entries[np.ix_(rows_idx, cols_idx)]))
-        out.append(row)
-    return MatrixFunction(out)
+    return MatrixFunction([[_poly_det([[ent[i][j] for j in J] for i in I]) for J in subsets]
+                           for I in subsets])
 
 
-def _poly_det(block):
-    """Determinant of a small matrix of TrigPoly by cofactor expansion."""
-    n = block.shape[0]
+def _entries(F):
+    return [[F.entry(i, j) for j in range(F.cols)] for i in range(F.rows)]
+
+
+def _poly_det(rows):
+    """Determinant of a small matrix of TrigPoly, nested lists, by cofactor expansion."""
+    n = len(rows)
     if n == 1:
-        return block[0, 0]
+        return rows[0][0]
     if n == 2:
-        return block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     acc = TrigPoly.zero()
-    rest = block[1:, :]
     for j in range(n):
-        if block[0, j].is_zero:
+        if rows[0][j].is_zero:
             continue
-        minor = _poly_det(np.delete(rest, j, axis=1))
-        term = block[0, j] * minor
+        minor = _poly_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        term = rows[0][j] * minor
         acc = acc + (term if j % 2 == 0 else -term)
     return acc
 
@@ -478,4 +485,4 @@ def poly_det(F):
     """Determinant of a square MatrixFunction as a TrigPoly."""
     if F.rows != F.cols:
         raise ValueError("determinant needs a square matrix")
-    return _poly_det(F.entries)
+    return _poly_det(_entries(F))

@@ -35,7 +35,6 @@ from .frames import (
     raw_sum_field,
 )
 from .matfun import MatrixFunction, hstack, poly_from_samples
-from .trigpoly import TrigPoly
 
 
 @dataclass
@@ -214,9 +213,8 @@ def jordan_form(C, M=None, tol=None):
 
     fronts, M = on_widening_grid(fronts_on,
                                  field_grid(C.matrix.degree * max(p - 1, 1)), M)
-    unit = MatrixFunction(np.stack(
-        [fronts[m].entries[:, c] for c, L in enumerate(lengths) for m in range(L)],
-        axis=1))
+    unit = hstack([fronts[m].block(0, d, c, c + 1)
+                   for c, L in enumerate(lengths) for m in range(L)])
     positions = [m for L in lengths for m in range(L)]
     # a one above the diagonal wherever a chain continues
     jmat = np.diag([float(m > 0) for m in positions[1:]], 1)
@@ -234,17 +232,16 @@ def _in_units(unit, positions, exponent):
     """The chain matrix in the units of A: column c, vector number
     positions[c] of its chain, times 2^(-exponent * positions[c]), exact
     while the column stays in the normal float range."""
-    cols = []
-    for c, m in enumerate(positions):
-        with np.errstate(over="ignore", under="ignore"):
-            col = MatrixFunction([[TrigPoly(e.kmin, np.ldexp(e.c.real, -exponent * m)
-                                            + 1j * np.ldexp(e.c.imag, -exponent * m))]
-                                  for e in unit.entries[:, c]])
-        if col.max_coeff() < np.finfo(float).tiny:
-            raise FloatRangeExceeded(
-                f"Jordan chain column {c} underflows in the units of A")
-        cols.append(col)
-    return hstack(cols)
+    shifts = -exponent * np.asarray(positions)
+    c = np.empty_like(unit.c)
+    with np.errstate(over="ignore", under="ignore"):
+        c.real = np.ldexp(unit.c.real, shifts)
+        c.imag = np.ldexp(unit.c.imag, shifts)
+    out = MatrixFunction.from_coeffs(unit.kmin, c)
+    low = np.nonzero(np.abs(out.c).max(axis=(0, 1), initial=0.0) < np.finfo(float).tiny)[0]
+    if low.size:
+        raise FloatRangeExceeded(f"Jordan chain column {low[0]} underflows in the units of A")
+    return out
 
 
 def perturb_simple(T, b, eps):

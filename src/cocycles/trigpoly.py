@@ -3,16 +3,19 @@
 A TrigPoly is a finite Fourier sum f(x) = sum_k c_k e^{2 pi i k x} stored
 as a sparse-by-construction coefficient block over k in [kmin, kmax].
 Coefficients whose magnitude falls below a relative threshold are dropped,
-so the zero function is the empty coefficient map.
+so the zero function is the empty coefficient map.  truncated is that rule;
+matfun.MatrixFunction, which holds a matrix function as one coefficient
+tensor, applies it to every entry, so TrigPoly is both the scalar type
+(log_integral, determinants) and the entrywise reference of the matrix
+algebra.
 
-Grids live one level up: matfun.MatrixFunction.sample_grid samples entries
-by FFT and matfun.poly_from_samples turns grid samples back into
-polynomials.  default_grid_size(N) = 4 * 2^ceil(log2(N+1)) is the grid size
-rule that callers floor at their own minimum.
+Grids live one level up: matfun.MatrixFunction.sample_grid samples by FFT
+and matfun.poly_from_samples turns grid samples back into polynomials.
+default_grid_size(N) = 4 * 2^ceil(log2(N+1)) is the grid size rule that
+callers floor at their own minimum.
 """
 
 import cmath
-import math
 
 import numpy as np
 
@@ -33,23 +36,26 @@ def real_divide(a, x):
     return out
 
 
-def _trimmed(kmin, c):
-    """Drop sub-threshold coefficients and leading/trailing zeros."""
+def truncated(kmin, c):
+    """The truncation rule of every exact polynomial, applied entry by entry.
+
+    c holds the coefficients of the frequencies kmin, kmin+1, ... along
+    axis 0: (K,) for one polynomial, (K, rows, cols) for a matrix of them.
+    A coefficient at most TRUNCATION_RELATIVE times the largest one of its
+    own entry is dropped, then the frequencies at either end where every
+    entry vanishes; a non-finite coefficient raises FloatRangeExceeded.
+    """
     c = np.asarray(c, dtype=complex)
-    if c.size == 0:
-        return 0, c
     mags = np.abs(c)
-    top = mags.max()
-    if top == 0.0:
-        return 0, np.zeros(0, dtype=complex)
-    if not math.isfinite(top):
+    if not np.isfinite(mags).all():
         # an overflow upstream; the relative threshold would keep nothing
         raise FloatRangeExceeded("a Fourier coefficient left the float range")
-    keep = mags > TRUNCATION_RELATIVE * top
-    c = np.where(keep, c, 0.0)
-    nz = np.nonzero(keep)[0]
-    lo, hi = nz[0], nz[-1]
-    return kmin + int(lo), c[lo:hi + 1]
+    keep = mags > TRUNCATION_RELATIVE * mags.max(axis=0, initial=0.0)
+    live = np.nonzero(keep.any(axis=tuple(range(1, c.ndim))))[0]
+    if not live.size:
+        return 0, np.zeros((0,) + c.shape[1:], dtype=complex)
+    lo, hi = live[0], live[-1] + 1
+    return kmin + int(lo), np.where(keep[lo:hi], c[lo:hi], 0.0)
 
 
 class TrigPoly:
@@ -58,7 +64,7 @@ class TrigPoly:
     __slots__ = ("kmin", "c")
 
     def __init__(self, kmin=0, coeffs=()):
-        self.kmin, self.c = _trimmed(int(kmin), coeffs)
+        self.kmin, self.c = truncated(int(kmin), coeffs)
 
     # -- constructors -------------------------------------------------
 
@@ -132,10 +138,6 @@ class TrigPoly:
 
     def eval(self, x):
         """Evaluate at x (scalar or array); exact Fourier sum."""
-        if self.is_zero:
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape, dtype=complex)
-            return out[()] if out.ndim == 0 else out
         x = np.asarray(x, dtype=float)
         ks = np.arange(self.kmin, self.kmax + 1)
         phases = np.exp(_TWO_PI_I * np.multiply.outer(x, ks))
@@ -144,15 +146,11 @@ class TrigPoly:
 
     def translate(self, alpha):
         """f(x + alpha): multiplies c_k by e^{2 pi i k alpha}."""
-        if self.is_zero:
-            return TrigPoly.zero()
         ks = np.arange(self.kmin, self.kmax + 1)
         return TrigPoly(self.kmin, self.c * np.exp(_TWO_PI_I * alpha * ks))
 
     def conj(self):
         """Complex conjugate function; c_k -> conj(c_{-k})."""
-        if self.is_zero:
-            return TrigPoly.zero()
         return TrigPoly(-self.kmax, np.conj(self.c[::-1]))
 
     def __add__(self, other):
@@ -182,20 +180,13 @@ class TrigPoly:
 
     def __mul__(self, other):
         if np.isscalar(other):
-            if other == 0 or self.is_zero:
-                return TrigPoly.zero()
             return TrigPoly(self.kmin, self.c * other)
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
             return TrigPoly.zero()
-        # frequency blocks add under pointwise product: convolution
-        if len(self.c) * len(other.c) > 4096:
-            n = len(self.c) + len(other.c) - 1
-            nfft = 1 << (n - 1).bit_length()
-            prod = np.fft.ifft(np.fft.fft(self.c, nfft) * np.fft.fft(other.c, nfft))[:n]
-        else:
-            prod = np.convolve(self.c, other.c)
-        return TrigPoly(self.kmin + other.kmin, prod)
+        # frequency blocks add under pointwise product: a direct
+        # convolution, which keeps exactly zero coefficients exactly zero
+        return TrigPoly(self.kmin + other.kmin, np.convolve(self.c, other.c))
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -204,7 +204,7 @@ def test_criterion_07_domination_dichotomy():
     for i in range(out.C.rows):
         for j in range(out.C.cols):
             if (i < nk) != (j < nk):
-                offdiag = max(offdiag, out.C.entries[i][j].max_coeff())
+                offdiag = max(offdiag, out.C.entry(i, j).max_coeff())
     Sn = split_infinite_part(fx.not_dominated_2x2())
     verdict = is_dominated(Sn)
     x_min = verdict["evidence"]["minimizer"]

@@ -13,6 +13,7 @@ import pytest
 
 from cocycles import cli
 from cocycles import cocycle as cocycle_module
+from cocycles import domination
 from cocycles import fixtures
 from cocycles.cli import main
 from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure
@@ -397,6 +398,27 @@ class TestWrappedCommands:
         assert "M" in sec and "C" in sec
         header, rows = read_csv(tmp_path / f"{src.stem}.dominate.gaps.csv")
         assert [int(r[0]) for r in rows] == list(range(1, 7))
+
+    @pytest.mark.parametrize("name", ["dominated_2x2", "not_dominated_2x2"])
+    def test_dominate_decides_domination_once(self, fixture_dir, tmp_path,
+                                              monkeypatch, name):
+        # dominated_splitting decides and hands the evidence on, in its
+        # result or in NotDominated; the command asks nothing else
+        calls = []
+        real = domination.is_dominated
+
+        def counted(S):
+            calls.append(S)
+            return real(S)
+
+        monkeypatch.setattr(domination, "is_dominated", counted)
+        monkeypatch.setattr(cli, "is_dominated", counted, raising=False)
+        src = fixture_dir / f"{name}.json"
+        assert main(["dominate", str(src), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        sec = read_report(tmp_path, name, "dominate")["dominate"]
+        assert sec["dominated"] is (name == "dominated_2x2")
+        assert sec["evidence"] == cli._jsonable(real(calls[0])["evidence"])
 
     def test_dominate_on_nilpotent_is_numerical_failure(self, fixture_dir,
                                                         tmp_path, capsys):

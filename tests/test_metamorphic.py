@@ -19,7 +19,6 @@ from cocycles import cli, fixtures
 from cocycles.cocycle import Cocycle, Structure, exact_L1_rank_one, lyapunov_spectrum
 from cocycles.domination import is_dominated, split_infinite_part
 from cocycles.matfun import MatrixFunction
-from cocycles.trigpoly import TrigPoly
 
 FIXTURES = {name: C for name, C in cli._fixture_set(42).items() if C.is_exact}
 EXACT = sorted(FIXTURES)
@@ -72,8 +71,8 @@ def test_unitary_conjugation(name, seed):
 @pytest.mark.parametrize("name", EXACT)
 def test_reflection(name):
     C = FIXTURES[name]
-    A = MatrixFunction([[TrigPoly(-e.kmax, e.c[::-1]) for e in row]
-                        for row in C.matrix.entries])
+    F = C.matrix
+    A = MatrixFunction.from_coeffs(-(F.kmin + len(F.c) - 1), F.c[::-1])
     _check(name, Cocycle((-C.alpha,), A))
 
 

@@ -140,7 +140,7 @@ class TestGrids:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(14)
         f = rand_poly(rng, 7)
-        back = poly_from_samples(sample_grid(f, 32), N=7).entries[0, 0]
+        back = poly_from_samples(sample_grid(f, 32), N=7).entry(0, 0)
         for k in range(-7, 8):
             assert abs(coeff(back, k) - coeff(f, k)) < 1e-13
 
@@ -171,7 +171,7 @@ class TestGrids:
         with pytest.raises(TailTooFat) as exc:
             poly_from_samples(samples, N=2)
         assert abs(exc.value.tail - 2.0 / math.sqrt(5.0)) < 1e-12
-        back = poly_from_samples(samples, N=6, tol=1e-13).entries[0, 0]
+        back = poly_from_samples(samples, N=6, tol=1e-13).entry(0, 0)
         assert abs(coeff(back, 5) - 2.0) < 1e-13
 
     def test_samples_match_eval(self):
