@@ -180,8 +180,9 @@ def iterates(C, n_max, degree_cap=DEGREE_CAP):
 
 
 # the step matrices and phases of one chunk of the Lyapunov sweep stay near
-# this size; longer chunks save no more time but raise the peak memory
-_CHUNK_BYTES = 1 << 18
+# this size; each chunk pays a fixed set of small array ops, so a narrow
+# batch needs long chunks, while a wide one reaches the size in 16 steps
+_CHUNK_BYTES = 1 << 20
 
 # after the warmup the sweep re-orthonormalises once per block of s orbit
 # steps, s a power of two up to _BLOCK_MAX; s times the widest per-step
@@ -194,36 +195,35 @@ _BLOCK_LOG_COND = math.log(1e6)
 
 def _step_chunks(C, starts, M, bounds):
     """Yield the step matrices A(x_b + t a) for each half-open step range in
-    bounds, in order, held batch-last: shape (d, d, T, batch)."""
-    d = C.dim
-    batch = starts.shape[0]
+    bounds, in order, held batch-last: shape (d, d, T, batch).  A chunk
+    depends on its own range only."""
     if C.is_exact:
-        freqs = np.arange(C.matrix.kmin, C.matrix.kmin + len(C.matrix.c))
-        cmat = C.matrix.c.reshape(len(freqs), d * d)
-        phases = np.exp(2j * np.pi * np.outer(starts[:, 0], freqs))
-        step = np.exp(2j * np.pi * freqs * C.alpha)
-        for lo, hi in bounds:
-            # the in-place recurrence, one step at a time, keeps every phase
-            # bit-identical to a per-step sweep; a cumulative product differs
-            # in the last bits
-            buf = np.empty((hi - lo,) + phases.shape, dtype=complex)
-            for i in range(hi - lo):
-                buf[i] = phases
-                phases *= step
-            flat = buf.reshape(-1, len(freqs))
-            mats = (cmat.T @ flat.T).reshape(d, d, hi - lo, batch)
-            del buf  # not held while the caller works on the chunk
-            yield mats
+        F, a = C.matrix, C.alpha
+        freqs = np.arange(F.kmin, F.kmin + len(F.c))
+        start = np.exp(2j * np.pi * np.outer(freqs, starts[:, 0]))
+        # k t a = k t hi + k t (a - hi) with hi = a on 26 bits: k t hi is
+        # exact and reduces mod 1 exactly, so no phase error grows with t
+        hi = math.ldexp(round(math.ldexp(a, 26)), -26)
+        for lo, end in bounds:
+            kt = np.outer(freqs, np.arange(lo, end))
+            step = np.exp(2j * np.pi * ((kt * hi) % 1.0 + kt * (a - hi)))
+            yield np.tensordot(F.c, step[:, :, None] * start[:, None, :], axes=(0, 0))
         return
-    base = resample_lattice(C.matrix, M)
-    spec = np.fft.fftn(base, axes=tuple(range(C.base_dim)))
-    alpha = np.array(C.frequencies)
-    for lo, hi in bounds:
-        mats = np.empty((d, d, hi - lo, batch), dtype=complex)
-        for i, t in enumerate(range(lo, hi)):
-            at = shift_samples(base, t * alpha, spec).reshape(batch, d, d)
-            mats[:, :, i] = at.transpose(1, 2, 0)
-        yield mats
+    l = C.base_dim
+    # value axes first in memory: the inverse FFT leaves each step batch-last
+    spec = np.fft.fftn(resample_lattice(C.matrix, M), axes=tuple(range(l)))
+    spec = np.ascontiguousarray(np.moveaxis(spec, (-2, -1), (0, 1)))[:, :, None]
+    f = np.fft.fftfreq(M, 1.0 / M)
+    for lo, end in bounds:
+        # the shift-theorem twists, (T, M, ..., M): one phase table per frequency
+        twist = 1.0
+        for j, a in enumerate(C.frequencies):
+            e = np.exp(2j * np.pi * np.outer(np.arange(lo, end) * a % 1.0, f))
+            twist = twist * e.reshape((end - lo,) + (1,) * j + (M,) + (1,) * (l - 1 - j))
+        mats = spec * twist
+        for ax in range(2 + l, 2, -1):  # one axis at a time: two copies live, not three
+            mats = np.fft.ifft(mats, axis=ax)
+        yield mats.reshape(mats.shape[:3] + (-1,))
 
 
 def _block_length(diag, k):
@@ -362,7 +362,8 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     there is exactly zero, an orbit fallen into ker A, records |R_jj| = 0,
     which the death floor counts, and the frame is completed by the basis
     vector with the largest residual, orthogonalised twice.  Grid samples
-    reach the orbit lattice by resample_lattice, one inverse FFT.
+    reach the orbit lattice by resample_lattice, one inverse FFT, and move
+    along it by one spectrum twist and inverse FFT per chunk.
 
     stderr combines the spread over orbits with a Richardson estimate of the
     still-settling bias: a running mean converging like 1/t leaves a residual
@@ -382,8 +383,7 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     divergent = [j >= k for j in range(d)]
     if k == 0:
         inf = [float("-inf")] * d
-        return LyapunovReport(inf, list(inf), [0.0] * d, divergent, n, M,
-                              reasons)
+        return LyapunovReport(inf, list(inf), [0.0] * d, divergent, n, M, reasons)
     mesh = np.meshgrid(*[np.arange(M) / M] * C.base_dim, indexing="ij")
     starts = np.stack([g.ravel() for g in mesh], axis=1)
     batch = starts.shape[0]
@@ -415,12 +415,15 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     deaths = np.zeros((batch, d), dtype=int)
     running = {}
 
-    for (lo, hi), mats in zip(bounds, _step_chunks(U, starts, M, bounds)):
+    chunks = _step_chunks(U, starts, M, bounds)
+    for lo, hi in bounds:
+        mats = next(chunks)  # not zip: its reused tuple keeps the last chunk alive
         prods = _block_products_last(mats, s)
         diag = np.empty((prods.shape[2], batch, d))
         for i in range(len(diag)):
             q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
             diag[i] = r.T
+        del mats, prods  # not held while the next chunk is built
         if lo < warmup:
             settled.append(diag[max(warmup // 2 - lo, 0):])
             if hi == warmup:

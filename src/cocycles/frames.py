@@ -371,14 +371,12 @@ def analytic_gauge(S, seed=7):
         cands.append(np.linalg.qr(g)[0])
     for g in cands:
         sec = proj @ g
-        sv = np.linalg.svd(sec, compute_uv=False)
-        if float(sv[:, -1].min()) > 0.1 * float(sv[:, 0].max()):
-            gram = np.conj(np.swapaxes(sec, 1, 2)) @ sec
-            w, vecs = np.linalg.eigh(gram)
-            root = (vecs * (1.0 / np.sqrt(w))[:, None, :]) @ np.conj(
-                np.swapaxes(vecs, 1, 2)
-            )
-            return sec @ root
+        # the Gram eigenvalues are the squared singular values of sec
+        gram = np.conj(np.swapaxes(sec, 1, 2)) @ sec
+        w, vecs = np.linalg.eigh(gram)
+        if float(w[:, 0].min()) > 0.01 * float(w[:, -1].max()):
+            vh = np.conj(np.swapaxes(vecs, 1, 2))
+            return sec @ ((vecs * (1.0 / np.sqrt(w))[:, None, :]) @ vh)
     return phase_align(S).frames
 
 

@@ -319,12 +319,11 @@ class GridMatrixFunction:
 
     samples has shape (M_1, ..., M_l, rows, cols); evaluation anywhere uses
     the trigonometric interpolant, which is exact when the underlying
-    function has degree < M_i/2 in each variable.  Along a rotation orbit
-    the samples are moved with shift_samples (one FFT phase twist,
-    O(M^l log M) per step), not by evaluating the interpolant point by point
-    (O(M^2l)), and the Lyapunov sweep puts them on its orbit lattice with
-    resample_lattice (one inverse FFT), so neither iterates nor the sweep
-    call sample_at.
+    function has degree < M_i/2 in each variable.  iterates moves the
+    samples along a rotation orbit by shift_samples (one FFT phase twist,
+    O(M^l log M) per step, against O(M^2l) for sample_at); the Lyapunov sweep
+    resamples them onto its orbit lattice (resample_lattice) and twists that
+    spectrum a chunk of steps at a time.
     """
 
     __slots__ = ("samples", "grid_shape", "_spec")

@@ -26,6 +26,8 @@ from cocycles.matfun import (
     exterior_power,
     hstack,
     max_rank,
+    resample_lattice,
+    shift_samples,
     vstack,
 )
 from cocycles.normalform import jordan_form, perturb_simple, triangularize
@@ -532,6 +534,72 @@ class TestBlockLength:
             assert made["qr"] <= 1
             assert made["gram_schmidt"] >= warmup + 1
             assert sum(made.values()) <= warmup + -(-(n - warmup) // s) + len(bounds)
+
+
+def _lattice_starts(l, M):
+    mesh = np.meshgrid(*[np.arange(M) / M] * l, indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
+class TestStepChunks:
+    """The step generator of the sweep against direct evaluation: a chunk
+    depends on its own step range only, with no phase or shift state
+    carried from the chunk before."""
+
+    BOUNDS = [(0, 64), (1936, 2000)]
+
+    def test_exact_matches_the_reduced_orbit_points(self):
+        # the d = 6 wedge, non-contiguous ranges up to t = 2000; the
+        # reference forms (x_b + t a) mod 1 and its phases in longdouble
+        C = fx.random_invertible(5, d=4)
+        C = Cocycle(C.frequencies, exterior_power(C.matrix, 2))
+        F, d, M = C.matrix, C.dim, 16
+        starts = _lattice_starts(1, M)
+        freqs = np.arange(F.kmin, F.kmin + len(F.c)).astype(np.longdouble)
+        x = starts[:, 0].astype(np.longdouble)
+        alpha = np.longdouble(C.alpha)
+        chunks = cocycle_module._step_chunks(C, starts, M, self.BOUNDS)
+        for (lo, hi), got in zip(self.BOUNDS, chunks, strict=True):
+            # contiguous: every op of the sweep runs along the batch axis
+            assert got.shape == (d, d, hi - lo, M) and got.flags.c_contiguous
+            t = np.arange(lo, hi).astype(np.longdouble)
+            y = (x[None, :] + t[:, None] * alpha) % 1
+            phases = np.exp(2j * np.pi * freqs * y[..., None].astype(np.clongdouble))
+            want = np.einsum("tbk,kij->ijtb", phases.astype(complex), F.c)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("M", [8, 32])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_grid_matches_shift_samples(self, l, M):
+        # grids of 16 per axis: M = 8 aliases, M = 32 zero-pads the spectrum
+        if l == 1:
+            one = fx.random_invertible(2, d=3)
+            C = Cocycle(one.frequencies, GridMatrixFunction(one.matrix.sample_grid(16)))
+        else:
+            C = _invertible_grid(11, 3, M=16)
+        d, batch = C.dim, M ** l
+        base = resample_lattice(C.matrix, M)
+        spec = np.fft.fftn(base, axes=tuple(range(l)))
+        alpha = np.array(C.frequencies)
+        bounds = [(0, 5), (997, 1003)]
+        chunks = cocycle_module._step_chunks(C, _lattice_starts(l, M), M, bounds)
+        for (lo, hi), got in zip(bounds, chunks, strict=True):
+            assert got.shape == (d, d, hi - lo, batch) and got.flags.c_contiguous
+            for i, t in enumerate(range(lo, hi)):
+                want = shift_samples(base, t * alpha, spec).reshape(batch, d, d)
+                np.testing.assert_allclose(got[:, :, i], want.transpose(1, 2, 0),
+                                           rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+class TestChunkCount:
+    def test_narrow_sweep_runs_long_chunks(self, monkeypatch):
+        # every chunk pays a fixed set of array ops, so a narrow batch
+        # must not be cut into dozens of short step ranges (64 of 32 steps
+        # at a quarter of the chunk budget)
+        rec = _sweep_record(monkeypatch)
+        lyapunov_spectrum(fx.random_invertible(3, d=3), n=2000, M=32)
+        assert len(rec["bounds"][0]) <= 20
 
 
 def _dense_orbit_product(C, n):
