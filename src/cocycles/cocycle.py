@@ -179,9 +179,9 @@ def iterates(C, n_max, degree_cap=DEGREE_CAP):
         yield GridMatrixFunction(prod)
 
 
-# the step matrices and phases of one chunk of the Lyapunov sweep stay near
-# this size; each chunk pays a fixed set of small array ops, so a narrow
-# batch needs long chunks, while a wide one reaches the size in 16 steps
+# the step matrices and phases of a chunk of the Lyapunov sweep (less for
+# blocks read off L_s) stay near this size; each chunk pays a fixed set of
+# small array ops, so a narrow batch needs long chunks, a wide one 16 steps
 _CHUNK_BYTES = 1 << 20
 
 # after the warmup the sweep re-orthonormalises once per block of s orbit
@@ -193,22 +193,74 @@ _BLOCK_MAX = 16
 _BLOCK_LOG_COND = math.log(1e6)
 
 
-def _step_chunks(C, starts, M, bounds):
-    """Yield the step matrices A(x_b + t a) for each half-open step range in
-    bounds, in order, held batch-last: shape (d, d, T, batch).  A chunk
-    depends on its own range only."""
-    if C.is_exact:
-        F, a = C.matrix, C.alpha
-        freqs = np.arange(F.kmin, F.kmin + len(F.c))
-        start = np.exp(2j * np.pi * np.outer(freqs, starts[:, 0]))
-        # k t a = k t hi + k t (a - hi) with hi = a on 26 bits: k t hi is
-        # exact and reduces mod 1 exactly, so no phase error grows with t
-        hi = math.ldexp(round(math.ldexp(a, 26)), -26)
-        for lo, end in bounds:
-            kt = np.outer(freqs, np.arange(lo, end))
-            step = np.exp(2j * np.pi * ((kt * hi) % 1.0 + kt * (a - hi)))
-            yield np.tensordot(F.c, step[:, :, None] * start[:, None, :], axes=(0, 0))
+def _orbit_phases(freqs, ts, a):
+    """e^{2 pi i k t a}, (K, T), for frequencies k and orbit steps t: with
+    hi = a on 26 bits, t hi and k (t hi mod 1) are exact for t < 2^27, and
+    reduced toward zero mod 1 the phases of k and -k stay conjugate."""
+    hi = math.ldexp(round(math.ldexp(a, 26)), -26)
+    arg = np.fmod(np.outer(freqs, np.fmod(ts * hi, 1.0)), 1.0) + np.outer(freqs, ts) * (a - hi)
+    return np.exp(2j * np.pi * arg)
+
+
+def _iterate_coeffs(A, a, N, lengths):
+    """r -> the coefficients (K_r, d, d) of L_r = A(x+(r-1)a)···A(x) from
+    frequency r kmin on, for r > 0 in lengths: the running product of
+    A(x + t a) sampled on N > r(K-1) points, one inverse FFT per factor and
+    one FFT per L_r, where MatrixFunction products convolve K_r K terms."""
+    K, freqs = len(A.c), A.kmin + np.arange(len(A.c))
+    out, prod = {}, np.eye(A.rows)[:, :, None]
+    for t, phase in enumerate(_orbit_phases(freqs, np.arange(max(lengths)), a).T, 1):
+        spec = np.zeros(A.shape + (N,), dtype=complex)
+        spec[..., freqs % N] = np.moveaxis(A.c, 0, -1) * phase
+        prod = _mul_last(np.fft.ifft(spec, norm="forward"), prod)
+        if t in lengths:
+            kt = t * A.kmin + np.arange(t * (K - 1) + 1)
+            out[t] = np.moveaxis(np.fft.fft(prod, norm="forward")[..., kt % N], -1, 0)
+    return out
+
+
+def _sweep_blocks(C, M, bounds):
+    """Yield the block products of the sweep on the M^l orbit lattice,
+    (d, d, blocks, batch), for each step range of bounds: send s (after
+    next()) to get the ordered products of s consecutive steps of the next
+    range, its last block short when s does not divide its length.  For
+    exact input the product of s steps from t is L_s(x_b + t a), read off
+    L_s (built once by _iterate_coeffs) as a step is off A, when that
+    build's s N d^2 (log2 N + d) flops stay below the d^3 per orbit step of
+    the products it replaces; else, and for grid samples, steps multiply."""
+    s = yield
+    if not C.is_exact:
+        steps = _step_chunks(C, M, bounds)
+        for _ in bounds:
+            s = yield _block_products_last(next(steps), s)
         return
+    A, a, d = C.matrix, C.alpha, C.dim
+    iters, starts = {1: A.c}, {}  # r -> coefficients of L_r; None: multiply
+
+    def at(r, ts):  # L_r at x_b + t a, (d, d, T, batch)
+        freqs = r * A.kmin + np.arange(len(iters[r]))
+        if r not in starts:  # x_b = b / M
+            starts[r] = _orbit_phases(freqs, np.arange(M), 1.0 / M)
+        # the step phases scale d^2 coefficients a frequency, not batch start phases
+        steps = iters[r][..., None] * _orbit_phases(freqs, ts, a)[:, None, None, :]
+        return np.tensordot(steps, starts[r], axes=(0, 0))
+
+    for i, (lo, end) in enumerate(bounds):
+        if s not in iters:
+            N, rest = 1 << (s * (len(A.c) - 1)).bit_length(), bounds[i:]  # N > s(K-1)
+            if s * N * d * d * (math.log2(N) + d) < sum(h - l for l, h in rest) * M * d ** 3:
+                iters = _iterate_coeffs(A, a, N, {s} | {(h - l) % s for l, h in rest}) | iters
+            iters.setdefault(s, None)
+        ts = np.arange(lo, end, s)  # the last block, full or short, is L_r for r steps left
+        s = yield (np.concatenate([at(s, ts[:-1]), at(end - ts[-1], ts[-1:])], axis=2)
+                   if iters[s] is not None else _block_products_last(at(1, np.arange(lo, end)), s))
+
+
+def _step_chunks(C, M, bounds):
+    """Yield the step matrices A(x_b + t a) of grid samples on the M^l orbit
+    lattice, reached by resample_lattice, for each half-open step range in
+    bounds, held batch-last, (d, d, T, batch): one spectrum twist and
+    inverse FFT per range, so a chunk depends on its own range only."""
     l = C.base_dim
     # value axes first in memory: the inverse FFT leaves each step batch-last
     spec = np.fft.fftn(resample_lattice(C.matrix, M), axes=tuple(range(l)))
@@ -255,29 +307,20 @@ def _mul_last(a, b):
 
 def _block_products_last(mats, s):
     """The ordered products of s consecutive step matrices held batch-last,
-    (d, d, T, batch) to (d, d, ceil(T/s), batch); a short last block
-    multiplies the steps left.
-
-    The factors of a block are multiplied in neighbouring pairs, later step
-    on the left, in log2 s levels of _mul_last; a short last block is
-    reduced the same way, not padded with identities: a padded copy of the
-    chunk would raise the sweep's peak memory.
-    """
+    (d, d, T, batch) to (d, d, ceil(T/s), batch): neighbouring pairs, later
+    step on the left, in log2 s levels of _mul_last.  A short last block of
+    the steps left is reduced alike, not padded with identities, which
+    would copy the chunk."""
     d, _, T, batch = mats.shape
-    full = T // s
-    blocks = []
-    if full:
-        blocks.append(mats[:, :, :full * s].reshape(d, d, full, s, batch))
-    if full * s < T:
-        blocks.append(mats[:, :, None, full * s:])
+    full = T // s * s
     prods = []
-    for m in blocks:
+    for m in (mats[:, :, :full].reshape(d, d, full // s, s, batch), mats[:, :, None, full:]):
         while m.shape[3] > 1:
             n = m.shape[3]
             pairs = _mul_last(m[:, :, :, 1::2], m[:, :, :, 0:n - 1:2])
-            m = pairs if n % 2 == 0 else np.concatenate([pairs, m[:, :, :, -1:]],
-                                                        axis=3)
-        prods.append(m[:, :, :, 0])
+            m = pairs if n % 2 == 0 else np.concatenate([pairs, m[:, :, :, -1:]], axis=3)
+        if m.size:
+            prods.append(m[:, :, :, 0])
     return prods[0] if len(prods) == 1 else np.concatenate(prods, axis=2)
 
 
@@ -348,22 +391,22 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     the warmup so that a block product stays well conditioned.  The sweep
     runs on Structure.unit, the generator divided by a power of two near its
     size, so a block product neither overflows nor underflows, and adds the
-    log of that scale back.  Step matrices, block products and all
-    bookkeeping are computed a chunk of steps at a time.  A direction whose
-    R-diagonal entry dies in a block (exactly zero or below 1e-14 of the
-    largest) adds no growth and its steps are not counted in its average.
+    log of that scale back.  Block products and all bookkeeping are computed
+    a chunk of steps at a time.  A direction whose R-diagonal entry dies in
+    a block (exactly zero or below 1e-14 of the largest) adds no growth and
+    its steps are not counted in its average.
 
     Every array of the sweep is held batch-last, (d, d, ..., batch) over the
-    M^l orbits of l frequencies, so one arithmetic op covers all orbits:
-    block products are formed pairwise in log2 s levels, and P q is
-    re-orthonormalised by classical Gram-Schmidt with one reorthogonalisation
-    pass (Benettin, Galgani, Giorgilli and Strelcyn 1980; "twice is
-    enough", Giraud, Langou and Rozloznik 2005).  A column whose residual
-    there is exactly zero, an orbit fallen into ker A, records |R_jj| = 0,
-    which the death floor counts, and the frame is completed by the basis
-    vector with the largest residual, orthogonalised twice.  Grid samples
-    reach the orbit lattice by resample_lattice, one inverse FFT, and move
-    along it by one spectrum twist and inverse FFT per chunk.
+    M^l orbits of l frequencies, so one arithmetic op covers all orbits: a
+    block product is read off the iterate L_s for exact entries where that
+    saves flops, else formed pairwise in log2 s levels of steps
+    (_sweep_blocks), and P q is re-orthonormalised by classical Gram-Schmidt
+    with one reorthogonalisation pass (Benettin, Galgani, Giorgilli and
+    Strelcyn 1980; "twice is enough", Giraud, Langou and Rozloznik 2005).  A
+    column whose residual there is exactly zero, an orbit fallen into ker A,
+    records |R_jj| = 0, which the death floor counts, and the frame is
+    completed by the basis vector with the largest residual, orthogonalised
+    twice.
 
     stderr combines the spread over orbits with a Richardson estimate of the
     still-settling bias: a running mean converging like 1/t leaves a residual
@@ -384,9 +427,7 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     if k == 0:
         inf = [float("-inf")] * d
         return LyapunovReport(inf, list(inf), [0.0] * d, divergent, n, M, reasons)
-    mesh = np.meshgrid(*[np.arange(M) / M] * C.base_dim, indexing="ij")
-    starts = np.stack([g.ravel() for g in mesh], axis=1)
-    batch = starts.shape[0]
+    batch = M ** C.base_dim
     scale, U = st.scale, st.unit
     # a fixed random orthonormal start keeps no basis vector exactly inside a
     # structural kernel, which an identity start would do for triangular input
@@ -403,8 +444,7 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     mid = n_eff - quarter + 1
     nfreq = len(U.matrix.c) if U.is_exact else 0
     # whole maximal blocks per chunk leave at most one short block per range
-    chunk = _BLOCK_MAX * max(
-        1, _CHUNK_BYTES // (16 * batch * (d * d + nfreq) * _BLOCK_MAX))
+    chunk = _BLOCK_MAX * max(1, _CHUNK_BYTES // (16 * batch * (d * d + nfreq) * _BLOCK_MAX))
     bounds = []
     for a, b in ((0, warmup), (warmup, warmup + mid), (warmup + mid, n)):
         bounds += [(lo, min(lo + chunk, b)) for lo in range(a, b, chunk)]
@@ -415,15 +455,15 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     deaths = np.zeros((batch, d), dtype=int)
     running = {}
 
-    chunks = _step_chunks(U, starts, M, bounds)
+    blocks = _sweep_blocks(U, M, bounds)
+    next(blocks)
     for lo, hi in bounds:
-        mats = next(chunks)  # not zip: its reused tuple keeps the last chunk alive
-        prods = _block_products_last(mats, s)
+        prods = blocks.send(s)
         diag = np.empty((prods.shape[2], batch, d))
         for i in range(len(diag)):
             q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
             diag[i] = r.T
-        del mats, prods  # not held while the next chunk is built
+        del prods  # not held while the next chunk is built
         if lo < warmup:
             settled.append(diag[max(warmup // 2 - lo, 0):])
             if hi == warmup:

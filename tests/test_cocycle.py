@@ -475,19 +475,19 @@ class TestBatchLastStep:
 def _sweep_record(monkeypatch):
     """Record the block length and the step ranges of each sweep."""
     rec = {"s": [], "bounds": []}
-    block_length, step_chunks = (cocycle_module._block_length,
-                                 cocycle_module._step_chunks)
+    block_length, sweep_blocks = (cocycle_module._block_length,
+                                  cocycle_module._sweep_blocks)
 
     def length(diag, k):
         rec["s"].append(block_length(diag, k))
         return rec["s"][-1]
 
-    def chunks(C, starts, M, bounds):
+    def blocks(C, M, bounds):
         rec["bounds"].append(list(bounds))
-        return step_chunks(C, starts, M, bounds)
+        return sweep_blocks(C, M, bounds)
 
     monkeypatch.setattr(cocycle_module, "_block_length", length)
-    monkeypatch.setattr(cocycle_module, "_step_chunks", chunks)
+    monkeypatch.setattr(cocycle_module, "_sweep_blocks", blocks)
     return rec
 
 
@@ -536,36 +536,48 @@ class TestBlockLength:
             assert sum(made.values()) <= warmup + -(-(n - warmup) // s) + len(bounds)
 
 
-def _lattice_starts(l, M):
-    mesh = np.meshgrid(*[np.arange(M) / M] * l, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
+def _exact_steps(C, M, lo, hi):
+    """The step matrices A(x_b + t a) of exact C on the M-point lattice for
+    lo <= t < hi, (d, d, T, M): (x_b + t a) mod 1 and its phases formed in
+    longdouble."""
+    F = C.matrix
+    freqs = np.arange(F.kmin, F.kmin + len(F.c)).astype(np.longdouble)
+    x = np.arange(M).astype(np.longdouble) / M
+    t = np.arange(lo, hi).astype(np.longdouble)
+    y = (x[None, :] + t[:, None] * np.longdouble(C.alpha)) % 1
+    phases = np.exp(2j * np.pi * freqs * y[..., None].astype(np.clongdouble))
+    return np.einsum("tbk,kij->ijtb", phases.astype(complex), F.c)
+
+
+def _sweep_products(C, M, bounds, s):
+    """The block products of _sweep_blocks for each range of bounds at
+    block length s."""
+    blocks = cocycle_module._sweep_blocks(C, M, bounds)
+    next(blocks)
+    return [blocks.send(s) for _ in bounds]
+
+
+def _wedge(C):
+    return Cocycle(C.frequencies, exterior_power(C.matrix, 2))
 
 
 class TestStepChunks:
-    """The step generator of the sweep against direct evaluation: a chunk
-    depends on its own step range only, with no phase or shift state
-    carried from the chunk before."""
+    """The steps of the sweep against direct evaluation: a chunk depends on
+    its own step range only, with no phase or shift state carried from the
+    chunk before."""
 
     BOUNDS = [(0, 64), (1936, 2000)]
 
     def test_exact_matches_the_reduced_orbit_points(self):
-        # the d = 6 wedge, non-contiguous ranges up to t = 2000; the
-        # reference forms (x_b + t a) mod 1 and its phases in longdouble
-        C = fx.random_invertible(5, d=4)
-        C = Cocycle(C.frequencies, exterior_power(C.matrix, 2))
-        F, d, M = C.matrix, C.dim, 16
-        starts = _lattice_starts(1, M)
-        freqs = np.arange(F.kmin, F.kmin + len(F.c)).astype(np.longdouble)
-        x = starts[:, 0].astype(np.longdouble)
-        alpha = np.longdouble(C.alpha)
-        chunks = cocycle_module._step_chunks(C, starts, M, self.BOUNDS)
+        # the d = 6 wedge, non-contiguous ranges up to t = 2000; at block
+        # length 1 the sweep's block products are its steps
+        C = _wedge(fx.random_invertible(5, d=4))
+        d, M = C.dim, 16
+        chunks = _sweep_products(C, M, self.BOUNDS, 1)
         for (lo, hi), got in zip(self.BOUNDS, chunks, strict=True):
             # contiguous: every op of the sweep runs along the batch axis
             assert got.shape == (d, d, hi - lo, M) and got.flags.c_contiguous
-            t = np.arange(lo, hi).astype(np.longdouble)
-            y = (x[None, :] + t[:, None] * alpha) % 1
-            phases = np.exp(2j * np.pi * freqs * y[..., None].astype(np.clongdouble))
-            want = np.einsum("tbk,kij->ijtb", phases.astype(complex), F.c)
+            want = _exact_steps(C, M, lo, hi)
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
 
@@ -583,13 +595,95 @@ class TestStepChunks:
         spec = np.fft.fftn(base, axes=tuple(range(l)))
         alpha = np.array(C.frequencies)
         bounds = [(0, 5), (997, 1003)]
-        chunks = cocycle_module._step_chunks(C, _lattice_starts(l, M), M, bounds)
+        chunks = cocycle_module._step_chunks(C, M, bounds)
         for (lo, hi), got in zip(bounds, chunks, strict=True):
             assert got.shape == (d, d, hi - lo, batch) and got.flags.c_contiguous
             for i, t in enumerate(range(lo, hi)):
                 want = shift_samples(base, t * alpha, spec).reshape(batch, d, d)
                 np.testing.assert_allclose(got[:, :, i], want.transpose(1, 2, 0),
                                            rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def _sweep_inputs():
+    rng = np.random.default_rng(8)
+    skew = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    return {
+        "random_invertible": fx.random_invertible(3, d=3),
+        # frequencies -3 and -2 only
+        "negative_frequencies": Cocycle((GOLDEN_MEAN,), MatrixFunction.from_coeffs(
+            -3, skew + 3.0 * np.eye(3))),
+        "constant": const_cocycle(np.array([[1.5, 0.5], [-0.25, 0.75j]])),
+        "scalar": _wedge(fx.random_invertible(2, d=2)),
+        "wedge_d6": _wedge(fx.random_invertible(5, d=4)),
+    }
+
+
+class TestSweepBlocks:
+    """Block products read off the iterate L_s against the ordered
+    products of s step matrices, to 1e-12 of the largest entry."""
+
+    INPUTS = _sweep_inputs()
+    # non-contiguous, with short last blocks at s = 16
+    BOUNDS = [(0, 64), (64, 1001), (1936, 2000)]
+
+    @pytest.mark.parametrize("s", [1, 2, 16])
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_match_multiplied_steps(self, name, s, monkeypatch):
+        C, M = self.INPUTS[name], 64
+        built = []
+        iterate_coeffs = cocycle_module._iterate_coeffs
+
+        def spy(A, a, N, lengths):
+            built.append(set(lengths))
+            return iterate_coeffs(A, a, N, lengths)
+
+        monkeypatch.setattr(cocycle_module, "_iterate_coeffs", spy)
+        got = _sweep_products(C, M, self.BOUNDS, s)
+        # L_1 is A; L_2 and L_16 are built once, with the short blocks' L_r
+        assert built == ([] if s == 1 else [{s} | {(h - l) % s for l, h in self.BOUNDS}])
+        for (lo, hi), prods in zip(self.BOUNDS, got, strict=True):
+            want = cocycle_module._block_products_last(_exact_steps(C, M, lo, hi), s)
+            assert prods.shape == (C.dim, C.dim, -(-(hi - lo) // s), M)
+            assert prods.flags.c_contiguous
+            np.testing.assert_allclose(prods, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_low_degree_multiplies_no_steps(self, monkeypatch):
+        built = []
+        iterate_coeffs = cocycle_module._iterate_coeffs
+
+        def refuse(*args):
+            raise AssertionError("step matrices multiplied")
+
+        def spy(A, a, N, lengths):
+            built.append(max(lengths))
+            return iterate_coeffs(A, a, N, lengths)
+
+        monkeypatch.setattr(cocycle_module, "_block_products_last", refuse)
+        monkeypatch.setattr(cocycle_module, "_iterate_coeffs", spy)
+        rep = lyapunov_spectrum(fx.random_invertible(3, d=3), n=1000, M=64)
+        assert all(np.isfinite(rep.exponents))
+        assert len(built) == 1 and built[0] > 1
+
+    def test_high_degree_builds_no_iterate(self, monkeypatch):
+        # degree 64: building L_16 on 4096 points costs more than the
+        # block products it would replace
+        lengths = []
+        block_products = cocycle_module._block_products_last
+
+        def refuse(*args):
+            raise AssertionError("L_s built")
+
+        def spy(mats, s):
+            lengths.append(s)
+            return block_products(mats, s)
+
+        monkeypatch.setattr(cocycle_module, "_iterate_coeffs", refuse)
+        monkeypatch.setattr(cocycle_module, "_block_products_last", spy)
+        C = fx.random_invertible(11, d=3, degree=64)
+        rep = lyapunov_spectrum(C, n=1000, M=64)
+        assert all(np.isfinite(rep.exponents))
+        assert max(lengths) > 1
 
 
 class TestChunkCount:
@@ -701,6 +795,7 @@ class TestFlagReason:
         def refuse(*args):
             raise AssertionError("a sweep for a cocycle with no finite exponent")
 
+        monkeypatch.setattr(cocycle_module, "_sweep_blocks", refuse)
         monkeypatch.setattr(cocycle_module, "_step_chunks", refuse)
         for C in (fx.nilpotent_3x3_variable_rank(), fx.twofrequency_rank_one(M=32)):
             rep = lyapunov_spectrum(C, n=500, M=16)
