@@ -31,8 +31,8 @@ from .frames import raw_kernel_field
 from .matfun import (
     GridMatrixFunction,
     MatrixFunction,
+    lattice_coefficients,
     max_rank,
-    resample_lattice,
     shift_samples,
 )
 from .trigpoly import DEGREE_CAP, default_grid_size, log_integral, real_divide
@@ -179,17 +179,16 @@ def iterates(C, n_max, degree_cap=DEGREE_CAP):
         yield GridMatrixFunction(prod)
 
 
-# the step matrices and phases of a chunk of the Lyapunov sweep (less for
-# blocks read off L_s) stay near this size; each chunk pays a fixed set of
-# small array ops, so a narrow batch needs long chunks, a wide one 16 steps
+# a step range of the Lyapunov sweep holds near this many bytes of block
+# products and of the arrays that build them; each range pays a fixed set of
+# small array ops, so a narrow batch needs long ranges, a wide one short
 _CHUNK_BYTES = 1 << 20
 
 # after the warmup the sweep re-orthonormalises once per block of s orbit
-# steps, s a power of two up to _BLOCK_MAX; s times the widest per-step
-# spread of the finite R-diagonal stays below the log of the condition
-# number a block product may reach before QR loses digits of its smallest
-# finite direction
-_BLOCK_MAX = 16
+# steps, s at most _BLOCK_MAX; s times the widest per-step spread of the
+# finite R-diagonal stays below the log of the condition number a block
+# product may reach before QR loses digits of its smallest finite direction
+_BLOCK_MAX = 32
 _BLOCK_LOG_COND = math.log(1e6)
 
 
@@ -219,23 +218,57 @@ def _iterate_coeffs(A, a, N, lengths):
     return out
 
 
-def _sweep_blocks(C, M, bounds):
+def _iterate_points(K, s):
+    """The FFT length N > s(K-1), a power of two, whose grid holds every
+    frequency of L_s for K coefficients of A."""
+    return 1 << (s * (K - 1)).bit_length()
+
+
+def _sweep_layout(C, M, s, steps):
+    """(s, reads, step): the block length, the block path and the orbit
+    steps per range of a sweep over `steps` steps whose conditioning allows
+    blocks of s.
+
+    Exact input reads its blocks off the iterate L_s (reads) when building
+    L_s (_iterate_coeffs), s N d^2 (log2 N + d) flops, costs less than the
+    d^3 a step and orbit of the block products it replaces; at s = 1,
+    L_1 = A needs no build.  A range holds whole blocks, as many as keep
+    near _CHUNK_BYTES the arrays that path materialises: per block read off
+    L_s its K_s = s(K-1)+1 scaled coefficients and two (d, d, batch)
+    products, per block of multiplied steps s steps of K coefficients and
+    three (d, d, batch) arrays.  Grid steps come from one lattice FFT per
+    range, 16 d^2 batch bytes a step, in multiples of 16 steps (16 at 1,024
+    orbits and d >= 2); s shrinks to the largest divisor of that, so a
+    block never spans two ranges.
+    """
+    d, batch = C.dim, M ** C.base_dim
+    if not C.is_exact:
+        step = 16 * max(1, _CHUNK_BYTES // (16 * 16 * batch * d * d))
+        return max(b for b in range(1, s + 1) if step % b == 0), False, step
+    K = len(C.matrix.c)
+    N = _iterate_points(K, s)
+    reads = s == 1 or s * N * d * d * (math.log2(N) + d) < steps * M * d ** 3
+    block = 16 * d * d * ((s * (K - 1) + 1 + 2 * batch) if reads else (K + 3 * batch) * s)
+    return s, reads, s * max(1, _CHUNK_BYTES // block)
+
+
+def _sweep_blocks(C, M, bounds, s, reads):
     """Yield the block products of the sweep on the M^l orbit lattice,
-    (d, d, blocks, batch), for each step range of bounds: send s (after
-    next()) to get the ordered products of s consecutive steps of the next
-    range, its last block short when s does not divide its length.  For
-    exact input the product of s steps from t is L_s(x_b + t a), read off
-    L_s (built once by _iterate_coeffs) as a step is off A, when that
-    build's s N d^2 (log2 N + d) flops stay below the d^3 per orbit step of
-    the products it replaces; else, and for grid samples, steps multiply."""
-    s = yield
+    (d, d, blocks, batch), for each step range of bounds: the ordered
+    products of s consecutive steps, the last block short when s does not
+    divide the range.  With reads (_sweep_layout) the product of s steps
+    from t is L_s(x_b + t a), read off L_s (built once by _iterate_coeffs)
+    as a step is off A; else, and for grid samples, steps multiply."""
     if not C.is_exact:
         steps = _step_chunks(C, M, bounds)
-        for _ in bounds:
-            s = yield _block_products_last(next(steps), s)
+        for _ in bounds:  # no step matrices held here while the next range is built
+            yield _block_products_last(next(steps), s)
         return
-    A, a, d = C.matrix, C.alpha, C.dim
-    iters, starts = {1: A.c}, {}  # r -> coefficients of L_r; None: multiply
+    A, a = C.matrix, C.alpha
+    iters, starts = {1: A.c}, {}  # r -> coefficients of L_r
+    if reads and s > 1:
+        lengths = {s} | {(h - l) % s for l, h in bounds}
+        iters = _iterate_coeffs(A, a, _iterate_points(len(A.c), s), lengths) | iters
 
     def at(r, ts):  # L_r at x_b + t a, (d, d, T, batch)
         freqs = r * A.kmin + np.arange(len(iters[r]))
@@ -245,25 +278,25 @@ def _sweep_blocks(C, M, bounds):
         steps = iters[r][..., None] * _orbit_phases(freqs, ts, a)[:, None, None, :]
         return np.tensordot(steps, starts[r], axes=(0, 0))
 
-    for i, (lo, end) in enumerate(bounds):
-        if s not in iters:
-            N, rest = 1 << (s * (len(A.c) - 1)).bit_length(), bounds[i:]  # N > s(K-1)
-            if s * N * d * d * (math.log2(N) + d) < sum(h - l for l, h in rest) * M * d ** 3:
-                iters = _iterate_coeffs(A, a, N, {s} | {(h - l) % s for l, h in rest}) | iters
-            iters.setdefault(s, None)
+    for lo, end in bounds:
+        if not reads:
+            yield _block_products_last(at(1, np.arange(lo, end)), s)
+            continue
         ts = np.arange(lo, end, s)  # the last block, full or short, is L_r for r steps left
-        s = yield (np.concatenate([at(s, ts[:-1]), at(end - ts[-1], ts[-1:])], axis=2)
-                   if iters[s] is not None else _block_products_last(at(1, np.arange(lo, end)), s))
+        r = end - ts[-1]
+        yield at(s, ts) if r == s else np.concatenate([at(s, ts[:-1]), at(r, ts[-1:])], axis=2)
 
 
 def _step_chunks(C, M, bounds):
     """Yield the step matrices A(x_b + t a) of grid samples on the M^l orbit
-    lattice, reached by resample_lattice, for each half-open step range in
-    bounds, held batch-last, (d, d, T, batch): one spectrum twist and
-    inverse FFT per range, so a chunk depends on its own range only."""
+    lattice, the values resample_lattice gives, for each half-open step
+    range in bounds, held batch-last, (d, d, T, batch): one twist of the
+    lattice spectrum and one inverse FFT per range, so a chunk depends on
+    its own range only."""
     l = C.base_dim
-    # value axes first in memory: the inverse FFT leaves each step batch-last
-    spec = np.fft.fftn(resample_lattice(C.matrix, M), axes=tuple(range(l)))
+    # the DFT of the lattice values, value axes first in memory: the inverse
+    # FFT leaves each step batch-last
+    spec = lattice_coefficients(C.matrix, M) * M ** l
     spec = np.ascontiguousarray(np.moveaxis(spec, (-2, -1), (0, 1)))[:, :, None]
     f = np.fft.fftfreq(M, 1.0 / M)
     for lo, end in bounds:
@@ -283,17 +316,16 @@ def _block_length(diag, k):
 
     diag holds |R_jj| of single steps, shape (steps, batch, d).  The spread
     g is the widest log ratio among the first k entries of a step and orbit
-    where none of them has died; s is the largest power of two up to
-    _BLOCK_MAX with s * g <= _BLOCK_LOG_COND.
+    where none of them has died; s is the largest integer up to _BLOCK_MAX
+    with s * g <= _BLOCK_LOG_COND, at least 1.
     """
     fin = diag[..., :k]
     lo, hi = fin.min(axis=-1), fin.max(axis=-1)
     alive = lo > 1e-14 * diag.max(axis=-1)
     gap = float(np.log(hi[alive] / lo[alive]).max()) if alive.any() else 0.0
-    s = _BLOCK_MAX
-    while s > 1 and s * gap > _BLOCK_LOG_COND:
-        s //= 2
-    return s
+    if _BLOCK_MAX * gap <= _BLOCK_LOG_COND:
+        return _BLOCK_MAX
+    return max(1, int(_BLOCK_LOG_COND / gap))
 
 
 def _mul_last(a, b):
@@ -368,6 +400,17 @@ def _gram_schmidt(y):
     return q, r
 
 
+def _qr_blocks(prods, q):
+    """Carry the frame q, (d, d, batch), through the block products of a
+    range, (d, d, blocks, batch): one Gram-Schmidt QR of P q per block.
+    Returns the last frame and the |R_jj| of each block, (blocks, batch, d)."""
+    diag = np.empty((prods.shape[2],) + q.shape[2:] + q.shape[:1])
+    for i in range(len(diag)):
+        q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
+        diag[i] = r.T
+    return q, diag
+
+
 def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     """Exponent estimates from M grid orbits of length n; -inf where certified.
 
@@ -386,13 +429,15 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     frame settle into the growth filtration and is excluded from the
     averages; it runs one QR per step.  After it,
     one QR per block of s steps: the R-diagonal of a block product is the
-    product of the per-step R-diagonals, and s (a power of two, at most 16)
-    is chosen from the spread of the finite R-diagonal in the second half of
-    the warmup so that a block product stays well conditioned.  The sweep
-    runs on Structure.unit, the generator divided by a power of two near its
-    size, so a block product neither overflows nor underflows, and adds the
-    log of that scale back.  Block products and all bookkeeping are computed
-    a chunk of steps at a time.  A direction whose R-diagonal entry dies in
+    product of the per-step R-diagonals, and s (the largest integer up to
+    32 the conditioning rule allows) is chosen from the spread of the finite
+    R-diagonal in the second half of the warmup so that a block product
+    stays well conditioned.  The sweep runs on Structure.unit, the generator
+    divided by a power of two near its size, so a block product neither
+    overflows nor underflows, and adds the log of that scale back.  Block
+    products and all bookkeeping are computed a range of steps at a time,
+    whole blocks of s sized by the arrays the block path materialises
+    (_sweep_layout).  A direction whose R-diagonal entry dies in
     a block (exactly zero or below 1e-14 of the largest) adds no growth and
     its steps are not counted in its average.
 
@@ -439,36 +484,31 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     warmup = min(n // 5, 64)
     n_eff = n - warmup
     # the Richardson term reads the running mean after mid swept steps and
-    # after all of them, so a chunk, and with it a block, ends at both
+    # after all of them, so a range, and with it a block, ends at both
     quarter = max(n_eff // 4, 2)
     mid = n_eff - quarter + 1
-    nfreq = len(U.matrix.c) if U.is_exact else 0
-    # whole maximal blocks per chunk leave at most one short block per range
-    chunk = _BLOCK_MAX * max(1, _CHUNK_BYTES // (16 * batch * (d * d + nfreq) * _BLOCK_MAX))
-    bounds = []
-    for a, b in ((0, warmup), (warmup, warmup + mid), (warmup + mid, n)):
-        bounds += [(lo, min(lo + chunk, b)) for lo in range(a, b, chunk)]
 
-    s = 1
+    def sweep(s, reads, step, *ends):  # the ranges from the first end to the last, and their blocks
+        bounds = [(lo, min(lo + step, b)) for a, b in zip(ends, ends[1:])
+                  for lo in range(a, b, step)]
+        blocks = _sweep_blocks(U, M, bounds, s, reads)
+        for lo, hi in bounds:
+            yield lo, hi, next(blocks)
+
     settled = []
+    for lo, hi, prods in sweep(*_sweep_layout(U, M, 1, warmup), 0, warmup):
+        q, diag = _qr_blocks(prods, q)
+        del prods  # not held while the next range is built
+        settled.append(diag[max(warmup // 2 - lo, 0):])
+
+    s, reads, step = _sweep_layout(
+        U, M, _block_length(np.concatenate(settled), k) if warmup else 1, n_eff)
     logr = np.zeros((batch, d))
     deaths = np.zeros((batch, d), dtype=int)
     running = {}
-
-    blocks = _sweep_blocks(U, M, bounds)
-    next(blocks)
-    for lo, hi in bounds:
-        prods = blocks.send(s)
-        diag = np.empty((prods.shape[2], batch, d))
-        for i in range(len(diag)):
-            q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
-            diag[i] = r.T
-        del prods  # not held while the next chunk is built
-        if lo < warmup:
-            settled.append(diag[max(warmup // 2 - lo, 0):])
-            if hi == warmup:
-                s = _block_length(np.concatenate(settled), k)
-            continue
+    for lo, hi, prods in sweep(s, reads, step, warmup, warmup + mid, n):
+        q, diag = _qr_blocks(prods, q)
+        del prods
         # a direction dies in a block when its R-diagonal entry is exactly
         # zero or below the per-sample relative floor; it then adds no growth
         # and the block's steps count as dead

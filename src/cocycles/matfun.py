@@ -7,8 +7,9 @@ that tensor and truncate entry by entry as TrigPoly does.  poly_from_samples
 turns grid samples back into a MatrixFunction, with a Fourier tail check.
 GridMatrixFunction carries samples of a band-limited matrix function over an
 l-dimensional torus grid, the only backing for multi-frequency bases;
-shift_samples and resample_lattice move grid samples by FFT, so this module
-owns the Fourier conventions of the grid representation.
+shift_samples, lattice_coefficients and resample_lattice move grid samples
+by FFT, so this module owns the Fourier conventions of the grid
+representation.
 """
 
 import itertools
@@ -295,23 +296,32 @@ def shift_samples(samples, shift, spectrum=None):
     return np.fft.ifftn(s, axes=gaxes)
 
 
+def lattice_coefficients(F, M):
+    """The Fourier coefficients of a GridMatrixFunction's interpolant folded
+    onto the lattice x = j/M, (M, ..., M, rows, cols), one M per grid axis.
+
+    Each Fourier coefficient of F, at the frequency F._spectrum() gives it
+    and sample_at evaluates, goes to the bin of its frequency mod M: a
+    zero-padded spectrum when M exceeds the grid, an alias sum when M is
+    smaller, since e^{2 pi i k j/M} depends on k mod M only.
+    """
+    kflat, flat = F._spectrum()
+    bins = np.zeros((M,) * F.base_dim + F.shape, dtype=complex)
+    np.add.at(bins, tuple((kflat % M).T), flat)
+    return bins
+
+
 def resample_lattice(F, M):
     """Values of a GridMatrixFunction's interpolant on the lattice x = j/M.
 
     Returns (M, ..., M, rows, cols), one M per grid axis: the samples
-    themselves when the lattice is F's grid, else one spectrum placement and
-    one inverse FFT.  Each Fourier coefficient of F, at the frequency
-    F._spectrum() gives it and sample_at evaluates, goes to the bin of its
-    frequency mod M: a zero-padded spectrum when M exceeds the grid, an
-    alias sum when M is smaller, since e^{2 pi i k j/M} depends on k mod M
-    only.  O(M^l log M) work against O(M^l prod(grid)) for sample_at.
+    themselves when the lattice is F's grid, else one inverse FFT of
+    lattice_coefficients.  O(M^l log M) work against O(M^l prod(grid)) for
+    sample_at.
     """
     if F.grid_shape == (M,) * F.base_dim:
         return F.samples
-    kflat, flat = F._spectrum()
-    bins = np.zeros((M,) * F.base_dim + F.shape, dtype=complex)
-    np.add.at(bins, tuple((kflat % M).T), flat)
-    return np.fft.ifftn(bins, axes=tuple(range(F.base_dim))) * M ** F.base_dim
+    return np.fft.ifftn(lattice_coefficients(F, M), axes=tuple(range(F.base_dim))) * M ** F.base_dim
 
 
 class GridMatrixFunction:
@@ -322,8 +332,8 @@ class GridMatrixFunction:
     function has degree < M_i/2 in each variable.  iterates moves the
     samples along a rotation orbit by shift_samples (one FFT phase twist,
     O(M^l log M) per step, against O(M^2l) for sample_at); the Lyapunov sweep
-    resamples them onto its orbit lattice (resample_lattice) and twists that
-    spectrum a chunk of steps at a time.
+    folds their spectrum onto its orbit lattice (lattice_coefficients) and
+    twists it a range of steps at a time.
     """
 
     __slots__ = ("samples", "grid_shape", "_spec")

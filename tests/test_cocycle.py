@@ -443,8 +443,10 @@ def _block_products(mats, s):
 class TestBatchLastStep:
     def test_block_products_match_batched_matmul(self):
         rng = np.random.default_rng(4)
-        mats = rng.standard_normal((13, 5, 3, 3)) + 1j * rng.standard_normal((13, 5, 3, 3))
-        for s in (1, 2, 4, 16):
+        # 61 steps: whole blocks and a short last one at every s below 61,
+        # one short block alone at s = 64
+        mats = rng.standard_normal((61, 5, 3, 3)) + 1j * rng.standard_normal((61, 5, 3, 3))
+        for s in (1, 2, 3, 4, 13, 16, 27, 64):
             want = _block_products(mats, s)
             got = cocycle_module._block_products_last(_batch_last(mats), s)
             np.testing.assert_allclose(got, _batch_last(want), rtol=1e-12)
@@ -473,8 +475,10 @@ class TestBatchLastStep:
 
 
 def _sweep_record(monkeypatch):
-    """Record the block length and the step ranges of each sweep."""
-    rec = {"s": [], "bounds": []}
+    """Record the block length and the step ranges of each sweep.  A sweep
+    calls _sweep_blocks twice, for the warmup's single steps and then for
+    the blocks of s; "bounds" joins the two into one layout per sweep."""
+    rec = {"s": [], "bounds": [], "reads": [], "blocks": []}
     block_length, sweep_blocks = (cocycle_module._block_length,
                                   cocycle_module._sweep_blocks)
 
@@ -482,13 +486,29 @@ def _sweep_record(monkeypatch):
         rec["s"].append(block_length(diag, k))
         return rec["s"][-1]
 
-    def blocks(C, M, bounds):
-        rec["bounds"].append(list(bounds))
-        return sweep_blocks(C, M, bounds)
+    def blocks(C, M, bounds, s, reads):
+        rec["blocks"].append(s)
+        rec["reads"].append(reads)
+        if len(rec["reads"]) % 2:  # a warmup: a new sweep
+            rec["bounds"].append([])
+        rec["bounds"][-1] += bounds
+        return sweep_blocks(C, M, bounds, s, reads)
 
     monkeypatch.setattr(cocycle_module, "_block_length", length)
     monkeypatch.setattr(cocycle_module, "_sweep_blocks", blocks)
     return rec
+
+
+def _count_gram_schmidt(monkeypatch):
+    calls = [0]
+    gram_schmidt = cocycle_module._gram_schmidt
+
+    def counted(y):
+        calls[0] += 1
+        return gram_schmidt(y)
+
+    monkeypatch.setattr(cocycle_module, "_gram_schmidt", counted)
+    return calls
 
 
 class TestBlockLength:
@@ -505,6 +525,32 @@ class TestBlockLength:
         rec = _sweep_record(monkeypatch)
         lyapunov_spectrum(fx.random_invertible(3), n=400, M=16)
         assert rec["s"][0] >= 8
+
+    @staticmethod
+    def spread(g):
+        # |R_jj| of 3 steps on 2 orbits, k = 2 finite entries a factor e^g
+        # apart, and a dead third entry that must not count
+        diag = np.ones((3, 2, 3))
+        diag[..., 0] = np.exp(g)
+        diag[..., 2] = 0.0
+        return diag
+
+    @pytest.mark.parametrize("g, s", [(0.5, 27), (0.99, 13), (0.0, cocycle_module._BLOCK_MAX),
+                                      (14.0, 1)])
+    def test_largest_block_the_rule_allows(self, g, s):
+        # the largest integer s <= _BLOCK_MAX with s g <= ln 1e6, not a
+        # power of two
+        assert cocycle_module._block_length(self.spread(g), 2) == s
+
+    @pytest.mark.parametrize("name, most", [("random_invertible_d3", 240), ("wedge_d6", 200)])
+    def test_qr_calls_at_the_criterion_5_shape(self, name, most, monkeypatch):
+        # n = 2000, M = 32, the lyapunov-exact shape: blocks of 8 steps,
+        # the largest power of two the rule allows, take 307 calls on each
+        C = {"random_invertible_d3": fx.random_invertible(3, d=3),
+             "wedge_d6": _wedge(fx.random_invertible(5, d=4))}[name]
+        calls = _count_gram_schmidt(monkeypatch)
+        lyapunov_spectrum(C, n=2000, M=32)
+        assert calls[0] <= most
 
     @pytest.mark.parametrize("n", [13, 400, 2000])
     def test_qr_calls_per_block(self, n, monkeypatch):
@@ -551,10 +597,8 @@ def _exact_steps(C, M, lo, hi):
 
 def _sweep_products(C, M, bounds, s):
     """The block products of _sweep_blocks for each range of bounds at
-    block length s."""
-    blocks = cocycle_module._sweep_blocks(C, M, bounds)
-    next(blocks)
-    return [blocks.send(s) for _ in bounds]
+    block length s, read off L_s."""
+    return list(cocycle_module._sweep_blocks(C, M, bounds, s, True))
 
 
 def _wedge(C):
@@ -688,12 +732,66 @@ class TestSweepBlocks:
 
 class TestChunkCount:
     def test_narrow_sweep_runs_long_chunks(self, monkeypatch):
-        # every chunk pays a fixed set of array ops, so a narrow batch
-        # must not be cut into dozens of short step ranges (64 of 32 steps
-        # at a quarter of the chunk budget)
+        # every range pays a fixed set of array ops, so a narrow batch must
+        # not be cut into dozens of short step ranges: one warmup range and
+        # three of whole blocks read off L_s
         rec = _sweep_record(monkeypatch)
         lyapunov_spectrum(fx.random_invertible(3, d=3), n=2000, M=32)
+        assert len(rec["bounds"][0]) <= 4
+
+
+class TestRangeLayout:
+    """After the warmup the sweep lays its step ranges out in whole blocks
+    of s, sized by what the block path materialises; grid ranges keep 16
+    steps at 1,024 orbits."""
+
+    @pytest.mark.parametrize("name, n, M", [
+        ("random_invertible_d3", 2000, 32), ("wedge_d6", 2000, 32),
+        ("random_invertible_d3", 1000, 64), ("degree_64", 400, 64)])
+    def test_post_warmup_ranges_are_whole_blocks(self, name, n, M, monkeypatch):
+        C = {"random_invertible_d3": fx.random_invertible(3, d=3),
+             "wedge_d6": _wedge(fx.random_invertible(5, d=4)),
+             "degree_64": fx.random_invertible(11, d=3, degree=64)}[name]
+        rec = _sweep_record(monkeypatch)
+        lyapunov_spectrum(C, n=n, M=M)
+        s, bounds = rec["s"][0], rec["bounds"][0]
+        warmup = min(n // 5, 64)
+        quarter = max((n - warmup) // 4, 2)
+        ends = {warmup + (n - warmup) - quarter + 1, n}
+        # contiguous from 0 to n, a range ending at the warmup
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == n and warmup in {hi for _, hi in bounds}
+        assert ends <= {hi for _, hi in bounds}
+        assert s > 1
+        for lo, hi in bounds:
+            if lo >= warmup and hi not in ends:
+                assert (hi - lo) % s == 0, (lo, hi, s)
+        # degree 64 multiplies steps; the others read blocks off L_s
+        assert rec["reads"][1] == (name != "degree_64")
+
+    def test_wide_wedge_runs_few_ranges(self, monkeypatch):
+        # the d = 6 wedge at n = 2000, M = 32: each range holds as many
+        # blocks of L_s evaluations as fit the range budget, not a fixed
+        # number of step matrices and phases
+        rec = _sweep_record(monkeypatch)
+        lyapunov_spectrum(_wedge(fx.random_invertible(5, d=4)), n=2000, M=32)
         assert len(rec["bounds"][0]) <= 20
+
+    @pytest.mark.parametrize("d, seed", [(2, 7), (3, 11)])
+    def test_grid_keeps_sixteen_step_ranges(self, d, seed, monkeypatch):
+        # two frequencies on the 32 x 32 orbit lattice, as analyze --grid 32
+        # runs them: ranges of 16 steps bound the peak memory of a grid
+        # sweep, whatever the block length, and a block never spans two
+        C = _invertible_grid(seed, d, M=16)
+        rec = _sweep_record(monkeypatch)
+        lyapunov_spectrum(C, n=100, M=32)
+        assert rec["bounds"][0] == [(0, 16), (16, 20), (20, 36), (36, 52), (52, 68),
+                                    (68, 81), (81, 97), (97, 100)]
+        lyapunov_spectrum(C, n=2000, M=32)
+        bounds = rec["bounds"][1]
+        assert len(bounds) == 126
+        assert all(hi - lo == 16 for lo, hi in bounds if hi not in (64, 1517, 2000))
+        assert all(16 % s == 0 and s <= r for s, r in zip(rec["blocks"][1::2], rec["s"]))
 
 
 def _dense_orbit_product(C, n):

@@ -1,7 +1,7 @@
 """Pinned Lyapunov spectra: the exponents lyapunov_spectrum reports, at its
 defaults n = 1000 and M = 64, for the bundled CLI fixtures and for
 random_invertible seeds 0-5 (d drawn in 2-4) and their second exterior
-powers.
+powers, and for the same random_invertible inputs at n = 2000 and M = 32.
 
 A change to the sweep that only reorders floating-point work moves a finite
 exponent by rounding, far below 1e-10; one that moves a number further, or
@@ -74,6 +74,53 @@ INVERTIBLE = {
     ],
 }
 
+# the same inputs at the criterion-5 shape, n = 2000 and M = 32, which
+# the benchmark's lyapunov-exact workload runs: a range layout or block
+# length that the defaults never reach shows here
+INVERTIBLE_2000 = {
+    "random_invertible_0": [
+        2.3238232411635806, 2.0779857657881573, 2.077463003671963, 2.0684268636184213,
+    ],
+    "random_invertible_0_wedge2": [
+        4.401801932677878, 4.4014143302778, 4.392129094435294, 4.155504995543625,
+        4.1461852719707855, 4.146060997820988,
+    ],
+    "random_invertible_1": [
+        2.013262835311744, 1.9258578421100454, 1.695332536818025,
+    ],
+    "random_invertible_1_wedge2": [
+        3.939120677312795, 3.708582620510401, 3.621203130656434,
+    ],
+    "random_invertible_2": [
+        2.3118864472326957, 2.221524795972085, 1.885089501529815, 1.866551718087745,
+    ],
+    "random_invertible_2_wedge2": [
+        4.5334112432047435, 4.196895430057433, 4.178523228103115, 4.10660507420022,
+        4.0880811932838945, 3.7516412196176248,
+    ],
+    "random_invertible_3": [
+        2.195302672022712, 1.980946372018655, 1.8353131580449091, 1.7762563375381446,
+    ],
+    "random_invertible_3_wedge2": [
+        4.1762490638650265, 4.030609215916911, 3.971565602825772, 3.8162602313549576,
+        3.75720199475593, 3.6115695101546716,
+    ],
+    "random_invertible_4": [
+        2.2502339607192443, 2.1337766704058, 1.9721448022702173, 1.7283312609630248,
+    ],
+    "random_invertible_4_wedge2": [
+        4.384010624072764, 4.222378656846927, 4.105921586092758, 3.978565316540326,
+        3.862107829833265, 3.7004760696887873,
+    ],
+    "random_invertible_5": [
+        2.179745870726296, 2.120677460803287, 1.881854193391605, 1.5648460375858095,
+    ],
+    "random_invertible_5_wedge2": [
+        4.300423331497775, 4.061603815728398, 4.002527902616187, 3.7445872120663757,
+        3.685528194754759, 3.4467002308574943,
+    ],
+}
+
 
 def _invertible(name):
     parts = name.split("_")
@@ -83,8 +130,8 @@ def _invertible(name):
     return C
 
 
-def _assert_pinned(C, want):
-    got = lyapunov_spectrum(C).exponents
+def _assert_pinned(C, want, **sweep):
+    got = lyapunov_spectrum(C, **sweep).exponents
     assert len(got) == len(want)
     assert [g == INF for g in got] == [w == INF for w in want]
     fin = [w != INF for w in want]
@@ -100,3 +147,8 @@ def test_cli_fixture_spectrum(name):
 @pytest.mark.parametrize("name", sorted(INVERTIBLE))
 def test_random_invertible_spectrum(name):
     _assert_pinned(_invertible(name), INVERTIBLE[name])
+
+
+@pytest.mark.parametrize("name", sorted(INVERTIBLE_2000))
+def test_random_invertible_spectrum_n2000_m32(name):
+    _assert_pinned(_invertible(name), INVERTIBLE_2000[name], n=2000, M=32)
