@@ -27,15 +27,25 @@ from .errors import (
     StructureViolation,
     UnsupportedBase,
 )
-from .frames import raw_kernel_field
+from .frames import (
+    analytic_gauge,
+    field_grid,
+    on_widening_grid,
+    raw_complement_within,
+    raw_kernel_field,
+    raw_orthocomplement,
+)
 from .matfun import (
     GridMatrixFunction,
     MatrixFunction,
+    hstack,
     lattice_coefficients,
     max_rank,
+    poly_from_samples,
+    rank_grid,
     shift_samples,
 )
-from .trigpoly import DEGREE_CAP, default_grid_size, log_integral, real_divide
+from .trigpoly import DEGREE_CAP, log_integral, real_divide
 
 GOLDEN_MEAN = 0.6180339887498949
 
@@ -579,12 +589,15 @@ class Structure:
     the kernel field of L_n once per grid, so the normal forms and the
     splitting share it.  Fields of grids a widening rejected are kept too,
     since another form may settle there: at most four grids per iterate,
-    for the life of the Structure.
+    for the life of the Structure.  flag_form conjugates A by the frame
+    adapted to a flag of them: the triangular form and the split are both.
 
     Tolerances resolve here, once: every decision read from the Structure
     (nilpotency certificate, rank profile, kernel and frame fields,
     domination criteria, inversion bound) uses tol; with tol None the
     certificate uses 1e-10 (nil_tol) and every rank decision 1e-9 (tol).
+    Only the bound on the nilpotency search, max_rank(L_1) + 1 iterates,
+    counts its ranks at the fixed 1e-9 whatever tol is.
     """
 
     def __init__(self, C, tol=None):
@@ -631,20 +644,64 @@ class Structure:
             self._kernels[n, M] = raw_kernel_field(F.sample_grid(M), F.degree, self.tol)
         return self._kernels[n, M]
 
-    def conjugate(self, U):
-        """U*(x+a) A(x) U(x), formed on the unit-scale generator, where its
-        products stay in the float range, and read back in the units of A
-        (exact: the scale is a power of two)."""
+    def flag(self, ns, M):
+        """The raw kernel fields of L_n, n in ns, on the grid M; StructureViolation
+        unless their dimensions are the profile's d - rank L_n (the rank
+        staying at the last one past the profile's end)."""
+        ranks = self.profile.ranks
+        dims = [self.cocycle.dim - ranks[min(n, len(ranks)) - 1] for n in ns]
+        flag = [self.kernel(n, M) for n in ns]
+        if [K.k for K in flag] != dims:
+            raise StructureViolation(f"kernel dimensions {[K.k for K in flag]}, "
+                                     f"the rank profile gives {dims}")
+        return flag
+
+    def flag_grid(self, ns):
+        """Base grid of the flag of L_n, n in ns: that of the highest iterate."""
+        return field_grid(self.cocycle.matrix.degree * max(ns, default=1))
+
+    def flag_form(self, ns, M=None):
+        """U, B = U*(x+a) A(x) U(x), the block sizes, U's per-sample unitarity
+        defect max |U*U - I| and B's samples on twice the settled grid, for
+        the unitary frame U adapted to the flag of L_n, n in ns (ascending).
+
+        Block j of U spans the part of ker L_{ns[j-1]} orthogonal to the
+        kernel before it, the last block the rest (all of it with no ns).
+        The flag (self.flag) and the block sizes are checked before any fit;
+        each block is an analytic gauge (1e-9 tail) on M, else on the grid
+        on_widening_grid settles on from flag_grid(ns).  B is formed at unit
+        scale, where its products stay in the float range, and read back in
+        the units of A (exact: the scale is a power of two).
+        """
+        d = self.cocycle.dim
+
+        def build(Mg):
+            flag = self.flag(ns, Mg)
+            if not flag:
+                return MatrixFunction.identity(d), (d,), Mg
+            fields = ([flag[0]]
+                      + [raw_complement_within(a, b, self.tol) for a, b in zip(flag, flag[1:])]
+                      + [raw_orthocomplement(flag[-1])])
+            sizes = tuple(S.k for S in fields)
+            if sum(sizes) != d:
+                raise StructureViolation(f"block sizes {sizes} do not fill dimension {d}")
+            blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
+            return hstack(blocks), sizes, Mg
+
+        U, sizes, Mg = on_widening_grid(build, self.flag_grid(ns), M)
         B = U.adjoint().translate(self.cocycle.alpha) @ self.iterate(1) @ U
         if B.max_coeff() > sys.float_info.max / self.scale:
             raise FloatRangeExceeded("a conjugated generator leaves the float range")
-        return B * self.scale
+        B = B * self.scale
+        usamp = U.sample_grid(2 * Mg)
+        defect = np.abs(np.conj(np.swapaxes(usamp, 1, 2)) @ usamp - np.eye(d)).max(axis=(1, 2))
+        return U, B, sizes, defect, B.sample_grid(2 * Mg)
 
     @cached_property
     def profile(self):
         F = self.iterate(1)
         if self.cocycle.is_exact:
-            samples = F.sample_grid(max(64, default_grid_size(F.degree)))
+            samples = F.sample_grid(rank_grid(F.degree))
         else:
             samples = F.all_samples()
         s1 = float(np.linalg.svd(samples, compute_uv=False).max())
@@ -677,7 +734,7 @@ class Structure:
             return NilpotencyReport(True, 1, {"certificate": 0.0, "scale": 0.0})
         # L_n unit^n is A_n / size^n, the unit-scale iterate the report reads
         unit = self.scale / scale
-        r1, _ = max_rank(self.iterate(1))
+        r1, _ = max_rank(self.iterate(1), tol=1e-9)
         for n in range(1, r1 + 2):
             last = self.iterate(n)
             cert = _sup_scale(last) * unit ** n
@@ -685,7 +742,7 @@ class Structure:
             if cert <= self.nil_tol and n <= self.cocycle.dim:
                 return NilpotencyReport(True, n, {"certificate": cert, "scale": scale})
         if self.cocycle.is_exact:
-            M = max(64, default_grid_size(last.degree))
+            M = rank_grid(last.degree)
             norms = np.linalg.norm(last.sample_grid(M), ord=2, axis=(1, 2)) * unit ** n
             j = int(norms.argmax())
             witness = {"max_sample_norm": float(norms[j]), "at": j / M, "scale": scale}

@@ -20,7 +20,7 @@ from .errors import (
     NotDominated,
     StructureViolation,
 )
-from .frames import field_grid, flag_frame
+from .frames import field_grid
 from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, shift_samples, vstack
 from .trigpoly import default_grid_size
 
@@ -71,21 +71,13 @@ def split_infinite_part(C, M=None, tol=None):
         raise NoInfinitePart("cocycle keeps full rank; every exponent is finite")
     if k == 0:
         raise FullyNilpotent("all exponents degenerate; use the normal forms")
-    p = st.profile.stabilized_at
-    d = C.dim
+    p, d = st.profile.stabilized_at, C.dim
     nk = d - k
-    U, _, Mg = flag_frame(lambda Mg: [st.kernel(p, Mg)], [nk],
-                          field_grid(C.matrix.degree * p), M, st.tol)
-    B = st.conjugate(U)
+    U, B, _, defect, bsamp = st.flag_form([p], M)
     a = B.block(0, nk, 0, nk)
     b = B.block(0, nk, nk, d)
     dd = B.block(nk, d, nk, d)
-    low = B.block(nk, d, 0, nk)
-    Mv = 2 * Mg
-    usamp = U.sample_grid(Mv)
-    gram = np.conj(np.swapaxes(usamp, 1, 2)) @ usamp
-    unit_defect = float(np.abs(gram - np.eye(d)).max())
-    low_mass = float(np.abs(low.sample_grid(Mv)).max()) if nk and k else 0.0
+    low_mass = float(np.abs(bsamp[:, nk:, :nk]).max())
     # invariance forces the kernel block to die by step p: |a_p| is compared
     # with max(|a|, 1)^p, both formed at unit scale, where p factors stay in
     # the float range (2^e max(|a / 2^e|, 2^-e) is max(|a|, 1))
@@ -93,14 +85,13 @@ def split_infinite_part(C, M=None, tol=None):
     ap = iterate(Cocycle(C.frequencies, au), p)
     with np.errstate(over="ignore"):
         size = np.float64(max(au.sup_bound(), np.ldexp(1.0, -st.exponent)))
-        ap_mass = float(np.abs(ap.sample_grid(Mv)).max() / size ** p)
+        ap_mass = float(np.abs(ap.sample_grid(len(bsamp))).max() / size ** p)
     if ap_mass > 1e-6:
-        raise StructureViolation(
-            f"kernel block is not nilpotent of degree {p}: |a_p| = {ap_mass:.3e}"
-        )
+        raise StructureViolation(f"kernel block is not nilpotent of degree {p}: "
+                                 f"|a_p| = {ap_mass:.3e}")
     if poly_det(dd / st.scale).is_zero:
         raise StructureViolation("finite block degenerates identically")
-    residual = max(unit_defect, low_mass, ap_mass)
+    residual = max(float(defect.max()), low_mass, ap_mass)
     return SplitForm(st, k, p, U, a, b, dd, residual)
 
 

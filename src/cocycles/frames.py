@@ -15,21 +15,24 @@ step factors between neighbors come from one batched SVD, a log-depth prefix
 product chains them into the per-sample corrections, and two Newton-Schulz
 steps re-unitarise the chained products.  Code that reads no gauge uses the
 raw builders: analytic_gauge reads projectors and frames[0], which the
-alignment leaves unchanged, so flag_frame and the Jordan chains align
-nothing.  phase_align aligns its input itself and also treats the closure
-around the circle, recording the integer winding it removed.  analytic_gauge
+alignment leaves unchanged, so Structure.flag_form and the Jordan chains
+align nothing.  phase_align aligns its input itself and also treats the
+closure around the circle, recording the integer winding it removed.
+analytic_gauge
 samples a section of a field as smooth as the bundle itself, and
 to_analytic_frame checks that an aligned field closes before
 matfun.poly_from_samples turns it into trigonometric-polynomial form.
-flag_frame fits the unitary frame adapted to a flag of kernel fields, from
-the base grid field_grid sets for every field.
+field_grid sets the base grid of every field, and on_widening_grid retries
+a fit on wider grids while its tail is too fat.
 """
 
 import numpy as np
 
-from .errors import ClosureDefect, DimensionUnstable, StructureViolation, TailTooFat
-from .matfun import hstack, poly_from_samples
+from .errors import ClosureDefect, DimensionUnstable, TailTooFat
+from .matfun import poly_from_samples
 from .trigpoly import default_grid_size
+
+GAUGE_SEED = 7  # the seed of analytic_gauge's random candidate gauges
 
 
 def field_grid(degree):
@@ -354,7 +357,7 @@ def phase_align(S):
                          theta_total)
 
 
-def analytic_gauge(S, seed=7):
+def analytic_gauge(S):
     """Sample an analytic orthonormal section of a subspace field.
 
     Rolling-aligned frames carry broadband gauge noise that dominates their
@@ -364,7 +367,7 @@ def analytic_gauge(S, seed=7):
     (a twisted bundle) this falls back to loop alignment.
     """
     proj = S.projectors()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GAUGE_SEED)
     cands = [S.frames[0]]
     for _ in range(3):
         g = rng.standard_normal((S.d, S.k)) + 1j * rng.standard_normal((S.d, S.k))
@@ -391,34 +394,6 @@ def on_widening_grid(build, base, M=None):
             # a kept traceback would hold the failed build's frames in a cycle
             err = exc.with_traceback(None)
     raise err
-
-
-def flag_frame(kernels, dims, base, M=None, tol=1e-9):
-    """Unitary frame adapted to the flag of kernel fields kernels(Mg) gives
-    on the grid Mg, such as Structure.kernel's fields of its iterates.
-
-    Block 1 spans kernels(Mg)[0], block n the part of kernels(Mg)[n-1]
-    orthogonal to kernels(Mg)[n-2], the last block the rest.  The kernels
-    must have the dimensions dims and the blocks must fill the space, both
-    checked before any fit.  The blocks are raw fields, since analytic_gauge
-    reads no gauge.  Returns the frame of analytic gauges (1e-9 tail), the
-    block sizes and the grid on_widening_grid settles on.
-    """
-    def build(Mg):
-        flag = kernels(Mg)
-        if [K.k for K in flag] != list(dims):
-            raise StructureViolation(f"kernel dimensions {[K.k for K in flag]}, "
-                                     f"the rank profile gives {list(dims)}")
-        fields = ([flag[0]]
-                  + [raw_complement_within(a, b, tol) for a, b in zip(flag, flag[1:])]
-                  + [raw_orthocomplement(flag[-1])])
-        sizes, d = tuple(S.k for S in fields), flag[0].d
-        if sum(sizes) != d:
-            raise StructureViolation(f"block sizes {sizes} do not fill dimension {d}")
-        blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
-        return hstack(blocks), sizes, Mg
-
-    return on_widening_grid(build, base, M)
 
 
 def to_analytic_frame(S, N=None, tol=1e-8):

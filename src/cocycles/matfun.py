@@ -55,7 +55,7 @@ class MatrixFunction:
     entries, or by from_coeffs from a coefficient tensor.
     """
 
-    __slots__ = ("kmin", "c", "_grid_cache")
+    __slots__ = ("kmin", "c")
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=object)
@@ -73,7 +73,7 @@ class MatrixFunction:
 
     def _set(self, kmin, c):
         c.setflags(write=False)
-        self.kmin, self.c, self._grid_cache = kmin, c, {}
+        self.kmin, self.c = kmin, c
 
     # -- constructors ---------------------------------------------------
 
@@ -153,21 +153,14 @@ class MatrixFunction:
         return (phases @ flat).reshape(xs.shape + self.shape)
 
     def sample_grid(self, M, shift=0.0):
-        """Exact samples at x_j = j/M + shift: (M, rows, cols); cached per (M, shift)."""
-        key = (int(M), float(shift))
-        cached = self._grid_cache.get(key)
-        if cached is not None:
-            return cached
+        """Exact samples at x_j = j/M + shift: a fresh (M, rows, cols) array."""
         M = int(M)
         if M <= 2 * self.degree:
             raise AliasingRisk(f"grid M={M} cannot hold degree {self.degree}")
         F = self if shift == 0.0 else self.translate(shift)
         bins = np.zeros((M,) + self.shape, dtype=complex)
         bins[(F.kmin + np.arange(len(F.c))) % M] = F.c
-        out = np.fft.ifft(bins, axis=0) * M
-        out.setflags(write=False)
-        self._grid_cache[key] = out
-        return out
+        return np.fft.ifft(bins, axis=0) * M
 
     # -- algebra -------------------------------------------------------------
 
@@ -418,8 +411,13 @@ class GridMatrixFunction:
         return cls(re + 1j * im)
 
 
+def rank_grid(degree):
+    """The grid a rank decision samples a function of the given degree on."""
+    return max(64, default_grid_size(degree))
+
+
 def max_rank(F, M=None, tol=1e-9, scale=None):
-    """Maximal pointwise rank over a sampling grid.
+    """Maximal pointwise rank over a sampling grid (rank_grid by default).
 
     Rank at each sample counts singular values above tol * scale, where
     scale defaults to the global largest singular value of F itself.  Pass
@@ -432,7 +430,7 @@ def max_rank(F, M=None, tol=1e-9, scale=None):
         mats = F.all_samples()
         pts = F.grid_points()
     else:
-        M = M or max(64, default_grid_size(F.degree))
+        M = M or rank_grid(F.degree)
         mats = F.sample_grid(M)
         pts = np.arange(M) / M
     sv = np.linalg.svd(mats, compute_uv=False)

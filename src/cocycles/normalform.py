@@ -3,7 +3,7 @@
 Two levels of structure, both read off the kernel flag K_n = ker A_n of the
 exact iterates.  triangularize conjugates any nilpotent analytic cocycle into
 strictly block upper triangular shape by the unitary-valued polynomial frame
-frames.flag_frame fits to the flag.  jordan_form goes further and produces a
+Structure.flag_form fits to the flag.  jordan_form goes further and produces a
 constant Jordan matrix, but that requires every iterate to have constant rank
 over the circle; the rank dropping anywhere is a hard obstruction, not a
 numerical one.  Its chains start at analytic tops fitted from samples of the
@@ -27,8 +27,6 @@ from .errors import (
 from .frames import (
     SubspaceField,
     analytic_gauge,
-    field_grid,
-    flag_frame,
     on_widening_grid,
     raw_complement_within,
     raw_orthocomplement,
@@ -86,38 +84,19 @@ def triangularize(C, M=None, tol=None):
     returned as an exact polynomial product.  The residual bounds both the
     unitarity defect of the truncated frames and the mass on and below the
     block diagonal of B, measured on a doubled verification grid.  C is a
-    Cocycle or its Structure (Structure.of); the kernel fields come from
-    Structure.kernel, which shares them with jordan_form, and must have the
-    dimensions the rank profile gives, or StructureViolation is raised
-    before any fit.
+    Cocycle or its Structure (Structure.of); the frame is the flag form of
+    the flag K_1, ..., K_{p-1} (Structure.flag_form), whose kernel fields
+    Structure.kernel shares with jordan_form.
     """
     st = Structure.of(C, tol)
     C = st.exact_cocycle("triangular form")
     if not st.nilpotency.nilpotent:
         raise NotNilpotent("no iterate vanishes; nothing to triangularize")
-    p, d = st.nilpotency.degree, C.dim
-    # the grid resolves A_{p-1}, the highest iterate that gets a kernel field
-    base = field_grid(C.matrix.degree * max(p - 1, 1))
-    if p == 1:
-        # the cocycle itself vanishes: one block in the identity frame
-        U, sizes, Mg = MatrixFunction.identity(d), (d,), M or base
-    else:
-        # A_n has rank r_n, which stays at the profile's last rank past its end
-        ranks = st.profile.ranks
-        U, sizes, Mg = flag_frame(
-            lambda Mg: [st.kernel(n, Mg) for n in range(1, p)],
-            [d - ranks[min(n, len(ranks)) - 1] for n in range(1, p)], base, M, st.tol)
-    B = st.conjugate(U)
-    Mv = 2 * Mg
-    usamp = U.sample_grid(Mv)
-    gram = np.conj(np.swapaxes(usamp, 1, 2)) @ usamp
-    samples = np.abs(gram - np.eye(d)).max(axis=(1, 2))
-    bsamp = B.sample_grid(Mv)
+    U, B, sizes, samples, bsamp = st.flag_form(range(1, st.nilpotency.degree), M)
     edges = np.concatenate([[0], np.cumsum(sizes)])
     for n in range(len(sizes)):
         low = np.abs(bsamp[:, edges[n]:, edges[n]:edges[n + 1]])
-        if low.size:
-            samples = np.maximum(samples, low.max(axis=(1, 2)))
+        samples = np.maximum(samples, low.max(axis=(1, 2), initial=0.0))
     return TriangularForm(C, U, B, sizes, samples)
 
 
@@ -157,7 +136,8 @@ def jordan_form(C, M=None, tol=None):
     the kernel ends, as small as the tops' distance from their kernels.
     Any rank drop of any iterate at any sample aborts with
     ConstantRankViolated.  C is a Cocycle or its Structure (Structure.of),
-    whose profile, verdict, iterates and kernel fields the chains read.
+    whose profile, verdict, iterates and flag (Structure.flag, checked
+    against the profile before any top is fitted) the chains read.
 
     The chains are built on the unit-scale generator L_1 = A / 2^e of the
     Structure, where vectors of one chain keep comparable sizes, and
@@ -169,16 +149,12 @@ def jordan_form(C, M=None, tol=None):
     C, tol = st.exact_cocycle("jordan form"), st.tol
     if not st.nilpotency.nilpotent:
         raise NotNilpotent("no iterate vanishes; spectrum is not fully degenerate")
-    prof = st.profile
-    ranks = prof.ranks
-    p = len(ranks)
-    d = C.dim
+    prof, d = st.profile, C.dim
+    p = len(prof.ranks)
     for n, exc in prof.exceptional.items():
         if n < p and exc:
-            raise ConstantRankViolated(
-                f"iterate {n} loses rank at {len(exc)} grid samples"
-            )
-    lengths = jordan_structure_from_ranks(ranks, d)
+            raise ConstantRankViolated(f"iterate {n} loses rank at {len(exc)} grid samples")
+    lengths = jordan_structure_from_ranks(prof.ranks, d)
     alpha = C.alpha
     L1 = st.iterate(1)
     push = L1.translate(-alpha)
@@ -187,7 +163,7 @@ def jordan_form(C, M=None, tol=None):
         # K_1, ..., K_{p-1}, raw: the fields below feed only span sums and
         # analytic_gauge; fronts[m] holds chain vector m of every chain
         # longer than m
-        flag = [st.kernel(n, Mg) for n in range(1, p)]
+        flag = st.flag(range(1, p), Mg)
         front, fronts = None, []
         for L in range(p, 0, -1):
             if L == p:
@@ -211,8 +187,7 @@ def jordan_form(C, M=None, tol=None):
             fronts.append(front)
         return fronts[::-1], Mg
 
-    fronts, M = on_widening_grid(fronts_on,
-                                 field_grid(C.matrix.degree * max(p - 1, 1)), M)
+    fronts, M = on_widening_grid(fronts_on, st.flag_grid(range(1, p)), M)
     unit = hstack([fronts[m].block(0, d, c, c + 1)
                    for c, L in enumerate(lengths) for m in range(L)])
     positions = [m for L in lengths for m in range(L)]

@@ -27,6 +27,9 @@ _TWO_PI_I = 2j * np.pi
 # the largest frequency an input coefficient or an iterate may carry
 DEGREE_CAP = 4096
 
+ON_CIRCLE_TOL = 1e-10     # log_integral: a root this close to |z| = 1 counts as on it
+ROOT_RESIDUAL_TOL = 1e-6  # log_integral: the largest relative residual of a root
+
 
 def real_divide(a, x):
     """Complex values a over a real x, part by part: numpy divides complex
@@ -231,7 +234,7 @@ def default_grid_size(degree):
     return 4 * (1 << (n - 1).bit_length())
 
 
-def log_integral(f, on_circle_tol=1e-10, residual_tol=1e-6):
+def log_integral(f):
     """Mean of ln|f| over the circle, computed exactly from the roots.
 
     Writing f(x) = z^kmin P(z) with z = e^{2 pi i x}, the integral equals
@@ -240,7 +243,7 @@ def log_integral(f, on_circle_tol=1e-10, residual_tol=1e-6):
     integral -inf vanishes identically, so the dichotomy is sharp).
 
     Roots come from the companion matrix with one Newton polish each;
-    roots within on_circle_tol of the unit circle contribute zero.
+    roots within ON_CIRCLE_TOL of the unit circle contribute zero.
     """
     if f.is_zero:
         return float("-inf")
@@ -261,11 +264,11 @@ def log_integral(f, on_circle_tol=1e-10, residual_tol=1e-6):
     scale = np.abs(p).sum() * np.maximum(1.0, np.abs(roots)) ** (len(p) - 1)
     rel = np.abs(np.polyval(p[::-1], roots)) / scale
     worst = float(rel.max())
-    if not np.isfinite(worst) or worst > residual_tol:
+    if not np.isfinite(worst) or worst > ROOT_RESIDUAL_TOL:
         raise RootFindingError(
-            f"root residual {worst:.3e} exceeds {residual_tol:.1e}", residual=worst
+            f"root residual {worst:.3e} exceeds {ROOT_RESIDUAL_TOL:.1e}", residual=worst
         )
     mags = np.abs(roots)
-    outside = mags > 1.0 + on_circle_tol
+    outside = mags > 1.0 + ON_CIRCLE_TOL
     total = float(np.log(abs(p[-1])) + np.sum(np.log(mags[outside])))
     return total

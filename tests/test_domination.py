@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cocycles import frames
+from cocycles import cocycle as cocycle_module
 from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure, iterate
 from cocycles.domination import dominated_splitting, is_dominated, split_infinite_part
 from cocycles.errors import (
@@ -102,7 +102,7 @@ class TestSplitInfinitePart:
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was fitted")
 
-        monkeypatch.setattr(frames, "analytic_gauge", refuse)
+        monkeypatch.setattr(cocycle_module, "analytic_gauge", refuse)
         with pytest.raises(StructureViolation, match="kernel dimensions"):
             split_infinite_part(st)
 

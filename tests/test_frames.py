@@ -1,9 +1,11 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
+from cocycles import cocycle as cocycle_module
 from cocycles import fixtures as fx
 from cocycles import frames
 from cocycles.cocycle import Structure
@@ -15,7 +17,6 @@ from cocycles.frames import (
     analytic_gauge,
     field_from_vectors,
     field_grid,
-    flag_frame,
     intersect_field,
     kernel_field,
     kernel_field_from_samples,
@@ -336,15 +337,17 @@ class TestFlagFrame:
         assert kernel_field(F).M == range_field(F).M == 256
 
     def test_kernel_dimensions_checked_before_any_fit(self, monkeypatch):
-        # the kernels of L_1 and L_2 have dimensions 1 and 2
+        # the kernels of L_1 and L_2 have dimensions 1 and 2; a profile of
+        # ranks 2, 2, 0 gives them 1 and 1
         st = Structure(fx.nilpotent_3x3_variable_rank())
+        st.profile = dataclasses.replace(st.profile, ranks=[2, 2, 0])
 
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was fitted")
 
-        monkeypatch.setattr(frames, "analytic_gauge", refuse)
+        monkeypatch.setattr(cocycle_module, "analytic_gauge", refuse)
         with pytest.raises(StructureViolation, match="kernel dimensions"):
-            flag_frame(lambda Mg: [st.kernel(n, Mg) for n in (1, 2)], [1, 1], 256)
+            st.flag_form((1, 2))
 
 
 class TestWideningGrid:

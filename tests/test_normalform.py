@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cocycles import cocycle as cocycle_module
-from cocycles import frames
+from cocycles import frames, normalform
 from cocycles.cocycle import (
     GOLDEN_MEAN,
     Cocycle,
@@ -21,6 +22,7 @@ from cocycles.errors import (
     InconsistentProfile,
     NotNilpotent,
     NotStrictlyOrdered,
+    StructureViolation,
     UnsupportedBase,
 )
 from cocycles.fixtures import (
@@ -158,7 +160,7 @@ class TestTriangularizeIterates:
 
 
 class TestSplitIterates:
-    # the split frame is flag_frame on L_p alone
+    # the split frame is the flag form of L_p alone
     @pytest.mark.parametrize("make", [nilpotent_plus_invertible_3x3, dominated_2x2])
     def test_kernel_comes_from_the_stable_iterate(self, make, monkeypatch):
         C = make()
@@ -301,6 +303,20 @@ class TestJordanForm:
         C = constant_jordan((5,))
         with pytest.raises(FloatRangeExceeded):
             jordan_form(Cocycle(C.frequencies, C.matrix * c))
+
+    def test_kernel_dimensions_checked_before_any_fit(self, monkeypatch):
+        # ker A of the (2, 1) form has dimension 2; ranks 2, 1, 0, which
+        # force one chain of length 3, give it dimension 1
+        st = Structure(constant_jordan((2, 1)))
+        st.profile = dataclasses.replace(st.profile, ranks=[2, 1, 0],
+                                         stabilized_at=3, exceptional={})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain top was fitted")
+
+        monkeypatch.setattr(normalform, "analytic_gauge", refuse)
+        with pytest.raises(StructureViolation, match="kernel dimensions"):
+            jordan_form(st)
 
     def test_variable_rank_3x3_rejected(self):
         with pytest.raises(ConstantRankViolated):
