@@ -43,6 +43,7 @@ from .matfun import (
     max_rank,
     poly_from_samples,
     rank_grid,
+    rank_samples,
     shift_samples,
 )
 from .trigpoly import DEGREE_CAP, log_integral, real_divide
@@ -588,9 +589,10 @@ class Structure:
     nilpotency (detect_nilpotency) are computed on first use.  kernel builds
     the kernel field of L_n once per grid, so the normal forms and the
     splitting share it.  Fields of grids a widening rejected are kept too,
-    since another form may settle there: at most four grids per iterate,
+    since another form may settle there: at most six grids per iterate,
     for the life of the Structure.  flag_form conjugates A by the frame
-    adapted to a flag of them: the triangular form and the split are both.
+    adapted to a flag of them, fitted from flag_grid up and verified on
+    verify_grid: the triangular form and the split are both.
 
     Tolerances resolve here, once: every decision read from the Structure
     (nilpotency certificate, rank profile, kernel and frame fields,
@@ -657,21 +659,30 @@ class Structure:
         return flag
 
     def flag_grid(self, ns):
-        """Base grid of the flag of L_n, n in ns: that of the highest iterate."""
-        return field_grid(self.cocycle.matrix.degree * max(ns, default=1))
+        """First and last fit grid of the flag of L_n, n in ns: the rank grid
+        (at least 64 samples) and 8 field_grid of the highest iterate."""
+        deg = self.cocycle.matrix.degree * max(ns, default=1)
+        return rank_grid(deg), 8 * field_grid(deg)
+
+    def verify_grid(self, ns, Mg, M=None):
+        """Verification grid of a form fitted on Mg from the flag of L_n, n in
+        ns: 2 M for a grid M the caller gave, else 2 max(Mg, field_grid) of
+        the highest iterate, as dense as a fit on field_grid gave."""
+        deg = self.cocycle.matrix.degree * max(ns, default=1)
+        return 2 * (M or max(Mg, field_grid(deg)))
 
     def flag_form(self, ns, M=None):
         """U, B = U*(x+a) A(x) U(x), the block sizes, U's per-sample unitarity
-        defect max |U*U - I| and B's samples on twice the settled grid, for
-        the unitary frame U adapted to the flag of L_n, n in ns (ascending).
+        defect max |U*U - I| and B's samples on verify_grid, for the unitary
+        frame U adapted to the flag of L_n, n in ns (ascending).
 
         Block j of U spans the part of ker L_{ns[j-1]} orthogonal to the
         kernel before it, the last block the rest (all of it with no ns).
         The flag (self.flag) and the block sizes are checked before any fit;
-        each block is an analytic gauge (1e-9 tail) on M, else on the grid
-        on_widening_grid settles on from flag_grid(ns).  B is formed at unit
-        scale, where its products stay in the float range, and read back in
-        the units of A (exact: the scale is a power of two).
+        each block is an analytic gauge (1e-9 tail) on M, else on the grid Mg
+        on_widening_grid settles on between the fit grids flag_grid(ns).  B
+        is formed at unit scale, where its products stay in the float range,
+        and read back in the units of A (exact: the scale is a power of two).
         """
         d = self.cocycle.dim
 
@@ -688,30 +699,32 @@ class Structure:
             blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
             return hstack(blocks), sizes, Mg
 
-        U, sizes, Mg = on_widening_grid(build, self.flag_grid(ns), M)
+        U, sizes, Mg = on_widening_grid(build, *self.flag_grid(ns), M)
         B = U.adjoint().translate(self.cocycle.alpha) @ self.iterate(1) @ U
         if B.max_coeff() > sys.float_info.max / self.scale:
             raise FloatRangeExceeded("a conjugated generator leaves the float range")
         B = B * self.scale
-        usamp = U.sample_grid(2 * Mg)
+        Mv = self.verify_grid(ns, Mg, M)
+        usamp = U.sample_grid(Mv)
         defect = np.abs(np.conj(np.swapaxes(usamp, 1, 2)) @ usamp - np.eye(d)).max(axis=(1, 2))
-        return U, B, sizes, defect, B.sample_grid(2 * Mg)
+        return U, B, sizes, defect, B.sample_grid(Mv)
+
+    @cached_property
+    def _rank_samples_1(self):
+        # one SVD of L_1 serves s1, the first rank and the nilpotency bound
+        return rank_samples(self.iterate(1))
 
     @cached_property
     def profile(self):
-        F = self.iterate(1)
-        if self.cocycle.is_exact:
-            samples = F.sample_grid(rank_grid(F.degree))
-        else:
-            samples = F.all_samples()
-        s1 = float(np.linalg.svd(samples, compute_uv=False).max())
+        s1 = float(self._rank_samples_1[0].max())
         if s1 == 0.0:
             return RankProfile([0], 1, 0, {1: []})
         d = self.cocycle.dim
         ranks = []
         exceptional = {}
         for n in range(1, d + 2):
-            r, exc = max_rank(self.iterate(n), tol=self.tol, scale=s1 ** n)
+            r, exc = max_rank(self.iterate(n), tol=self.tol, scale=s1 ** n,
+                              samples=self._rank_samples_1 if n == 1 else None)
             if ranks and r > ranks[-1]:
                 raise StructureViolation(
                     f"rank increased from {ranks[-1]} to {r} at step {n}; "
@@ -734,7 +747,7 @@ class Structure:
             return NilpotencyReport(True, 1, {"certificate": 0.0, "scale": 0.0})
         # L_n unit^n is A_n / size^n, the unit-scale iterate the report reads
         unit = self.scale / scale
-        r1, _ = max_rank(self.iterate(1), tol=1e-9)
+        r1, _ = max_rank(self.iterate(1), tol=1e-9, samples=self._rank_samples_1)
         for n in range(1, r1 + 2):
             last = self.iterate(n)
             cert = _sup_scale(last) * unit ** n

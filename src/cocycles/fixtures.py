@@ -196,8 +196,8 @@ def random_strictly_upper(rng, d, degree=2, scale=1.0):
 def random_nilpotent(seed, d=None, alpha=GOLDEN_MEAN):
     """Unitary conjugation of a strictly upper triangular polynomial matrix.
 
-    Nilpotent by construction; total degree stays at most 4 so grids of 256
-    samples are comfortably alias-free through the iterates."""
+    Nilpotent by construction, of degree at most 4; the frames of its kernel
+    flag fit on the rank grid (degree at most 2 on seeds 0-49)."""
     rng = np.random.default_rng(seed)
     if d is None:
         d = int(rng.integers(2, 6))

@@ -13,17 +13,14 @@ alignment that gauges the frames along the grid so adjacent frames are
 maximally aligned.  The alignment needs no per-sample loop: the Procrustes
 step factors between neighbors come from one batched SVD, a log-depth prefix
 product chains them into the per-sample corrections, and two Newton-Schulz
-steps re-unitarise the chained products.  Code that reads no gauge uses the
-raw builders: analytic_gauge reads projectors and frames[0], which the
-alignment leaves unchanged, so Structure.flag_form and the Jordan chains
-align nothing.  phase_align aligns its input itself and also treats the
-closure around the circle, recording the integer winding it removed.
-analytic_gauge
-samples a section of a field as smooth as the bundle itself, and
-to_analytic_frame checks that an aligned field closes before
-matfun.poly_from_samples turns it into trigonometric-polynomial form.
-field_grid sets the base grid of every field, and on_widening_grid retries
-a fit on wider grids while its tail is too fat.
+steps re-unitarise the chained products.  phase_align aligns its input
+itself, spreads the closure holonomy evenly over the loop and records the
+integer winding it removed: discrete parallel transport, as smooth as the
+bundle.  analytic_gauge samples that section, so the flag forms and the
+Jordan chains fit raw fields; to_analytic_frame checks that an aligned
+field closes before matfun.poly_from_samples turns it into a polynomial.
+field_grid is the default grid of the field constructors, and
+on_widening_grid retries a fit on wider grids while its tail is too fat.
 """
 
 import numpy as np
@@ -32,12 +29,10 @@ from .errors import ClosureDefect, DimensionUnstable, TailTooFat
 from .matfun import poly_from_samples
 from .trigpoly import default_grid_size
 
-GAUGE_SEED = 7  # the seed of analytic_gauge's random candidate gauges
-
 
 def field_grid(degree):
-    """Base grid of a field of subspaces of data of the given degree, such
-    as the kernels of an iterate."""
+    """At least 256 samples for data of the given degree: the default grid of
+    the field constructors and of the domination criteria."""
     return max(256, default_grid_size(degree))
 
 
@@ -358,36 +353,21 @@ def phase_align(S):
 
 
 def analytic_gauge(S):
-    """Sample an analytic orthonormal section of a subspace field.
-
-    Rolling-aligned frames carry broadband gauge noise that dominates their
-    Fourier tail; pushing one fixed matrix through the per-sample projectors
-    and polar-orthonormalizing gives sections exactly as smooth as the bundle
-    itself.  When every candidate gauge degenerates somewhere on the circle
-    (a twisted bundle) this falls back to loop alignment.
-    """
-    proj = S.projectors()
-    rng = np.random.default_rng(GAUGE_SEED)
-    cands = [S.frames[0]]
-    for _ in range(3):
-        g = rng.standard_normal((S.d, S.k)) + 1j * rng.standard_normal((S.d, S.k))
-        cands.append(np.linalg.qr(g)[0])
-    for g in cands:
-        sec = proj @ g
-        # the Gram eigenvalues are the squared singular values of sec
-        gram = np.conj(np.swapaxes(sec, 1, 2)) @ sec
-        w, vecs = np.linalg.eigh(gram)
-        if float(w[:, 0].min()) > 0.01 * float(w[:, -1].max()):
-            vh = np.conj(np.swapaxes(vecs, 1, 2))
-            return sec @ ((vecs * (1.0 / np.sqrt(w))[:, None, :]) @ vh)
+    """Sample an analytic orthonormal section of a subspace field: the
+    parallel-transport gauge of phase_align, that of maximally localised
+    Wannier functions (Marzari and Vanderbilt, PRB 56, 12847, 1997), whose
+    continuous form is Kato's transformation function.  Its Fourier tail is
+    the bundle's own; a section pushed through the projectors from one fixed
+    matrix g would carry the zeros of v*g in the complex strip instead."""
     return phase_align(S).frames
 
 
-def on_widening_grid(build, base, M=None):
+def on_widening_grid(build, base, last=None, M=None):
     """build(Mg) on the grid M if given, else on the first of base, 2 base,
-    4 base and 8 base where it raises no TailTooFat (kernel bundles of high
-    iterates can decay slowly)."""
-    for Mg in [base << i for i in range(4)] if M is None else [M]:
+    4 base, ... up to last (8 base by default) where it raises no
+    TailTooFat (kernel bundles of high iterates can decay slowly)."""
+    last = 8 * base if last is None else last
+    for Mg in [base << i for i in range((last // base).bit_length())] if M is None else [M]:
         try:
             return build(Mg)
         except TailTooFat as exc:

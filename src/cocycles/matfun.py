@@ -416,16 +416,8 @@ def rank_grid(degree):
     return max(64, default_grid_size(degree))
 
 
-def max_rank(F, M=None, tol=1e-9, scale=None):
-    """Maximal pointwise rank over a sampling grid (rank_grid by default).
-
-    Rank at each sample counts singular values above tol * scale, where
-    scale defaults to the global largest singular value of F itself.  Pass
-    an external scale when F is a product whose genuine size is known (an
-    iterate that may have collapsed to float noise, say).  Returns
-    (rank, exceptional) where exceptional lists the sample positions with
-    strictly smaller rank (finite for analytic non-degenerate input).
-    """
+def rank_samples(F, M=None):
+    """Singular values of F's samples on max_rank's grid, and the points."""
     if isinstance(F, GridMatrixFunction):
         mats = F.all_samples()
         pts = F.grid_points()
@@ -433,7 +425,21 @@ def max_rank(F, M=None, tol=1e-9, scale=None):
         M = M or rank_grid(F.degree)
         mats = F.sample_grid(M)
         pts = np.arange(M) / M
-    sv = np.linalg.svd(mats, compute_uv=False)
+    return np.linalg.svd(mats, compute_uv=False), pts
+
+
+def max_rank(F, M=None, tol=1e-9, scale=None, samples=None):
+    """Maximal pointwise rank over a sampling grid (rank_grid by default).
+
+    Rank at each sample counts singular values above tol * scale, where
+    scale defaults to the global largest singular value of F itself.  Pass
+    an external scale when F is a product whose genuine size is known (an
+    iterate that may have collapsed to float noise, say).  samples may pass
+    rank_samples(F, M), so several thresholds read one SVD.  Returns
+    (rank, exceptional) where exceptional lists the sample positions with
+    strictly smaller rank (finite for analytic non-degenerate input).
+    """
+    sv, pts = rank_samples(F, M) if samples is None else samples
     top = float(sv.max()) if sv.size else 0.0
     if scale is None:
         scale = top

@@ -39,7 +39,7 @@ from .matfun import MatrixFunction, hstack, poly_from_samples
 class TriangularForm:
     """Unitary conjugation U*(x+a) A(x) U(x) = B(x), B strictly block upper.
 
-    samples holds the per-sample defect on the doubled verification grid
+    samples holds the per-sample defect on the verification grid
     x_j = j/len(samples); residual is its maximum.
     """
 
@@ -61,7 +61,7 @@ class JordanForm:
     samples holds the per-sample spectral norm of the unit-scale conjugation
     defect, Mu(x+a)^{-1} L_1(x) Mu(x) - J with L_1 = A / scale the generator
     of the Structure and column m of a chain in Mu equal to scale^m times
-    the one in M, on the doubled verification grid x_j = j/len(samples);
+    the one in M, on the verification grid x_j = j/len(samples);
     residual is its maximum.  At scale 1 this is the defect of M itself.
     """
 
@@ -83,7 +83,7 @@ def triangularize(C, M=None, tol=None):
     U stacks analytic frames of these blocks, and B = U*(x+a) A(x) U(x) is
     returned as an exact polynomial product.  The residual bounds both the
     unitarity defect of the truncated frames and the mass on and below the
-    block diagonal of B, measured on a doubled verification grid.  C is a
+    block diagonal of B, measured on the verification grid.  C is a
     Cocycle or its Structure (Structure.of); the frame is the flag form of
     the flag K_1, ..., K_{p-1} (Structure.flag_form), whose kernel fields
     Structure.kernel shares with jordan_form.
@@ -131,9 +131,9 @@ def jordan_form(C, M=None, tol=None):
     exact product v -> A(x-a) v(x-a), which maps K_{L+1}(x-a) into K_L(x),
     and the chains of length L open at analytic tops spanning the part of
     K_L orthogonal to K_{L-1} and the pushed vectors; chains come out
-    longest first.  Only the tops are fitted from samples, on the grid
-    on_widening_grid settles on, so the conjugation defect is A applied to
-    the kernel ends, as small as the tops' distance from their kernels.
+    longest first.  Only the tops are fitted from samples, on the grids of
+    Structure.flag_grid, so the conjugation defect (on verify_grid) is A
+    applied to the kernel ends, as small as the tops' distance from them.
     Any rank drop of any iterate at any sample aborts with
     ConstantRankViolated.  C is a Cocycle or its Structure (Structure.of),
     whose profile, verdict, iterates and flag (Structure.flag, checked
@@ -187,13 +187,13 @@ def jordan_form(C, M=None, tol=None):
             fronts.append(front)
         return fronts[::-1], Mg
 
-    fronts, M = on_widening_grid(fronts_on, st.flag_grid(range(1, p)), M)
+    fronts, Mg = on_widening_grid(fronts_on, *st.flag_grid(range(1, p)), M)
     unit = hstack([fronts[m].block(0, d, c, c + 1)
                    for c, L in enumerate(lengths) for m in range(L)])
     positions = [m for L in lengths for m in range(L)]
     # a one above the diagonal wherever a chain continues
     jmat = np.diag([float(m > 0) for m in positions[1:]], 1)
-    Mv = 2 * M
+    Mv = st.verify_grid(range(1, p), Mg, M)
     conj = np.linalg.solve(unit.sample_grid(Mv, shift=alpha),
                            L1.sample_grid(Mv) @ unit.sample_grid(Mv))
     samples = np.linalg.svd(conj - jmat, compute_uv=False)[:, 0]

@@ -18,11 +18,9 @@ from cocycles.fixtures import (
     not_dominated_2x2,
     random_invertible,
     random_nilpotent,
-    random_strictly_upper,
-    random_trigpoly,
-    random_unitary_function,
     twofrequency_rank_one,
 )
+from cocycles.frames import field_grid
 from cocycles.matfun import MatrixFunction, hstack, vstack
 from cocycles.trigpoly import TrigPoly, default_grid_size
 
@@ -156,34 +154,37 @@ class TestIsDominated:
         assert is_dominated(S)["dominated"] is True
 
 
-def degree_one_conjugated_split(seed, m, k):
-    """A strictly upper m x m block coupled to an everywhere-invertible k x k
-    block, conjugated by a random unitary of degree 1: dominated by
-    construction, with a finite block of high degree."""
-    rng = np.random.default_rng(seed)
-    nil = random_strictly_upper(rng, m, degree=1)
-    core = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    core += np.eye(k) * (2.0 * k)
-    smin = np.linalg.svd(core, compute_uv=False)[-1]
-    pert = MatrixFunction([[random_trigpoly(rng, 1) for _ in range(k)] for _ in range(k)])
-    inv = MatrixFunction.constant(core) + pert * (0.4 * smin / pert.sup_bound())
-    coupling = MatrixFunction([[random_trigpoly(rng, 1) for _ in range(k)] for _ in range(m)])
-    block = vstack([hstack([nil, coupling]), hstack([MatrixFunction.zero(k, m), inv])])
-    u = random_unitary_function(rng, m + k, degree=1)
-    return Cocycle((GOLDEN_MEAN,), u.translate(GOLDEN_MEAN) @ block @ u.adjoint())
+def rough_kernel_split(K, k):
+    """A = W(x+a) Y(x)* with Y = [y, e_3, ..., e_{k+1}], y = (f, -1, 0, ...),
+    f = K sin 2 pi x, and W = Y + v (1, ..., 1) for v = (1, f, 0, ...):
+    degree 2 and rank k everywhere, with kernel the line through v, which
+    every column of W couples to.  Y*W = Y*Y = diag(1 + f^2, 1, ...) is
+    invertible, so the rank profile stops at k after one step and the
+    splitting is dominated by construction.  The unit kernel vector
+    v/sqrt(1 + f^2) is singular where f = +-i, asinh(1/K)/(2 pi) off the
+    real axis, so every frame adapted to the kernel, and the finite block
+    with it, has high degree by construction while A keeps degree 2."""
+    f = TrigPoly.sine(amplitude=K)
+    zero, one = TrigPoly.zero(), TrigPoly.constant(1.0)
+    cols = [[f, TrigPoly.constant(-1.0)] + [zero] * (k - 1)]
+    cols += [[zero] * (j + 1) + [one] + [zero] * (k - 1 - j) for j in range(1, k)]
+    v = [one, f] + [zero] * (k - 1)
+    Y = MatrixFunction([[col[r] for col in cols] for r in range(k + 1)])
+    W = MatrixFunction([[col[r] + v[r] for col in cols] for r in range(k + 1)])
+    return Cocycle((GOLDEN_MEAN,), W.translate(GOLDEN_MEAN) @ Y.adjoint())
 
 
 class TestHighDegreeSplit:
     # the finite block's degree outgrows the grid that resolves L_n*
-    @pytest.mark.parametrize("seed, m, k", [(1003, 2, 2), (1016, 1, 1)])
-    def test_dominated_without_aliasing(self, seed, m, k):
-        C = degree_one_conjugated_split(seed, m, k)
+    @pytest.mark.parametrize("K, k", [(8, 1), (9, 2)])
+    def test_dominated_without_aliasing(self, K, k):
+        C = rough_kernel_split(K, k)
         S = split_infinite_part(C)
         v = is_dominated(S)
         assert v["dominated"] is True
-        # the grid resolving L_n* alone would alias the block
+        # field_grid, the grid is_dominated resolves L_n* on, would alias the block
         F = iterate(C, v["evidence"]["n_star"])
-        assert 2 * S.d.degree >= max(256, default_grid_size(F.degree))
+        assert 2 * S.d.degree >= field_grid(F.degree)
         assert dominated_splitting(S).residual < 1e-8
 
 
