@@ -204,10 +204,8 @@ def _lyap_section(rep):
 
 
 def _run_lyapunov(st, args):
-    kw = {"n": args.iters if args.iters is not None else 1000}
-    if args.grid is not None:
-        kw["M"] = args.grid
-    return lyapunov_spectrum(st, **kw)
+    kw = {"n": args.iters, "M": args.grid}
+    return lyapunov_spectrum(st, **{k: v for k, v in kw.items() if v is not None})
 
 
 def _exponents_csv(path, rep):
@@ -230,14 +228,14 @@ def _jordan_summary(F):
     return {"chains": list(F.chains), "cond_max": F.cond_max, "residual": F.residual}
 
 
-def _dominate(st, args, gaps_path):
+def _dominate(st, gaps_path):
     """Split, domination verdict and, when dominated, the splitting.
 
     Returns the split form, the splitting result (None when not dominated),
     the report fields they share and the sidecar names; the gap certificate
     is written to gaps_path.
     """
-    S = split_infinite_part(st, M=args.grid)
+    S = split_infinite_part(st)
     section = {"k": S.k, "p": S.p, "split_residual": S.residual}
     try:
         R = dominated_splitting(S)
@@ -273,7 +271,7 @@ def cmd_lyapunov(args):
 
 def cmd_triangularize(args):
     def stage(st, sidecar):
-        T = triangularize(st, M=args.grid)
+        T = triangularize(st)
         section = {**_triangular_summary(T), "U": T.U.to_json_dict(),
                    "B": T.B.to_json_dict()}
         return section, [_residuals_csv(sidecar("residuals"), T.samples)]
@@ -282,7 +280,7 @@ def cmd_triangularize(args):
 
 def cmd_jordan(args):
     def stage(st, sidecar):
-        F = jordan_form(st, M=args.grid)
+        F = jordan_form(st)
         section = {**_jordan_summary(F), "J": _mat_pairs(F.J),
                    "M": F.M.to_json_dict()}
         return section, [_residuals_csv(sidecar("residuals"), F.samples)]
@@ -291,7 +289,7 @@ def cmd_jordan(args):
 
 def cmd_dominate(args):
     def stage(st, sidecar):
-        S, R, section, sidecars = _dominate(st, args, sidecar("gaps"))
+        S, R, section, sidecars = _dominate(st, sidecar("gaps"))
         section["U"] = S.U.to_json_dict()
         if R is not None:
             section["M"] = R.M.to_json_dict()
@@ -338,7 +336,7 @@ def cmd_analyze(args):
     if nil.nilpotent:
         t0 = time.perf_counter()
         try:
-            T = triangularize(st, M=args.grid)
+            T = triangularize(st)
         except UnsupportedBase as exc:
             result["note"] = f"normal forms unavailable: {exc}"
         else:
@@ -347,7 +345,7 @@ def cmd_analyze(args):
             sidecars.append(_residuals_csv(outdir / f"{stem}.analyze.residuals.csv",
                                            T.samples))
             try:
-                F = jordan_form(st, M=args.grid)
+                F = jordan_form(st)
             except CocycleError as exc:
                 # the complete reduction is optional: rank variation or a
                 # non-analytic kernel bundle leaves the triangular form
@@ -360,7 +358,7 @@ def cmd_analyze(args):
     elif 0 < prof.min_rank < st.cocycle.dim:
         t0 = time.perf_counter()
         try:
-            _, _, section, gaps = _dominate(st, args, outdir / f"{stem}.analyze.gaps.csv")
+            _, _, section, gaps = _dominate(st, outdir / f"{stem}.analyze.gaps.csv")
         except UnsupportedBase as exc:
             result["note"] = f"splitting unavailable: {exc}"
         else:
@@ -437,7 +435,8 @@ def _build_parser():
                         version=f"cocycles {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid", type=int, metavar="M",
-                        help="sample grid size override")
+                        help="Lyapunov orbit lattice: M points per frequency "
+                             "(default 64)")
     common.add_argument("--iters", type=int, metavar="N",
                         help="Lyapunov iterate count (default 1000)")
     common.add_argument("--tol", type=float, metavar="TOL",

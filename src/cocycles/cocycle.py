@@ -147,35 +147,35 @@ class NilpotencyReport:
     witness: dict
 
 
-def _check_degree(C, n, degree_cap):
-    if C.is_exact and C.matrix.degree * n > degree_cap:
+def _check_degree(C, n):
+    if C.is_exact and C.matrix.degree * n > DEGREE_CAP:
         raise DegreeOverflow(
-            f"iterate degree {C.matrix.degree * n} exceeds cap {degree_cap}"
+            f"iterate degree {C.matrix.degree * n} exceeds cap {DEGREE_CAP}"
         )
 
 
-def iterate(C, n, degree_cap=DEGREE_CAP):
+def iterate(C, n):
     """Ordered product A(x+(n-1)a)···A(x) as a matrix function."""
     if n < 1:
         raise ValueError("iterate count must be positive")
     # checked up front so that an overflowing request builds no products
-    _check_degree(C, n, degree_cap)
-    for prod in iterates(C, n, degree_cap):
+    _check_degree(C, n)
+    for prod in iterates(C, n):
         pass
     return prod
 
 
-def iterates(C, n_max, degree_cap=DEGREE_CAP):
+def iterates(C, n_max):
     """Yield the iterates A_1, ..., A_{n_max} as a running product.
 
     A_n = A(x+(n-1)a) A_{n-1}(x) is the product iterate forms, so the n-th
     value is iterate(C, n) exactly.  The first n whose iterate degree passes
-    degree_cap raises DegreeOverflow instead, as iterate(C, n) does.
+    DEGREE_CAP raises DegreeOverflow instead, as iterate(C, n) does.
     """
     if C.is_exact:
         prod = C.matrix
         for n in range(1, n_max + 1):
-            _check_degree(C, n, degree_cap)
+            _check_degree(C, n)
             if n > 1:
                 prod = C.matrix.translate((n - 1) * C.alpha) @ prod
             yield prod
@@ -422,15 +422,17 @@ def _qr_blocks(prods, q):
     return q, diag
 
 
-def lyapunov_spectrum(C, n=1000, M=64, tol=None):
+def lyapunov_spectrum(C, n=1000, M=64):
     """Exponent estimates from M grid orbits of length n; -inf where certified.
 
-    C is a Cocycle or its Structure (Structure.of).  The number k of finite
-    exponents is the stabilised rank of the iterates, profile.min_rank: by
-    the paper's first theorem applied to the exterior powers, L_j = -inf exactly
-    when the j-th exterior power is nilpotent, that is when rank A_p < j for
-    p = stabilized_at.  Slots k+1..d are reported as -inf with flag_reason
-    "rank A_p = k"; for k = 0 no orbit is swept at all.
+    C is a Cocycle or its Structure (Structure.of), whose tol is the rank
+    tolerance; M, a positive integer, is the orbit count per frequency.  The
+    number k of finite exponents is the stabilised rank of the iterates,
+    profile.min_rank: by the paper's first theorem applied to the exterior
+    powers, L_j = -inf exactly when the j-th exterior power is nilpotent,
+    that is when rank A_p < j for p = stabilized_at.  Slots k+1..d are
+    reported as -inf with flag_reason "rank A_p = k"; for k = 0 no orbit is
+    swept at all.
 
     The finite exponents come from a QR sweep of a full d-frame: products
     of the whole orbit are never formed; QR re-orthonormalises the basis and
@@ -474,7 +476,9 @@ def lyapunov_spectrum(C, n=1000, M=64, tol=None):
     """
     if n < 2:
         raise ValueError("a Lyapunov estimate needs at least 2 iterates")
-    st = Structure.of(C, tol)
+    if not isinstance(M, (int, np.integer)) or M < 1:
+        raise ValueError(f"the orbit count M must be a positive integer, got {M!r}")
+    st = Structure.of(C)
     C, d = st.cocycle, st.cocycle.dim
     prof = st.profile
     k = prof.min_rank
@@ -594,7 +598,7 @@ class Structure:
     adapted to a flag of them, fitted from flag_grid up and verified on
     verify_grid: the triangular form and the split are both.
 
-    Tolerances resolve here, once: every decision read from the Structure
+    Tolerances are set here only: every decision read from the Structure
     (nilpotency certificate, rank profile, kernel and frame fields,
     domination criteria, inversion bound) uses tol; with tol None the
     certificate uses 1e-10 (nil_tol) and every rank decision 1e-9 (tol).
@@ -618,14 +622,10 @@ class Structure:
         self._kernels = {}
 
     @classmethod
-    def of(cls, C, tol=None):
-        """C itself when it is a Structure (refused with a tol), else Structure(C, tol)."""
-        if not isinstance(C, cls):
-            return cls(C, tol)
-        if tol is not None:
-            raise ValueError("a Structure carries its own tol; build "
-                             "Structure(C, tol) to set one")
-        return C
+    def of(cls, C):
+        """C itself when it is a Structure, else Structure(C) at the default
+        tolerances."""
+        return C if isinstance(C, cls) else cls(C)
 
     def exact_cocycle(self, what):
         """The cocycle; UnsupportedBase unless its entries are exact, as what needs."""
@@ -664,14 +664,14 @@ class Structure:
         deg = self.cocycle.matrix.degree * max(ns, default=1)
         return rank_grid(deg), 8 * field_grid(deg)
 
-    def verify_grid(self, ns, Mg, M=None):
+    def verify_grid(self, ns, Mg):
         """Verification grid of a form fitted on Mg from the flag of L_n, n in
-        ns: 2 M for a grid M the caller gave, else 2 max(Mg, field_grid) of
-        the highest iterate, as dense as a fit on field_grid gave."""
+        ns: 2 max(Mg, field_grid) of the highest iterate, as dense as a fit
+        on field_grid gave."""
         deg = self.cocycle.matrix.degree * max(ns, default=1)
-        return 2 * (M or max(Mg, field_grid(deg)))
+        return 2 * max(Mg, field_grid(deg))
 
-    def flag_form(self, ns, M=None):
+    def flag_form(self, ns):
         """U, B = U*(x+a) A(x) U(x), the block sizes, U's per-sample unitarity
         defect max |U*U - I| and B's samples on verify_grid, for the unitary
         frame U adapted to the flag of L_n, n in ns (ascending).
@@ -679,7 +679,7 @@ class Structure:
         Block j of U spans the part of ker L_{ns[j-1]} orthogonal to the
         kernel before it, the last block the rest (all of it with no ns).
         The flag (self.flag) and the block sizes are checked before any fit;
-        each block is an analytic gauge (1e-9 tail) on M, else on the grid Mg
+        each block is an analytic gauge (1e-9 tail) on the grid Mg
         on_widening_grid settles on between the fit grids flag_grid(ns).  B
         is formed at unit scale, where its products stay in the float range,
         and read back in the units of A (exact: the scale is a power of two).
@@ -699,12 +699,12 @@ class Structure:
             blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
             return hstack(blocks), sizes, Mg
 
-        U, sizes, Mg = on_widening_grid(build, *self.flag_grid(ns), M)
+        U, sizes, Mg = on_widening_grid(build, *self.flag_grid(ns))
         B = U.adjoint().translate(self.cocycle.alpha) @ self.iterate(1) @ U
         if B.max_coeff() > sys.float_info.max / self.scale:
             raise FloatRangeExceeded("a conjugated generator leaves the float range")
         B = B * self.scale
-        Mv = self.verify_grid(ns, Mg, M)
+        Mv = self.verify_grid(ns, Mg)
         usamp = U.sample_grid(Mv)
         defect = np.abs(np.conj(np.swapaxes(usamp, 1, 2)) @ usamp - np.eye(d)).max(axis=(1, 2))
         return U, B, sizes, defect, B.sample_grid(Mv)
@@ -767,24 +767,24 @@ class Structure:
         return NilpotencyReport(False, None, witness)
 
 
-def rank_profile(C, tol=None):
+def rank_profile(C):
     """Maximal ranks of the iterates until they stabilize.
 
-    The profile of Structure.of(C, tol).  The singular values of each L_n
-    are counted above tol times the n-th power of the largest sampled
-    singular value of L_1, as if the generator were divided by that value,
-    so an iterate that collapses below float noise registers as rank zero
-    instead of noise rank.  The ranks fall strictly until they stop, by
+    The profile of Structure.of(C).  The singular values of each L_n are
+    counted above the Structure's tol times the n-th power of the largest
+    sampled singular value of L_1, as if the generator were divided by that
+    value, so an iterate that collapses below float noise registers as rank
+    zero instead of noise rank.  The ranks fall strictly until they stop, by
     step d at the latest, so stabilized_at is always set: it is the first
     p with rank A_p = min_rank.
     """
-    return Structure.of(C, tol).profile
+    return Structure.of(C).profile
 
 
-def detect_nilpotency(C, tol=None):
+def detect_nilpotency(C):
     """Decide whether some iterate vanishes identically, with a certificate.
 
-    The verdict of Structure.of(C, tol).  The iterates of the generator
+    The verdict of Structure.of(C).  The iterates of the generator
     divided by its scale (_sup_scale) are compared with nil_tol, so the
     verdict does not depend on the units of A; the certificate and the
     witness's sample norm are unit-scale numbers, read off L_n.  For exact
@@ -795,7 +795,7 @@ def detect_nilpotency(C, tol=None):
     vanishes, none ever does.  A nilpotent d x d cocycle has A_d = 0, so no
     degree above d is reported.
     """
-    return Structure.of(C, tol).nilpotency
+    return Structure.of(C).nilpotency
 
 
 def exact_L1_rank_one(C):

@@ -56,15 +56,15 @@ class SplittingResult:
     evidence: dict
 
 
-def split_infinite_part(C, M=None, tol=None):
+def split_infinite_part(C):
     """Adapted frame separating the divergent directions from the finite ones.
 
     Needs the rank profile to stabilize at some 0 < k < d; the kernel bundle
     of A_p then has constant dimension d-k and the complementary block d
-    carries the k finite exponents.  Profile and A_p are those of
-    Structure.of(C, tol), which the split form carries.
+    carries the k finite exponents.  Tolerances, profile and A_p are those
+    of Structure.of(C), which the split form carries.
     """
-    st = Structure.of(C, tol)
+    st = Structure.of(C)
     C = st.exact_cocycle("splitting")
     k = st.profile.min_rank
     if k == C.dim:
@@ -73,7 +73,7 @@ def split_infinite_part(C, M=None, tol=None):
         raise FullyNilpotent("all exponents degenerate; use the normal forms")
     p, d = st.profile.stabilized_at, C.dim
     nk = d - k
-    U, B, _, defect, bsamp = st.flag_form([p], M)
+    U, B, _, defect, bsamp = st.flag_form([p])
     a = B.block(0, nk, 0, nk)
     b = B.block(0, nk, nk, d)
     dd = B.block(nk, d, nk, d)

@@ -362,12 +362,12 @@ def analytic_gauge(S):
     return phase_align(S).frames
 
 
-def on_widening_grid(build, base, last=None, M=None):
-    """build(Mg) on the grid M if given, else on the first of base, 2 base,
-    4 base, ... up to last (8 base by default) where it raises no
-    TailTooFat (kernel bundles of high iterates can decay slowly)."""
+def on_widening_grid(build, base, last=None):
+    """build(Mg) on the first of base, 2 base, 4 base, ... up to last (8 base
+    by default) where it raises no TailTooFat (kernel bundles of high
+    iterates can decay slowly)."""
     last = 8 * base if last is None else last
-    for Mg in [base << i for i in range((last // base).bit_length())] if M is None else [M]:
+    for Mg in [base << i for i in range((last // base).bit_length())]:
         try:
             return build(Mg)
         except TailTooFat as exc:

@@ -76,7 +76,7 @@ class JordanForm:
         return float(self.samples.max())
 
 
-def triangularize(C, M=None, tol=None):
+def triangularize(C):
     """Strictly block-triangular form of a nilpotent cocycle.
 
     Block n spans the part of ker A_n orthogonal to ker A_{n-1}; the unitary
@@ -84,15 +84,15 @@ def triangularize(C, M=None, tol=None):
     returned as an exact polynomial product.  The residual bounds both the
     unitarity defect of the truncated frames and the mass on and below the
     block diagonal of B, measured on the verification grid.  C is a
-    Cocycle or its Structure (Structure.of); the frame is the flag form of
-    the flag K_1, ..., K_{p-1} (Structure.flag_form), whose kernel fields
-    Structure.kernel shares with jordan_form.
+    Cocycle or its Structure (Structure.of), which sets the tolerances; the
+    frame is its flag form of K_1, ..., K_{p-1} (Structure.flag_form), whose
+    kernel fields Structure.kernel shares with jordan_form.
     """
-    st = Structure.of(C, tol)
+    st = Structure.of(C)
     C = st.exact_cocycle("triangular form")
     if not st.nilpotency.nilpotent:
         raise NotNilpotent("no iterate vanishes; nothing to triangularize")
-    U, B, sizes, samples, bsamp = st.flag_form(range(1, st.nilpotency.degree), M)
+    U, B, sizes, samples, bsamp = st.flag_form(range(1, st.nilpotency.degree))
     edges = np.concatenate([[0], np.cumsum(sizes)])
     for n in range(len(sizes)):
         low = np.abs(bsamp[:, edges[n]:, edges[n]:edges[n + 1]])
@@ -123,7 +123,7 @@ def jordan_structure_from_ranks(ranks, d):
     return tuple(lengths)
 
 
-def jordan_form(C, M=None, tol=None):
+def jordan_form(C):
     """Constant Jordan form of a nilpotent cocycle with constant-rank iterates.
 
     Walks down the kernel flag K_n = ker A_n, from K_p (the whole space) to
@@ -131,13 +131,13 @@ def jordan_form(C, M=None, tol=None):
     exact product v -> A(x-a) v(x-a), which maps K_{L+1}(x-a) into K_L(x),
     and the chains of length L open at analytic tops spanning the part of
     K_L orthogonal to K_{L-1} and the pushed vectors; chains come out
-    longest first.  Only the tops are fitted from samples, on the grids of
-    Structure.flag_grid, so the conjugation defect (on verify_grid) is A
+    longest first.  Only the tops are fitted from samples, from the grid
+    Structure.flag_grid up, so the conjugation defect (on verify_grid) is A
     applied to the kernel ends, as small as the tops' distance from them.
     Any rank drop of any iterate at any sample aborts with
     ConstantRankViolated.  C is a Cocycle or its Structure (Structure.of),
-    whose profile, verdict, iterates and flag (Structure.flag, checked
-    against the profile before any top is fitted) the chains read.
+    whose tolerances, profile, verdict, iterates and flag (Structure.flag,
+    checked against the profile before any top is fitted) the chains read.
 
     The chains are built on the unit-scale generator L_1 = A / 2^e of the
     Structure, where vectors of one chain keep comparable sizes, and
@@ -145,7 +145,7 @@ def jordan_form(C, M=None, tol=None):
     exact factor 2^(-e m), so J keeps its ones; a column that leaves the
     float range there raises FloatRangeExceeded.
     """
-    st = Structure.of(C, tol)
+    st = Structure.of(C)
     C, tol = st.exact_cocycle("jordan form"), st.tol
     if not st.nilpotency.nilpotent:
         raise NotNilpotent("no iterate vanishes; spectrum is not fully degenerate")
@@ -187,13 +187,13 @@ def jordan_form(C, M=None, tol=None):
             fronts.append(front)
         return fronts[::-1], Mg
 
-    fronts, Mg = on_widening_grid(fronts_on, *st.flag_grid(range(1, p)), M)
+    fronts, Mg = on_widening_grid(fronts_on, *st.flag_grid(range(1, p)))
     unit = hstack([fronts[m].block(0, d, c, c + 1)
                    for c, L in enumerate(lengths) for m in range(L)])
     positions = [m for L in lengths for m in range(L)]
     # a one above the diagonal wherever a chain continues
     jmat = np.diag([float(m > 0) for m in positions[1:]], 1)
-    Mv = st.verify_grid(range(1, p), Mg, M)
+    Mv = st.verify_grid(range(1, p), Mg)
     conj = np.linalg.solve(unit.sample_grid(Mv, shift=alpha),
                            L1.sample_grid(Mv) @ unit.sample_grid(Mv))
     samples = np.linalg.svd(conj - jmat, compute_uv=False)[:, 0]

@@ -319,6 +319,30 @@ class TestWrappedCommands:
             assert rep["pipeline"] == pipeline
         assert rep["result"]["jordan"]["chains"] == [3]
 
+    # the report sections of each command and the form fields in them
+    FORM_FIELDS = {"analyze": ("result", ("block_sizes", "residual", "jordan")),
+                   "triangularize": ("triangular", ("block_sizes", "residual")),
+                   "jordan": ("jordan", ("chains", "residual", "cond_max"))}
+
+    @pytest.mark.parametrize("name", ["synthetic_nilpotent_seed42",
+                                      "nilpotent_3x3_variable_rank"])
+    @pytest.mark.parametrize("cmd", sorted(FORM_FIELDS))
+    def test_grid_leaves_the_forms_alone(self, fixture_dir, tmp_path, cmd, name):
+        # --grid sizes the Lyapunov orbit lattice only: the forms fit on
+        # grids read off the input, so a coarse lattice moves no form field
+        # (the variable-rank input has no Jordan form either way)
+        src = str(fixture_dir / f"{name}.json")
+        expected = 4 if (cmd, name) == ("jordan", "nilpotent_3x3_variable_rank") else 0
+        section, keys = self.FORM_FIELDS[cmd]
+        fields = []
+        for flags in ([], ["--grid", "8"]):
+            out = tmp_path / (flags[-1] if flags else "default")
+            assert main([cmd, src, "--out", str(out), "--iters", "100", *flags]) == expected
+            if expected == 0:
+                rep = read_report(out, name, cmd)
+                fields.append({k: rep[section].get(k) for k in keys})
+        assert fields[:1] == fields[1:]
+
     def test_triangularize_round_trip_file(self, fixture_dir, tmp_path):
         src = fixture_dir / "synthetic_nilpotent_seed42.json"
         assert main(["triangularize", str(src), "--out", str(tmp_path)]) == 0

@@ -399,6 +399,11 @@ class TestChunkedSweep:
         with pytest.raises(ValueError):
             lyapunov_spectrum(fx.dominated_2x2(), n=n, M=8)
 
+    @pytest.mark.parametrize("M", [0, -3, 2.5, 8.0, "8", None])
+    def test_orbit_count_must_be_a_positive_integer(self, M):
+        with pytest.raises(ValueError, match="positive integer"):
+            lyapunov_spectrum(fx.dominated_2x2(), n=100, M=M)
+
 
 class TestChunkedSweepBatchLast(TestChunkedSweep):
     """The same equivalence on an odd orbit count, 5 orbits per frequency:
@@ -906,7 +911,7 @@ class TestFlagReason:
         # finite at the default tol and -inf at tol = 1e-5
         C = const_cocycle(np.diag([1.0, 1e-6]))
         assert lyapunov_spectrum(C, n=100, M=8).divergent == [False, False]
-        rep = lyapunov_spectrum(C, n=100, M=8, tol=1e-5)
+        rep = lyapunov_spectrum(Structure(C, 1e-5), n=100, M=8)
         assert abs(rep.exponents[0]) < 1e-12
         assert rep.exponents[1] == float("-inf")
         assert rep.flag_reason == [None, "rank A_1 = 1"]
@@ -1027,7 +1032,7 @@ class TestNilpotency:
         # its fourth iterate has decayed below tol, but A_3 has not vanished
         T = triangularize(fx.nilpotent_3x3_variable_rank())
         P, _ = perturb_simple(T, (4, 2, 1), 1e-4)
-        rep = detect_nilpotency(P, tol=1e-6)
+        rep = detect_nilpotency(Structure(P, 1e-6))
         assert not rep.nilpotent and rep.degree is None
         # the witness is the last iterate formed, L_4
         assert 0 < rep.witness["max_sample_norm"] <= 1e-6
@@ -1200,12 +1205,6 @@ class TestStructureHandle:
         analysis, make = self.ANALYSES[name]
         C = make()
         assert _plain(analysis(Structure(C))) == _plain(analysis(C))
-
-    @pytest.mark.parametrize("name", sorted(set(ANALYSES) - {"exact_L1_rank_one"}))
-    def test_tol_with_a_structure_is_refused(self, name):
-        analysis, make = self.ANALYSES[name]
-        with pytest.raises(ValueError, match="own tol"):
-            analysis(Structure(make()), tol=1e-6)
 
     def test_tol_resolves_in_the_structure(self):
         st = Structure(fx.dominated_2x2(), 1e-6)

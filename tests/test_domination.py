@@ -298,7 +298,7 @@ class TestDominatedSplitting:
             [zero, zero, TrigPoly.constant(1.0) + TrigPoly.cosine(amplitude=0.9)],
         ]
         C = Cocycle((GOLDEN_MEAN,), MatrixFunction(rows))
-        S = split_infinite_part(C, tol=0.1)
+        S = split_infinite_part(Structure(C, 0.1))
         assert is_dominated(S)["dominated"] is True
         with pytest.raises(InversionBlowup):
             dominated_splitting(S)
