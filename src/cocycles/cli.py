@@ -90,6 +90,8 @@ def _validate_flags(args):
         raise _InputError("--alpha must be finite")
     if args.threads < 1:
         raise _InputError("--threads must be positive")
+    if args.seed is not None and args.seed < 0:
+        raise _InputError("--seed must be non-negative")
 
 
 def _apply_threads(n):

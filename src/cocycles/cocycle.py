@@ -25,12 +25,12 @@ from .errors import (
     FloatRangeExceeded,
     RankNotOne,
     StructureViolation,
+    TailTooFat,
     UnsupportedBase,
 )
 from .frames import (
-    analytic_gauge,
     field_grid,
-    on_widening_grid,
+    phase_align,
     raw_complement_within,
     raw_kernel_field,
     raw_orthocomplement,
@@ -594,9 +594,9 @@ class Structure:
     the kernel field of L_n once per grid, so the normal forms and the
     splitting share it.  Fields of grids a widening rejected are kept too,
     since another form may settle there: at most six grids per iterate,
-    for the life of the Structure.  flag_form conjugates A by the frame
-    adapted to a flag of them, fitted from flag_grid up and verified on
-    verify_grid: the triangular form and the split are both.
+    for the life of the Structure.  fit is the one widening loop of every
+    form fitted from such a flag; flag_form conjugates A by the frame
+    adapted to one: the triangular form and the split are both.
 
     Tolerances are set here only: every decision read from the Structure
     (nilpotency certificate, rank profile, kernel and frame fields,
@@ -658,53 +658,57 @@ class Structure:
                                      f"the rank profile gives {dims}")
         return flag
 
-    def flag_grid(self, ns):
-        """First and last fit grid of the flag of L_n, n in ns: the rank grid
-        (at least 64 samples) and 8 field_grid of the highest iterate."""
+    def fit(self, ns, build):
+        """build(Mg) and the grid Mv its form is verified on, for a form fitted
+        from the flag of L_n, n in ns: the one resolution rule of the flag
+        forms and the Jordan chains.  Mg is the first of the rank grid of the
+        highest iterate (at least 64 samples), twice that, ... up to 8
+        field_grid where build raises no TailTooFat (kernel bundles of high
+        iterates can decay slowly); Mv = 2 max(Mg, field_grid), as dense as
+        a fit on field_grid gave."""
         deg = self.cocycle.matrix.degree * max(ns, default=1)
-        return rank_grid(deg), 8 * field_grid(deg)
-
-    def verify_grid(self, ns, Mg):
-        """Verification grid of a form fitted on Mg from the flag of L_n, n in
-        ns: 2 max(Mg, field_grid) of the highest iterate, as dense as a fit
-        on field_grid gave."""
-        deg = self.cocycle.matrix.degree * max(ns, default=1)
-        return 2 * max(Mg, field_grid(deg))
+        base, last = rank_grid(deg), 8 * field_grid(deg)
+        for Mg in [base << i for i in range((last // base).bit_length())]:
+            try:
+                return build(Mg), 2 * max(Mg, field_grid(deg))
+            except TailTooFat as exc:
+                # a kept traceback would hold the failed build's frames in a cycle
+                err = exc.with_traceback(None)
+        raise err
 
     def flag_form(self, ns):
         """U, B = U*(x+a) A(x) U(x), the block sizes, U's per-sample unitarity
-        defect max |U*U - I| and B's samples on verify_grid, for the unitary
-        frame U adapted to the flag of L_n, n in ns (ascending).
+        defect max |U*U - I| and B's samples on the verification grid, for
+        the unitary frame U adapted to the flag of L_n, n in ns (ascending).
 
         Block j of U spans the part of ker L_{ns[j-1]} orthogonal to the
         kernel before it, the last block the rest (all of it with no ns).
         The flag (self.flag) and the block sizes are checked before any fit;
-        each block is an analytic gauge (1e-9 tail) on the grid Mg
-        on_widening_grid settles on between the fit grids flag_grid(ns).  B
-        is formed at unit scale, where its products stay in the float range,
-        and read back in the units of A (exact: the scale is a power of two).
+        each block is the parallel-transport gauge of phase_align (1e-9
+        tail) on the grid fit settles on.  B is formed at unit scale, where
+        its products stay in the float range, and read back in the units of
+        A (exact: the scale is a power of two).
         """
         d = self.cocycle.dim
 
         def build(Mg):
             flag = self.flag(ns, Mg)
             if not flag:
-                return MatrixFunction.identity(d), (d,), Mg
+                return MatrixFunction.identity(d), (d,)
             fields = ([flag[0]]
                       + [raw_complement_within(a, b, self.tol) for a, b in zip(flag, flag[1:])]
                       + [raw_orthocomplement(flag[-1])])
             sizes = tuple(S.k for S in fields)
             if sum(sizes) != d:
                 raise StructureViolation(f"block sizes {sizes} do not fill dimension {d}")
-            blocks = [poly_from_samples(analytic_gauge(S), tol=1e-9) for S in fields]
-            return hstack(blocks), sizes, Mg
+            blocks = [poly_from_samples(phase_align(S).frames, tol=1e-9) for S in fields]
+            return hstack(blocks), sizes
 
-        U, sizes, Mg = on_widening_grid(build, *self.flag_grid(ns))
+        (U, sizes), Mv = self.fit(ns, build)
         B = U.adjoint().translate(self.cocycle.alpha) @ self.iterate(1) @ U
         if B.max_coeff() > sys.float_info.max / self.scale:
             raise FloatRangeExceeded("a conjugated generator leaves the float range")
         B = B * self.scale
-        Mv = self.verify_grid(ns, Mg)
         usamp = U.sample_grid(Mv)
         defect = np.abs(np.conj(np.swapaxes(usamp, 1, 2)) @ usamp - np.eye(d)).max(axis=(1, 2))
         return U, B, sizes, defect, B.sample_grid(Mv)

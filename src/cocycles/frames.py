@@ -16,17 +16,16 @@ product chains them into the per-sample corrections, and two Newton-Schulz
 steps re-unitarise the chained products.  phase_align aligns its input
 itself, spreads the closure holonomy evenly over the loop and records the
 integer winding it removed: discrete parallel transport, as smooth as the
-bundle.  analytic_gauge samples that section, so the flag forms and the
-Jordan chains fit raw fields; to_analytic_frame checks that an aligned
-field closes before matfun.poly_from_samples turns it into a polynomial.
-field_grid is the default grid of the field constructors, and
-on_widening_grid retries a fit on wider grids while its tail is too fat.
+bundle, so the flag forms and the Jordan chains fit its frames from raw
+fields; to_analytic_frame checks that an aligned field closes before
+matfun.poly_from_samples turns it into a polynomial.  field_grid is the
+default grid of the field constructors.
 """
 
 import numpy as np
 
-from .errors import ClosureDefect, DimensionUnstable, TailTooFat
-from .matfun import poly_from_samples
+from .errors import ClosureDefect, DimensionUnstable
+from .matfun import generic_rank, poly_from_samples
 from .trigpoly import default_grid_size
 
 
@@ -173,11 +172,12 @@ def _finish(frames, exceptional, budget):
 
 
 def _svd_rank_split(samples, tol):
+    # u, vh, the generic rank and its exceptional samples, counting singular
+    # values above tol times the largest of the whole grid
     u, s, vh = np.linalg.svd(samples)
     smax = float(s[..., 0].max()) if s.size else 0.0
     thresh = tol * max(smax, 1e-300)
-    local = (s > thresh).sum(axis=-1)
-    return u, s, vh, local
+    return u, vh, *generic_rank((s > thresh).sum(axis=-1))
 
 
 def kernel_field(F, M=None, tol=1e-9):
@@ -196,11 +196,9 @@ def raw_kernel_field(samples, degree, tol=1e-9):
     """kernel_field_from_samples unaligned; the first rows of each vh span
     the complement, kept as perp."""
     samples = np.asarray(samples, dtype=complex)
-    _, _, vh, local = _svd_rank_split(samples, tol)
-    r = int(local.max())
+    _, vh, r, exc = _svd_rank_split(samples, tol)
     k = samples.shape[2] - r
     right = np.conj(np.swapaxes(vh, 1, 2))
-    exc = [int(i) for i in np.nonzero(local < r)[0]]
     return _filled(right[:, :, r:], exc,
                    cont_budget_default(degree, samples.shape[0], max(k, 1)), right[:, :, :r])
 
@@ -209,9 +207,7 @@ def range_field(F, M=None, tol=1e-9):
     """Field of column spans of F, at the generic dimension."""
     if M is None:
         M = field_grid(F.degree)
-    u, _, _, local = _svd_rank_split(F.sample_grid(M), tol)
-    r = int(local.max())
-    exc = [int(i) for i in np.nonzero(local < r)[0]]
+    u, _, r, exc = _svd_rank_split(F.sample_grid(M), tol)
     return _finish(u[:, :, :r], exc, cont_budget_default(F.degree, M, max(r, 1)))
 
 
@@ -256,10 +252,9 @@ def preimage_field(F, S, M=None, tol=1e-9):
     fsamp = F.sample_grid(M)
     perp = raw_orthocomplement(S)
     w = np.conj(np.swapaxes(fsamp, 1, 2)) @ perp.frames
-    u, _, _, local = _svd_rank_split(w, tol)
-    r = int(local.max())
+    u, _, r, exc = _svd_rank_split(w, tol)
     frames = u[:, :, r:]
-    exc = sorted(set(S.exceptional) | {int(i) for i in np.nonzero(local < r)[0]})
+    exc = sorted(set(S.exceptional) | set(exc))
     budget = cont_budget_default(F.degree, M, max(frames.shape[2], 1))
     if S.cont_budget:
         budget = max(budget, S.cont_budget)
@@ -274,10 +269,8 @@ def raw_sum_field(S, T, tol=1e-9):
     stacked = np.concatenate([S.frames, T.frames], axis=2)
     if stacked.shape[2] == 0:
         return SubspaceField(stacked, cont_budget=S.cont_budget)
-    u, _, _, local = _svd_rank_split(stacked, tol)
-    r = int(local.max())
-    exc = sorted(set(S.exceptional) | set(T.exceptional)
-                 | {int(i) for i in np.nonzero(local < r)[0]})
+    u, _, r, exc = _svd_rank_split(stacked, tol)
+    exc = sorted(set(S.exceptional) | set(T.exceptional) | set(exc))
     budget = max(S.cont_budget or 0.0, T.cont_budget or 0.0) or None
     return _filled(u[:, :, :r], exc, budget, u[:, :, r:])
 
@@ -316,6 +309,13 @@ def phase_align(S):
     where per-column turns are not separable).  A residual above the
     continuity budget means the subspace path itself jumps somewhere, so no
     gauge can close it; that raises ClosureDefect.
+
+    The result samples an analytic orthonormal section: the
+    parallel-transport gauge of maximally localised Wannier functions
+    (Marzari and Vanderbilt, PRB 56, 12847, 1997), whose continuous form is
+    Kato's transformation function.  Its Fourier tail is the bundle's own; a
+    section pushed through the projectors from one fixed matrix g would
+    carry the zeros of v*g in the complex strip instead.
     """
     M, d, k = S.frames.shape
     budget = S.cont_budget if S.cont_budget else cont_budget_default(1, M, max(k, 1))
@@ -350,30 +350,6 @@ def phase_align(S):
     closure = float(np.linalg.norm(out[0] - out[-1]))
     return SubspaceField(out, S.exceptional, winding, closure, budget,
                          theta_total)
-
-
-def analytic_gauge(S):
-    """Sample an analytic orthonormal section of a subspace field: the
-    parallel-transport gauge of phase_align, that of maximally localised
-    Wannier functions (Marzari and Vanderbilt, PRB 56, 12847, 1997), whose
-    continuous form is Kato's transformation function.  Its Fourier tail is
-    the bundle's own; a section pushed through the projectors from one fixed
-    matrix g would carry the zeros of v*g in the complex strip instead."""
-    return phase_align(S).frames
-
-
-def on_widening_grid(build, base, last=None):
-    """build(Mg) on the first of base, 2 base, 4 base, ... up to last (8 base
-    by default) where it raises no TailTooFat (kernel bundles of high
-    iterates can decay slowly)."""
-    last = 8 * base if last is None else last
-    for Mg in [base << i for i in range((last // base).bit_length())]:
-        try:
-            return build(Mg)
-        except TailTooFat as exc:
-            # a kept traceback would hold the failed build's frames in a cycle
-            err = exc.with_traceback(None)
-    raise err
 
 
 def to_analytic_frame(S, N=None, tol=1e-8):

@@ -428,6 +428,13 @@ def rank_samples(F, M=None):
     return np.linalg.svd(mats, compute_uv=False), pts
 
 
+def generic_rank(counts):
+    """The generic (largest) of per-sample rank counts and the indices of
+    the samples below it."""
+    r = int(counts.max())
+    return r, [int(i) for i in np.nonzero(counts < r)[0]]
+
+
 def max_rank(F, M=None, tol=1e-9, scale=None, samples=None):
     """Maximal pointwise rank over a sampling grid (rank_grid by default).
 
@@ -445,9 +452,7 @@ def max_rank(F, M=None, tol=1e-9, scale=None, samples=None):
         scale = top
     if top == 0.0 or scale == 0.0:
         return 0, []
-    ranks = np.sum(sv > tol * scale, axis=1)
-    r = int(ranks.max())
-    exc = np.nonzero(ranks < r)[0]
+    r, exc = generic_rank(np.sum(sv > tol * scale, axis=1))
     if isinstance(F, GridMatrixFunction):
         return r, [tuple(pts[i]) for i in exc]
     return r, [float(pts[i]) for i in exc]

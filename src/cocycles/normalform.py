@@ -26,8 +26,7 @@ from .errors import (
 )
 from .frames import (
     SubspaceField,
-    analytic_gauge,
-    on_widening_grid,
+    phase_align,
     raw_complement_within,
     raw_orthocomplement,
     raw_sum_field,
@@ -131,9 +130,10 @@ def jordan_form(C):
     exact product v -> A(x-a) v(x-a), which maps K_{L+1}(x-a) into K_L(x),
     and the chains of length L open at analytic tops spanning the part of
     K_L orthogonal to K_{L-1} and the pushed vectors; chains come out
-    longest first.  Only the tops are fitted from samples, from the grid
-    Structure.flag_grid up, so the conjugation defect (on verify_grid) is A
-    applied to the kernel ends, as small as the tops' distance from them.
+    longest first.  Only the tops are fitted from samples, on the grid
+    Structure.fit settles on, so the conjugation defect (sampled on fit's
+    verification grid) is A applied to the kernel ends, as small as the
+    tops' distance from them.
     Any rank drop of any iterate at any sample aborts with
     ConstantRankViolated.  C is a Cocycle or its Structure (Structure.of),
     whose tolerances, profile, verdict, iterates and flag (Structure.flag,
@@ -161,7 +161,7 @@ def jordan_form(C):
 
     def fronts_on(Mg):
         # K_1, ..., K_{p-1}, raw: the fields below feed only span sums and
-        # analytic_gauge; fronts[m] holds chain vector m of every chain
+        # phase_align; fronts[m] holds chain vector m of every chain
         # longer than m
         flag = st.flag(range(1, p), Mg)
         front, fronts = None, []
@@ -182,18 +182,17 @@ def jordan_form(C):
                     f"forces {lengths.count(L)}"
                 )
             if born.k:
-                tops = poly_from_samples(analytic_gauge(born))
+                tops = poly_from_samples(phase_align(born).frames)
                 front = tops if front is None else hstack([front, tops])
             fronts.append(front)
-        return fronts[::-1], Mg
+        return fronts[::-1]
 
-    fronts, Mg = on_widening_grid(fronts_on, *st.flag_grid(range(1, p)))
+    fronts, Mv = st.fit(range(1, p), fronts_on)
     unit = hstack([fronts[m].block(0, d, c, c + 1)
                    for c, L in enumerate(lengths) for m in range(L)])
     positions = [m for L in lengths for m in range(L)]
     # a one above the diagonal wherever a chain continues
     jmat = np.diag([float(m > 0) for m in positions[1:]], 1)
-    Mv = st.verify_grid(range(1, p), Mg)
     conj = np.linalg.solve(unit.sample_grid(Mv, shift=alpha),
                            L1.sample_grid(Mv) @ unit.sample_grid(Mv))
     samples = np.linalg.svd(conj - jmat, compute_uv=False)[:, 0]

@@ -65,6 +65,12 @@ class TestFixtures:
         assert "synthetic_nilpotent_seed7.json" in names
         assert "synthetic_jordan_seed7.json" in names
 
+    def test_negative_seed_is_input_error(self, tmp_path, capsys):
+        assert main(["fixtures", str(tmp_path / "neg"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed must be non-negative" in err
+        assert not (tmp_path / "neg").exists()
+
     def test_bundled_names_present(self, fixture_dir):
         names = {f.stem for f in fixture_dir.glob("*.json")}
         expected = {

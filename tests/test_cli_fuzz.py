@@ -124,6 +124,7 @@ _BAD_FLAG = st.sampled_from([
     ("--iters", "0"), ("--iters", "-5"), ("--iters", "1e3"), ("--grid", "4"),
     ("--grid", "x"), ("--tol", "0"), ("--tol", "nan"), ("--alpha", "inf"),
     ("--alpha", "0.5"), ("--threads", "0"), ("--threads", "2"), ("--bogus", "1"),
+    ("--seed", "-1"),
 ])
 
 

@@ -1037,6 +1037,17 @@ class TestNilpotency:
         # the witness is the last iterate formed, L_4
         assert 0 < rep.witness["max_sample_norm"] <= 1e-6
 
+    @pytest.mark.xfail(strict=True, reason="both thresholds scale with |A|^n, "
+                       "which the nilpotent coupling inflates")
+    def test_nilpotent_coupling_hides_no_direction(self):
+        # the exponents are 0, -inf, -inf: e_3 is fixed, e_1 and e_2 form a
+        # nilpotent pair whose coupling 1e4 sets |A|
+        st = Structure(const_cocycle(np.array([[0.0, 1e4, 0.0],
+                                               [0.0, 0.0, 0.0],
+                                               [0.0, 0.0, 1.0]])))
+        assert st.profile.min_rank == 1
+        assert not st.nilpotency.nilpotent
+
 
 class TestUnits:
     """Scaling A by c keeps every structure decision and shifts every finite

@@ -100,7 +100,7 @@ class TestSplitInfinitePart:
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was fitted")
 
-        monkeypatch.setattr(cocycle_module, "analytic_gauge", refuse)
+        monkeypatch.setattr(cocycle_module, "phase_align", refuse)
         with pytest.raises(StructureViolation, match="kernel dimensions"):
             split_infinite_part(st)
 

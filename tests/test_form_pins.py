@@ -4,15 +4,15 @@ one-frequency CLI fixtures, random_nilpotent seeds 0-9 and
 random_constant_rank_jordan seeds 0-4, or the error each raises.
 
 A triangular form pins its block sizes, the length of its verification
-samples (Structure.verify_grid), its residual and the degree of its frame
-U; a Jordan form its chains, sample count, residual, cond_max and the
-degree of its chain matrix M; a splitting k, p, the split form's and the
-splitting's residuals and the gap certificate.  The residuals are
+samples (the grid Structure.fit verifies on), its residual and the degree
+of its frame U; a Jordan form its chains, sample count, residual, cond_max
+and the degree of its chain matrix M; a splitting k, p, the split form's
+and the splitting's residuals and the gap certificate.  The residuals are
 rounding-level numbers, so a change that only moves where the kernel flag
 and its frame are built must leave them where they are, to rtol 1e-12.
 
 The frame degrees pin smoothness.  The frames are the parallel-transport
-gauge of each flag block (frames.analytic_gauge), which is as smooth as
+gauge of each flag block (frames.phase_align), which is as smooth as
 the bundle: U has degree at most 2 on random_nilpotent, where a gauge
 pushed from one fixed matrix through the projectors reached 228, and its
 Fourier tail pushed the fits onto grids of up to 2048 samples.  A gauge

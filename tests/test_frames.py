@@ -14,13 +14,11 @@ from cocycles.frames import (
     SubspaceField,
     _aligned,
     _rolling_align,
-    analytic_gauge,
     field_from_vectors,
     field_grid,
     intersect_field,
     kernel_field,
     kernel_field_from_samples,
-    on_widening_grid,
     orthocomplement,
     phase_align,
     preimage_field,
@@ -212,14 +210,14 @@ class TestRawFields:
         assert P.frames is K.perp and P.perp is K.frames
 
     @pytest.mark.parametrize("make", FLAG_MAKERS, ids=FLAG_IDS)
-    def test_analytic_gauge_reads_no_gauge(self, make):
+    def test_phase_align_reads_no_gauge(self, make):
         flag = _raw_flag(make)
         fields = (flag + [raw_complement_within(a, b) for a, b in zip(flag, flag[1:])]
                   + [raw_orthocomplement(flag[-1])])
         for S in fields:
             twin = _aligned(S)
             assert np.array_equal(twin.frames[0], S.frames[0])
-            raw, aligned = analytic_gauge(S), analytic_gauge(twin)
+            raw, aligned = phase_align(S).frames, phase_align(twin).frames
             assert subspace_distance(SubspaceField(raw), SubspaceField(aligned)) < 1e-12
             assert np.abs(raw - aligned).max() < 1e-12
 
@@ -345,13 +343,16 @@ class TestFlagFrame:
         def refuse(*args, **kwargs):
             raise AssertionError("a frame was fitted")
 
-        monkeypatch.setattr(cocycle_module, "analytic_gauge", refuse)
+        monkeypatch.setattr(cocycle_module, "phase_align", refuse)
         with pytest.raises(StructureViolation, match="kernel dimensions"):
             st.flag_form((1, 2))
 
 
 class TestWideningGrid:
     def test_rejected_builds_are_freed_without_a_collection(self):
+        # the flag of L_1 of a degree-1 generator: rank grid 64, field_grid 256
+        st = Structure(fx.nilpotent_3x3_variable_rank())
+
         class Samples:
             pass
 
@@ -360,13 +361,13 @@ class TestWideningGrid:
         def build(Mg):
             samples = Samples()
             held.append(weakref.ref(samples))
-            if Mg < 4:
+            if Mg < 256:
                 raise TailTooFat("tail too fat")
             return Mg
 
         gc.disable()
         try:
-            assert on_widening_grid(build, 1) == 4
+            assert st.fit((1,), build) == (256, 512)
             assert [ref() is None for ref in held] == [True, True, True]
         finally:
             gc.enable()

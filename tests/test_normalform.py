@@ -309,7 +309,7 @@ class TestJordanForm:
         def refuse(*args, **kwargs):
             raise AssertionError("a chain top was fitted")
 
-        monkeypatch.setattr(normalform, "analytic_gauge", refuse)
+        monkeypatch.setattr(normalform, "phase_align", refuse)
         with pytest.raises(StructureViolation, match="kernel dimensions"):
             jordan_form(st)
 
