@@ -16,7 +16,7 @@ their top exponent in closed form from two Mahler measures.
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -325,10 +325,11 @@ def _step_chunks(C, M, bounds):
 def _block_length(diag, k):
     """Orbit steps per QR after the warmup, from warmup R-diagonals.
 
-    diag holds |R_jj| of single steps, shape (steps, batch, d).  The spread
-    g is the widest log ratio among the first k entries of a step and orbit
-    where none of them has died; s is the largest integer up to _BLOCK_MAX
-    with s * g <= _BLOCK_LOG_COND, at least 1.
+    diag holds |R_jj| of single steps, shape (steps, batch, j), for j >= k
+    frame columns (the sweep's k).  The spread g is the widest log ratio
+    among the first k entries of a step and orbit where none of them has
+    died; s is the largest integer up to _BLOCK_MAX with
+    s * g <= _BLOCK_LOG_COND, at least 1.
     """
     fin = diag[..., :k]
     lo, hi = fin.min(axis=-1), fin.max(axis=-1)
@@ -379,30 +380,41 @@ def _norm(v):
     return np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
 
 
+@cache
+def _start_frame(d):
+    """The fixed random unitary (d, d) whose first k columns start every
+    sweep of a k-frame and whose columns complete a dead one: no column of
+    a random frame lies exactly in a structural kernel, where a basis vector
+    of triangular input can lie."""
+    rng = np.random.default_rng(12345)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q0, _ = np.linalg.qr(g)
+    q0.flags.writeable = False
+    return q0
+
+
 def _gram_schmidt(y):
-    """The orthonormal frame and |R_jj| of a batch-last stack y, (d, d, batch):
-    the Q and |diag R| of a QR factorisation, shapes (d, d, batch) and
-    (d, batch).
+    """The orthonormal frame and |R_jj| of a batch-last stack y, (d, k, batch):
+    the Q and |diag R| of a reduced QR factorisation, shapes (d, k, batch)
+    and (k, batch).
 
     Classical Gram-Schmidt with one reorthogonalisation pass, which keeps the
     frame orthonormal to working precision.  A column whose residual is
     exactly zero (its orbit fell into a kernel) records |R_jj| = 0 and is
-    completed by the standard basis vector with the largest residual against
-    the earlier columns, orthogonalised twice.
+    completed by the column of _start_frame(d) with the largest residual
+    against the earlier columns, orthogonalised twice.
     """
-    d = y.shape[0]
     q = np.empty_like(y)
     r = np.empty(y.shape[1:])
-    for j in range(d):
+    for j in range(y.shape[1]):
         v = _orthogonalise(y[:, j], q[:, :j])
         r[j] = norm = _norm(v)
         dead = np.nonzero(norm == 0.0)[0]
         if dead.size:
             v, norm = v.copy(), norm.copy()
-            for m in range(d):
-                e = np.zeros((d, dead.size), dtype=complex)
-                e[m] = 1.0
-                e = _orthogonalise(e, q[:, :j, dead])
+            for c in _start_frame(len(y)).T:
+                e = _orthogonalise(np.repeat(c[:, None], dead.size, axis=1),
+                                   q[:, :j, dead])
                 en = _norm(e)
                 better = en > norm[dead]
                 v[:, dead[better]] = e[:, better]
@@ -412,10 +424,10 @@ def _gram_schmidt(y):
 
 
 def _qr_blocks(prods, q):
-    """Carry the frame q, (d, d, batch), through the block products of a
+    """Carry the frame q, (d, k, batch), through the block products of a
     range, (d, d, blocks, batch): one Gram-Schmidt QR of P q per block.
-    Returns the last frame and the |R_jj| of each block, (blocks, batch, d)."""
-    diag = np.empty((prods.shape[2],) + q.shape[2:] + q.shape[:1])
+    Returns the last frame and the |R_jj| of each block, (blocks, batch, k)."""
+    diag = np.empty((prods.shape[2],) + q.shape[2:] + q.shape[1:2])
     for i in range(len(diag)):
         q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
         diag[i] = r.T
@@ -434,13 +446,15 @@ def lyapunov_spectrum(C, n=1000, M=64):
     reported as -inf with flag_reason "rank A_p = k"; for k = 0 no orbit is
     swept at all.
 
-    The finite exponents come from a QR sweep of a full d-frame: products
-    of the whole orbit are never formed; QR re-orthonormalises the basis and
-    accumulates log singular growth per direction, and the k directions of
-    each orbit that stay alive longest give the estimates.  An initial
-    warmup fifth of the run (at most 64 steps) lets the random starting
-    frame settle into the growth filtration and is excluded from the
-    averages; it runs one QR per step.  After it,
+    The finite exponents come from a QR sweep of a k-frame, the first k
+    columns of a fixed random unitary (_start_frame): products of the whole
+    orbit are never formed; QR re-orthonormalises the k columns and
+    accumulates log singular growth per direction, and the first k columns
+    of a QR depend on the first k columns of P q alone, so the d - k
+    directions without growth are never swept (Benettin, Galgani, Giorgilli
+    and Strelcyn 1980).  An initial warmup fifth of the run (at most 64
+    steps) lets the random starting frame settle into the growth filtration
+    and is excluded from the averages; it runs one QR per step.  After it,
     one QR per block of s steps: the R-diagonal of a block product is the
     product of the per-step R-diagonals, and s (the largest integer up to
     32 the conditioning rule allows) is chosen from the spread of the finite
@@ -454,25 +468,25 @@ def lyapunov_spectrum(C, n=1000, M=64):
     a block (exactly zero or below 1e-14 of the largest) adds no growth and
     its steps are not counted in its average.
 
-    Every array of the sweep is held batch-last, (d, d, ..., batch) over the
-    M^l orbits of l frequencies, so one arithmetic op covers all orbits: a
+    Every array of the sweep is held batch-last, block products (d, d, ...,
+    batch) and the frame (d, k, batch) over the M^l orbits of l
+    frequencies, so one arithmetic op covers all orbits: a
     block product is read off the iterate L_s for exact entries where that
     saves flops, else formed pairwise in log2 s levels of steps
     (_sweep_blocks), and P q is re-orthonormalised by classical Gram-Schmidt
-    with one reorthogonalisation pass (Benettin, Galgani, Giorgilli and
-    Strelcyn 1980; "twice is enough", Giraud, Langou and Rozloznik 2005).  A
-    column whose residual there is exactly zero, an orbit fallen into ker A,
-    records |R_jj| = 0, which the death floor counts, and the frame is
-    completed by the basis vector with the largest residual, orthogonalised
-    twice.
+    with one reorthogonalisation pass ("twice is enough", Giraud, Langou and
+    Rozloznik 2005).  A column whose residual there is exactly zero, an
+    orbit fallen into ker A, records |R_jj| = 0, which the death floor
+    counts, and the frame is completed by the column of the random start
+    frame with the largest residual, orthogonalised twice: a basis vector
+    could lie in a structural kernel and keep the column dead.
 
     stderr combines the spread over orbits with a Richardson estimate of the
     still-settling bias: a running mean converging like 1/t leaves a residual
     of three times its drift over the final quarter of the run.  Spread alone
     misses that bias because every orbit shares the transient when two
     exponents nearly coincide.  The certified -inf slots report raw
-    estimate -inf and stderr 0: what a sweep measures along a dead direction
-    is noise.
+    estimate -inf and stderr 0.
     """
     if n < 2:
         raise ValueError("a Lyapunov estimate needs at least 2 iterates")
@@ -489,12 +503,9 @@ def lyapunov_spectrum(C, n=1000, M=64):
         return LyapunovReport(inf, list(inf), [0.0] * d, divergent, n, M, reasons)
     batch = M ** C.base_dim
     scale, U = st.scale, st.unit
-    # a fixed random orthonormal start keeps no basis vector exactly inside a
-    # structural kernel, which an identity start would do for triangular input
-    rng = np.random.default_rng(12345)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q0, _ = np.linalg.qr(g)
-    q = np.broadcast_to(q0[..., None], (d, d, batch)).copy()
+    # only the k finite directions are swept: the first k columns of a QR
+    # depend on the first k columns of P q alone
+    q = np.broadcast_to(_start_frame(d)[:, :k, None], (d, k, batch)).copy()
 
     warmup = min(n // 5, 64)
     n_eff = n - warmup
@@ -518,8 +529,8 @@ def lyapunov_spectrum(C, n=1000, M=64):
 
     s, reads, step = _sweep_layout(
         U, M, _block_length(np.concatenate(settled), k) if warmup else 1, n_eff)
-    logr = np.zeros((batch, d))
-    deaths = np.zeros((batch, d), dtype=int)
+    logr = np.zeros((batch, k))
+    deaths = np.zeros((batch, k), dtype=int)
     running = {}
     for lo, hi, prods in sweep(s, reads, step, warmup, warmup + mid, n):
         q, diag = _qr_blocks(prods, q)
@@ -539,15 +550,10 @@ def lyapunov_spectrum(C, n=1000, M=64):
     per_orbit = np.where(alive > 0, logr / np.maximum(alive, 1) + math.log(scale),
                          -np.inf)
 
-    # only k directions grow: a dead one that cleared the death floor in a
-    # few blocks carries a noise estimate that can outrank a finite one, so
-    # each orbit keeps its k longest-lived directions.  The spectrum is a
-    # set: an orbit whose QR columns lock onto a permuted filtration (a
-    # structurally dead start direction, say) still estimates the same
-    # exponents, so sort each orbit descending before aggregating
-    longest = np.argsort(-alive, axis=1, kind="stable")[:, :k]
-    est_sorted = -np.sort(-np.take_along_axis(per_orbit, longest, axis=1),
-                          axis=1, kind="stable")
+    # the spectrum is a set: an orbit whose QR columns lock onto a permuted
+    # filtration (a column completed after it died, say) still estimates the
+    # same exponents, so sort each orbit descending before aggregating
+    est_sorted = -np.sort(-per_orbit, axis=1, kind="stable")
 
     finite_dir = np.isfinite(est_sorted).all(axis=0)
     po_safe = np.where(np.isfinite(est_sorted), est_sorted, 0.0)
@@ -555,10 +561,10 @@ def lyapunov_spectrum(C, n=1000, M=64):
 
     # running mean settling like 1/t leaves a bias of 3x its final-quarter
     # drift; orbit spread cannot see it since the transient is common mode
-    conv = 3.0 * np.abs(running[n_eff] - running[mid])[:k]
+    conv = 3.0 * np.abs(running[n_eff] - running[mid])
     err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch) + conv, 0.0)
 
-    # slots k+1..d are certified -inf; what the sweep measured there is noise
+    # slots k+1..d are certified -inf and never swept
     order = np.argsort(-raw, kind="stable")
     raw = [float(v) for v in raw[order]] + [float("-inf")] * (d - k)
     err = [float(v) for v in err[order]] + [0.0] * (d - k)

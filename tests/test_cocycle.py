@@ -220,8 +220,11 @@ class TestLyapunov:
 
 
 def _per_step_reference(C, n, M):
-    """The sweep one orbit step at a time: step matrix, QR, death floor, log
-    accumulation and history row; k from the rank profile.
+    """The sweep one orbit step at a time: step matrix, LAPACK QR of the
+    k-frame, death floor, log accumulation and history row; k from the rank
+    profile.  A column that dies exactly is completed as the sweep does it,
+    by the start frame's column with the largest residual: that orbit's QR
+    is redone with the column replaced.
     Returns (exponents, raw_estimates, stderr, divergent)."""
     d = C.dim
     k = rank_profile(C).min_rank
@@ -260,23 +263,31 @@ def _per_step_reference(C, n, M):
     rng = np.random.default_rng(12345)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q0, _ = np.linalg.qr(g)
-    q = np.broadcast_to(q0, (batch, d, d)).copy()
+    q = np.broadcast_to(q0[:, :k], (batch, d, k)).copy()
 
     warmup = min(n // 5, 64)
     n_eff = n - warmup
-    logr = np.zeros((batch, d))
-    deaths = np.zeros((batch, d), dtype=int)
-    history = np.empty((n_eff, d))
+    logr = np.zeros((batch, k))
+    deaths = np.zeros((batch, k), dtype=int)
+    history = np.empty((n_eff, k))
     for t in range(n):
         if C.is_exact:
             mats = (phases @ cmat).reshape(batch, d, d)
             phases *= step
         else:
             mats = lattice(t).reshape(batch, d, d)
-        q, r = np.linalg.qr(mats @ q)
+        y = mats @ q
+        q, r = np.linalg.qr(y)
+        diag = np.abs(np.einsum("bii->bi", r))
+        for b in np.nonzero((diag == 0.0).any(axis=1))[0]:
+            for j in range(k):
+                if diag[b, j] == 0.0:
+                    res = q0 - q[b, :, :j] @ (q[b, :, :j].conj().T @ q0)
+                    y[b, :, j] = q0[:, np.argmax(np.linalg.norm(res, axis=0))]
+                    q[b], rb = np.linalg.qr(y[b])
+                    diag[b, j + 1:] = np.abs(np.diag(rb))[j + 1:]
         if t < warmup:
             continue
-        diag = np.abs(np.einsum("bii->bi", r))
         dead = diag <= 1e-14 * diag.max(axis=1, keepdims=True)
         deaths += dead
         logr += np.where(dead, 0.0, np.log(np.where(dead, 1.0, diag)))
@@ -284,8 +295,7 @@ def _per_step_reference(C, n, M):
 
     alive = n_eff - deaths
     per_orbit = np.where(alive > 0, logr / np.maximum(alive, 1), -np.inf)
-    ordb = np.argsort(-per_orbit, axis=1, kind="stable")
-    est_sorted = np.take_along_axis(per_orbit, ordb, axis=1)
+    est_sorted = -np.sort(-per_orbit, axis=1, kind="stable")
     finite_dir = np.isfinite(est_sorted).all(axis=0)
     po_safe = np.where(np.isfinite(est_sorted), est_sorted, 0.0)
     raw = np.where(finite_dir, po_safe.mean(axis=0), -np.inf)
@@ -294,9 +304,8 @@ def _per_step_reference(C, n, M):
     ravg = history / np.arange(1, n_eff + 1)[:, None]
     err = np.where(finite_dir, err + 3.0 * np.abs(ravg[-1] - ravg[-quarter]), 0.0)
     order = np.argsort(-raw, kind="stable")
-    raw, err = raw[order], err[order]
-    exponents = [float(v) for v in raw[:k]] + [float("-inf")] * (d - k)
-    return (exponents, [float(v) for v in raw], [float(v) for v in err],
+    exponents = [float(v) for v in raw[order]] + [float("-inf")] * (d - k)
+    return (exponents, list(exponents), [float(v) for v in err[order]] + [0.0] * (d - k),
             [j >= k for j in range(d)])
 
 
@@ -416,12 +425,32 @@ class TestChunkedSweepBatchLast(TestChunkedSweep):
 
 class TestDeadDirections:
     def test_dead_direction_noise_never_outranks_a_finite_exponent(self):
-        # on one of these 64 orbits a dead direction clears the death floor
-        # in one short block, and its noise estimate lies above the second
-        # finite exponent: sorting all d directions of that orbit would mix
-        # the noise into the reported spectrum
+        # dead directions are not swept at all: only the k = 2 finite ones
+        # are.  A sweep of all d directions would have one of these 64
+        # orbits clear the death floor along a dead direction in one short
+        # block, with a noise estimate above the second finite exponent
         C = _partially_degenerate(1004882659, 2, 2)
         TestChunkedSweep.assert_matches(C, lyapunov_spectrum(C, n=1000, M=64), 1000, 64)
+
+    def test_orbits_starting_on_zeros_of_A_stay_finite(self):
+        # both orbits start on a zero of A (x = 0 and 1/2), where the image
+        # of A is ker A: the k = 1 column dies exactly in the first steps and
+        # is completed from the random start frame, not by a basis vector,
+        # which lies in the kernel here and would keep it dead
+        rep = lyapunov_spectrum(fx.not_dominated_2x2(), n=2000, M=2)
+        assert math.isfinite(rep.exponents[0])
+        assert abs(rep.exponents[0] + math.log(2)) < 2 * rep.stderr[0]
+
+    @pytest.mark.parametrize("name, columns", [
+        ("nilpotent_plus_invertible_3x3", 1), ("partially_degenerate_2_2", 2),
+        ("random_invertible", 3)])
+    def test_only_the_finite_directions_are_swept(self, name, columns, monkeypatch):
+        C = {"nilpotent_plus_invertible_3x3": fx.nilpotent_plus_invertible_3x3(),
+             "partially_degenerate_2_2": _partially_degenerate(1004882659, 2, 2),
+             "random_invertible": fx.random_invertible(3, d=3)}[name]
+        widths = _gram_schmidt_columns(monkeypatch)
+        lyapunov_spectrum(C, n=200, M=8)
+        assert set(widths) == {columns}
 
 
 def _batch_last(a):
@@ -457,15 +486,19 @@ class TestBatchLastStep:
             np.testing.assert_allclose(got, _batch_last(want), rtol=1e-12)
 
     def test_gram_schmidt_is_a_qr(self):
+        # a square (4, 4, batch) and a rectangular (4, 2, batch) stack, the
+        # k-frame of a rank-deficient sweep, against LAPACK's reduced QR
         rng = np.random.default_rng(5)
-        y = rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4))
-        q, r = cocycle_module._gram_schmidt(_batch_last(y))
-        want_q, want_r = np.linalg.qr(y)
-        np.testing.assert_allclose(r.T, np.abs(np.einsum("bii->bi", want_r)),
-                                   rtol=1e-12)
-        # equal up to a phase per column
-        phase = (want_q.conj() * np.moveaxis(q, 2, 0)).sum(axis=1)
-        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-12)
+        for k in (4, 2):
+            y = rng.standard_normal((7, 4, k)) + 1j * rng.standard_normal((7, 4, k))
+            q, r = cocycle_module._gram_schmidt(_batch_last(y))
+            want_q, want_r = np.linalg.qr(y)
+            assert q.shape == (4, k, 7) and r.shape == (k, 7)
+            np.testing.assert_allclose(r.T, np.abs(np.einsum("bii->bi", want_r)),
+                                       rtol=1e-12)
+            # equal up to a phase per column
+            phase = (want_q.conj() * np.moveaxis(q, 2, 0)).sum(axis=1)
+            np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-12)
 
     def test_zero_columns_complete_the_frame(self):
         # a zero column and one in the span of the first: |R_jj| = 0 for
@@ -514,6 +547,19 @@ def _count_gram_schmidt(monkeypatch):
 
     monkeypatch.setattr(cocycle_module, "_gram_schmidt", counted)
     return calls
+
+
+def _gram_schmidt_columns(monkeypatch):
+    """Record the column count y.shape[1] of every Gram-Schmidt call."""
+    widths = []
+    gram_schmidt = cocycle_module._gram_schmidt
+
+    def recorded(y):
+        widths.append(y.shape[1])
+        return gram_schmidt(y)
+
+    monkeypatch.setattr(cocycle_module, "_gram_schmidt", recorded)
+    return widths
 
 
 class TestBlockLength:

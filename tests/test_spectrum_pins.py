@@ -27,7 +27,7 @@ FIXTURES = {
     "nilpotent_3x3_variable_rank": [INF, INF, INF],
     "nilpotent_4x4_variable_rank2": [INF, INF, INF, INF],
     "nilpotent_plus_invertible_3x3": [1.0986122886681096, INF, INF],
-    "not_dominated_2x2": [-0.693212522059169, INF],
+    "not_dominated_2x2": [-0.6932167745796978, INF],
     "synthetic_jordan_seed42": [INF, INF],
     "synthetic_nilpotent_seed42": [INF, INF],
     "twofrequency_rank_one": [INF, INF],
