@@ -29,11 +29,11 @@ from .errors import (
     UnsupportedBase,
 )
 from .frames import (
+    complement_within,
     field_grid,
+    kernel_field,
+    orthocomplement,
     phase_align,
-    raw_complement_within,
-    raw_kernel_field,
-    raw_orthocomplement,
 )
 from .matfun import (
     GridMatrixFunction,
@@ -438,8 +438,9 @@ def lyapunov_spectrum(C, n=1000, M=64):
     """Exponent estimates from M grid orbits of length n; -inf where certified.
 
     C is a Cocycle or its Structure (Structure.of), whose tol is the rank
-    tolerance; M, a positive integer, is the orbit count per frequency.  The
-    number k of finite exponents is the stabilised rank of the iterates,
+    tolerance; n, an integer of at least 2, is the orbit length and M, a
+    positive integer, the orbit count per frequency.  The number k of
+    finite exponents is the stabilised rank of the iterates,
     profile.min_rank: by the paper's first theorem applied to the exterior
     powers, L_j = -inf exactly when the j-th exterior power is nilpotent,
     that is when rank A_p < j for p = stabilized_at.  Slots k+1..d are
@@ -488,6 +489,8 @@ def lyapunov_spectrum(C, n=1000, M=64):
     exponents nearly coincide.  The certified -inf slots report raw
     estimate -inf and stderr 0.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"the orbit length n must be an integer of at least 2, got {n!r}")
     if n < 2:
         raise ValueError("a Lyapunov estimate needs at least 2 iterates")
     if not isinstance(M, (int, np.integer)) or M < 1:
@@ -564,10 +567,10 @@ def lyapunov_spectrum(C, n=1000, M=64):
     conv = 3.0 * np.abs(running[n_eff] - running[mid])
     err = np.where(finite_dir, po_safe.std(axis=0) / np.sqrt(batch) + conv, 0.0)
 
+    # the column means of descending rows descend, so raw needs no sort;
     # slots k+1..d are certified -inf and never swept
-    order = np.argsort(-raw, kind="stable")
-    raw = [float(v) for v in raw[order]] + [float("-inf")] * (d - k)
-    err = [float(v) for v in err[order]] + [0.0] * (d - k)
+    raw = [float(v) for v in raw] + [float("-inf")] * (d - k)
+    err = [float(v) for v in err] + [0.0] * (d - k)
     return LyapunovReport(list(raw), raw, err, divergent, n, M, reasons)
 
 
@@ -646,14 +649,13 @@ class Structure:
         return self._iterates[n - 1]
 
     def kernel(self, n, M):
-        """The raw (unaligned) kernel field of L_n sampled on the grid M."""
+        """The kernel field of L_n sampled on the grid M, in the SVD's gauge."""
         if (n, M) not in self._kernels:
-            F = self.iterate(n)
-            self._kernels[n, M] = raw_kernel_field(F.sample_grid(M), F.degree, self.tol)
+            self._kernels[n, M] = kernel_field(self.iterate(n), M, self.tol)
         return self._kernels[n, M]
 
     def flag(self, ns, M):
-        """The raw kernel fields of L_n, n in ns, on the grid M; StructureViolation
+        """The kernel fields of L_n, n in ns, on the grid M; StructureViolation
         unless their dimensions are the profile's d - rank L_n (the rank
         staying at the last one past the profile's end)."""
         ranks = self.profile.ranks
@@ -702,8 +704,8 @@ class Structure:
             if not flag:
                 return MatrixFunction.identity(d), (d,)
             fields = ([flag[0]]
-                      + [raw_complement_within(a, b, self.tol) for a, b in zip(flag, flag[1:])]
-                      + [raw_orthocomplement(flag[-1])])
+                      + [complement_within(a, b, self.tol) for a, b in zip(flag, flag[1:])]
+                      + [orthocomplement(flag[-1])])
             sizes = tuple(S.k for S in fields)
             if sum(sizes) != d:
                 raise StructureViolation(f"block sizes {sizes} do not fill dimension {d}")

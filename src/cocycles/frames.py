@@ -1,25 +1,25 @@
 """Analytically varying subspaces as phase-aligned orthonormal frames on a grid.
 
-A SubspaceField stores one orthonormal frame per grid sample.  Raw builders
-(raw_kernel_field, raw_sum_field, raw_orthocomplement, raw_complement_within)
-mark samples where the defining rank degenerates as exceptional, fill them by
-continuation from neighbors and leave the frames in the gauge of the SVD
-that built them.  A field built by an SVD keeps the orthogonal complement
-that SVD gave as its perp, recomputed only at the filled samples, so its
-complement costs no further SVD; a complement carries the field it
-complements as its own perp.  The public constructors (kernel, range,
-preimage, sum, intersection, orthocomplement) are raw builders followed by an
-alignment that gauges the frames along the grid so adjacent frames are
-maximally aligned.  The alignment needs no per-sample loop: the Procrustes
-step factors between neighbors come from one batched SVD, a log-depth prefix
-product chains them into the per-sample corrections, and two Newton-Schulz
-steps re-unitarise the chained products.  phase_align aligns its input
-itself, spreads the closure holonomy evenly over the loop and records the
-integer winding it removed: discrete parallel transport, as smooth as the
-bundle, so the flag forms and the Jordan chains fit its frames from raw
-fields; to_analytic_frame checks that an aligned field closes before
-matfun.poly_from_samples turns it into a polynomial.  field_grid is the
-default grid of the field constructors.
+A SubspaceField stores one orthonormal frame per grid sample.  The
+constructors (kernel, range, preimage, sum, intersection, orthocomplement,
+complement within a larger field) mark samples where the defining rank
+degenerates as exceptional, fill them by continuation from neighbors and
+leave the frames in the gauge of the SVD that built them, so their frames
+need not vary continuously from sample to sample.  A kernel or a sum keeps
+the orthogonal complement its SVD gave as its perp, recomputed only at the
+filled samples, so its complement costs no further SVD; a complement
+carries the field it complements as its own perp.
+
+phase_align is the one gauge step.  It gauges each frame to follow the
+previous one with no per-sample loop: the Procrustes step factors between
+neighbors come from one batched SVD, a log-depth prefix product chains them
+into the per-sample corrections, and two Newton-Schulz steps re-unitarise
+the chained products.  It then spreads the closure holonomy evenly over the
+loop and records the integer winding it removed: discrete parallel
+transport, as smooth as the bundle, so the flag forms and the Jordan chains
+fit its frames from the constructors' fields; to_analytic_frame checks that
+an aligned field closes before matfun.poly_from_samples turns it into a
+polynomial.  field_grid is the default grid of the field constructors.
 """
 
 import numpy as np
@@ -50,10 +50,12 @@ def polar_unitary(a):
 class SubspaceField:
     """Per-sample orthonormal frames for a subspace moving over the grid.
 
-    align_phase accumulates the determinant phase of every gauge correction
-    applied to the raw frames so far; phase_align folds it into the winding
-    count when it closes the loop.  perp, when set, holds orthonormal frames
-    of the per-sample orthogonal complement.
+    align_phase is the determinant phase of the gauge corrections
+    phase_align applied to the constructor's frames, 0 for a field no
+    phase_align produced; phase_align adds it to its own before counting
+    the winding, so aligning an aligned field keeps the winding.  perp,
+    when set, holds orthonormal frames of the per-sample orthogonal
+    complement.
     """
 
     __slots__ = ("frames", "exceptional", "winding", "closure_residual",
@@ -147,8 +149,8 @@ def _rolling_align(frames):
 
 
 def _filled(frames, exceptional, budget, perp=None):
-    # unaligned field with its degenerate samples continued from neighbors;
-    # the complement perp of the raw frames is recomputed where they moved
+    # the field with its degenerate samples continued from neighbors; the
+    # complement perp of the SVD's frames is recomputed where they moved
     if len(exceptional) > 0.1 * frames.shape[0]:
         raise DimensionUnstable(
             f"{len(exceptional)} of {frames.shape[0]} samples degenerate"
@@ -159,16 +161,6 @@ def _filled(frames, exceptional, budget, perp=None):
             perp = perp.copy()
             perp[exceptional] = np.linalg.svd(frames[exceptional])[0][:, :, frames.shape[2]:]
     return SubspaceField(frames, exceptional, cont_budget=budget, perp=perp)
-
-
-def _aligned(S):
-    frames, theta = _rolling_align(S.frames)
-    return SubspaceField(frames, S.exceptional, cont_budget=S.cont_budget,
-                         align_phase=theta, perp=S.perp)
-
-
-def _finish(frames, exceptional, budget):
-    return _aligned(_filled(frames, exceptional, budget))
 
 
 def _svd_rank_split(samples, tol):
@@ -189,12 +181,8 @@ def kernel_field(F, M=None, tol=1e-9):
 
 
 def kernel_field_from_samples(samples, degree, tol=1e-9):
-    return _aligned(raw_kernel_field(samples, degree, tol))
-
-
-def raw_kernel_field(samples, degree, tol=1e-9):
-    """kernel_field_from_samples unaligned; the first rows of each vh span
-    the complement, kept as perp."""
+    """kernel_field of sampled data; the first rows of each vh span the
+    complement, kept as perp."""
     samples = np.asarray(samples, dtype=complex)
     _, vh, r, exc = _svd_rank_split(samples, tol)
     k = samples.shape[2] - r
@@ -208,7 +196,7 @@ def range_field(F, M=None, tol=1e-9):
     if M is None:
         M = field_grid(F.degree)
     u, _, r, exc = _svd_rank_split(F.sample_grid(M), tol)
-    return _finish(u[:, :, :r], exc, cont_budget_default(F.degree, M, max(r, 1)))
+    return _filled(u[:, :, :r], exc, cont_budget_default(F.degree, M, max(r, 1)))
 
 
 def field_from_vectors(vecs, degree, tol=1e-7):
@@ -221,12 +209,12 @@ def field_from_vectors(vecs, degree, tol=1e-7):
     exc = [int(i) for i in np.nonzero(norms < tol * scale)[0]]
     safe = np.where(norms[:, None] < tol * scale, 1.0, norms[:, None])
     frames = (vecs / safe)[:, :, None]
-    return _finish(frames, exc, cont_budget_default(degree, vecs.shape[0], 1))
+    return _filled(frames, exc, cont_budget_default(degree, vecs.shape[0], 1))
 
 
-def raw_orthocomplement(S):
-    """orthocomplement unaligned: S.perp when the SVD that built S gave it,
-    else from a fresh SVD; its own perp is S."""
+def orthocomplement(S):
+    """Per-sample orthogonal complement; dimensions add up to d.  S.perp when
+    the SVD that built S gave it, else from a fresh SVD; its own perp is S."""
     M, d, k = S.frames.shape
     if k == 0:
         perp = np.broadcast_to(np.eye(d, dtype=complex), (M, d, d)).copy()
@@ -237,12 +225,6 @@ def raw_orthocomplement(S):
     return SubspaceField(perp, S.exceptional, cont_budget=S.cont_budget, perp=S.frames)
 
 
-def orthocomplement(S):
-    """Per-sample orthogonal complement; dimensions add up to d."""
-    P = raw_orthocomplement(S)
-    return P if S.k == 0 else _aligned(P)
-
-
 def preimage_field(F, S, M=None, tol=1e-9):
     """Field of preimages F(x)^{-1} S(x), via the complement of ran(F* S-perp)."""
     if M is None:
@@ -250,7 +232,7 @@ def preimage_field(F, S, M=None, tol=1e-9):
     if M != S.M:
         raise ValueError("grid size must match the field")
     fsamp = F.sample_grid(M)
-    perp = raw_orthocomplement(S)
+    perp = orthocomplement(S)
     w = np.conj(np.swapaxes(fsamp, 1, 2)) @ perp.frames
     u, _, r, exc = _svd_rank_split(w, tol)
     frames = u[:, :, r:]
@@ -258,12 +240,12 @@ def preimage_field(F, S, M=None, tol=1e-9):
     budget = cont_budget_default(F.degree, M, max(frames.shape[2], 1))
     if S.cont_budget:
         budget = max(budget, S.cont_budget)
-    return _finish(frames, exc, budget)
+    return _filled(frames, exc, budget)
 
 
-def raw_sum_field(S, T, tol=1e-9):
-    """sum_field unaligned; the last columns of each u span the complement,
-    kept as perp."""
+def sum_field(S, T, tol=1e-9):
+    """Pointwise span of the union, at the generic dimension; the last
+    columns of each u span the complement, kept as perp."""
     if S.M != T.M:
         raise ValueError("grid size mismatch")
     stacked = np.concatenate([S.frames, T.frames], axis=2)
@@ -275,28 +257,18 @@ def raw_sum_field(S, T, tol=1e-9):
     return _filled(u[:, :, :r], exc, budget, u[:, :, r:])
 
 
-def sum_field(S, T, tol=1e-9):
-    """Pointwise span of the union, at the generic dimension."""
-    return _aligned(raw_sum_field(S, T, tol))
-
-
 def intersect_field(S, T, tol=1e-9):
-    """Pointwise intersection, computed as the complement of the sum of complements.
-
-    The two complements and their sum are intermediate spans whose gauge
-    nothing observes, so only the result is aligned.
-    """
-    return orthocomplement(raw_sum_field(raw_orthocomplement(S),
-                                         raw_orthocomplement(T), tol))
+    """Pointwise intersection, computed as the complement of the sum of complements."""
+    return orthocomplement(sum_field(orthocomplement(S), orthocomplement(T), tol))
 
 
-def raw_complement_within(inner, outer, tol=1e-9):
+def complement_within(inner, outer, tol=1e-9):
     """Vectors of `outer` orthogonal to `inner`; requires inner ⊆ outer pointwise.
 
     This is the intersection of `outer` with the complement of `inner`, whose
     own complement is `inner` itself, so one complement pair is skipped.
     """
-    return raw_orthocomplement(raw_sum_field(raw_orthocomplement(outer), inner, tol))
+    return orthocomplement(sum_field(orthocomplement(outer), inner, tol))
 
 
 def phase_align(S):

@@ -26,10 +26,10 @@ from .errors import (
 )
 from .frames import (
     SubspaceField,
+    complement_within,
+    orthocomplement,
     phase_align,
-    raw_complement_within,
-    raw_orthocomplement,
-    raw_sum_field,
+    sum_field,
 )
 from .matfun import MatrixFunction, hstack, poly_from_samples
 
@@ -160,22 +160,22 @@ def jordan_form(C):
     push = L1.translate(-alpha)
 
     def fronts_on(Mg):
-        # K_1, ..., K_{p-1}, raw: the fields below feed only span sums and
-        # phase_align; fronts[m] holds chain vector m of every chain
-        # longer than m
+        # K_1, ..., K_{p-1} in the SVD's gauge: the fields below feed only
+        # span sums and phase_align, which reads no gauge; fronts[m] holds
+        # chain vector m of every chain longer than m
         flag = st.flag(range(1, p), Mg)
         front, fronts = None, []
         for L in range(p, 0, -1):
             if L == p:
                 # K_p is the whole space: the chains of length p open in the
                 # complement of K_{p-1}
-                born = raw_orthocomplement(flag[-1]) if flag else SubspaceField(
+                born = orthocomplement(flag[-1]) if flag else SubspaceField(
                     np.broadcast_to(np.eye(d), (Mg, d, d)))
             else:
                 front = push @ front.translate(-alpha)
                 span = SubspaceField(front.sample_grid(Mg))
-                inner = raw_sum_field(flag[L - 2], span, tol) if L > 1 else span
-                born = raw_complement_within(inner, flag[L - 1], tol)
+                inner = sum_field(flag[L - 2], span, tol) if L > 1 else span
+                born = complement_within(inner, flag[L - 1], tol)
             if born.k != lengths.count(L):
                 raise StructureViolation(
                     f"stage {L} opens {born.k} chains but the rank profile "

@@ -265,9 +265,10 @@ def test_criterion_10_subspace_calculus():
         T = orthocomplement(S)
         gram = np.einsum("mik,mil->mkl", np.conj(S.frames), S.frames)
         worst[1] = max(worst[1], np.abs(gram - np.eye(S.k)).max())
-        steps = np.linalg.norm(np.diff(S.frames, axis=0), axis=(1, 2))
-        worst[2] = max(worst[2], steps.max() - S.cont_budget)
         al = phase_align(S)
+        resamp = to_analytic_frame(al).sample_grid(S.M)
+        steps = np.linalg.norm(np.diff(resamp, axis=0), axis=(1, 2))
+        worst[2] = max(worst[2], steps.max() - S.cont_budget)
         worst[3] = max(worst[3], al.closure_residual - al.cont_budget)
         worst[4] = max(worst[4], intersect_field(S, T).k)
         worst[5] = max(worst[5], abs(sum_field(S, T).k - d))
@@ -281,7 +282,6 @@ def test_criterion_10_subspace_calculus():
                 + np.einsum("mik,mjk->mij", Kf.frames, np.conj(Kf.frames)))
         worst[8] = max(worst[8], np.abs(psum - np.eye(d)).max())
         worst[9] = max(worst[9], subspace_distance(al, S))
-        resamp = to_analytic_frame(al).sample_grid(S.M)
         q = np.linalg.qr(resamp)[0]
         worst[10] = max(worst[10], subspace_distance(SubspaceField(q), S))
     # identities 2 and 3 are budgeted by the frame's own continuity bound,

@@ -218,6 +218,11 @@ class TestLyapunov:
         tol = 3 * (rep1.stderr[0] + rep1.stderr[1] + rep2.stderr[0]) + 1e-6
         assert abs(rep1.exponents[0] + rep1.exponents[1] - rep2.exponents[0]) < tol
 
+    @pytest.mark.parametrize("n", [1000.0, 2.5, "100", None, 1, 0])
+    def test_orbit_length_must_be_an_integer_of_at_least_2(self, n):
+        with pytest.raises(ValueError, match="at least 2"):
+            lyapunov_spectrum(fx.dominated_2x2(), n=n, M=8)
+
 
 def _per_step_reference(C, n, M):
     """The sweep one orbit step at a time: step matrix, LAPACK QR of the

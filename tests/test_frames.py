@@ -12,8 +12,8 @@ from cocycles.cocycle import Structure
 from cocycles.errors import ClosureDefect, DimensionUnstable, StructureViolation, TailTooFat
 from cocycles.frames import (
     SubspaceField,
-    _aligned,
     _rolling_align,
+    complement_within,
     field_from_vectors,
     field_grid,
     intersect_field,
@@ -23,9 +23,6 @@ from cocycles.frames import (
     phase_align,
     preimage_field,
     range_field,
-    raw_complement_within,
-    raw_orthocomplement,
-    raw_sum_field,
     subspace_distance,
     sum_field,
     to_analytic_frame,
@@ -146,7 +143,7 @@ class TestCalculus:
     def test_complement_within(self):
         e12 = constant_field(64, 3, [0, 1])
         e1 = constant_field(64, 3, [0])
-        rem = raw_complement_within(e1, e12)
+        rem = complement_within(e1, e12)
         assert rem.k == 1
         assert subspace_distance(rem, constant_field(64, 3, [1])) < 1e-11
 
@@ -168,8 +165,8 @@ class TestCalculus:
         assert P.k == C.dim
 
 
-def _raw_flag(make):
-    # the raw kernel fields K_1, ..., K_{p-1} of a nilpotent fixture on the
+def _flag(make):
+    # the kernel fields K_1, ..., K_{p-1} of a nilpotent fixture on the
     # grid 256, as the normal forms build them
     st = Structure(make())
     return [st.kernel(n, 256) for n in range(1, st.nilpotency.degree)]
@@ -184,9 +181,9 @@ FLAG_IDS = ["variable3x3", "variable4x4", "nilpotent3"]
 class TestRawFields:
     @pytest.mark.parametrize("make", FLAG_MAKERS, ids=FLAG_IDS)
     def test_carried_complement_matches_a_fresh_svd(self, make):
-        flag = _raw_flag(make)
+        flag = _flag(make)
         # a kernel's perp comes from vh, a sum's from u
-        fields = flag + [raw_sum_field(flag[0], raw_orthocomplement(flag[-1]))]
+        fields = flag + [sum_field(flag[0], orthocomplement(flag[-1]))]
         for S in fields:
             perp = SubspaceField(S.perp)
             fresh = SubspaceField(np.linalg.svd(S.frames)[0][:, :, S.k:])
@@ -200,26 +197,30 @@ class TestRawFields:
         assert any(S.exceptional for S in fields) == (make is not FLAG_MAKERS[2])
 
     def test_complements_take_no_svd(self, monkeypatch):
-        K = _raw_flag(fx.nilpotent_3x3_variable_rank)[0]
+        K = _flag(fx.nilpotent_3x3_variable_rank)[0]
 
         def refuse(*args, **kwargs):
             raise AssertionError("an SVD was taken")
 
         monkeypatch.setattr(frames.np.linalg, "svd", refuse)
-        P = raw_orthocomplement(K)
+        P = orthocomplement(K)
         assert P.frames is K.perp and P.perp is K.frames
 
     @pytest.mark.parametrize("make", FLAG_MAKERS, ids=FLAG_IDS)
     def test_phase_align_reads_no_gauge(self, make):
-        flag = _raw_flag(make)
-        fields = (flag + [raw_complement_within(a, b) for a, b in zip(flag, flag[1:])]
-                  + [raw_orthocomplement(flag[-1])])
+        # a random unitary change of basis at every sample but the first
+        # leaves phase_align's frames as they are
+        flag = _flag(make)
+        fields = (flag + [complement_within(a, b) for a, b in zip(flag, flag[1:])]
+                  + [orthocomplement(flag[-1])])
+        rng = np.random.default_rng(25)
         for S in fields:
-            twin = _aligned(S)
-            assert np.array_equal(twin.frames[0], S.frames[0])
-            raw, aligned = phase_align(S).frames, phase_align(twin).frames
-            assert subspace_distance(SubspaceField(raw), SubspaceField(aligned)) < 1e-12
-            assert np.abs(raw - aligned).max() < 1e-12
+            z = rng.standard_normal((S.M, S.k, S.k, 2)) @ [1.0, 1j]
+            V = np.linalg.qr(z)[0]
+            V[0] = np.eye(S.k)
+            gauged = SubspaceField(S.frames @ V, S.exceptional, cont_budget=S.cont_budget)
+            want, got = phase_align(S).frames, phase_align(gauged).frames
+            assert np.abs(want - got).max() < 1e-12
 
 
 class TestPhaseAlign:
@@ -245,6 +246,8 @@ class TestPhaseAlign:
         out = phase_align(field_from_vectors(vecs, degree=abs(freq)))
         assert out.winding[0] == freq
         assert out.closure_residual < 1e-12
+        # align_phase carries the removed turns into a second alignment
+        assert phase_align(out).winding[0] == freq
 
     def test_constant_frame_untouched(self):
         S = constant_field(64, 2, [0])

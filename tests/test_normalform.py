@@ -107,16 +107,16 @@ class TestTriangularize:
 
 def _spy_kernels(monkeypatch):
     # the samples and degrees of the kernel fields the forms build, in call
-    # order: every form asks Structure.kernel, which looks the raw builder
-    # up in cocycle
+    # order: every form asks Structure.kernel, which looks kernel_field up
+    # in cocycle
     seen = []
-    real = frames.raw_kernel_field
+    real = frames.kernel_field
 
-    def spy(samples, degree, tol=1e-9):
-        seen.append((samples, degree))
-        return real(samples, degree, tol)
+    def spy(F, M=None, tol=1e-9):
+        seen.append((F.sample_grid(M), F.degree))
+        return real(F, M, tol)
 
-    monkeypatch.setattr(cocycle_module, "raw_kernel_field", spy)
+    monkeypatch.setattr(cocycle_module, "kernel_field", spy)
     return seen
 
 
