@@ -439,9 +439,9 @@ def lyapunov_spectrum(C, n=1000, M=64):
 
     C is a Cocycle or its Structure (Structure.of), whose tol is the rank
     tolerance; n, an integer of at least 2, is the orbit length and M, a
-    positive integer, the orbit count per frequency.  The number k of
-    finite exponents is the stabilised rank of the iterates,
-    profile.min_rank: by the paper's first theorem applied to the exterior
+    positive integer, the orbit count per frequency (a bool is neither).
+    The number k of finite exponents is the stabilised rank of the
+    iterates, profile.min_rank: by the paper's first theorem applied to the exterior
     powers, L_j = -inf exactly when the j-th exterior power is nilpotent,
     that is when rank A_p < j for p = stabilized_at.  Slots k+1..d are
     reported as -inf with flag_reason "rank A_p = k"; for k = 0 no orbit is
@@ -489,11 +489,11 @@ def lyapunov_spectrum(C, n=1000, M=64):
     exponents nearly coincide.  The certified -inf slots report raw
     estimate -inf and stderr 0.
     """
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"the orbit length n must be an integer of at least 2, got {n!r}")
     if n < 2:
         raise ValueError("a Lyapunov estimate needs at least 2 iterates")
-    if not isinstance(M, (int, np.integer)) or M < 1:
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)) or M < 1:
         raise ValueError(f"the orbit count M must be a positive integer, got {M!r}")
     st = Structure.of(C)
     C, d = st.cocycle, st.cocycle.dim
@@ -611,8 +611,6 @@ class Structure:
     (nilpotency certificate, rank profile, kernel and frame fields,
     domination criteria, inversion bound) uses tol; with tol None the
     certificate uses 1e-10 (nil_tol) and every rank decision 1e-9 (tol).
-    Only the bound on the nilpotency search, max_rank(L_1) + 1 iterates,
-    counts its ranks at the fixed 1e-9 whatever tol is.
     """
 
     def __init__(self, C, tol=None):
@@ -722,13 +720,10 @@ class Structure:
         return U, B, sizes, defect, B.sample_grid(Mv)
 
     @cached_property
-    def _rank_samples_1(self):
-        # one SVD of L_1 serves s1, the first rank and the nilpotency bound
-        return rank_samples(self.iterate(1))
-
-    @cached_property
     def profile(self):
-        s1 = float(self._rank_samples_1[0].max())
+        # one SVD of L_1 serves s1 and the first rank
+        samples = rank_samples(self.iterate(1))
+        s1 = float(samples[0].max())
         if s1 == 0.0:
             return RankProfile([0], 1, 0, {1: []})
         d = self.cocycle.dim
@@ -736,7 +731,7 @@ class Structure:
         exceptional = {}
         for n in range(1, d + 2):
             r, exc = max_rank(self.iterate(n), tol=self.tol, scale=s1 ** n,
-                              samples=self._rank_samples_1 if n == 1 else None)
+                              samples=samples if n == 1 else None)
             if ranks and r > ranks[-1]:
                 raise StructureViolation(
                     f"rank increased from {ranks[-1]} to {r} at step {n}; "
@@ -759,24 +754,18 @@ class Structure:
             return NilpotencyReport(True, 1, {"certificate": 0.0, "scale": 0.0})
         # L_n unit^n is A_n / size^n, the unit-scale iterate the report reads
         unit = self.scale / scale
-        r1, _ = max_rank(self.iterate(1), tol=1e-9, samples=self._rank_samples_1)
-        for n in range(1, r1 + 2):
-            last = self.iterate(n)
-            cert = _sup_scale(last) * unit ** n
-            # a nilpotent A has A_d = 0: a later iterate below tol has decayed
-            if cert <= self.nil_tol and n <= self.cocycle.dim:
+        prof = self.profile
+        n = prof.stabilized_at
+        if prof.min_rank == 0:
+            cert = _sup_scale(self.iterate(n)) * unit ** n
+            if cert <= self.nil_tol:
                 return NilpotencyReport(True, n, {"certificate": cert, "scale": scale})
-        if self.cocycle.is_exact:
-            M = rank_grid(last.degree)
-            norms = np.linalg.norm(last.sample_grid(M), ord=2, axis=(1, 2)) * unit ** n
-            j = int(norms.argmax())
-            witness = {"max_sample_norm": float(norms[j]), "at": j / M, "scale": scale}
-        else:
-            norms = np.abs(last.samples).max(axis=(-2, -1)) * unit ** n
-            j = np.unravel_index(int(norms.argmax()), norms.shape)
-            witness = {"max_sample_norm": float(norms[j]), "at": tuple(int(i) for i in j),
-                       "scale": scale}
-        return NilpotencyReport(False, None, witness)
+        # a nilpotent A has degree at most rank A + 1
+        n = prof.ranks[0] + 1
+        sv, pts = rank_samples(self.iterate(n))
+        j = int(sv[:, 0].argmax())
+        return NilpotencyReport(False, None, {"max_sample_norm": float(sv[j, 0]) * unit ** n,
+                                              "at": pts[j].tolist(), "scale": scale})
 
 
 def rank_profile(C):
@@ -796,16 +785,17 @@ def rank_profile(C):
 def detect_nilpotency(C):
     """Decide whether some iterate vanishes identically, with a certificate.
 
-    The verdict of Structure.of(C).  The iterates of the generator
-    divided by its scale (_sup_scale) are compared with nil_tol, so the
-    verdict does not depend on the units of A; the certificate and the
-    witness's sample norm are unit-scale numbers, read off L_n.  For exact
-    entries the certificate is the largest l1 sum of an entry's
-    coefficients, which bounds that entry on the whole circle; for grid
-    samples it is the largest sample.  The rank of
-    the first iterate bounds the search: if no iterate up to max_rank(A)+1
-    vanishes, none ever does.  A nilpotent d x d cocycle has A_d = 0, so no
-    degree above d is reported.
+    The verdict of Structure.of(C), read off its rank profile: A is
+    nilpotent of degree p = stabilized_at (never above d) when the profile
+    reaches rank 0 and the certificate of L_p is at most nil_tol.  The
+    certificate and the witness's sample norm are unit-scale numbers (the
+    generator divided by _sup_scale), so the verdict does not depend on the
+    units of A.  For exact entries the certificate is the largest l1 sum of
+    an entry's coefficients, which bounds that entry on the whole circle;
+    for grid samples it is the largest sample.  Otherwise the witness is the
+    largest sampled spectral norm of L_{r+1}, r the profile's first rank,
+    and its point (x, or the grid coordinates): a nilpotent A has degree at
+    most rank A + 1.  A StructureViolation of the profile surfaces here.
     """
     return Structure.of(C).nilpotency
 

@@ -134,10 +134,11 @@ def jordan_form(C):
     Structure.fit settles on, so the conjugation defect (sampled on fit's
     verification grid) is A applied to the kernel ends, as small as the
     tops' distance from them.
-    Any rank drop of any iterate at any sample aborts with
-    ConstantRankViolated.  C is a Cocycle or its Structure (Structure.of),
-    whose tolerances, profile, verdict, iterates and flag (Structure.flag,
-    checked against the profile before any top is fitted) the chains read.
+    Any rank drop of any iterate at any sample, or a chain matrix that is
+    singular at a verification sample, aborts with ConstantRankViolated.
+    C is a Cocycle or its Structure (Structure.of), whose tolerances,
+    profile, verdict, iterates and flag (Structure.flag, checked against
+    the profile before any top is fitted) the chains read.
 
     The chains are built on the unit-scale generator L_1 = A / 2^e of the
     Structure, where vectors of one chain keep comparable sizes, and
@@ -193,8 +194,12 @@ def jordan_form(C):
     positions = [m for L in lengths for m in range(L)]
     # a one above the diagonal wherever a chain continues
     jmat = np.diag([float(m > 0) for m in positions[1:]], 1)
-    conj = np.linalg.solve(unit.sample_grid(Mv, shift=alpha),
-                           L1.sample_grid(Mv) @ unit.sample_grid(Mv))
+    try:
+        conj = np.linalg.solve(unit.sample_grid(Mv, shift=alpha),
+                               L1.sample_grid(Mv) @ unit.sample_grid(Mv))
+    except np.linalg.LinAlgError:
+        # the chains stop spanning where a rank drops between the rank samples
+        raise ConstantRankViolated("the Jordan chains are singular at a sample") from None
     samples = np.linalg.svd(conj - jmat, compute_uv=False)[:, 0]
     mfun = _in_units(unit, positions, st.exponent)
     sv = np.linalg.svd(mfun.sample_grid(Mv), compute_uv=False)

@@ -229,7 +229,7 @@ def _as_poly(v):
 
 
 def default_grid_size(degree):
-    """Default grid for degree N: 4 * 2^ceil(log2(N+1)), at least 8."""
+    """Default grid for degree N: 4 * 2^ceil(log2(N+1)), at least 4 (N+1)."""
     n = max(int(degree), 0) + 1
     return 4 * (1 << (n - 1).bit_length())
 

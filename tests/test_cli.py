@@ -410,6 +410,22 @@ class TestWrappedCommands:
         assert main(["jordan", str(src), "--out", str(tmp_path)]) == 4
         assert "ConstantRankViolated" in capsys.readouterr().err
 
+    def test_translated_variable_rank_is_a_verdict_not_a_traceback(self, tmp_path,
+                                                                   capsys):
+        # shifted by 1/512, the fixture's rank drops fall between the rank
+        # samples, and its chain matrix is singular at a verification sample
+        C = fixtures.nilpotent_3x3_variable_rank()
+        src = tmp_path / "shifted.json"
+        src.write_text(json.dumps(
+            Cocycle(C.frequencies, C.matrix.translate(1 / 512)).to_json_dict()))
+        assert main(["jordan", str(src), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ConstantRankViolated" in err
+        assert main(["analyze", str(src), "--out", str(tmp_path)]) == 0
+        rep = read_report(tmp_path, src.stem, "analyze")
+        assert rep["pipeline"] == "triangularize"
+        assert rep["result"]["jordan"]["error"] == "ConstantRankViolated"
+
     def test_dominate_not_dominated_exits_zero(self, fixture_dir, tmp_path):
         src = fixture_dir / "not_dominated_2x2.json"
         assert main(["dominate", str(src), "--out", str(tmp_path)]) == 0

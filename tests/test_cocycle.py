@@ -408,12 +408,12 @@ class TestChunkedSweep:
         M = self.orbits(C)
         self.assert_matches(C, lyapunov_spectrum(C, n=101, M=M), 101, M)
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [0, 1, True, False])
     def test_too_few_iterates_is_an_error(self, n):
         with pytest.raises(ValueError):
             lyapunov_spectrum(fx.dominated_2x2(), n=n, M=8)
 
-    @pytest.mark.parametrize("M", [0, -3, 2.5, 8.0, "8", None])
+    @pytest.mark.parametrize("M", [0, -3, 2.5, 8.0, "8", None, True, False])
     def test_orbit_count_must_be_a_positive_integer(self, M):
         with pytest.raises(ValueError, match="positive integer"):
             lyapunov_spectrum(fx.dominated_2x2(), n=100, M=M)
@@ -1078,15 +1078,35 @@ class TestNilpotency:
         rep = detect_nilpotency(fx.twofrequency_rank_one(M=32))
         assert rep.nilpotent and rep.degree == 2
 
+    @pytest.mark.parametrize("name", ["one_frequency_grid", "invertible_grid_16x16"])
+    def test_grid_witness_is_the_spectral_norm_at_a_grid_point(self, name):
+        # grid input gets the witness of exact input: the largest sampled
+        # spectral norm of L_{d+1}, at the grid coordinates where it peaks
+        C = _grid_inputs()[name]
+        rep = detect_nilpotency(C)
+        assert not rep.nilpotent
+        c, unit = _power_of_two_unit(rep.witness["scale"])
+        last = iterate(cocycle_module._unit_scale(C, c), C.dim + 1)
+        norms = np.linalg.norm(last.samples, ord=2, axis=(-2, -1))
+        j = np.unravel_index(int(norms.argmax()), norms.shape)
+        assert rep.witness["max_sample_norm"] == float(norms[j]) * unit ** (C.dim + 1)
+        assert rep.witness["at"] == [i / m for i, m in zip(j, last.grid_shape)]
+
     def test_degree_never_exceeds_dimension(self):
         # a simple-spectrum perturbation of a 3 x 3 nilpotent: at tol 1e-6
         # its fourth iterate has decayed below tol, but A_3 has not vanished
         T = triangularize(fx.nilpotent_3x3_variable_rank())
         P, _ = perturb_simple(T, (4, 2, 1), 1e-4)
-        rep = detect_nilpotency(Structure(P, 1e-6))
+        st = Structure(P, 1e-6)
+        rep = detect_nilpotency(st)
         assert not rep.nilpotent and rep.degree is None
-        # the witness is the last iterate formed, L_4
-        assert 0 < rep.witness["max_sample_norm"] <= 1e-6
+        # the witness is L_{r+1} for the profile's first rank r = 2: L_3
+        assert st.profile.ranks[0] == 2
+        c, unit = _power_of_two_unit(rep.witness["scale"])
+        last = iterate(cocycle_module._unit_scale(P, c), 3)
+        M = max(64, default_grid_size(last.degree))
+        norms = np.linalg.norm(last.sample_grid(M), ord=2, axis=(1, 2))
+        assert rep.witness["max_sample_norm"] == float(norms.max()) * unit ** 3
 
     @pytest.mark.xfail(strict=True, reason="both thresholds scale with |A|^n, "
                        "which the nilpotent coupling inflates")

@@ -375,6 +375,26 @@ class TestWideningGrid:
         finally:
             gc.enable()
 
+    def test_exhausted_ladder_raises_the_last_rejection(self):
+        # every grid of the ladder rejected: 64 (the rank grid) doubling up
+        # to 8 field_grid = 2048, and the last TailTooFat is raised bare
+        st = Structure(fx.nilpotent_3x3_variable_rank())
+        tried = []
+
+        def build(Mg):
+            tried.append(Mg)
+            raise TailTooFat("tail too fat", tail=Mg)
+
+        with pytest.raises(TailTooFat) as info:
+            st.fit((1,), build)
+        assert tried == [64, 128, 256, 512, 1024, 2048]
+        assert info.value.tail == 2048
+        tb, names = info.value.__traceback__, []
+        while tb is not None:
+            names.append(tb.tb_frame.f_code.co_name)
+            tb = tb.tb_next
+        assert "fit" in names and "build" not in names
+
 
 def _sequential_align(frames):
     # reference: one Procrustes correction per step against the previous
