@@ -8,9 +8,10 @@ spectrum, normal forms and splitting share it, so an analysis builds one.
 The stabilised rank k of the iterates is the number of finite Lyapunov
 exponents (the paper's first theorem applied to exterior powers); those k
 are estimated by orbit products re-orthonormalised once per block of steps
-(once per step during the warmup) by one batch-last Gram-Schmidt step for
-every orbit count, and the rest are reported as -inf.  Rank-one cocycles get
-their top exponent in closed form from two Mahler measures.
+(in the warmup, blocks the generator's sampled conditioning allows) by one
+batch-last Gram-Schmidt step for every orbit count, and the rest are
+reported as -inf.  Rank-one cocycles get their top exponent in closed form
+from two Mahler measures.
 """
 
 import math
@@ -195,10 +196,11 @@ def iterates(C, n_max):
 # small array ops, so a narrow batch needs long ranges, a wide one short
 _CHUNK_BYTES = 1 << 20
 
-# after the warmup the sweep re-orthonormalises once per block of s orbit
-# steps, s at most _BLOCK_MAX; s times the widest per-step spread of the
-# finite R-diagonal stays below the log of the condition number a block
-# product may reach before QR loses digits of its smallest finite direction
+# the sweep re-orthonormalises once per block of s orbit steps, s at most
+# _BLOCK_MAX; s times the widest per-step spread of the finite R-diagonal
+# (in the warmup, the generator's sampled log condition number) stays below
+# the log of the condition number a block product may reach before QR loses
+# digits of its smallest finite direction
 _BLOCK_MAX = 32
 _BLOCK_LOG_COND = math.log(1e6)
 
@@ -322,22 +324,23 @@ def _step_chunks(C, M, bounds):
         yield mats.reshape(mats.shape[:3] + (-1,))
 
 
-def _block_length(diag, k):
-    """Orbit steps per QR after the warmup, from warmup R-diagonals.
-
-    diag holds |R_jj| of single steps, shape (steps, batch, j), for j >= k
-    frame columns (the sweep's k).  The spread g is the widest log ratio
-    among the first k entries of a step and orbit where none of them has
-    died; s is the largest integer up to _BLOCK_MAX with
-    s * g <= _BLOCK_LOG_COND, at least 1.
-    """
-    fin = diag[..., :k]
-    lo, hi = fin.min(axis=-1), fin.max(axis=-1)
-    alive = lo > 1e-14 * diag.max(axis=-1)
-    gap = float(np.log(hi[alive] / lo[alive]).max()) if alive.any() else 0.0
+def _block_length(gap):
+    """Orbit steps per QR for a per-step log spread gap of the finite
+    R-diagonal: the largest integer s up to _BLOCK_MAX with
+    s * gap <= _BLOCK_LOG_COND, at least 1 (1 for an infinite gap)."""
     if _BLOCK_MAX * gap <= _BLOCK_LOG_COND:
         return _BLOCK_MAX
     return max(1, int(_BLOCK_LOG_COND / gap))
+
+
+def _step_spread(diag, steps):
+    """The widest log ratio of |R_jj| in diag, (blocks, batch, k), over a
+    block and orbit where none has died, divided by that block's own steps
+    (0 with none alive): the per-step spread of blocks of steps steps."""
+    lo, hi = diag.min(axis=-1), diag.max(axis=-1)
+    alive = lo > 1e-14 * hi
+    per_step = np.log(hi[alive] / lo[alive]) / np.broadcast_to(steps[:, None], alive.shape)[alive]
+    return float(per_step.max(initial=0.0))
 
 
 def _mul_last(a, b):
@@ -455,12 +458,19 @@ def lyapunov_spectrum(C, n=1000, M=64):
     directions without growth are never swept (Benettin, Galgani, Giorgilli
     and Strelcyn 1980).  An initial warmup fifth of the run (at most 64
     steps) lets the random starting frame settle into the growth filtration
-    and is excluded from the averages; it runs one QR per step.  After it,
-    one QR per block of s steps: the R-diagonal of a block product is the
-    product of the per-step R-diagonals, and s (the largest integer up to
-    32 the conditioning rule allows) is chosen from the spread of the finite
-    R-diagonal in the second half of the warmup so that a block product
-    stays well conditioned.  The sweep runs on Structure.unit, the generator
+    and is excluded from the averages; it runs one QR per block of s0
+    steps, s0 the largest integer up to 32 with s0 g0 <= ln 1e6 for g0 the
+    widest ln(sigma_1/sigma_d) of L_1 over its rank-grid samples
+    (Structure.log_cond, from the profile's SVD).  As sigma_d(P) <= |R_jj|
+    <= sigma_1(P) for any orthonormal frame, such a block product is as well
+    conditioned as the blocks after the warmup; a singular sample, so every
+    k < d input, gives s0 = 1, one QR per step.  After it, one QR per block
+    of s steps: the R-diagonal of a block product is the product of the
+    per-step R-diagonals, and s (the largest integer up to 32 the same rule
+    allows) is chosen from the per-step spread of the finite R-diagonal in
+    the second half of the warmup, each block's spread divided by its own
+    steps (warmup ranges end at its half), so that a block product stays
+    well conditioned.  The sweep runs on Structure.unit, the generator
     divided by a power of two near its size, so a block product neither
     overflows nor underflows, and adds the log of that scale back.  Block
     products and all bookkeeping are computed a range of steps at a time,
@@ -517,33 +527,30 @@ def lyapunov_spectrum(C, n=1000, M=64):
     quarter = max(n_eff // 4, 2)
     mid = n_eff - quarter + 1
 
-    def sweep(s, reads, step, *ends):  # the ranges from the first end to the last, and their blocks
+    def sweep(s, reads, step, *ends):  # carry q from the first end to the last
+        nonlocal q
         bounds = [(lo, min(lo + step, b)) for a, b in zip(ends, ends[1:])
                   for lo in range(a, b, step)]
         blocks = _sweep_blocks(U, M, bounds, s, reads)
-        for lo, hi in bounds:
-            yield lo, hi, next(blocks)
+        for lo, hi in bounds:  # no block products held while the next range is built
+            q, diag = _qr_blocks(next(blocks), q)
+            yield lo, hi, diag, np.minimum(s, hi - lo - s * np.arange(len(diag)))
 
-    settled = []
-    for lo, hi, prods in sweep(*_sweep_layout(U, M, 1, warmup), 0, warmup):
-        q, diag = _qr_blocks(prods, q)
-        del prods  # not held while the next range is built
-        settled.append(diag[max(warmup // 2 - lo, 0):])
-
-    s, reads, step = _sweep_layout(
-        U, M, _block_length(np.concatenate(settled), k) if warmup else 1, n_eff)
+    # warmup ranges end at its half, so no block straddles the half s reads
+    half = warmup // 2
+    warm = sweep(*_sweep_layout(U, M, _block_length(st.log_cond), warmup), 0, half, warmup)
+    gap = max((_step_spread(diag, steps) for lo, _, diag, steps in warm if lo >= half),
+              default=0.0)
+    s, reads, step = _sweep_layout(U, M, _block_length(gap) if warmup else 1, n_eff)
     logr = np.zeros((batch, k))
     deaths = np.zeros((batch, k), dtype=int)
     running = {}
-    for lo, hi, prods in sweep(s, reads, step, warmup, warmup + mid, n):
-        q, diag = _qr_blocks(prods, q)
-        del prods
+    for _, hi, diag, steps in sweep(s, reads, step, warmup, warmup + mid, n):
         # a direction dies in a block when its R-diagonal entry is exactly
         # zero or below the per-sample relative floor; it then adds no growth
         # and the block's steps count as dead
         floor = 1e-14 * diag.max(axis=2, keepdims=True)
         dead = diag <= floor
-        steps = np.minimum(s, hi - lo - s * np.arange(len(diag)))
         deaths += (dead * steps[:, None, None]).sum(axis=0)
         grow = np.where(dead, 0.0, np.log(np.where(dead, 1.0, diag)))
         logr = logr + grow.sum(axis=0)
@@ -598,8 +605,9 @@ class Structure:
     two in (size/2, size] for size = _sup_scale(C.matrix): an exact
     division, so L_n has the kernels and ranges of A_n and thresholds move
     by a known factor.  It grows only as far as a question needs.  profile
-    (rank_profile; k and p are its min_rank and stabilized_at) and
-    nilpotency (detect_nilpotency) are computed on first use.  kernel builds
+    (rank_profile; k and p are its min_rank and stabilized_at, and log_cond
+    the widest sampled log condition number of L_1) and nilpotency
+    (detect_nilpotency) are computed on first use.  kernel builds
     the kernel field of L_n once per grid, so the normal forms and the
     splitting share it.  Fields of grids a widening rejected are kept too,
     since another form may settle there: at most six grids per iterate,
@@ -721,9 +729,13 @@ class Structure:
 
     @cached_property
     def profile(self):
-        # one SVD of L_1 serves s1 and the first rank
+        # one SVD of L_1 serves s1, the first rank and log_cond, the widest
+        # sampled log condition number of L_1 (inf where one is singular)
         samples = rank_samples(self.iterate(1))
-        s1 = float(samples[0].max())
+        sv = samples[0]
+        self.log_cond = (float((np.log(sv[:, 0]) - np.log(sv[:, -1])).max())
+                         if sv[:, -1].all() else math.inf)
+        s1 = float(sv.max())
         if s1 == 0.0:
             return RankProfile([0], 1, 0, {1: []})
         d = self.cocycle.dim

@@ -26,6 +26,7 @@ from cocycles.matfun import (
     exterior_power,
     hstack,
     max_rank,
+    rank_samples,
     resample_lattice,
     shift_samples,
     vstack,
@@ -518,16 +519,20 @@ class TestBatchLastStep:
 
 
 def _sweep_record(monkeypatch):
-    """Record the block length and the step ranges of each sweep.  A sweep
-    calls _sweep_blocks twice, for the warmup's single steps and then for
-    the blocks of s; "bounds" joins the two into one layout per sweep."""
-    rec = {"s": [], "bounds": [], "reads": [], "blocks": []}
+    """Record the block lengths and the step ranges of each sweep.  A sweep
+    with a warmup asks _block_length twice, for the warmup's s0 (from the
+    sampled conditioning of L_1) and for the s of the blocks after it
+    ("s0" and "s"), and calls _sweep_blocks twice, for the warmup's blocks
+    and then for the rest; "blocks" records the block length of each call
+    and "bounds" joins its ranges into one layout per sweep."""
+    rec = {"s0": [], "s": [], "bounds": [], "reads": [], "blocks": []}
     block_length, sweep_blocks = (cocycle_module._block_length,
                                   cocycle_module._sweep_blocks)
 
-    def length(diag, k):
-        rec["s"].append(block_length(diag, k))
-        return rec["s"][-1]
+    def length(gap):
+        s = block_length(gap)
+        rec["s" if len(rec["s0"]) > len(rec["s"]) else "s0"].append(s)
+        return s
 
     def blocks(C, M, bounds, s, reads):
         rec["blocks"].append(s)
@@ -568,40 +573,67 @@ def _gram_schmidt_columns(monkeypatch):
 
 
 class TestBlockLength:
-    """One QR per block of s orbit steps, s set by the warmup's spread."""
+    """One QR per block of s0 orbit steps in the warmup, s0 set by the
+    sampled condition number of L_1, and of s after it, s set by the
+    per-step spread of the warmup's second half."""
 
     def test_wide_spread_runs_one_step_per_block(self, monkeypatch):
         rec = _sweep_record(monkeypatch)
         C = const_cocycle(np.array([[np.exp(6.0), 1.0], [0.0, np.exp(-6.0)]]))
         rep = lyapunov_spectrum(C, n=400, M=16)
-        assert rec["s"] == [1]
+        assert rec["s0"] == [1] and rec["s"] == [1]
         np.testing.assert_allclose(rep.exponents, [6.0, -6.0], rtol=0, atol=1e-12)
 
     def test_random_invertible_runs_long_blocks(self, monkeypatch):
         rec = _sweep_record(monkeypatch)
         lyapunov_spectrum(fx.random_invertible(3), n=400, M=16)
-        assert rec["s"][0] >= 8
+        assert rec["s0"][0] >= 8 and rec["s"][0] >= 8
 
-    @staticmethod
-    def spread(g):
-        # |R_jj| of 3 steps on 2 orbits, k = 2 finite entries a factor e^g
-        # apart, and a dead third entry that must not count
-        diag = np.ones((3, 2, 3))
-        diag[..., 0] = np.exp(g)
-        diag[..., 2] = 0.0
-        return diag
+    def test_warmup_blocks_follow_the_sampled_condition_number(self, monkeypatch):
+        # s0 is the rule applied to the widest ln(sigma_1/sigma_d) of L_1
+        # over its rank-grid samples, the singular values the profile took
+        C = fx.random_invertible(3, d=3)
+        sv, _ = rank_samples(Structure(C).iterate(1))
+        s0 = cocycle_module._block_length(float(np.log(sv[:, 0] / sv[:, -1]).max()))
+        rec = _sweep_record(monkeypatch)
+        lyapunov_spectrum(C, n=400, M=16)
+        assert rec["s0"] == [s0] and 1 < s0 < cocycle_module._BLOCK_MAX
 
     @pytest.mark.parametrize("g, s", [(0.5, 27), (0.99, 13), (0.0, cocycle_module._BLOCK_MAX),
-                                      (14.0, 1)])
+                                      (14.0, 1), (math.inf, 1)])
     def test_largest_block_the_rule_allows(self, g, s):
         # the largest integer s <= _BLOCK_MAX with s g <= ln 1e6, not a
-        # power of two
-        assert cocycle_module._block_length(self.spread(g), 2) == s
+        # power of two; a singular sample (an infinite spread) gives 1
+        assert cocycle_module._block_length(g) == s
 
-    @pytest.mark.parametrize("name, most", [("random_invertible_d3", 240), ("wedge_d6", 200)])
+    @staticmethod
+    def spread(gaps):
+        # |R_jj| of one block per gap on 2 orbits, k = 2 entries a factor
+        # e^gap apart on orbit 0 and equal on orbit 1
+        diag = np.ones((len(gaps), 2, 2))
+        diag[:, 0, 0] = np.exp(gaps)
+        return diag
+
+    def test_spread_divides_each_block_by_its_own_steps(self):
+        # two blocks of 4 steps at 0.5 a step and a short last block of one
+        # step at 0.9: dividing the short block by 4 would read 0.5
+        diag = self.spread([2.0, 2.0, 0.9])
+        assert cocycle_module._step_spread(diag, np.array([4, 4, 1])) == pytest.approx(0.9)
+        assert cocycle_module._step_spread(diag, np.array([4, 4, 4])) == pytest.approx(0.5)
+
+    def test_spread_skips_dead_entries(self):
+        # a block and orbit with a dead entry does not count; none alive reads 0
+        diag = self.spread([1.0, 8.0])
+        diag[1, 0, 1] = 0.0
+        assert cocycle_module._step_spread(diag, np.array([1, 1])) == pytest.approx(1.0)
+        diag[:, :, 1] = 0.0
+        assert cocycle_module._step_spread(diag, np.array([1, 1])) == 0.0
+
+    @pytest.mark.parametrize("name, most", [("random_invertible_d3", 130), ("wedge_d6", 80)])
     def test_qr_calls_at_the_criterion_5_shape(self, name, most, monkeypatch):
-        # n = 2000, M = 32, the lyapunov-exact shape: blocks of 8 steps,
-        # the largest power of two the rule allows, take 307 calls on each
+        # n = 2000, M = 32, the lyapunov-exact shape: warmup blocks of s0
+        # and blocks of s after it take 128 and 76 calls (227 and 194 with
+        # one QR per warmup step)
         C = {"random_invertible_d3": fx.random_invertible(3, d=3),
              "wedge_d6": _wedge(fx.random_invertible(5, d=4))}[name]
         calls = _count_gram_schmidt(monkeypatch)
@@ -610,8 +642,9 @@ class TestBlockLength:
 
     @pytest.mark.parametrize("n", [13, 400, 2000])
     def test_qr_calls_per_block(self, n, monkeypatch):
-        # one step for every orbit count: batch-last Gram-Schmidt on a
-        # narrow (16) and on a wide (256) batch
+        # one Gram-Schmidt step per block for every orbit count, on a
+        # narrow (16) and on a wide (256) batch: a range of blocks of s
+        # takes ceil(steps / s) of them
         rec = _sweep_record(monkeypatch)
         calls = {"qr": 0, "gram_schmidt": 0}
 
@@ -630,12 +663,11 @@ class TestBlockLength:
             before = dict(calls)
             lyapunov_spectrum(fx.random_invertible(3), n=n, M=M)
             made = {name: calls[name] - before[name] for name in calls}
-            s, bounds = rec["s"][-1], rec["bounds"][-1]
-            # Gram-Schmidt runs every warmup step and at least one block;
+            s0, s, bounds = rec["blocks"][-2], rec["blocks"][-1], rec["bounds"][-1]
             # LAPACK QR runs only on the random starting frame
             assert made["qr"] <= 1
-            assert made["gram_schmidt"] >= warmup + 1
-            assert sum(made.values()) <= warmup + -(-(n - warmup) // s) + len(bounds)
+            assert made["gram_schmidt"] == sum(-(-(hi - lo) // (s0 if hi <= warmup else s))
+                                               for lo, hi in bounds)
 
 
 def _exact_steps(C, M, lo, hi):
@@ -763,7 +795,8 @@ class TestSweepBlocks:
         monkeypatch.setattr(cocycle_module, "_iterate_coeffs", spy)
         rep = lyapunov_spectrum(fx.random_invertible(3, d=3), n=1000, M=64)
         assert all(np.isfinite(rep.exponents))
-        assert len(built) == 1 and built[0] > 1
+        # L_s0 for the warmup's blocks, then L_s for the rest
+        assert len(built) == 2 and min(built) > 1
 
     def test_high_degree_builds_no_iterate(self, monkeypatch):
         # degree 64: building L_16 on 4096 points costs more than the
@@ -789,41 +822,63 @@ class TestSweepBlocks:
 class TestChunkCount:
     def test_narrow_sweep_runs_long_chunks(self, monkeypatch):
         # every range pays a fixed set of array ops, so a narrow batch must
-        # not be cut into dozens of short step ranges: one warmup range and
-        # three of whole blocks read off L_s
+        # not be cut into dozens of short step ranges: two warmup ranges,
+        # ending at its half and at its end, and three of whole blocks read
+        # off L_s
         rec = _sweep_record(monkeypatch)
         lyapunov_spectrum(fx.random_invertible(3, d=3), n=2000, M=32)
-        assert len(rec["bounds"][0]) <= 4
+        assert len(rec["bounds"][0]) <= 5
 
 
 class TestRangeLayout:
-    """After the warmup the sweep lays its step ranges out in whole blocks
-    of s, sized by what the block path materialises; grid ranges keep 16
-    steps at 1,024 orbits."""
+    """The sweep lays its step ranges out in whole blocks, of s0 in the
+    warmup and of s after it, sized by what the block path materialises;
+    warmup ranges end at its half, so no block straddles the half whose
+    spread sets s; grid ranges keep 16 steps at 1,024 orbits."""
 
-    @pytest.mark.parametrize("name, n, M", [
-        ("random_invertible_d3", 2000, 32), ("wedge_d6", 2000, 32),
-        ("random_invertible_d3", 1000, 64), ("degree_64", 400, 64)])
-    def test_post_warmup_ranges_are_whole_blocks(self, name, n, M, monkeypatch):
+    LAYOUTS = [("random_invertible_d3", 2000, 32), ("wedge_d6", 2000, 32),
+               ("random_invertible_d3", 1000, 64), ("degree_64", 400, 64)]
+
+    @staticmethod
+    def layout(name, n, M, monkeypatch):
+        """The block lengths s0 and s, the ranges and the reads of one sweep."""
         C = {"random_invertible_d3": fx.random_invertible(3, d=3),
              "wedge_d6": _wedge(fx.random_invertible(5, d=4)),
              "degree_64": fx.random_invertible(11, d=3, degree=64)}[name]
         rec = _sweep_record(monkeypatch)
         lyapunov_spectrum(C, n=n, M=M)
-        s, bounds = rec["s"][0], rec["bounds"][0]
+        bounds = rec["bounds"][0]
+        # contiguous from 0 to n
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == n
+        return rec["s0"][0], rec["s"][0], bounds, rec["reads"]
+
+    @pytest.mark.parametrize("name, n, M", LAYOUTS)
+    def test_post_warmup_ranges_are_whole_blocks(self, name, n, M, monkeypatch):
+        _, s, bounds, reads = self.layout(name, n, M, monkeypatch)
         warmup = min(n // 5, 64)
         quarter = max((n - warmup) // 4, 2)
         ends = {warmup + (n - warmup) - quarter + 1, n}
-        # contiguous from 0 to n, a range ending at the warmup
-        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
-        assert bounds[-1][1] == n and warmup in {hi for _, hi in bounds}
-        assert ends <= {hi for _, hi in bounds}
+        # a range ends at the warmup and where the bias estimate reads
+        assert {warmup} | ends <= {hi for _, hi in bounds}
         assert s > 1
         for lo, hi in bounds:
             if lo >= warmup and hi not in ends:
                 assert (hi - lo) % s == 0, (lo, hi, s)
         # degree 64 multiplies steps; the others read blocks off L_s
-        assert rec["reads"][1] == (name != "degree_64")
+        assert reads[1] == (name != "degree_64")
+
+    @pytest.mark.parametrize("name, n, M", LAYOUTS)
+    def test_warmup_ranges_are_whole_blocks_of_s0(self, name, n, M, monkeypatch):
+        s0, _, bounds, _ = self.layout(name, n, M, monkeypatch)
+        warmup = min(n // 5, 64)
+        # warmup ranges end at its half, so no block straddles the half
+        # whose spread sets s
+        assert {warmup // 2, warmup} <= {hi for _, hi in bounds}
+        assert s0 > 1
+        for lo, hi in bounds:
+            if hi <= warmup and hi not in (warmup // 2, warmup):
+                assert (hi - lo) % s0 == 0, (lo, hi, s0)
 
     def test_wide_wedge_runs_few_ranges(self, monkeypatch):
         # the d = 6 wedge at n = 2000, M = 32: each range holds as many
@@ -841,13 +896,91 @@ class TestRangeLayout:
         C = _invertible_grid(seed, d, M=16)
         rec = _sweep_record(monkeypatch)
         lyapunov_spectrum(C, n=100, M=32)
-        assert rec["bounds"][0] == [(0, 16), (16, 20), (20, 36), (36, 52), (52, 68),
+        assert rec["bounds"][0] == [(0, 10), (10, 20), (20, 36), (36, 52), (52, 68),
                                     (68, 81), (81, 97), (97, 100)]
         lyapunov_spectrum(C, n=2000, M=32)
         bounds = rec["bounds"][1]
         assert len(bounds) == 126
         assert all(hi - lo == 16 for lo, hi in bounds if hi not in (64, 1517, 2000))
-        assert all(16 % s == 0 and s <= r for s, r in zip(rec["blocks"][1::2], rec["s"]))
+        rules = [r for pair in zip(rec["s0"], rec["s"]) for r in pair]
+        assert all(16 % s == 0 and s <= r for s, r in zip(rec["blocks"], rules, strict=True))
+        assert max(rec["blocks"][0::2]) > 1
+
+
+class TestWarmupKeepsSingularInputs:
+    """An L_1 with a singular sample, so every k < d input, gives s0 = 1:
+    those sweeps keep one QR per warmup step and their QR count."""
+
+    INPUTS = {
+        "not_dominated_2x2": fx.not_dominated_2x2(),
+        "nilpotent_plus_invertible_3x3": fx.nilpotent_plus_invertible_3x3(),
+        "partially_degenerate_2_2": _partially_degenerate(1004882659, 2, 2),
+    }
+
+    @pytest.mark.parametrize("name, n, M, calls", [
+        ("not_dominated_2x2", 2000, 32, 126), ("not_dominated_2x2", 1000, 64, 94),
+        ("nilpotent_plus_invertible_3x3", 2000, 32, 126),
+        ("nilpotent_plus_invertible_3x3", 1000, 64, 94),
+        ("partially_degenerate_2_2", 2000, 32, 194),
+        ("partially_degenerate_2_2", 1000, 64, 127)])
+    def test_one_step_per_warmup_block(self, name, n, M, calls, monkeypatch):
+        C = self.INPUTS[name]
+        assert rank_profile(C).min_rank < C.dim
+        rec = _sweep_record(monkeypatch)
+        counted = _count_gram_schmidt(monkeypatch)
+        lyapunov_spectrum(C, n=n, M=M)
+        assert rec["s0"] == [1] and rec["blocks"][0] == 1
+        assert counted[0] == calls
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_sampled_condition_number_is_past_the_rule(self, name):
+        # rank L_1 < d at every sample puts sigma_d at most tol times the
+        # largest sigma_1, where ln(sigma_1/sigma_d) >= ln(1/tol) is too
+        # wide for blocks of two steps; at a zero of det A it is infinite
+        st = Structure(self.INPUTS[name])
+        assert st.profile.min_rank < st.cocycle.dim
+        assert st.log_cond >= -math.log(st.tol)
+        assert cocycle_module._block_length(st.log_cond) == 1
+
+
+class TestBlockConditioning:
+    """Every block product of a sweep, warmup blocks included, keeps the
+    finite R-diagonal within ln 1e6 (_BLOCK_LOG_COND): the block lengths
+    s0 and s never let QR lose the digits of its smallest finite
+    direction."""
+
+    @staticmethod
+    def inputs():
+        out = {}
+        for seed in range(6):
+            for d in (2, 3, 4):
+                C = fx.random_invertible(seed, d=d)
+                out[f"random_invertible_{seed}_d{d}"] = C
+                out[f"random_invertible_{seed}_d{d}_wedge2"] = _wedge(C)
+        out["invertible_grid_7"] = _invertible_grid(7, 2, M=16)
+        out["invertible_grid_11"] = _invertible_grid(11, 3, M=16)
+        return out
+
+    INPUTS = inputs()
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    def test_block_spread_within_the_bound(self, name, monkeypatch):
+        spreads = []
+        qr_blocks = cocycle_module._qr_blocks
+
+        def spy(prods, q):
+            q, diag = qr_blocks(prods, q)
+            lo, hi = diag.min(axis=-1), diag.max(axis=-1)
+            alive = lo > 1e-14 * hi
+            spreads.append(float(np.log(hi[alive] / lo[alive]).max(initial=0.0)))
+            return q, diag
+
+        monkeypatch.setattr(cocycle_module, "_qr_blocks", spy)
+        C = self.INPUTS[name]
+        for n, M in ([(2000, 32), (1000, 64), (400, 16)] if C.is_exact
+                     else [(400, 16), (400, 32)]):
+            lyapunov_spectrum(C, n=n, M=M)
+        assert max(spreads) <= cocycle_module._BLOCK_LOG_COND
 
 
 def _dense_orbit_product(C, n):
