@@ -605,15 +605,15 @@ class Structure:
     two in (size/2, size] for size = _sup_scale(C.matrix): an exact
     division, so L_n has the kernels and ranges of A_n and thresholds move
     by a known factor.  It grows only as far as a question needs.  profile
-    (rank_profile; k and p are its min_rank and stabilized_at, and log_cond
-    the widest sampled log condition number of L_1) and nilpotency
-    (detect_nilpotency) are computed on first use.  kernel builds
-    the kernel field of L_n once per grid, so the normal forms and the
-    splitting share it.  Fields of grids a widening rejected are kept too,
-    since another form may settle there: at most six grids per iterate,
-    for the life of the Structure.  fit is the one widening loop of every
-    form fitted from such a flag; flag_form conjugates A by the frame
-    adapted to one: the triangular form and the split are both.
+    (rank_profile; k and p are its min_rank and stabilized_at), log_cond
+    (the widest sampled ln(sigma_1/sigma_d) of L_1, inf at a singular
+    sample, from the profile's SVD) and nilpotency (detect_nilpotency) are
+    computed on first use.  kernel builds the kernel field of L_n once per
+    grid, so the normal forms and the splitting share it.  Fields of grids
+    a widening rejected are kept too, since another form may settle there:
+    at most six grids per iterate, for the life of the Structure.  fit is
+    the one widening loop of every fitted form; flag_form conjugates A by
+    the frame adapted to a flag: the triangular form and the split are both.
 
     Tolerances are set here only: every decision read from the Structure
     (nilpotency certificate, rank profile, kernel and frame fields,
@@ -672,15 +672,14 @@ class Structure:
                                      f"the rank profile gives {dims}")
         return flag
 
-    def fit(self, ns, build):
+    def fit(self, deg, build):
         """build(Mg) and the grid Mv its form is verified on, for a form fitted
-        from the flag of L_n, n in ns: the one resolution rule of the flag
-        forms and the Jordan chains.  Mg is the first of the rank grid of the
-        highest iterate (at least 64 samples), twice that, ... up to 8
-        field_grid where build raises no TailTooFat (kernel bundles of high
-        iterates can decay slowly); Mv = 2 max(Mg, field_grid), as dense as
-        a fit on field_grid gave."""
-        deg = self.cocycle.matrix.degree * max(ns, default=1)
+        from samples of exact data of degree deg (the flag's highest iterate,
+        or the split blocks): the one resolution rule of every fitted form.
+        Mg is the first of the rank grid of deg (at least 64 samples), twice
+        that, ... up to 8 field_grid where build raises no TailTooFat (kernel
+        bundles and couplings can decay slowly); Mv = 2 max(Mg, field_grid),
+        as dense as a fit on field_grid gave."""
         base, last = rank_grid(deg), 8 * field_grid(deg)
         for Mg in [base << i for i in range((last // base).bit_length())]:
             try:
@@ -718,7 +717,7 @@ class Structure:
             blocks = [poly_from_samples(phase_align(S).frames, tol=1e-9) for S in fields]
             return hstack(blocks), sizes
 
-        (U, sizes), Mv = self.fit(ns, build)
+        (U, sizes), Mv = self.fit(self.cocycle.matrix.degree * max(ns, default=1), build)
         B = U.adjoint().translate(self.cocycle.alpha) @ self.iterate(1) @ U
         if B.max_coeff() > sys.float_info.max / self.scale:
             raise FloatRangeExceeded("a conjugated generator leaves the float range")
@@ -728,13 +727,19 @@ class Structure:
         return U, B, sizes, defect, B.sample_grid(Mv)
 
     @cached_property
+    def _l1_samples(self):
+        return rank_samples(self.iterate(1))
+
+    @cached_property
+    def log_cond(self):
+        sv = self._l1_samples[0]
+        return (float((np.log(sv[:, 0]) - np.log(sv[:, -1])).max())
+                if sv[:, -1].all() else math.inf)
+
+    @cached_property
     def profile(self):
-        # one SVD of L_1 serves s1, the first rank and log_cond, the widest
-        # sampled log condition number of L_1 (inf where one is singular)
-        samples = rank_samples(self.iterate(1))
+        samples = self._l1_samples
         sv = samples[0]
-        self.log_cond = (float((np.log(sv[:, 0]) - np.log(sv[:, -1])).max())
-                         if sv[:, -1].all() else math.inf)
         s1 = float(sv.max())
         if s1 == 0.0:
             return RankProfile([0], 1, 0, {1: []})

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import Cocycle, Structure, iterate, iterates
+from .cocycle import Cocycle, Structure, iterates
 from .errors import (
     FullyNilpotent,
     InversionBlowup,
@@ -21,8 +21,7 @@ from .errors import (
     StructureViolation,
 )
 from .frames import field_grid
-from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, shift_samples, vstack
-from .trigpoly import default_grid_size
+from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, vstack
 
 
 @dataclass
@@ -78,14 +77,17 @@ def split_infinite_part(C):
     b = B.block(0, nk, nk, d)
     dd = B.block(nk, d, nk, d)
     low_mass = float(np.abs(bsamp[:, nk:, :nk]).max())
-    # invariance forces the kernel block to die by step p: |a_p| is compared
-    # with max(|a|, 1)^p, both formed at unit scale, where p factors stay in
-    # the float range (2^e max(|a / 2^e|, 2^-e) is max(|a|, 1))
+    # invariance forces the kernel block to die by step p: |a_p|, the product
+    # of the samples of a at x, ..., x + (p-1) alpha, is compared with
+    # max(|a|, 1)^p, both formed at unit scale, where p factors stay in the
+    # float range (2^e max(|a / 2^e|, 2^-e) is max(|a|, 1))
     au = a / st.scale
-    ap = iterate(Cocycle(C.frequencies, au), p)
+    ap = np.eye(nk)
+    for j in range(p):
+        ap = au.sample_grid(len(bsamp), shift=j * C.alpha) @ ap
     with np.errstate(over="ignore"):
         size = np.float64(max(au.sup_bound(), np.ldexp(1.0, -st.exponent)))
-        ap_mass = float(np.abs(ap.sample_grid(len(bsamp))).max() / size ** p)
+        ap_mass = float(np.abs(ap).max() / size ** p)
     if ap_mass > 1e-6:
         raise StructureViolation(f"kernel block is not nilpotent of degree {p}: "
                                  f"|a_p| = {ap_mass:.3e}")
@@ -141,15 +143,17 @@ def is_dominated(S):
 def dominated_splitting(S):
     """Conjugate the coupling away: p steps of the block recursion.
 
-    Starting from c = b, each step divides by the invertible block one
-    translate back and feeds the result through a; nilpotency of a kills c
-    after exactly p steps and the accumulated M solves
-    a(x) M(x) + b(x) = M(x+alpha) d(x), so [[I, M], [0, I]] block-diagonalizes
-    the split form once is_dominated(S) holds; it is decided here, once,
-    and a NotDominated raised otherwise carries the evidence.  M and the gap
-    ratios are computed on the blocks divided by the scale of S.structure,
-    whose tol bounds the block's condition number; the residual is in units
-    of A.
+    M(x) = sum_{n=1..p} a(x-alpha)...a(x-(n-1)alpha) b(x-n alpha)
+    d(x-n alpha)^-1 ... d(x-alpha)^-1, every factor sampled exactly at its
+    shifted point, solves a(x) M(x) + b(x) = M(x+alpha) d(x) up to a times
+    its p-th term, which nilpotency of degree p kills; the residual, read
+    on the verification grid of Structure.fit (the one loop M is fitted
+    through, 1e-12 tail, for the blocks' degree), measures both.  Then
+    [[I, M], [0, I]] block-diagonalizes the split form once is_dominated(S)
+    holds; it is decided here, once, and a NotDominated raised otherwise
+    carries the evidence.  M and the gap ratios are computed on the blocks
+    divided by the scale of S.structure, whose tol bounds the condition
+    number of each inverted sample of d; the residual is in units of A.
     """
     st = S.structure
     C = st.cocycle
@@ -158,37 +162,28 @@ def dominated_splitting(S):
         raise NotDominated(
             f"finite block vanishes near x = {verdict['evidence']['minimizer']:.6f}",
             verdict["evidence"])
-    k, p = S.k, S.p
-    nk = S.a.rows
+    k, p, nk = S.k, S.p, S.a.rows
     a, b, d = (X / st.scale for X in (S.a, S.b, S.d))
-    deg = max(a.degree, b.degree, d.degree, 1)
-    Mg = max(512, default_grid_size(4 * deg))
-    dshift = d.sample_grid(Mg, shift=-C.alpha)
-    conds = np.linalg.cond(dshift)
-    if float(conds.max()) > 1.0 / st.tol:
-        raise InversionBlowup(
-            f"finite block condition number {conds.max():.3e} exceeds 1/tol"
-        )
-    dinv_shift = np.linalg.inv(dshift)
-    asamp = a.sample_grid(Mg)
-    csamp = b.sample_grid(Mg)
-    msum = np.zeros((Mg, nk, k), dtype=complex)
-    for _ in range(p):
-        mn = shift_samples(csamp, -C.alpha) @ dinv_shift
-        msum = msum + mn
-        csamp = asamp @ mn
-    cp_mass = float(np.abs(csamp).max())
-    mfun = poly_from_samples(msum, tol=1e-6)
-    Mv = 2 * Mg
-    msamp = mfun.sample_grid(Mv)
-    mshift = mfun.sample_grid(Mv, shift=C.alpha)
-    off = a.sample_grid(Mv) @ msamp + b.sample_grid(Mv) - mshift @ d.sample_grid(Mv)
+
+    def build(Mg):
+        # the sum in Horner form, last term first: T_{p+1} = 0,
+        # T_n = (b + a T_{n+1}) d^-1 at x - n alpha, and M = T_1
+        msum = np.zeros((Mg, nk, k), dtype=complex)
+        for n in range(p, 0, -1):
+            an, bn, dn = (X.sample_grid(Mg, -n * C.alpha) for X in (a, b, d))
+            cond = np.linalg.cond(dn).max()
+            if cond > 1.0 / st.tol:
+                raise InversionBlowup(f"finite block condition number {cond:.3e} exceeds 1/tol")
+            msum = (bn + an @ msum) @ np.linalg.inv(dn)
+        return poly_from_samples(msum, tol=1e-12)
+
+    mfun, Mv = st.fit(max(a.degree, b.degree, d.degree), build)
+    off = (a.sample_grid(Mv) @ mfun.sample_grid(Mv) + b.sample_grid(Mv)
+           - mfun.sample_grid(Mv, C.alpha) @ d.sample_grid(Mv))
     with np.errstate(over="ignore"):
-        residual = float(np.ldexp(max(cp_mass, float(np.abs(off).max())),
-                                  st.exponent))
-    zero_tr = MatrixFunction.zero(nk, k)
+        residual = float(np.ldexp(np.abs(off).max(), st.exponent))
     zero_bl = MatrixFunction.zero(k, nk)
-    cdiag = vstack([hstack([S.a, zero_tr]), hstack([zero_bl, S.d])])
+    cdiag = vstack([hstack([S.a, MatrixFunction.zero(nk, k)]), hstack([zero_bl, S.d])])
     bfull = Cocycle(C.frequencies, vstack([hstack([a, b]), hstack([zero_bl, d])]))
     cert = {}
     for n, F in enumerate(iterates(bfull, 3 * p), start=1):

@@ -188,7 +188,7 @@ def jordan_form(C):
             fronts.append(front)
         return fronts[::-1]
 
-    fronts, Mv = st.fit(range(1, p), fronts_on)
+    fronts, Mv = st.fit(C.matrix.degree * max(p - 1, 1), fronts_on)
     unit = hstack([fronts[m].block(0, d, c, c + 1)
                    for c, L in enumerate(lengths) for m in range(L)])
     positions = [m for L in lengths for m in range(L)]

@@ -1421,6 +1421,18 @@ class TestStructureHandle:
         C = make()
         assert _plain(analysis(Structure(C))) == _plain(analysis(C))
 
+    def test_log_cond_reads_before_the_profile(self):
+        # the widest sampled ln(sigma_1/sigma_d) of L_1 on the rank grid, read
+        # on a fresh Structure, and the same once the profile shares its SVD
+        st = Structure(fx.random_invertible(1, d=3))
+        g = st.log_cond
+        assert "profile" not in vars(st)
+        sv = rank_samples(st.iterate(1))[0]
+        assert math.isfinite(g)
+        assert g == float((np.log(sv[:, 0]) - np.log(sv[:, -1])).max())
+        assert st.profile.min_rank == 3
+        assert st.log_cond == g
+
     def test_tol_resolves_in_the_structure(self):
         st = Structure(fx.dominated_2x2(), 1e-6)
         assert (st.tol, st.nil_tol) == (1e-6, 1e-6)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cocycles import cocycle as cocycle_module
+from cocycles import domination as domination_module
 from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure, iterate
 from cocycles.domination import dominated_splitting, is_dominated, split_infinite_part
 from cocycles.errors import (
@@ -10,6 +13,7 @@ from cocycles.errors import (
     NoInfinitePart,
     NotDominated,
     StructureViolation,
+    TailTooFat,
     UnsupportedBase,
 )
 from cocycles.fixtures import (
@@ -302,3 +306,74 @@ class TestDominatedSplitting:
         assert is_dominated(S)["dominated"] is True
         with pytest.raises(InversionBlowup):
             dominated_splitting(S)
+
+
+def slow_coupling_3x3(c):
+    """[[0, sin, cos], [0, 3, 0], [0, 0, 1 + c cos]]: kernel e_1 from the
+    first step, finite block diag(3, 1 + c cos), whose zeros approach the
+    real axis as c -> 1, so the coupling M = b(x-a) d(x-a)^-1 decays like
+    e^(-2 pi w |k|) with cosh 2 pi w = 1/c."""
+    zero = TrigPoly.zero()
+    rows = [
+        [zero, TrigPoly.sine(), TrigPoly.cosine()],
+        [zero, TrigPoly.constant(3.0), zero],
+        [zero, zero, TrigPoly.constant(1.0) + TrigPoly.cosine(amplitude=c)],
+    ]
+    return Cocycle((GOLDEN_MEAN,), MatrixFunction(rows))
+
+
+class TestSlowlyDecayingCoupling:
+    @pytest.mark.parametrize("c", [0.99, 0.995, 0.998])
+    def test_widened_fit_resolves_the_coupling(self, c):
+        S = split_infinite_part(slow_coupling_3x3(c))
+        assert (S.k, S.p) == (2, 1)
+        assert dominated_splitting(S).residual < 1e-10
+
+    def test_too_slow_a_decay_exhausts_the_ladder(self, monkeypatch):
+        S = split_infinite_part(slow_coupling_3x3(0.999))
+        tried = []
+        fit = domination_module.poly_from_samples
+
+        def recording(vals, **kwargs):
+            tried.append(len(vals))
+            return fit(vals, **kwargs)
+
+        monkeypatch.setattr(domination_module, "poly_from_samples", recording)
+        with pytest.raises(TailTooFat):
+            dominated_splitting(S)
+        deg = max(S.a.degree, S.b.degree, S.d.degree)
+        assert tried[-1] == 8 * field_grid(deg) == 2048
+
+
+class TestResidualSeesTheLastTerm:
+    # a block a that is not nilpotent of degree p leaves the recursion's
+    # c_p = a(x) m_p(x), m_p its p-th term, in a M + b - M(x+alpha) d
+    @pytest.mark.parametrize("make, a", [
+        (dominated_2x2, [[0.5]]),
+        (nilpotent_plus_invertible_3x3, [[0.3, 0.2], [0.1, 0.4]]),
+    ])
+    def test_residual_bounds_the_sampled_last_term(self, make, a, monkeypatch):
+        S = split_infinite_part(make())
+        S = dataclasses.replace(S, a=MatrixFunction.constant(np.array(a, dtype=complex)))
+        grids = []
+        fit = Structure.fit
+
+        def recording(st, deg, build):
+            got = fit(st, deg, build)
+            grids.append(got[1])
+            return got
+
+        monkeypatch.setattr(Structure, "fit", recording)
+        R = dominated_splitting(S)
+        (Mv,) = grids
+        alpha = S.structure.cocycle.alpha
+
+        def at(X, n):
+            return X.sample_grid(Mv, shift=-n * alpha)
+
+        m = at(S.b, S.p) @ np.linalg.inv(at(S.d, S.p))
+        for n in range(S.p - 1, 0, -1):
+            m = at(S.a, n) @ m @ np.linalg.inv(at(S.d, n))
+        cp = float(np.abs(at(S.a, 0) @ m).max())
+        assert cp > 0.01
+        assert R.residual >= cp * (1 - 1e-9)

@@ -370,7 +370,7 @@ class TestWideningGrid:
 
         gc.disable()
         try:
-            assert st.fit((1,), build) == (256, 512)
+            assert st.fit(st.cocycle.matrix.degree, build) == (256, 512)
             assert [ref() is None for ref in held] == [True, True, True]
         finally:
             gc.enable()
@@ -386,7 +386,7 @@ class TestWideningGrid:
             raise TailTooFat("tail too fat", tail=Mg)
 
         with pytest.raises(TailTooFat) as info:
-            st.fit((1,), build)
+            st.fit(st.cocycle.matrix.degree, build)
         assert tried == [64, 128, 256, 512, 1024, 2048]
         assert info.value.tail == 2048
         tb, names = info.value.__traceback__, []
