@@ -3,12 +3,12 @@
 A SubspaceField stores one orthonormal frame per grid sample.  The
 constructors (kernel, range, preimage, sum, intersection, orthocomplement,
 complement within a larger field) mark samples where the defining rank
-degenerates as exceptional, fill them by continuation from neighbors and
-leave the frames in the gauge of the SVD that built them, so their frames
-need not vary continuously from sample to sample.  A kernel or a sum keeps
-the orthogonal complement its SVD gave as its perp, recomputed only at the
-filled samples, so its complement costs no further SVD; a complement
-carries the field it complements as its own perp.
+degenerates as exceptional, fill them from the band-limited continuation
+of the projectors and leave the frames in the gauge of the SVD, or at the
+filled samples of the eigendecomposition, that built them, so they need
+not vary continuously.  A kernel or a sum keeps the orthogonal complement
+that SVD or eigendecomposition gave as its perp, so its complement costs
+no SVD; a complement carries the field it complements as its own perp.
 
 phase_align is the one gauge step.  It gauges each frame to follow the
 previous one with no per-sample loop: the Procrustes step factors between
@@ -97,24 +97,22 @@ def subspace_distance(s, t):
 
 
 def _fill_exceptional(frames, exceptional):
-    # overwrite each degenerate sample with the reorthonormalized average of
-    # its nearest valid neighbors on both sides (cyclically)
-    M = frames.shape[0]
-    exc = set(exceptional)
-    good = np.array(sorted(set(range(M)) - exc), dtype=int)
-    if good.size == 0:
-        raise DimensionUnstable("no non-exceptional samples to continue from")
-    out = frames.copy()
-    for e in sorted(exc):
-        pos = np.searchsorted(good, e)
-        gl = good[pos - 1] if pos > 0 else good[-1]
-        gr = good[pos % good.size]
-        a, b = out[gl], frames[gr]
-        w = polar_unitary(np.conj(b.T) @ a)
-        avg = 0.5 * (a + b @ w)
-        u, _, vh = np.linalg.svd(avg, full_matrices=False)
-        out[e] = u @ vh
-    return out
+    # the gauge-free projectors P = F F* take at the degenerate samples the
+    # values whose field has the least Fourier mass above M/4, the band
+    # poly_from_samples keeps: one solve against the exceptional block of
+    # the circulant out-of-band projector, nonsingular while under M/2
+    # samples are missing.  The top k eigenvectors of the filled P are the
+    # frames there, the other d - k their complement.
+    M, d, k = frames.shape
+    exc = np.asarray(exceptional, dtype=int)
+    proj = frames @ np.conj(np.swapaxes(frames, 1, 2))
+    proj[exc] = 0.0
+    high = np.abs(np.fft.fftfreq(M, 1.0 / M)) > M // 4
+    rhs = np.fft.ifft(high[:, None, None] * np.fft.fft(proj, axis=0), axis=0)[exc]
+    q = np.fft.ifft(high).real[(exc[:, None] - exc) % M]
+    fill = np.linalg.solve(q, -rhs.reshape(exc.size, -1))
+    vecs = np.linalg.eigh(fill.reshape(-1, d, d))[1]
+    return vecs[..., d - k:], vecs[..., :d - k]
 
 
 def _rolling_align(frames):
@@ -149,17 +147,19 @@ def _rolling_align(frames):
 
 
 def _filled(frames, exceptional, budget, perp=None):
-    # the field with its degenerate samples continued from neighbors; the
-    # complement perp of the SVD's frames is recomputed where they moved
+    # the field with its degenerate samples filled from the projector; a
+    # carried complement perp takes the fill's other eigenvectors there
     if len(exceptional) > 0.1 * frames.shape[0]:
         raise DimensionUnstable(
             f"{len(exceptional)} of {frames.shape[0]} samples degenerate"
         )
-    if exceptional:
-        frames = _fill_exceptional(frames, exceptional)
-        if perp is not None and frames.shape[2]:
+    if exceptional and frames.shape[2]:
+        top, rest = _fill_exceptional(frames, exceptional)
+        frames = frames.copy()
+        frames[exceptional] = top
+        if perp is not None:
             perp = perp.copy()
-            perp[exceptional] = np.linalg.svd(frames[exceptional])[0][:, :, frames.shape[2]:]
+            perp[exceptional] = rest
     return SubspaceField(frames, exceptional, cont_budget=budget, perp=perp)
 
 

@@ -69,6 +69,24 @@ class TestConstructors:
         ref = constant_field(128, 3, [0])
         assert subspace_distance(S, ref) < 1e-9
 
+    @pytest.mark.parametrize("M", [64, 128, 256])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_fill_is_exact_on_a_band_limited_bundle(self, M, s):
+        # conjugating by an analytic unitary W bends the kernel bundle into
+        # W(x) e1, a trigonometric polynomial, so the projector filled at the
+        # rank drops matches it to rounding; the carried complement there is
+        # its orthogonal complement
+        C = fx.nilpotent_3x3_variable_rank()
+        W = fx.random_unitary_function(np.random.default_rng(900 + s), 3, 1)
+        S = kernel_field(W.translate(C.alpha) @ C.matrix @ W.adjoint(), M=M)
+        exc = S.exceptional
+        assert len(exc) == 2
+        w = W.sample_grid(M)[exc, :, :1]
+        want = w @ np.conj(np.swapaxes(w, 1, 2))
+        assert np.abs(S.projectors()[exc] - want).max() < 1e-12
+        q = S.perp[exc]
+        assert np.abs(q @ np.conj(np.swapaxes(q, 1, 2)) + want - np.eye(3)).max() < 1e-12
+
     def test_range_of_second_iterate(self):
         from cocycles.cocycle import iterate
 

@@ -4,11 +4,15 @@ A constant unitary conjugation V A V*, the reflection (alpha, A(x)) to
 (-alpha, A(-x)) and a scaling A to cA describe the same dynamics: the rank
 profile, the nilpotency degree and the domination verdict stay identical,
 and every finite exponent, estimated or in closed form, stays put or moves
-by ln|c|.
+by ln|c|.  An analytic unitary conjugation W(x + alpha) A(x) W(x)* does too,
+so `cocycles analyze` must end the same way and report the same verdicts.
 """
 
 import functools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,37 @@ def test_unitary_conjugation(name, seed):
     V = fixtures.random_unitary_matrix(np.random.default_rng(seed), C.dim)
     A = MatrixFunction.constant(V) @ C.matrix @ MatrixFunction.constant(V.conj().T)
     _check(name, Cocycle(C.frequencies, A))
+
+
+def _analyze_verdict(C):
+    """Exit code of `cocycles analyze` on C and the report fields the CI
+    verdict step reads (None when no report was written)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "input.json"
+        src.write_text(json.dumps(C.to_json_dict()))
+        rc = cli.main(["analyze", str(src), "--out", tmp])
+        out = Path(tmp) / "input.analyze.json"
+        if not out.exists():
+            return rc, None
+        rep = json.loads(out.read_text())
+    res = rep["result"]
+    return rc, (rep["nilpotency"]["nilpotent"], rep["nilpotency"]["degree"],
+                rep["rank_profile"]["ranks"], rep["pipeline"], res.get("block_sizes"),
+                res.get("jordan", {}).get("chains"), res.get("k"), res.get("dominated"))
+
+
+@functools.cache
+def _reference_verdict(name):
+    return _analyze_verdict(FIXTURES[name])
+
+
+@pytest.mark.parametrize("name", EXACT)
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_analytic_conjugation(name, s):
+    C = FIXTURES[name]
+    W = fixtures.random_unitary_function(np.random.default_rng(900 + s), C.dim, 1)
+    A = W.translate(C.alpha) @ C.matrix @ W.adjoint()
+    assert _analyze_verdict(Cocycle(C.frequencies, A)) == _reference_verdict(name)
 
 
 @pytest.mark.parametrize("name", EXACT)
