@@ -2,10 +2,10 @@
 
 A cocycle whose some iterate has constant nonmaximal rank splits into a
 nilpotent block a and an invertible block d coupled by b. Domination of the
-invertible part is decidable by two independent computations: minimal rank of
-a high iterate, and zeros of det d. When they agree positively, the coupling
-can be conjugated away entirely and the growth gap is certified by singular
-value ratios of the iterates.
+invertible part is decided exactly from the roots of the polynomial det d: it
+holds when none lies on the unit circle. Then the coupling can be conjugated
+away entirely and the growth gap is certified by singular value ratios of the
+iterates.
 """
 
 import numpy as np
@@ -28,7 +28,10 @@ print("gap certificate (singular value ratio per iterate):")
 for n, ratio in sorted(out.gap_certificate.items()):
     print("  n=%d  %.3e" % (n, ratio))
 
-# the non-dominated twin: det d has a zero, and both criteria see it
+ev = is_dominated(S)["evidence"]
+print("d stays invertible on the strip |Im x| < %.4f" % ev["strip_width"])
+
+# the non-dominated twin: det d has a root on the unit circle, a zero on it
 Sn = split_infinite_part(fx.not_dominated_2x2())
 verdict = is_dominated(Sn)
 ev = verdict["evidence"]

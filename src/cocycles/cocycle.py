@@ -249,14 +249,14 @@ def _sweep_layout(C, M, s, steps):
     near _CHUNK_BYTES the arrays that path materialises: per block read off
     L_s its K_s = s(K-1)+1 scaled coefficients and two (d, d, batch)
     products, per block of multiplied steps s steps of K coefficients and
-    three (d, d, batch) arrays.  Grid steps come from one lattice FFT per
-    range, 16 d^2 batch bytes a step, in multiples of 16 steps (16 at 1,024
-    orbits and d >= 2); s shrinks to the largest divisor of that, so a
-    block never spans two ranges.
+    three (d, d, batch) arrays.  Grid steps come from one FFT per range,
+    16 d^2 bytes a step and point of _twist_lattice, in multiples of 16
+    steps (16 at 1,024 points and d >= 2); s shrinks to the largest divisor
+    of that, so a block never spans two ranges.
     """
     d, batch = C.dim, M ** C.base_dim
     if not C.is_exact:
-        step = 16 * max(1, _CHUNK_BYTES // (16 * 16 * batch * d * d))
+        step = 16 * max(1, _CHUNK_BYTES // (256 * _twist_lattice(C, M) ** C.base_dim * d * d))
         return max(b for b in range(1, s + 1) if step % b == 0), False, step
     K = len(C.matrix.c)
     N = _iterate_points(K, s)
@@ -300,26 +300,35 @@ def _sweep_blocks(C, M, bounds, s, reads):
         yield at(s, ts) if r == s else np.concatenate([at(s, ts[:-1]), at(r, ts[-1:])], axis=2)
 
 
+def _twist_lattice(C, M):
+    """The lattice a grid sweep twists on: the least multiple of M that gives
+    each grid frequency a bin of its own, M when M is at least the grid."""
+    return M * -(-max(C.matrix.grid_shape) // M)
+
+
 def _step_chunks(C, M, bounds):
     """Yield the step matrices A(x_b + t a) of grid samples on the M^l orbit
     lattice, the values resample_lattice gives, for each half-open step
     range in bounds, held batch-last, (d, d, T, batch): one twist of the
-    lattice spectrum and one inverse FFT per range, so a chunk depends on
-    its own range only."""
-    l = C.base_dim
-    # the DFT of the lattice values, value axes first in memory: the inverse
-    # FFT leaves each step batch-last
-    spec = lattice_coefficients(C.matrix, M) * M ** l
+    spectrum on _twist_lattice, one fold onto M and one inverse FFT per
+    range, so a chunk depends on its own range only."""
+    l, L = C.base_dim, _twist_lattice(C, M)
+    # the spectrum on the L lattice, scaled for the inverse FFT on M, value
+    # axes first in memory: the inverse FFT leaves each step batch-last
+    spec = lattice_coefficients(C.matrix, L) * M ** l
     spec = np.ascontiguousarray(np.moveaxis(spec, (-2, -1), (0, 1)))[:, :, None]
-    f = np.fft.fftfreq(M, 1.0 / M)
+    f = np.fft.fftfreq(L, 1.0 / L)
     for lo, end in bounds:
-        # the shift-theorem twists, (T, M, ..., M): one phase table per frequency
+        # the shift-theorem twists, (T, L, ..., L): one phase table per frequency
         twist = 1.0
         for j, a in enumerate(C.frequencies):
             e = np.exp(2j * np.pi * np.outer(np.arange(lo, end) * a % 1.0, f))
-            twist = twist * e.reshape((end - lo,) + (1,) * j + (M,) + (1,) * (l - 1 - j))
+            twist = twist * e.reshape((end - lo,) + (1,) * j + (L,) + (1,) * (l - 1 - j))
         mats = spec * twist
         for ax in range(2 + l, 2, -1):  # one axis at a time: two copies live, not three
+            if L > M:  # bin i holds a frequency congruent to i mod M
+                shape = mats.shape
+                mats = mats.reshape(shape[:ax] + (L // M, M) + shape[ax + 1:]).sum(axis=ax)
             mats = np.fft.ifft(mats, axis=ax)
         yield mats.reshape(mats.shape[:3] + (-1,))
 
@@ -617,8 +626,8 @@ class Structure:
 
     Tolerances are set here only: every decision read from the Structure
     (nilpotency certificate, rank profile, kernel and frame fields,
-    domination criteria, inversion bound) uses tol; with tol None the
-    certificate uses 1e-10 (nil_tol) and every rank decision 1e-9 (tol).
+    inversion bound) uses tol; with tol None the certificate uses 1e-10
+    (nil_tol) and every rank decision 1e-9 (tol).
     """
 
     def __init__(self, C, tol=None):

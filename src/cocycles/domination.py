@@ -4,8 +4,8 @@ When the rank profile stabilizes at 0 < k < d, the kernel of A_p is an
 invariant analytic subbundle carrying all the divergent directions.  In an
 adapted unitary frame the cocycle becomes [[a, b], [0, d]] with a nilpotent
 and d generically invertible; whether the coupling b can be conjugated away
-entirely is exactly the question of dominated splitting, decided here by two
-independent criteria that must agree.
+entirely is exactly the question of dominated splitting, decided here
+exactly, on the whole circle, from the roots of the exact polynomial det d.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .frames import field_grid
 from .matfun import MatrixFunction, hstack, poly_det, poly_from_samples, vstack
+from .trigpoly import log_integral, poly_roots
 
 
 @dataclass
@@ -98,46 +99,24 @@ def split_infinite_part(C):
 
 
 def is_dominated(S):
-    """Decide domination by the iterate-rank and block-determinant criteria.
-
-    Both quantities are compared against tol times their own geometric mean
-    over the grid, which makes the test scale covariant; the two verdicts
-    must agree and the minimizing sample is reported as evidence.  Both are
-    decided at unit scale, on the iterate L_n* of S.structure and on the
-    block d divided by its scale, so no power of the scale over- or
-    underflows; the evidence is reported in the units of A, inf or 0 where
-    those leave the float range.  tol is that of S.structure.
-    """
-    st = S.structure
-    k, p, d, tol = S.k, S.p, st.cocycle.dim, st.tol
-    nstar = max(p + 1, d - k)
-    F = st.iterate(nstar)
-    # a grid that resolves the iterate, grown only where it would alias S.d
-    Mg = max(field_grid(F.degree), 1 << (2 * S.d.degree).bit_length())
-    sk = np.linalg.svd(F.sample_grid(Mg), compute_uv=False)[:, k - 1]
-    gm_rank = float(np.exp(np.log(np.maximum(sk, 1e-300)).mean()))
-    rank_ok = bool(sk.min() > tol * gm_rank)
-    dets = np.abs(np.linalg.det((S.d / st.scale).sample_grid(Mg)))
-    gm_det = float(np.exp(np.log(np.maximum(dets, 1e-300)).mean()))
-    det_ok = bool(dets.min() > tol * gm_det)
-    if rank_ok != det_ok:
-        raise StructureViolation(
-            f"domination criteria disagree: rank says {rank_ok}, det says {det_ok}"
-        )
-    j = int(dets.argmin())
+    """Decide domination on the whole circle: d(x) must be invertible at
+    every x, so no root of f = det(d / scale), an exact TrigPoly z^kmin P(z)
+    in z = e^{2 pi i x}, may lie within its Wilkinson bound (poly_roots) of
+    |z| = 1.  The nearest root gives the minimizer (its angle), det_min
+    (|det d| there) and strip_width (|ln|rho|| / 2 pi, inf for constant
+    det d); det_scale is the Mahler measure of det d, its geometric mean.
+    Both are in the units of A, inf or 0 where those leave the float range."""
+    f = poly_det(S.d / S.structure.scale)  # split_infinite_part refuses f == 0
+    rho, err = poly_roots(f)
+    dist = np.abs(np.log(np.abs(rho)))
+    j = int(dist.argmin()) if rho.size else None
+    minimizer = 0.0 if j is None else float(np.angle(rho[j]) / (2 * np.pi)) % 1.0
     with np.errstate(over="ignore"):
-        sig = np.ldexp([sk.min(), gm_rank], st.exponent * nstar)
-        det = np.ldexp([dets.min(), gm_det], st.exponent * k)
-    evidence = {
-        "n_star": nstar,
-        "sigma_k_min": float(sig[0]),
-        "sigma_k_scale": float(sig[1]),
-        "det_min": float(det[0]),
-        "det_scale": float(det[1]),
-        "minimizer": j / Mg,
-        "minimizer_sample": j,
-    }
-    return {"dominated": rank_ok, "evidence": evidence}
+        det = np.ldexp([abs(f.eval(minimizer)), np.exp(log_integral(f))],
+                       S.structure.exponent * S.k)
+    evidence = {"det_min": float(det[0]), "det_scale": float(det[1]), "minimizer": minimizer,
+                "strip_width": float("inf") if j is None else float(dist[j] / (2 * np.pi))}
+    return {"dominated": bool((np.abs(np.abs(rho) - 1.0) > err).all()), "evidence": evidence}
 
 
 def dominated_splitting(S):

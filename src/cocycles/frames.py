@@ -31,7 +31,7 @@ from .trigpoly import default_grid_size
 
 def field_grid(degree):
     """At least 256 samples for data of the given degree: the default grid of
-    the field constructors and of the domination criteria."""
+    the field constructors."""
     return max(256, default_grid_size(degree))
 
 

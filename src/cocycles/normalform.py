@@ -33,6 +33,10 @@ from .frames import (
 )
 from .matfun import MatrixFunction, hstack, poly_from_samples
 
+# the largest unit-scale Jordan defect, unscaled as J has unit entries; a
+# larger one means the chains do not conjugate: a rank drops between samples
+JORDAN_DEFECT_MAX = 1e-6
+
 
 @dataclass
 class TriangularForm:
@@ -134,8 +138,9 @@ def jordan_form(C):
     Structure.fit settles on, so the conjugation defect (sampled on fit's
     verification grid) is A applied to the kernel ends, as small as the
     tops' distance from them.
-    Any rank drop of any iterate at any sample, or a chain matrix that is
-    singular at a verification sample, aborts with ConstantRankViolated.
+    Any rank drop of any iterate at any sample, a chain matrix that is
+    singular at a verification sample, or a unit-scale defect above
+    JORDAN_DEFECT_MAX aborts with ConstantRankViolated.
     C is a Cocycle or its Structure (Structure.of), whose tolerances,
     profile, verdict, iterates and flag (Structure.flag, checked against
     the profile before any top is fitted) the chains read.
@@ -201,6 +206,8 @@ def jordan_form(C):
         # the chains stop spanning where a rank drops between the rank samples
         raise ConstantRankViolated("the Jordan chains are singular at a sample") from None
     samples = np.linalg.svd(conj - jmat, compute_uv=False)[:, 0]
+    if samples.max() > JORDAN_DEFECT_MAX:
+        raise ConstantRankViolated(f"the Jordan chains conjugate to J only to {samples.max():.1e}")
     mfun = _in_units(unit, positions, st.exponent)
     sv = np.linalg.svd(mfun.sample_grid(Mv), compute_uv=False)
     cond_max = float((sv[:, 0] / sv[:, -1]).max())

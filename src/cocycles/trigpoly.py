@@ -6,8 +6,8 @@ Coefficients whose magnitude falls below a relative threshold are dropped,
 so the zero function is the empty coefficient map.  truncated is that rule;
 matfun.MatrixFunction, which holds a matrix function as one coefficient
 tensor, applies it to every entry, so TrigPoly is both the scalar type
-(log_integral, determinants) and the entrywise reference of the matrix
-algebra.
+(determinants, their roots and log_integral) and the entrywise reference
+of the matrix algebra.
 
 Grids live one level up: matfun.MatrixFunction.sample_grid samples by FFT
 and matfun.poly_from_samples turns grid samples back into polynomials.
@@ -28,7 +28,7 @@ _TWO_PI_I = 2j * np.pi
 DEGREE_CAP = 4096
 
 ON_CIRCLE_TOL = 1e-10     # log_integral: a root this close to |z| = 1 counts as on it
-ROOT_RESIDUAL_TOL = 1e-6  # log_integral: the largest relative residual of a root
+ROOT_RESIDUAL_TOL = 1e-6  # poly_roots: the largest relative residual of a root
 
 
 def real_divide(a, x):
@@ -234,6 +234,34 @@ def default_grid_size(degree):
     return 4 * (1 << (n - 1).bit_length())
 
 
+def poly_roots(f):
+    """The roots rho of P, for f(x) = z^kmin P(z) with z = e^{2 pi i x} and
+    f not zero, and Wilkinson's first-order bound on the error of each,
+    err = (|P(rho)| + TRUNCATION_RELATIVE sum |c_i| |rho|^i) / |P'(rho)|:
+    inf at a multiple root.  Companion-matrix roots, each polished by one
+    Newton step where it lowers the residual; a relative residual above
+    ROOT_RESIDUAL_TOL raises RootFindingError."""
+    p = f.c  # ascending powers of z, p[0] != 0, p[-1] != 0
+    if len(p) == 1:
+        return np.zeros(0, dtype=complex), np.zeros(0)
+    q, dq = p[::-1], (p[1:] * np.arange(1, len(p)))[::-1]  # descending, as polyval reads
+    roots = np.roots(q)
+    val, der = np.polyval(q, roots), np.polyval(dq, roots)
+    polished = np.where(der != 0, roots - val / np.where(der != 0, der, 1.0), roots)
+    roots = np.where(np.abs(np.polyval(q, polished)) <= np.abs(val), polished, roots)
+    res = np.abs(np.polyval(q, roots))
+    # residual sanity at scale ~ |f| near the root's circle
+    scale = np.abs(p).sum() * np.maximum(1.0, np.abs(roots)) ** (len(p) - 1)
+    worst = float((res / scale).max())
+    if not np.isfinite(worst) or worst > ROOT_RESIDUAL_TOL:
+        raise RootFindingError(
+            f"root residual {worst:.3e} exceeds {ROOT_RESIDUAL_TOL:.1e}", residual=worst
+        )
+    spread = TRUNCATION_RELATIVE * np.polyval(np.abs(q), np.abs(roots))
+    with np.errstate(divide="ignore"):
+        return roots, (res + spread) / np.abs(np.polyval(dq, roots))
+
+
 def log_integral(f):
     """Mean of ln|f| over the circle, computed exactly from the roots.
 
@@ -242,33 +270,10 @@ def log_integral(f):
     -inf exactly when f is the zero polynomial (an analytic f with
     integral -inf vanishes identically, so the dichotomy is sharp).
 
-    Roots come from the companion matrix with one Newton polish each;
-    roots within ON_CIRCLE_TOL of the unit circle contribute zero.
+    Roots come from poly_roots; roots within ON_CIRCLE_TOL of the unit
+    circle contribute zero.
     """
     if f.is_zero:
         return float("-inf")
-    p = f.c  # ascending powers of z, p[0] != 0, p[-1] != 0
-    if len(p) == 1:
-        return float(np.log(abs(p[0])))
-    roots = np.roots(p[::-1])
-    dp = p[1:] * np.arange(1, len(p))
-    # one Newton step per root; keep original when the step is degenerate
-    val = np.polyval(p[::-1], roots)
-    der = np.polyval(dp[::-1], roots)
-    ok = np.abs(der) > 0
-    polished = np.where(ok, roots - np.where(ok, val / np.where(ok, der, 1.0), 0.0), roots)
-    res_old = np.abs(val)
-    res_new = np.abs(np.polyval(p[::-1], polished))
-    roots = np.where(res_new <= res_old, polished, roots)
-    # residual sanity at scale ~ |f| near the root's circle
-    scale = np.abs(p).sum() * np.maximum(1.0, np.abs(roots)) ** (len(p) - 1)
-    rel = np.abs(np.polyval(p[::-1], roots)) / scale
-    worst = float(rel.max())
-    if not np.isfinite(worst) or worst > ROOT_RESIDUAL_TOL:
-        raise RootFindingError(
-            f"root residual {worst:.3e} exceeds {ROOT_RESIDUAL_TOL:.1e}", residual=worst
-        )
-    mags = np.abs(roots)
-    outside = mags > 1.0 + ON_CIRCLE_TOL
-    total = float(np.log(abs(p[-1])) + np.sum(np.log(mags[outside])))
-    return total
+    mags = np.abs(poly_roots(f)[0])
+    return float(np.log(abs(f.c[-1])) + np.sum(np.log(mags[mags > 1.0 + ON_CIRCLE_TOL])))

@@ -217,11 +217,8 @@ class TestStructurePass:
             fixtures.nilpotent_plus_invertible_3x3, "dominate",
             {"dominated": True, "k": 1, "p": 2, "split_residual": 0.0,
              "splitting_residual": 6.781200058775884e-16,
-             "evidence": {"det_min": 3.0000000000000004,
-                          "det_scale": 2.9999999999999996,
-                          "minimizer": 0.0, "minimizer_sample": 0, "n_star": 3,
-                          "sigma_k_min": 27.861072373084337,
-                          "sigma_k_scale": 29.270102723967792}}),
+             "evidence": {"det_min": 3.0, "det_scale": 3.0,
+                          "minimizer": 0.0, "strip_width": "inf"}}),
         "random_invertible_0_3": (
             lambda: fixtures.random_invertible(0, d=3), "lyapunov",
             {"note": "all exponents finite; spectrum only"}),
@@ -415,6 +412,22 @@ class TestWrappedCommands:
         # shifted by 1/512, the fixture's rank drops fall between the rank
         # samples, and its chain matrix is singular at a verification sample
         C = fixtures.nilpotent_3x3_variable_rank()
+        src = tmp_path / "shifted.json"
+        src.write_text(json.dumps(
+            Cocycle(C.frequencies, C.matrix.translate(1 / 512)).to_json_dict()))
+        assert main(["jordan", str(src), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ConstantRankViolated" in err
+        assert main(["analyze", str(src), "--out", str(tmp_path)]) == 0
+        rep = read_report(tmp_path, src.stem, "analyze")
+        assert rep["pipeline"] == "triangularize"
+        assert rep["result"]["jordan"]["error"] == "ConstantRankViolated"
+
+    def test_translated_rank2_fixture_gets_no_unchecked_jordan_form(self, tmp_path,
+                                                                      capsys):
+        # shifted by 1/512, the chains of the 4x4 fixture stay invertible at
+        # every verification sample but conjugate A to J only up to 1.0
+        C = fixtures.nilpotent_4x4_variable_rank2()
         src = tmp_path / "shifted.json"
         src.write_text(json.dumps(
             Cocycle(C.frequencies, C.matrix.translate(1 / 512)).to_json_dict()))

@@ -735,6 +735,37 @@ class TestStepChunks:
                 np.testing.assert_allclose(got[:, :, i], want.transpose(1, 2, 0),
                                            rtol=0, atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("M", [8, 32])
+    def test_grid_finer_than_the_lattice_matches_sample_at(self, M):
+        # frequencies 5 and -3 share a bin of the 8-point lattice but turn at
+        # different rates along the orbit
+        C = _frequencies_8_apart()
+        chunks = cocycle_module._step_chunks(C, M, self.BOUNDS)
+        for (lo, hi), got in zip(self.BOUNDS, chunks, strict=True):
+            x = (np.arange(M) / M + np.arange(lo, hi)[:, None] * GOLDEN_MEAN) % 1.0
+            want = C.matrix.sample_at(x.reshape(-1, 1)).reshape(hi - lo, M, 2, 2)
+            np.testing.assert_allclose(got, want.transpose(2, 3, 0, 1), rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_grid_finer_than_the_lattice_keeps_the_spectrum(self):
+        # triangular, so the exponents are the means of ln|diagonal|:
+        # ln((2 + sqrt 3)/2) for 2 + cos, 0 for z^5 + 0.3 z^-3
+        rep = lyapunov_spectrum(_frequencies_8_apart(), n=1000, M=8)
+        exact = [math.log((2 + math.sqrt(3)) / 2), 0.0]
+        for got, want, err in zip(rep.exponents, exact, rep.stderr, strict=True):
+            assert abs(got - want) < 3 * err
+
+
+def _frequencies_8_apart():
+    """A 16-point grid of [[e^{2 pi i 5x} + 0.3 e^{-2 pi i 3x}, 1],
+    [0, 2 + cos 2 pi x]] over the golden mean."""
+    z = np.exp(2j * np.pi * np.arange(16) / 16)
+    A = np.zeros((16, 2, 2), dtype=complex)
+    A[:, 0, 0] = z ** 5 + 0.3 * z ** -3
+    A[:, 0, 1] = 1.0
+    A[:, 1, 1] = 2.0 + z.real
+    return Cocycle((GOLDEN_MEAN,), GridMatrixFunction(A))
+
 
 def _sweep_inputs():
     rng = np.random.default_rng(8)

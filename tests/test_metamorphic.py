@@ -4,8 +4,9 @@ A constant unitary conjugation V A V*, the reflection (alpha, A(x)) to
 (-alpha, A(-x)) and a scaling A to cA describe the same dynamics: the rank
 profile, the nilpotency degree and the domination verdict stay identical,
 and every finite exponent, estimated or in closed form, stays put or moves
-by ln|c|.  An analytic unitary conjugation W(x + alpha) A(x) W(x)* does too,
-so `cocycles analyze` must end the same way and report the same verdicts.
+by ln|c|.  An analytic unitary conjugation W(x + alpha) A(x) W(x)* and a
+translation of the base x -> x + c do too, so `cocycles analyze` must end
+the same way and report the same verdicts.
 """
 
 import functools
@@ -100,6 +101,26 @@ def test_analytic_conjugation(name, s):
     C = FIXTURES[name]
     W = fixtures.random_unitary_function(np.random.default_rng(900 + s), C.dim, 1)
     A = W.translate(C.alpha) @ C.matrix @ W.adjoint()
+    assert _analyze_verdict(Cocycle(C.frequencies, A)) == _reference_verdict(name)
+
+
+# constant rank is still decided on rank samples: shifted off them, the two
+# points where these fixtures' ranks drop fall between samples, and the
+# chains they get conjugate A to a Jordan form that cannot exist
+_UNSAMPLED_RANK_DROP = pytest.mark.xfail(
+    strict=True, reason="constant rank is decided on samples, so a rank drop "
+                        "between them yields a Jordan form")
+_TRANSLATION_XFAILS = {(name, c) for name in ("nilpotent_3x3_variable_rank",
+                                              "nilpotent_4x4_variable_rank2")
+                       for c in (0.1234567, 0.3)}
+
+
+@pytest.mark.parametrize("name, c", [
+    pytest.param(name, c, marks=_UNSAMPLED_RANK_DROP if (name, c) in _TRANSLATION_XFAILS else ())
+    for name in EXACT for c in (1 / 512, 0.1234567, 0.3)])
+def test_translation(name, c):
+    C = FIXTURES[name]
+    A = C.matrix.translate(c)
     assert _analyze_verdict(Cocycle(C.frequencies, A)) == _reference_verdict(name)
 
 
