@@ -687,8 +687,9 @@ class Structure:
         or the split blocks): the one resolution rule of every fitted form.
         Mg is the first of the rank grid of deg (at least 64 samples), twice
         that, ... up to 8 field_grid where build raises no TailTooFat (kernel
-        bundles and couplings can decay slowly); Mv = 2 max(Mg, field_grid),
-        as dense as a fit on field_grid gave."""
+        bundles and couplings can decay slowly; all but the Jordan tops fit
+        at poly_from_samples' default tail); Mv = 2 max(Mg, field_grid), as
+        dense as a fit on field_grid gave."""
         base, last = rank_grid(deg), 8 * field_grid(deg)
         for Mg in [base << i for i in range((last // base).bit_length())]:
             try:
@@ -706,10 +707,10 @@ class Structure:
         Block j of U spans the part of ker L_{ns[j-1]} orthogonal to the
         kernel before it, the last block the rest (all of it with no ns).
         The flag (self.flag) and the block sizes are checked before any fit;
-        each block is the parallel-transport gauge of phase_align (1e-9
-        tail) on the grid fit settles on.  B is formed at unit scale, where
-        its products stay in the float range, and read back in the units of
-        A (exact: the scale is a power of two).
+        each block is the parallel-transport gauge of phase_align, fitted
+        at poly_from_samples' default tail on the grid fit settles on.  B
+        is formed at unit scale, where its products stay in the float range,
+        and read back in the units of A (exact: the scale is a power of two).
         """
         d = self.cocycle.dim
 
@@ -723,7 +724,7 @@ class Structure:
             sizes = tuple(S.k for S in fields)
             if sum(sizes) != d:
                 raise StructureViolation(f"block sizes {sizes} do not fill dimension {d}")
-            blocks = [poly_from_samples(phase_align(S).frames, tol=1e-9) for S in fields]
+            blocks = [poly_from_samples(phase_align(S).frames) for S in fields]
             return hstack(blocks), sizes
 
         (U, sizes), Mv = self.fit(self.cocycle.matrix.degree * max(ns, default=1), build)

@@ -107,12 +107,12 @@ def is_dominated(S):
     det d); det_scale is the Mahler measure of det d, its geometric mean.
     Both are in the units of A, inf or 0 where those leave the float range."""
     f = poly_det(S.d / S.structure.scale)  # split_infinite_part refuses f == 0
-    rho, err = poly_roots(f)
+    roots = rho, err = poly_roots(f)
     dist = np.abs(np.log(np.abs(rho)))
     j = int(dist.argmin()) if rho.size else None
     minimizer = 0.0 if j is None else float(np.angle(rho[j]) / (2 * np.pi)) % 1.0
     with np.errstate(over="ignore"):
-        det = np.ldexp([abs(f.eval(minimizer)), np.exp(log_integral(f))],
+        det = np.ldexp([abs(f.eval(minimizer)), np.exp(log_integral(f, roots))],
                        S.structure.exponent * S.k)
     evidence = {"det_min": float(det[0]), "det_scale": float(det[1]), "minimizer": minimizer,
                 "strip_width": float("inf") if j is None else float(dist[j] / (2 * np.pi))}
@@ -127,7 +127,7 @@ def dominated_splitting(S):
     shifted point, solves a(x) M(x) + b(x) = M(x+alpha) d(x) up to a times
     its p-th term, which nilpotency of degree p kills; the residual, read
     on the verification grid of Structure.fit (the one loop M is fitted
-    through, 1e-12 tail, for the blocks' degree), measures both.  Then
+    through at the default tail, for the blocks' degree), measures both.  Then
     [[I, M], [0, I]] block-diagonalizes the split form once is_dominated(S)
     holds; it is decided here, once, and a NotDominated raised otherwise
     carries the evidence.  M and the gap ratios are computed on the blocks
@@ -154,7 +154,7 @@ def dominated_splitting(S):
             if cond > 1.0 / st.tol:
                 raise InversionBlowup(f"finite block condition number {cond:.3e} exceeds 1/tol")
             msum = (bn + an @ msum) @ np.linalg.inv(dn)
-        return poly_from_samples(msum, tol=1e-12)
+        return poly_from_samples(msum)
 
     mfun, Mv = st.fit(max(a.degree, b.degree, d.degree), build)
     off = (a.sample_grid(Mv) @ mfun.sample_grid(Mv) + b.sample_grid(Mv)

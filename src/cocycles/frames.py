@@ -174,9 +174,7 @@ def _svd_rank_split(samples, tol):
 
 def kernel_field(F, M=None, tol=1e-9):
     """Field of right null spaces of F, at the generic (maximal-rank) dimension."""
-    if M is None:
-        M = field_grid(F.degree)
-    samples = F.sample_grid(M)
+    samples = F.sample_grid(field_grid(F.degree) if M is None else M)
     return kernel_field_from_samples(samples, F.degree, tol)
 
 
@@ -193,8 +191,7 @@ def kernel_field_from_samples(samples, degree, tol=1e-9):
 
 def range_field(F, M=None, tol=1e-9):
     """Field of column spans of F, at the generic dimension."""
-    if M is None:
-        M = field_grid(F.degree)
+    M = field_grid(F.degree) if M is None else M
     u, _, r, exc = _svd_rank_split(F.sample_grid(M), tol)
     return _filled(u[:, :, :r], exc, cont_budget_default(F.degree, M, max(r, 1)))
 
@@ -227,8 +224,7 @@ def orthocomplement(S):
 
 def preimage_field(F, S, M=None, tol=1e-9):
     """Field of preimages F(x)^{-1} S(x), via the complement of ran(F* S-perp)."""
-    if M is None:
-        M = S.M
+    M = S.M if M is None else M
     if M != S.M:
         raise ValueError("grid size must match the field")
     fsamp = F.sample_grid(M)
@@ -324,11 +320,11 @@ def phase_align(S):
                          theta_total)
 
 
-def to_analytic_frame(S, N=None, tol=1e-8):
-    """Trigonometric-polynomial frame from an aligned, closed field."""
+def to_analytic_frame(S, N=None):
+    """Polynomial frame of an aligned, closed field, at poly_from_samples' default tail."""
     if S.closure_residual is None:
         raise ValueError("field must be phase_aligned before extracting a frame")
     if S.cont_budget is not None and S.closure_residual > S.cont_budget:
         raise ValueError("field does not close; no analytic frame exists")
-    return poly_from_samples(S.frames, N, tol)
+    return poly_from_samples(S.frames, N)
 

@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from .errors import AliasingRisk, TailTooFat
-from .trigpoly import TrigPoly, default_grid_size, real_divide, truncated
+from .trigpoly import TRUNCATION_RELATIVE, TrigPoly, default_grid_size, real_divide, truncated
 
 _TWO_PI_I = 2j * np.pi
 
@@ -240,12 +240,14 @@ def vstack(mats):
     return MatrixFunction.from_coeffs(kmin, np.concatenate(cs, axis=1))
 
 
-def poly_from_samples(vals, N=None, tol=1e-7):
+def poly_from_samples(vals, N=None, tol=TRUNCATION_RELATIVE):
     """MatrixFunction of degree <= N from samples (M, rows, cols) at x_j = j/M.
 
     N defaults to M/4.  Coefficients outside [-N, N], and those below 1e-14
     of the largest one (so degrees stay honest at the noise floor), are
     dropped; TailTooFat is raised when their relative l2 mass exceeds tol.
+    tol defaults to TRUNCATION_RELATIVE, where the exact algebra truncates
+    its own products, so a fit is accepted only as exact as they are.
     Raises AliasingRisk when N >= M/2.
     """
     vals = np.asarray(vals)
@@ -255,8 +257,7 @@ def poly_from_samples(vals, N=None, tol=1e-7):
         raise AliasingRisk(f"degree N={N} not recoverable from M={M} samples (need N < M/2)")
     co = np.fft.fft(vals, axis=0) / M
     band = np.arange(-N, N + 1) % M
-    inband = np.zeros(M, dtype=bool)
-    inband[band] = True
+    inband = np.abs(np.fft.fftfreq(M, 1.0 / M)) <= N
     amp = np.abs(co)
     keep = inband[:, None, None] & (amp > 1e-14 * amp.max())
     total = float((amp ** 2).sum())

@@ -137,7 +137,8 @@ def jordan_form(C):
     longest first.  Only the tops are fitted from samples, on the grid
     Structure.fit settles on, so the conjugation defect (sampled on fit's
     verification grid) is A applied to the kernel ends, as small as the
-    tops' distance from them.
+    tops' distance from them.  The tops alone keep a 1e-7 tail: a tighter
+    one widens their grid onto near-degenerate samples, raising the defect.
     Any rank drop of any iterate at any sample, a chain matrix that is
     singular at a verification sample, or a unit-scale defect above
     JORDAN_DEFECT_MAX aborts with ConstantRankViolated.
@@ -188,7 +189,8 @@ def jordan_form(C):
                     f"forces {lengths.count(L)}"
                 )
             if born.k:
-                tops = poly_from_samples(phase_align(born).frames)
+                # the tops' own looser tail keeps their grid coarse (docstring)
+                tops = poly_from_samples(phase_align(born).frames, tol=1e-7)
                 front = tops if front is None else hstack([front, tops])
             fronts.append(front)
         return fronts[::-1]

@@ -262,7 +262,7 @@ def poly_roots(f):
         return roots, (res + spread) / np.abs(np.polyval(dq, roots))
 
 
-def log_integral(f):
+def log_integral(f, roots=None):
     """Mean of ln|f| over the circle, computed exactly from the roots.
 
     Writing f(x) = z^kmin P(z) with z = e^{2 pi i x}, the integral equals
@@ -270,10 +270,10 @@ def log_integral(f):
     -inf exactly when f is the zero polynomial (an analytic f with
     integral -inf vanishes identically, so the dichotomy is sharp).
 
-    Roots come from poly_roots; roots within ON_CIRCLE_TOL of the unit
-    circle contribute zero.
+    Roots come from poly_roots, or roots may pass the pair a caller already
+    has from it; roots within ON_CIRCLE_TOL of the unit circle contribute zero.
     """
     if f.is_zero:
         return float("-inf")
-    mags = np.abs(poly_roots(f)[0])
+    mags = np.abs((poly_roots(f) if roots is None else roots)[0])
     return float(np.log(abs(f.c[-1])) + np.sum(np.log(mags[mags > 1.0 + ON_CIRCLE_TOL])))

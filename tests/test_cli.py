@@ -17,8 +17,10 @@ from cocycles import domination
 from cocycles import fixtures
 from cocycles.cli import main
 from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure
+from cocycles.errors import CocycleError
 from cocycles.matfun import MatrixFunction
 from cocycles.normalform import perturb_simple, triangularize
+from cocycles.trigpoly import TrigPoly
 
 
 @pytest.fixture(scope="module")
@@ -422,6 +424,26 @@ class TestWrappedCommands:
         rep = read_report(tmp_path, src.stem, "analyze")
         assert rep["pipeline"] == "triangularize"
         assert rep["result"]["jordan"]["error"] == "ConstantRankViolated"
+
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_quartic_kernel_zero_gets_no_unchecked_triangular_form(self, s, tmp_path,
+                                                                   capsys):
+        # [[0, f, sin], [0, 0, f], [0, 0, 0]] with f = (1 - cos 2 pi x)^2,
+        # conjugated by a degree-1 unitary: the kernel flag meets a 4th-order
+        # zero of f, where no grid fits the frames to the default tail, so no
+        # triangular form may be reported (a looser tail gave residuals near
+        # 1e-6 with exit 0)
+        f = (1.0 - TrigPoly.cosine()) * (1.0 - TrigPoly.cosine())
+        z = TrigPoly.zero()
+        A = MatrixFunction([[z, f, TrigPoly.sine()], [z, z, f], [z, z, z]])
+        W = fixtures.random_unitary_function(np.random.default_rng(900 + s), 3, 1)
+        C = Cocycle((GOLDEN_MEAN,), W.translate(GOLDEN_MEAN) @ A @ W.adjoint())
+        with pytest.raises(CocycleError):
+            triangularize(C)
+        src = tmp_path / "quartic.json"
+        src.write_text(json.dumps(C.to_json_dict()))
+        assert main(["triangularize", str(src), "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_translated_rank2_fixture_gets_no_unchecked_jordan_form(self, tmp_path,
                                                                       capsys):

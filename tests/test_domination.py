@@ -5,6 +5,7 @@ import pytest
 
 from cocycles import cocycle as cocycle_module
 from cocycles import domination as domination_module
+from cocycles import trigpoly as trigpoly_module
 from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure, iterate
 from cocycles.domination import dominated_splitting, is_dominated, split_infinite_part
 from cocycles.errors import (
@@ -156,6 +157,21 @@ class TestIsDominated:
     def test_nilpotent_plus_invertible(self):
         S = split_infinite_part(nilpotent_plus_invertible_3x3())
         assert is_dominated(S)["dominated"] is True
+
+    def test_roots_of_det_d_are_found_once(self, monkeypatch):
+        # det_scale's log_integral takes the roots the verdict was read from
+        S = split_infinite_part(dominated_2x2())
+        calls = []
+        real = trigpoly_module.poly_roots
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(domination_module, "poly_roots", counting)
+        monkeypatch.setattr(trigpoly_module, "poly_roots", counting)
+        is_dominated(S)
+        assert len(calls) == 1
 
 
 def rough_kernel_split(K, k):

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from cocycles import cli, fixtures
 from cocycles.cocycle import Cocycle, Structure, exact_L1_rank_one, lyapunov_spectrum
-from cocycles.domination import is_dominated, split_infinite_part
+from cocycles.domination import dominated_splitting, is_dominated, split_infinite_part
 from cocycles.matfun import MatrixFunction
+from cocycles.normalform import triangularize
 
 FIXTURES = {name: C for name, C in cli._fixture_set(42).items() if C.is_exact}
 EXACT = sorted(FIXTURES)
@@ -137,3 +138,23 @@ def test_reflection(name):
 def test_scaling(name, c):
     C = FIXTURES[name]
     _check(name, Cocycle(C.frequencies, C.matrix * c), math.log(c))
+
+
+def _form_residuals(c):
+    """The triangular residual of random_nilpotent(0) and the splitting
+    residual of dominated_2x2, both scaled by c."""
+    N, D = fixtures.random_nilpotent(0), fixtures.dominated_2x2()
+    T = triangularize(Cocycle(N.frequencies, N.matrix * c))
+    S = dominated_splitting(split_infinite_part(Cocycle(D.frequencies, D.matrix * c)))
+    return T.residual, S.residual
+
+
+# a power-of-two scaling leaves Structure.unit, which both forms are built
+# from, bit-identical, so a unit-scale residual could not move; the
+# triangular residual reads B's samples in the units of A and the splitting
+# residual multiplies by 2^e, so at c = 2^30 they read 7.5e-5 and 1.3e-3
+# (7.0e-14 and 1.2e-12 at c = 1), which a 1e-8 gate calls wrong forms
+@pytest.mark.xfail(strict=True, reason="the triangular and splitting residuals "
+                                       "are read in the units of A")
+def test_residuals_do_not_depend_on_units():
+    assert _form_residuals(2.0 ** 30) == pytest.approx(_form_residuals(1.0), rel=1e-6)

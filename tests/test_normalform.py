@@ -33,6 +33,8 @@ from cocycles.fixtures import (
     nilpotent_plus_invertible_3x3,
     random_constant_rank_jordan,
     random_nilpotent,
+    random_strictly_upper,
+    random_unitary_function,
     twofrequency_rank_one,
 )
 from cocycles.matfun import MatrixFunction
@@ -103,6 +105,28 @@ class TestTriangularize:
     def test_two_frequency_base_unsupported(self):
         with pytest.raises(UnsupportedBase):
             triangularize(twofrequency_rank_one())
+
+
+def _mix(s):
+    """A strictly upper degree-1 b conjugated by a product of two analytic
+    unitaries, of degrees 1 and 2: W(x + alpha) b(x) W(x)*."""
+    rng = np.random.default_rng(500 + s)
+    d = int(rng.integers(3, 5))
+    w = random_unitary_function(rng, d, 1) @ random_unitary_function(rng, d, 2)
+    b = random_strictly_upper(rng, d, degree=1, scale=1.0)
+    return Cocycle((GOLDEN_MEAN,), w.translate(GOLDEN_MEAN) @ b @ w.adjoint())
+
+
+class TestTriangularResidualAtTheTruncationLevel:
+    # the kernel-flag frames are accepted at the Fourier tail at which the
+    # exact algebra truncates (1e-12), so the residual stays at rounding
+    # level on inputs whose frames a looser tail cuts at the band edge
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: random_constant_rank_jordan(20)[0], id="jordan-20"),
+        *(pytest.param(lambda s=s: _mix(s), id=f"mix-{s}") for s in (13, 37, 45, 46, 56)),
+    ])
+    def test_residual_below_1e_11(self, make):
+        assert triangularize(make()).residual < 1e-11
 
 
 def _spy_kernels(monkeypatch):
