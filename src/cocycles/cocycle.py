@@ -215,20 +215,60 @@ def _orbit_phases(freqs, ts, a):
 
 
 def _iterate_coeffs(A, a, N, lengths):
-    """r -> the coefficients (K_r, d, d) of L_r = A(x+(r-1)a)···A(x) from
-    frequency r kmin on, for r > 0 in lengths: the running product of
-    A(x + t a) sampled on N > r(K-1) points, one inverse FFT per factor and
-    one FFT per L_r, where MatrixFunction products convolve K_r K terms."""
-    K, freqs = len(A.c), A.kmin + np.arange(len(A.c))
-    out, prod = {}, np.eye(A.rows)[:, :, None]
-    for t, phase in enumerate(_orbit_phases(freqs, np.arange(max(lengths)), a).T, 1):
-        spec = np.zeros(A.shape + (N,), dtype=complex)
-        spec[..., freqs % N] = np.moveaxis(A.c, 0, -1) * phase
-        prod = _mul_last(np.fft.ifft(spec, norm="forward"), prod)
-        if t in lengths:
-            kt = t * A.kmin + np.arange(t * (K - 1) + 1)
-            out[t] = np.moveaxis(np.fft.fft(prod, norm="forward")[..., kt % N], -1, 0)
+    """r -> (kmin_r, coefficients (K_r, d, d)) of L_r = A(x+(r-1)a)···A(x)
+    for r > 0 in lengths, built by doubling on N > r(K-1) points:
+    L_r(x) = L_{r-h}(x + h a) L_h(x) with h = r // 2, so log2 r to
+    2 log2 r lengths are built, each from the inverse FFTs of the spectrum
+    of L_h and of that of L_{r-h} twisted by h a, one product and one FFT.
+    A spectrum is kept only while a longer length still reads it.  Each L_r
+    returned is cut at both ends where the largest entry of a frequency is
+    below eps times its largest coefficient, the build's own rounding."""
+    K, need = len(A.c), _doubling_lengths(lengths)
+    # length -> the longest length read off it
+    last = {q: r for r in sorted(need) if r > 1 for q in (r // 2, r - r // 2)}
+    specs, out = {1: np.zeros(A.shape + (N,), dtype=complex)}, {}
+    specs[1][..., (A.kmin + np.arange(K)) % N] = np.moveaxis(A.c, 0, -1)
+    for r in sorted(need):
+        if r > 1:
+            h, lo = r // 2, (r - r // 2) * A.kmin
+            # bin j holds frequency lo + ((j - lo) mod N) of the left factor
+            twist = _orbit_phases(lo + (np.arange(N) - lo) % N, np.array([h]), a)[:, 0]
+            left, right = specs[r - h] * twist, specs[h]
+            for q in {h, r - h}:
+                if last[q] == r:  # no longer length reads it
+                    del specs[q]
+            right = np.fft.ifft(right, norm="forward")
+            np.fft.ifft(left, norm="forward", out=left)
+            # the product overwrites the left factor's samples row by row, as
+            # row i of it reads row i of them only: two (d, d, N) arrays live
+            for row in left:
+                acc = row[0] * right[0]
+                for f, g in zip(row[1:], right[1:]):
+                    acc += f * g
+                row[:] = acc
+            del right
+            specs[r] = np.fft.fft(left, norm="forward", out=left)
+        if r in lengths:
+            kr = r * A.kmin + np.arange(r * (K - 1) + 1)
+            big = np.abs(specs[r][..., kr % N]).max(axis=(0, 1))
+            keep = np.nonzero(big >= np.finfo(float).eps * big.max())[0]
+            kr = kr[keep[0]:keep[-1] + 1]
+            out[r] = kr[0], np.moveaxis(specs[r][..., kr % N], -1, 0)
+        if r not in last:
+            del specs[r]
     return out
+
+
+def _doubling_lengths(lengths):
+    """The lengths the doubling of the positive lengths passes: r, and for
+    r > 1 those of r // 2 and r - r // 2."""
+    need, todo = set(), [r for r in lengths if r > 0]
+    while todo:
+        r = todo.pop()
+        if r not in need:
+            need.add(r)
+            todo += [r // 2, r - r // 2] if r > 1 else []
+    return need
 
 
 def _iterate_points(K, s):
@@ -243,9 +283,16 @@ def _sweep_layout(C, M, s, steps):
     blocks of s.
 
     Exact input reads its blocks off the iterate L_s (reads) when building
-    L_s (_iterate_coeffs), s N d^2 (log2 N + d) flops, costs less than the
-    d^3 a step and orbit of the block products it replaces; at s = 1,
-    L_1 = A needs no build.  A range holds whole blocks, as many as keep
+    L_s by doubling (_iterate_coeffs) costs fewer flops than the reads
+    save.  Each length the doubling passes is charged for its FFTs and its
+    product on N points, N d^2 (2 log2 N + d), plus 2^14 for its array ops,
+    a fixed cost calibrated on a 2-core x86 host that keeps 1 x 1 input and
+    most warmups multiplying steps.  A block read evaluates at
+    most the K_s = s(K-1)+1 coefficients of L_s where s multiplied steps
+    evaluate sK and take s - 1 products, so a step and orbit saves about
+    d^2 (d + 1 - 1/s); at s = 1, L_1 = A needs no build.  Degree-64 input
+    keeps multiplying: building its L_s on thousands of points outweighs
+    that saving.  A range holds whole blocks, as many as keep
     near _CHUNK_BYTES the arrays that path materialises: per block read off
     L_s its K_s = s(K-1)+1 scaled coefficients and two (d, d, batch)
     products, per block of multiplied steps s steps of K coefficients and
@@ -260,7 +307,8 @@ def _sweep_layout(C, M, s, steps):
         return max(b for b in range(1, s + 1) if step % b == 0), False, step
     K = len(C.matrix.c)
     N = _iterate_points(K, s)
-    reads = s == 1 or s * N * d * d * (math.log2(N) + d) < steps * M * d ** 3
+    build = (len(_doubling_lengths({s})) - 1) * (N * d * d * (2 * math.log2(N) + d) + 2 ** 14)
+    reads = s == 1 or build < steps * M * d * d * (d + 1 - 1 / s)
     block = 16 * d * d * ((s * (K - 1) + 1 + 2 * batch) if reads else (K + 3 * batch) * s)
     return s, reads, s * max(1, _CHUNK_BYTES // block)
 
@@ -270,25 +318,29 @@ def _sweep_blocks(C, M, bounds, s, reads):
     (d, d, blocks, batch), for each step range of bounds: the ordered
     products of s consecutive steps, the last block short when s does not
     divide the range.  With reads (_sweep_layout) the product of s steps
-    from t is L_s(x_b + t a), read off L_s (built once by _iterate_coeffs)
-    as a step is off A; else, and for grid samples, steps multiply."""
+    from t is L_s(x_b + t a), read off L_s as a step is off A: L_s and the
+    L_r of the short last blocks are built once by doubling
+    (_iterate_coeffs), each cut to its coefficients above rounding and read
+    from its own lowest frequency.  Else, and for grid samples, steps
+    multiply."""
     if not C.is_exact:
         steps = _step_chunks(C, M, bounds)
         for _ in bounds:  # no step matrices held here while the next range is built
             yield _block_products_last(next(steps), s)
         return
     A, a = C.matrix, C.alpha
-    iters, starts = {1: A.c}, {}  # r -> coefficients of L_r
+    iters, starts = {1: (A.kmin, A.c)}, {}  # r -> lowest frequency and coefficients of L_r
     if reads and s > 1:
         lengths = {s} | {(h - l) % s for l, h in bounds}
         iters = _iterate_coeffs(A, a, _iterate_points(len(A.c), s), lengths) | iters
 
     def at(r, ts):  # L_r at x_b + t a, (d, d, T, batch)
-        freqs = r * A.kmin + np.arange(len(iters[r]))
+        kmin, coeffs = iters[r]
+        freqs = kmin + np.arange(len(coeffs))
         if r not in starts:  # x_b = b / M
             starts[r] = _orbit_phases(freqs, np.arange(M), 1.0 / M)
         # the step phases scale d^2 coefficients a frequency, not batch start phases
-        steps = iters[r][..., None] * _orbit_phases(freqs, ts, a)[:, None, None, :]
+        steps = coeffs[..., None] * _orbit_phases(freqs, ts, a)[:, None, None, :]
         return np.tensordot(steps, starts[r], axes=(0, 0))
 
     for lo, end in bounds:

@@ -212,7 +212,10 @@ def jordan_form(C):
         raise ConstantRankViolated(f"the Jordan chains conjugate to J only to {samples.max():.1e}")
     mfun = _in_units(unit, positions, st.exponent)
     sv = np.linalg.svd(mfun.sample_grid(Mv), compute_uv=False)
-    cond_max = float((sv[:, 0] / sv[:, -1]).max())
+    # a chain matrix whose singular values span more than the float range
+    # has a smallest one of zero or a ratio past the largest float: inf
+    with np.errstate(divide="ignore", over="ignore"):
+        cond_max = float((sv[:, 0] / sv[:, -1]).max())
     return JordanForm(mfun, jmat, lengths, cond_max, samples)
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import types
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -386,6 +387,20 @@ class TestWrappedCommands:
         m = MatrixFunction.from_json_dict(rep["jordan"]["M"]).eval_mat(0.0)
         jmat = np.asarray(rep["jordan"]["J"]["re"])
         np.testing.assert_allclose(a @ m, m @ jmat, rtol=0, atol=1e-12)
+
+    def test_jordan_condition_past_the_float_range_is_inf(self, tmp_path, capsys):
+        # random_constant_rank_jordan(0) in units of 2^30: a chain matrix
+        # whose least singular value underflows to zero at a sample
+        C = fixtures.random_constant_rank_jordan(0)[0]
+        src = tmp_path / "big.json"
+        src.write_text(json.dumps(
+            Cocycle(C.frequencies, C.matrix * 2.0 ** 30).to_json_dict()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["jordan", str(src), "--out", str(tmp_path)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        assert read_report(tmp_path, "big", "jordan")["jordan"]["cond_max"] == "inf"
 
     @pytest.mark.parametrize("cmd, section, build", [
         ("triangularize", "triangular",

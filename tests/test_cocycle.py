@@ -811,6 +811,40 @@ class TestSweepBlocks:
             np.testing.assert_allclose(prods, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
 
+    @staticmethod
+    def l32(monkeypatch):
+        """L_32 of random_invertible(3, d=3) from _iterate_coeffs, with the
+        number of inverse FFTs the build made."""
+        A = fx.random_invertible(3, d=3).matrix
+        calls = []
+        ifft = np.fft.ifft
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(cocycle_module.np.fft, "ifft", spy)
+        N = cocycle_module._iterate_points(len(A.c), 32)
+        return A, cocycle_module._iterate_coeffs(A, GOLDEN_MEAN, N, {32}), len(calls)
+
+    def test_doubling_makes_few_inverse_ffts(self, monkeypatch):
+        # L_32 = L_16(x + 16a) L_16(x), and so on down to A: two inverse
+        # FFTs for each of the five doubled lengths, where one per step
+        # makes 32
+        _, _, calls = self.l32(monkeypatch)
+        assert calls <= 10
+
+    def test_iterate_is_cut_to_its_coefficients_above_rounding(self, monkeypatch):
+        # analytic decay leaves the outer frequencies of L_32 at the build's
+        # rounding; they are dropped, and the rest starts from its own kmin
+        A, built, _ = self.l32(monkeypatch)
+        kmin, coeffs = built[32]
+        nominal = 32 * (len(A.c) - 1) + 1
+        assert len(coeffs) < nominal
+        assert 32 * A.kmin <= kmin and kmin + len(coeffs) <= 32 * A.kmin + nominal
+        big = np.abs(coeffs).max(axis=(1, 2))
+        assert min(big[0], big[-1]) >= np.finfo(float).eps * big.max()
+
     def test_low_degree_multiplies_no_steps(self, monkeypatch):
         built = []
         iterate_coeffs = cocycle_module._iterate_coeffs

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,6 +262,18 @@ class TestJordanForm:
         assert np.array_equal(J.J, jmat)
         assert J.residual < 1e-8
         assert np.isfinite(J.cond_max)
+
+    def test_condition_past_the_float_range_is_inf_without_a_warning(self):
+        # in units of 2^30 the chain columns of a length-4 chain span 2^90,
+        # so the least singular value of the chain matrix underflows to zero
+        C, jmat, chains = random_constant_rank_jordan(0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            J = jordan_form(Cocycle(C.frequencies, C.matrix * 2.0 ** 30))
+        assert [str(w.message) for w in caught] == []
+        assert J.chains == tuple(chains)
+        assert np.array_equal(J.J, jmat)
+        assert J.cond_max == math.inf
 
     # random_nilpotent(24) widens the grid once
     @pytest.mark.parametrize("make", [
