@@ -233,21 +233,13 @@ def _iterate_coeffs(A, a, N, lengths):
             h, lo = r // 2, (r - r // 2) * A.kmin
             # bin j holds frequency lo + ((j - lo) mod N) of the left factor
             twist = _orbit_phases(lo + (np.arange(N) - lo) % N, np.array([h]), a)[:, 0]
-            left, right = specs[r - h] * twist, specs[h]
+            left = np.fft.ifft(specs[r - h] * twist, norm="forward")
+            right = np.fft.ifft(specs[h], norm="forward")
             for q in {h, r - h}:
                 if last[q] == r:  # no longer length reads it
                     del specs[q]
-            right = np.fft.ifft(right, norm="forward")
-            np.fft.ifft(left, norm="forward", out=left)
-            # the product overwrites the left factor's samples row by row, as
-            # row i of it reads row i of them only: two (d, d, N) arrays live
-            for row in left:
-                acc = row[0] * right[0]
-                for f, g in zip(row[1:], right[1:]):
-                    acc += f * g
-                row[:] = acc
-            del right
-            specs[r] = np.fft.fft(left, norm="forward", out=left)
+            specs[r] = np.fft.fft(_mul_last(left, right), norm="forward")
+            del left, right
         if r in lengths:
             kr = r * A.kmin + np.arange(r * (K - 1) + 1)
             big = np.abs(specs[r][..., kr % N]).max(axis=(0, 1))
@@ -277,29 +269,34 @@ def _iterate_points(K, s):
     return 1 << (s * (K - 1)).bit_length()
 
 
-def _sweep_layout(C, M, s, steps):
+def _sweep_layout(C, M, s, *spans):
     """(s, reads, step): the block length, the block path and the orbit
-    steps per range of a sweep over `steps` steps whose conditioning allows
-    blocks of s.
+    steps per range of a sweep over consecutive spans of steps, each cut
+    into ranges from its start, whose conditioning allows blocks of s.
 
     Exact input reads its blocks off the iterate L_s (reads) when building
-    L_s by doubling (_iterate_coeffs) costs fewer flops than the reads
-    save.  Each length the doubling passes is charged for its FFTs and its
-    product on N points, N d^2 (2 log2 N + d), plus 2^14 for its array ops,
-    a fixed cost calibrated on a 2-core x86 host that keeps 1 x 1 input and
-    most warmups multiplying steps.  A block read evaluates at
-    most the K_s = s(K-1)+1 coefficients of L_s where s multiplied steps
-    evaluate sK and take s - 1 products, so a step and orbit saves about
-    d^2 (d + 1 - 1/s); at s = 1, L_1 = A needs no build.  Degree-64 input
-    keeps multiplying: building its L_s on thousands of points outweighs
-    that saving.  A range holds whole blocks, as many as keep
-    near _CHUNK_BYTES the arrays that path materialises: per block read off
-    L_s its K_s = s(K-1)+1 scaled coefficients and two (d, d, batch)
-    products, per block of multiplied steps s steps of K coefficients and
-    three (d, d, batch) arrays.  Grid steps come from one FFT per range,
-    16 d^2 bytes a step and point of _twist_lattice, in multiples of 16
-    steps (16 at 1,024 points and d >= 2); s shrinks to the largest divisor
-    of that, so a block never spans two ranges.
+    L_s, and the L_r of each span's short last block, by doubling
+    (_iterate_coeffs) costs fewer flops than the reads save.  Each length
+    the doubling passes is charged for its FFTs and its product on N
+    points, N d^2 (2 log2 N + d), plus 2^13 for its array ops.  Timings of
+    the block path both ways on a 2-core x86 host leave that fixed cost
+    loose from 2^12 to 2^15; 2^13 sits about an octave inside two bounds:
+    above 2^13.9 the warmup of random_invertible(3, d=3) at M = 64 (blocks
+    of 11, short blocks of 10) would stop reading, which
+    test_low_degree_multiplies_no_steps pins, and below 2^11.9 the 1 x 1
+    wedges of lyapunov-exact would read, where multiplying is faster.  A
+    block read evaluates at most the K_s = s(K-1)+1 coefficients of L_s
+    where s multiplied steps evaluate sK and take s - 1 products, so a step
+    and orbit saves about d^2 (d + 1 - 1/s); at s = 1, L_1 = A needs no
+    build.  Degree-64 input keeps multiplying: building its L_s on
+    thousands of points outweighs that saving.  A range holds whole blocks,
+    as many as keep near _CHUNK_BYTES the arrays that path materialises:
+    per block read off L_s its K_s = s(K-1)+1 scaled coefficients and two
+    (d, d, batch) products, per block of multiplied steps s steps of K
+    coefficients and three (d, d, batch) arrays.  Grid steps come from one
+    FFT per range, 16 d^2 bytes a step and point of _twist_lattice, in
+    multiples of 16 steps (16 at 1,024 points and d >= 2); s shrinks to the
+    largest divisor of that, so a block never spans two ranges.
     """
     d, batch = C.dim, M ** C.base_dim
     if not C.is_exact:
@@ -307,8 +304,10 @@ def _sweep_layout(C, M, s, steps):
         return max(b for b in range(1, s + 1) if step % b == 0), False, step
     K = len(C.matrix.c)
     N = _iterate_points(K, s)
-    build = (len(_doubling_lengths({s})) - 1) * (N * d * d * (2 * math.log2(N) + d) + 2 ** 14)
-    reads = s == 1 or build < steps * M * d * d * (d + 1 - 1 / s)
+    # L_s and the L_r of each span's short last block, r = span mod s
+    lengths = _doubling_lengths({s} | {p % s for p in spans})
+    build = (len(lengths) - 1) * (N * d * d * (2 * math.log2(N) + d) + 2 ** 13)
+    reads = s == 1 or build < sum(spans) * M * d * d * (d + 1 - 1 / s)
     block = 16 * d * d * ((s * (K - 1) + 1 + 2 * batch) if reads else (K + 3 * batch) * s)
     return s, reads, s * max(1, _CHUNK_BYTES // block)
 
@@ -599,10 +598,11 @@ def lyapunov_spectrum(C, n=1000, M=64):
 
     # warmup ranges end at its half, so no block straddles the half s reads
     half = warmup // 2
-    warm = sweep(*_sweep_layout(U, M, _block_length(st.log_cond), warmup), 0, half, warmup)
+    warm = sweep(*_sweep_layout(U, M, _block_length(st.log_cond), half, warmup - half),
+                 0, half, warmup)
     gap = max((_step_spread(diag, steps) for lo, _, diag, steps in warm if lo >= half),
               default=0.0)
-    s, reads, step = _sweep_layout(U, M, _block_length(gap) if warmup else 1, n_eff)
+    s, reads, step = _sweep_layout(U, M, _block_length(gap) if warmup else 1, mid, n_eff - mid)
     logr = np.zeros((batch, k))
     deaths = np.zeros((batch, k), dtype=int)
     running = {}
