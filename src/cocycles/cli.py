@@ -108,7 +108,7 @@ def _apply_threads(n):
 # the results the analysis rests on hold over irrational rotations; within
 # _RATIONAL_TOL of p/q with a small q every orbit closes up after q steps,
 # and the verdicts describe a different system (alpha = 0 with the matrix of
-# fixtures.dominated_2x2 reads as dominated)
+# fixtures.dominated_2x2 reads as dominated); resonant frequencies likewise
 _RATIONAL_Q_MAX = 64
 _RATIONAL_TOL = 1e-12
 
@@ -121,6 +121,34 @@ def _nearby_rational(a):
         if abs(a - p / q) <= _RATIONAL_TOL:
             return p % q, q
     return None
+
+
+def _resonance(freqs):
+    """The shortest integer q != 0 found, max |q_i| <= _RATIONAL_Q_MAX and
+    its first nonzero entry positive, with q . freqs within _RATIONAL_TOL
+    of an integer, or None.  q = (u, v) splits at the middle frequency, and
+    each u meets the v with v . freqs mod 1 next to -u . freqs mod 1 in one
+    sort: each side lists (2 _RATIONAL_Q_MAX + 1)^(l/2) vectors."""
+    h, n = len(freqs) // 2, 2 * _RATIONAL_Q_MAX + 1
+
+    def part(fs):  # every vector over fs, and its product with fs mod 1
+        q = np.indices((n,) * len(fs)).reshape(len(fs), -1).T - _RATIONAL_Q_MAX
+        return q, (q @ np.asarray(fs)) % 1.0
+
+    (u, a), (v, b) = part(freqs[:h]), part(freqs[h:])
+    order = np.argsort(b)
+    v, b = v[order], b[order]
+    # the two neighbours of -a mod 1 on the circle hold its nearest b; for
+    # u = 0 the third holds the nearest to 0 past v = 0
+    i = np.searchsorted(b, -a % 1.0)
+    js = [j % len(b) for j in (i - 1, i, i + 1)]
+    q = np.concatenate([np.c_[u, v[j]] for j in js])
+    x = np.concatenate([a + b[j] for j in js])
+    hits = q[(np.abs((x + 0.5) % 1.0 - 0.5) <= _RATIONAL_TOL) & q.any(axis=1)]
+    if not len(hits):
+        return None
+    q = hits[np.abs(hits).max(axis=1).argmin()]
+    return tuple(int(c) for c in q * np.sign(q[q != 0][0]))
 
 
 def _load(args):
@@ -147,6 +175,11 @@ def _load(args):
             raise _InputError(
                 f"frequency {a!r} is within {_RATIONAL_TOL:g} of {pq[0]}/{pq[1]}; "
                 "rational rotations are not supported")
+    q = _resonance(C.frequencies) if C.base_dim > 1 else None
+    if q is not None:
+        raise _InputError(
+            f"frequencies {list(C.frequencies)} are resonant: q = {q} puts q . alpha "
+            f"within {_RATIONAL_TOL:g} of an integer; resonant rotations are not supported")
     # one Structure per command serves every stage
     return Structure(C, args.tol), hashlib.sha256(raw).hexdigest()
 

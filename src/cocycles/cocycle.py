@@ -40,11 +40,11 @@ from .matfun import (
     GridMatrixFunction,
     MatrixFunction,
     hstack,
-    lattice_coefficients,
     max_rank,
     poly_from_samples,
     rank_grid,
     rank_samples,
+    rounding_cut,
     shift_samples,
 )
 from .trigpoly import DEGREE_CAP, log_integral, real_divide
@@ -221,8 +221,8 @@ def _iterate_coeffs(A, a, N, lengths):
     2 log2 r lengths are built, each from the inverse FFTs of the spectrum
     of L_h and of that of L_{r-h} twisted by h a, one product and one FFT.
     A spectrum is kept only while a longer length still reads it.  Each L_r
-    returned is cut at both ends where the largest entry of a frequency is
-    below eps times its largest coefficient, the build's own rounding."""
+    returned is cut at both ends where it reaches the build's own rounding
+    (rounding_cut)."""
     K, need = len(A.c), _doubling_lengths(lengths)
     # length -> the longest length read off it
     last = {q: r for r in sorted(need) if r > 1 for q in (r // 2, r - r // 2)}
@@ -242,9 +242,7 @@ def _iterate_coeffs(A, a, N, lengths):
             del left, right
         if r in lengths:
             kr = r * A.kmin + np.arange(r * (K - 1) + 1)
-            big = np.abs(specs[r][..., kr % N]).max(axis=(0, 1))
-            keep = np.nonzero(big >= np.finfo(float).eps * big.max())[0]
-            kr = kr[keep[0]:keep[-1] + 1]
+            kr = kr[rounding_cut(np.abs(specs[r][..., kr % N]).max(axis=(0, 1)))]
             out[r] = kr[0], np.moveaxis(specs[r][..., kr % N], -1, 0)
         if r not in last:
             del specs[r]
@@ -293,14 +291,16 @@ def _sweep_layout(C, M, s, *spans):
     as many as keep near _CHUNK_BYTES the arrays that path materialises:
     per block read off L_s its K_s = s(K-1)+1 scaled coefficients and two
     (d, d, batch) products, per block of multiplied steps s steps of K
-    coefficients and three (d, d, batch) arrays.  Grid steps come from one
-    FFT per range, 16 d^2 bytes a step and point of _twist_lattice, in
-    multiples of 16 steps (16 at 1,024 points and d >= 2); s shrinks to the
-    largest divisor of that, so a block never spans two ranges.
+    coefficients and three (d, d, batch) arrays; grid samples, which
+    multiply, are charged alike for their K coefficients above rounding,
+    in ranges of a multiple of 16 steps (16 at 1,024 orbits and d >= 2);
+    s shrinks to the largest divisor of that, so a block never spans two
+    ranges.
     """
     d, batch = C.dim, M ** C.base_dim
     if not C.is_exact:
-        step = 16 * max(1, _CHUNK_BYTES // (256 * _twist_lattice(C, M) ** C.base_dim * d * d))
+        K = math.prod(C.matrix.coefficients()[1].shape[:-2])
+        step = 16 * max(1, _CHUNK_BYTES // (256 * d * d * (K + 3 * batch)))
         return max(b for b in range(1, s + 1) if step % b == 0), False, step
     K = len(C.matrix.c)
     N = _iterate_points(K, s)
@@ -316,31 +316,34 @@ def _sweep_blocks(C, M, bounds, s, reads):
     """Yield the block products of the sweep on the M^l orbit lattice,
     (d, d, blocks, batch), for each step range of bounds: the ordered
     products of s consecutive steps, the last block short when s does not
-    divide the range.  With reads (_sweep_layout) the product of s steps
-    from t is L_s(x_b + t a), read off L_s as a step is off A: L_s and the
-    L_r of the short last blocks are built once by doubling
-    (_iterate_coeffs), each cut to its coefficients above rounding and read
-    from its own lowest frequency.  Else, and for grid samples, steps
-    multiply."""
-    if not C.is_exact:
-        steps = _step_chunks(C, M, bounds)
-        for _ in bounds:  # no step matrices held here while the next range is built
-            yield _block_products_last(next(steps), s)
-        return
-    A, a = C.matrix, C.alpha
-    iters, starts = {1: (A.kmin, A.c)}, {}  # r -> lowest frequency and coefficients of L_r
+    divide the range.  A step A(x_b + t a) scales the coefficients (exact,
+    or a grid's above rounding) by one step phase table and contracts them
+    with one start phase table per frequency.  With reads (exact input
+    only, _sweep_layout) the product of s steps from t is L_s(x_b + t a),
+    read off L_s as a step is off A: L_s and the L_r of the short last
+    blocks are built once by doubling (_iterate_coeffs), each cut to its
+    coefficients above rounding.  Else steps multiply."""
+    # r -> the lowest frequency per axis and the coefficients of L_r
+    iters = {1: ((C.matrix.kmin,), C.matrix.c) if C.is_exact else C.matrix.coefficients()}
+    starts = {}
     if reads and s > 1:
-        lengths = {s} | {(h - l) % s for l, h in bounds}
-        iters = _iterate_coeffs(A, a, _iterate_points(len(A.c), s), lengths) | iters
+        A, lengths = C.matrix, {s} | {(h - l) % s for l, h in bounds}
+        built = _iterate_coeffs(A, C.alpha, _iterate_points(len(A.c), s), lengths)
+        iters = {r: ((kmin,), coeffs) for r, (kmin, coeffs) in built.items()} | iters
 
     def at(r, ts):  # L_r at x_b + t a, (d, d, T, batch)
-        kmin, coeffs = iters[r]
-        freqs = kmin + np.arange(len(coeffs))
-        if r not in starts:  # x_b = b / M
-            starts[r] = _orbit_phases(freqs, np.arange(M), 1.0 / M)
+        kmins, coeffs = iters[r]
+        freqs = [k + np.arange(n) for k, n in zip(kmins, coeffs.shape)]
+        if r not in starts:  # x_b = b / M, one table per frequency
+            starts[r] = [_orbit_phases(f, np.arange(M), 1.0 / M) for f in freqs]
+        phases = _orbit_phases(freqs[0], ts, C.frequencies[0])
+        for f, a in zip(freqs[1:], C.frequencies[1:]):  # (K_1, ..., K_j, T)
+            phases = phases[..., None, :] * _orbit_phases(f, ts, a)
         # the step phases scale d^2 coefficients a frequency, not batch start phases
-        steps = coeffs[..., None] * _orbit_phases(freqs, ts, a)[:, None, None, :]
-        return np.tensordot(steps, starts[r], axes=(0, 0))
+        steps = coeffs[..., None] * phases[..., None, None, :]
+        for start in starts[r]:  # each contraction appends one lattice axis
+            steps = np.tensordot(steps, start, axes=(0, 0))
+        return steps.reshape(steps.shape[:3] + (M ** len(freqs),))
 
     for lo, end in bounds:
         if not reads:
@@ -349,39 +352,6 @@ def _sweep_blocks(C, M, bounds, s, reads):
         ts = np.arange(lo, end, s)  # the last block, full or short, is L_r for r steps left
         r = end - ts[-1]
         yield at(s, ts) if r == s else np.concatenate([at(s, ts[:-1]), at(r, ts[-1:])], axis=2)
-
-
-def _twist_lattice(C, M):
-    """The lattice a grid sweep twists on: the least multiple of M that gives
-    each grid frequency a bin of its own, M when M is at least the grid."""
-    return M * -(-max(C.matrix.grid_shape) // M)
-
-
-def _step_chunks(C, M, bounds):
-    """Yield the step matrices A(x_b + t a) of grid samples on the M^l orbit
-    lattice, the values resample_lattice gives, for each half-open step
-    range in bounds, held batch-last, (d, d, T, batch): one twist of the
-    spectrum on _twist_lattice, one fold onto M and one inverse FFT per
-    range, so a chunk depends on its own range only."""
-    l, L = C.base_dim, _twist_lattice(C, M)
-    # the spectrum on the L lattice, scaled for the inverse FFT on M, value
-    # axes first in memory: the inverse FFT leaves each step batch-last
-    spec = lattice_coefficients(C.matrix, L) * M ** l
-    spec = np.ascontiguousarray(np.moveaxis(spec, (-2, -1), (0, 1)))[:, :, None]
-    f = np.fft.fftfreq(L, 1.0 / L)
-    for lo, end in bounds:
-        # the shift-theorem twists, (T, L, ..., L): one phase table per frequency
-        twist = 1.0
-        for j, a in enumerate(C.frequencies):
-            e = np.exp(2j * np.pi * np.outer(np.arange(lo, end) * a % 1.0, f))
-            twist = twist * e.reshape((end - lo,) + (1,) * j + (L,) + (1,) * (l - 1 - j))
-        mats = spec * twist
-        for ax in range(2 + l, 2, -1):  # one axis at a time: two copies live, not three
-            if L > M:  # bin i holds a frequency congruent to i mod M
-                shape = mats.shape
-                mats = mats.reshape(shape[:ax] + (L // M, M) + shape[ax + 1:]).sum(axis=ax)
-            mats = np.fft.ifft(mats, axis=ax)
-        yield mats.reshape(mats.shape[:3] + (-1,))
 
 
 def _block_length(gap):

@@ -6,10 +6,11 @@ convolution), translation, adjoint, sums, blocks and FFT sampling act on
 that tensor and truncate entry by entry as TrigPoly does.  poly_from_samples
 turns grid samples back into a MatrixFunction, with a Fourier tail check.
 GridMatrixFunction carries samples of a band-limited matrix function over an
-l-dimensional torus grid, the only backing for multi-frequency bases;
-shift_samples, lattice_coefficients and resample_lattice move grid samples
-by FFT, so this module owns the Fourier conventions of the grid
-representation.
+l-dimensional torus grid, the only backing for multi-frequency bases, and
+gives the coefficients of their interpolant cut where they reach rounding
+(rounding_cut, the cut the exact sweep makes on its iterates too);
+shift_samples moves grid samples by FFT, so this module owns the Fourier
+conventions of the grid representation.
 """
 
 import itertools
@@ -290,32 +291,12 @@ def shift_samples(samples, shift, spectrum=None):
     return np.fft.ifftn(s, axes=gaxes)
 
 
-def lattice_coefficients(F, M):
-    """The Fourier coefficients of a GridMatrixFunction's interpolant folded
-    onto the lattice x = j/M, (M, ..., M, rows, cols), one M per grid axis.
-
-    Each Fourier coefficient of F, at the frequency F._spectrum() gives it
-    and sample_at evaluates, goes to the bin of its frequency mod M: a
-    zero-padded spectrum when M exceeds the grid, an alias sum when M is
-    smaller, since e^{2 pi i k j/M} depends on k mod M only.
-    """
-    kflat, flat = F._spectrum()
-    bins = np.zeros((M,) * F.base_dim + F.shape, dtype=complex)
-    np.add.at(bins, tuple((kflat % M).T), flat)
-    return bins
-
-
-def resample_lattice(F, M):
-    """Values of a GridMatrixFunction's interpolant on the lattice x = j/M.
-
-    Returns (M, ..., M, rows, cols), one M per grid axis: the samples
-    themselves when the lattice is F's grid, else one inverse FFT of
-    lattice_coefficients.  O(M^l log M) work against O(M^l prod(grid)) for
-    sample_at.
-    """
-    if F.grid_shape == (M,) * F.base_dim:
-        return F.samples
-    return np.fft.ifftn(lattice_coefficients(F, M), axes=tuple(range(F.base_dim))) * M ** F.base_dim
+def rounding_cut(big):
+    """The slice from the first to the last entry of big, the largest
+    coefficient magnitude per frequency of one axis, at least eps times
+    its largest: a spectrum cut at both ends where it reaches rounding."""
+    keep = np.nonzero(big >= np.finfo(float).eps * big.max())[0]
+    return slice(keep[0], keep[-1] + 1)
 
 
 class GridMatrixFunction:
@@ -326,11 +307,11 @@ class GridMatrixFunction:
     function has degree < M_i/2 in each variable.  iterates moves the
     samples along a rotation orbit by shift_samples (one FFT phase twist,
     O(M^l log M) per step, against O(M^2l) for sample_at); the Lyapunov sweep
-    folds their spectrum onto its orbit lattice (lattice_coefficients) and
-    twists it a range of steps at a time.
+    evaluates the interpolant's coefficients above rounding (coefficients)
+    at its orbit points, as it does exact coefficients.
     """
 
-    __slots__ = ("samples", "grid_shape", "_spec")
+    __slots__ = ("samples", "grid_shape", "_spec", "_coeffs")
 
     def __init__(self, samples):
         samples = np.asarray(samples, dtype=complex)
@@ -342,6 +323,7 @@ class GridMatrixFunction:
             if m < 2 or (m & (m - 1)) != 0:
                 raise ValueError(f"grid sizes must be powers of two, got {self.grid_shape}")
         self._spec = None
+        self._coeffs = None
 
     @property
     def base_dim(self):
@@ -373,6 +355,20 @@ class GridMatrixFunction:
             kflat = np.stack([k.reshape(-1) for k in kgrids], axis=1)
             self._spec = (kflat, flat)
         return self._spec
+
+    def coefficients(self):
+        """The lowest frequency per grid axis and the Fourier coefficients
+        (K_1, ..., K_l, rows, cols) of the interpolant sample_at sums, each
+        axis cut at both ends where they reach rounding (rounding_cut)."""
+        if self._coeffs is None:
+            axes = tuple(range(self.base_dim))
+            spec = np.fft.fftshift(self._spectrum()[1].reshape(self.samples.shape), axes=axes)
+            mag = np.abs(spec)
+            cuts = tuple(rounding_cut(mag.max(axis=tuple(i for i in range(mag.ndim) if i != ax)))
+                         for ax in axes)
+            self._coeffs = (tuple(c.start - m // 2 for c, m in zip(cuts, self.grid_shape)),
+                            spec[cuts])
+        return self._coeffs
 
     def sample_at(self, points):
         """Values at points of shape (n, base_dim): returns (n, rows, cols)."""

@@ -600,6 +600,34 @@ class TestExitCodes:
         assert err.count("\n") == 1 and f" of {name};" in err
 
     @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
+    @pytest.mark.parametrize("freqs, q", [
+        # (phi - 1) + (2 - phi) = 1, exactly and 5e-13 off
+        ([(5 ** 0.5 - 1) / 2, (3 - 5 ** 0.5) / 2], (1, 1)),
+        ([(5 ** 0.5 - 1) / 2, (3 - 5 ** 0.5) / 2 + 5e-13], (1, 1)),
+        # no frequency is near p/q, but 2 a_1 - 3 a_2 + a_3 is an integer
+        ([GOLDEN_MEAN, fixtures.SILVER_MEAN, (3 * fixtures.SILVER_MEAN - 2 * GOLDEN_MEAN) % 1],
+         (2, -3, 1)),
+        ([GOLDEN_MEAN, 0.1234567, (0.1234567 + 5 * GOLDEN_MEAN) % 1], (5, 1, -1))])
+    def test_resonant_rotation_is_input_error(self, tmp_path, capsys, cmd, freqs, q):
+        grid = (2,) * len(freqs) + (1, 1)
+        doc = {"frequencies": freqs,
+               "matrix": {"rows": 1, "cols": 1, "grid_shape": list(grid[:-2]),
+                          "samples_re": [2.0] * math.prod(grid), "samples_im": [0.0] * math.prod(grid)}}
+        src = tmp_path / "resonant.json"
+        src.write_text(json.dumps(doc))
+        assert main([cmd, str(src), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"q = {q} puts" in err
+
+    def test_golden_silver_pair_is_far_from_resonance(self):
+        # every two-frequency fixture and workload rotates by this pair
+        span = np.arange(-cli._RATIONAL_Q_MAX, cli._RATIONAL_Q_MAX + 1)
+        q = np.stack(np.meshgrid(span, span), axis=-1).reshape(-1, 2)
+        x = q[q.any(axis=1)] @ np.array([GOLDEN_MEAN, fixtures.SILVER_MEAN])
+        assert np.abs(x - np.round(x)).min() >= 1.0e-5
+        assert cli._resonance((GOLDEN_MEAN, fixtures.SILVER_MEAN)) is None
+
+    @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
     @pytest.mark.parametrize("k", [1.5, True, "1", 10**15, -10**15])
     def test_bad_coefficient_index_is_input_error(self, tmp_path, capsys, cmd, k):
         # 10**15 is a span numpy refuses to allocate at once

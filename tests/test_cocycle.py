@@ -27,7 +27,6 @@ from cocycles.matfun import (
     hstack,
     max_rank,
     rank_samples,
-    resample_lattice,
     shift_samples,
     vstack,
 )
@@ -423,8 +422,7 @@ class TestChunkedSweep:
 class TestChunkedSweepBatchLast(TestChunkedSweep):
     """The same equivalence on an odd orbit count, 5 orbits per frequency:
     the batch-last step on a batch that is no power of two, and grid
-    samples resampled onto a lattice coarser than their own grid (an alias
-    sum in resample_lattice)."""
+    samples evaluated on a lattice coarser than their own grid."""
 
     ORBITS = (5, 5)
 
@@ -713,39 +711,57 @@ class TestStepChunks:
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
 
+    @staticmethod
+    def assert_grid_steps(C, M, bounds, atol):
+        """The sweep's steps of grid C at block length 1 against sample_at
+        at the orbit points x_b + t a of the M^l lattice."""
+        d, batch = C.dim, M ** C.base_dim
+        chunks = _sweep_products(C, M, bounds, 1)
+        for (lo, hi), got in zip(bounds, chunks, strict=True):
+            assert got.shape == (d, d, hi - lo, batch) and got.flags.c_contiguous
+            want = C.matrix.sample_at(_lattice_orbit(C, M, lo, hi)).reshape(hi - lo, batch, d, d)
+            np.testing.assert_allclose(got, want.transpose(2, 3, 0, 1), rtol=0,
+                                       atol=atol * np.abs(want).max())
+
     @pytest.mark.parametrize("M", [8, 32])
     @pytest.mark.parametrize("l", [1, 2])
     def test_grid_matches_shift_samples(self, l, M):
-        # grids of 16 per axis: M = 8 aliases, M = 32 zero-pads the spectrum
+        # the shifted lattice samples of grids of 16 per axis: the 8-point
+        # lattice is coarser than the grid, the 32-point one finer
         if l == 1:
             one = fx.random_invertible(2, d=3)
             C = Cocycle(one.frequencies, GridMatrixFunction(one.matrix.sample_grid(16)))
         else:
             C = _invertible_grid(11, 3, M=16)
-        d, batch = C.dim, M ** l
-        base = resample_lattice(C.matrix, M)
-        spec = np.fft.fftn(base, axes=tuple(range(l)))
-        alpha = np.array(C.frequencies)
-        bounds = [(0, 5), (997, 1003)]
-        chunks = cocycle_module._step_chunks(C, M, bounds)
-        for (lo, hi), got in zip(bounds, chunks, strict=True):
-            assert got.shape == (d, d, hi - lo, batch) and got.flags.c_contiguous
-            for i, t in enumerate(range(lo, hi)):
-                want = shift_samples(base, t * alpha, spec).reshape(batch, d, d)
-                np.testing.assert_allclose(got[:, :, i], want.transpose(1, 2, 0),
-                                           rtol=0, atol=1e-13 * np.abs(want).max())
+        self.assert_grid_steps(C, M, [(0, 5), (997, 1003)], 1e-13)
 
     @pytest.mark.parametrize("M", [8, 32])
     def test_grid_finer_than_the_lattice_matches_sample_at(self, M):
         # frequencies 5 and -3 share a bin of the 8-point lattice but turn at
         # different rates along the orbit
-        C = _frequencies_8_apart()
-        chunks = cocycle_module._step_chunks(C, M, self.BOUNDS)
-        for (lo, hi), got in zip(self.BOUNDS, chunks, strict=True):
-            x = (np.arange(M) / M + np.arange(lo, hi)[:, None] * GOLDEN_MEAN) % 1.0
-            want = C.matrix.sample_at(x.reshape(-1, 1)).reshape(hi - lo, M, 2, 2)
-            np.testing.assert_allclose(got, want.transpose(2, 3, 0, 1), rtol=0,
-                                       atol=1e-12 * np.abs(want).max())
+        self.assert_grid_steps(_frequencies_8_apart(), M, self.BOUNDS, 1e-12)
+
+    @pytest.mark.parametrize("M", [8, 32])
+    @pytest.mark.parametrize("name, kmins, sizes", [
+        # perturbed at frequencies (1, 0), (0, -1) and (1, 1)
+        ("invertible_grid", (0, -1), (2, 3)),
+        # every frequency up to 2 per axis, as the analyze-grid inputs
+        ("degree_2_grid", (-2, -2), (5, 5))])
+    def test_grid_keeps_the_coefficients_above_rounding(self, name, kmins, sizes, M):
+        # the rest of the 16 x 16 spectrum is FFT rounding, and is cut
+        C = {"invertible_grid": _invertible_grid(11, 3, M=16),
+             "degree_2_grid": _degree_2_grid(3, 3, M=16)}[name]
+        got_kmins, coeffs = C.matrix.coefficients()
+        assert got_kmins == kmins and coeffs.shape == sizes + (3, 3)
+        self.assert_grid_steps(C, M, [(0, 5), (997, 1003)], 1e-13)
+
+    def test_full_band_grid_keeps_every_coefficient(self):
+        rng = np.random.default_rng(4)
+        samples = rng.standard_normal((16, 16, 2, 2)) + 1j * rng.standard_normal((16, 16, 2, 2))
+        C = Cocycle((GOLDEN_MEAN, fx.SILVER_MEAN), GridMatrixFunction(samples))
+        kmins, coeffs = C.matrix.coefficients()
+        assert kmins == (-8, -8) and coeffs.shape == (16, 16, 2, 2)
+        self.assert_grid_steps(C, 8, [(0, 5), (997, 1003)], 1e-12)
 
     def test_grid_finer_than_the_lattice_keeps_the_spectrum(self):
         # triangular, so the exponents are the means of ln|diagonal|:
@@ -754,6 +770,31 @@ class TestStepChunks:
         exact = [math.log((2 + math.sqrt(3)) / 2), 0.0]
         for got, want, err in zip(rep.exponents, exact, rep.stderr, strict=True):
             assert abs(got - want) < 3 * err
+
+
+def _lattice_orbit(C, M, lo, hi):
+    """The orbit points x_b + t a of the M^l lattice for lo <= t < hi,
+    ((hi - lo) M^l, l), t slowest and the lattice row-major: formed in
+    longdouble and reduced mod 1, so they hold no rounding of t a."""
+    axes = np.meshgrid(*[np.arange(M).astype(np.longdouble) / M] * C.base_dim, indexing="ij")
+    x = np.stack([g.reshape(-1) for g in axes], axis=1)
+    t = np.arange(lo, hi).astype(np.longdouble)[:, None, None]
+    y = (x[None] + t * np.array(C.frequencies, dtype=np.longdouble)) % 1
+    return y.reshape(-1, C.base_dim).astype(float)
+
+
+def _degree_2_grid(seed, d, M):
+    """An invertible 2-frequency grid of M x M points perturbed at every
+    frequency up to 2 per axis, the analyze-grid workload's shape."""
+    rng = np.random.default_rng(seed)
+    xs = np.arange(M) / M
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    samples = np.zeros((M, M, d, d), dtype=complex) + 4.0 * d * np.eye(d)
+    for k1 in range(-2, 3):
+        for k2 in range(-2, 3):
+            c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            samples += np.exp(2j * np.pi * (k1 * X + k2 * Y))[..., None, None] * c / 5
+    return Cocycle((GOLDEN_MEAN, fx.SILVER_MEAN), GridMatrixFunction(samples))
 
 
 def _frequencies_8_apart():
@@ -1148,7 +1189,6 @@ class TestFlagReason:
             raise AssertionError("a sweep for a cocycle with no finite exponent")
 
         monkeypatch.setattr(cocycle_module, "_sweep_blocks", refuse)
-        monkeypatch.setattr(cocycle_module, "_step_chunks", refuse)
         for C in (fx.nilpotent_3x3_variable_rank(), fx.twofrequency_rank_one(M=32)):
             rep = lyapunov_spectrum(C, n=500, M=16)
             assert rep.exponents == rep.raw_estimates == [float("-inf")] * C.dim

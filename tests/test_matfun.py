@@ -12,7 +12,6 @@ from cocycles.matfun import (
     max_rank,
     poly_det,
     poly_from_samples,
-    resample_lattice,
     shift_samples,
     vstack,
 )
@@ -264,24 +263,47 @@ class TestGridMatrixFunction:
             GridMatrixFunction(np.zeros((12, 12, 2, 2)))
 
 
+def _lattice_values(F, M):
+    """F's interpolant on the lattice x = j/M, (M, ..., M, rows, cols), one
+    M per grid axis, summed from its coefficients above rounding."""
+    kmins, coeffs = F.coefficients()
+    vals = coeffs
+    for k, m in zip(kmins, coeffs.shape):  # each contraction appends one lattice axis
+        phases = np.exp(2j * np.pi * np.outer(k + np.arange(m), np.arange(M)) / M)
+        vals = np.tensordot(vals, phases, axes=(0, 0))
+    return np.moveaxis(vals, (0, 1), (-2, -1))
+
+
 class TestResampleLattice:
+    """A grid resampled onto the lattice x = j/M from its coefficients above
+    rounding (GridMatrixFunction.coefficients), as the sweep's first step
+    evaluates it."""
+
     @pytest.mark.parametrize("grid", [(16,), (16, 16), (16, 8)])
     @pytest.mark.parametrize("ratio", [0.5, 1, 2])
     def test_matches_the_interpolant(self, grid, ratio):
-        # M = m/2 aliases the spectrum, M = 2m zero-pads it
+        # M = m/2 is coarser than the grid, M = 2m finer; a random grid
+        # keeps every coefficient, the Nyquist one at -m/2
         rng = np.random.default_rng(len(grid))
         F = GridMatrixFunction(rng.standard_normal(grid + (2, 3))
                                + 1j * rng.standard_normal(grid + (2, 3)))
+        kmins, coeffs = F.coefficients()
+        assert kmins == tuple(-m // 2 for m in grid) and coeffs.shape == grid + (2, 3)
         M = int(grid[0] * ratio)
         lattice = GridMatrixFunction(np.zeros((M,) * len(grid) + (1, 1)))
         want = F.sample_at(lattice.grid_points()).reshape((M,) * len(grid) + (2, 3))
-        got = resample_lattice(F, M)
+        got = _lattice_values(F, M)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(F.samples).max()
 
     def test_own_grid_is_the_samples(self):
-        F = GridMatrixFunction(np.ones((8, 8, 2, 2)))
-        assert resample_lattice(F, 8) is F.samples
+        # one frequency per axis is above rounding: 1 + e^{2 pi i x} on 8 x 8
+        x = np.arange(8) / 8
+        F = GridMatrixFunction(np.broadcast_to(1.0 + np.exp(2j * np.pi * x)[:, None, None, None],
+                                               (8, 8, 2, 2)))
+        kmins, coeffs = F.coefficients()
+        assert kmins == (0, 0) and coeffs.shape == (2, 1, 2, 2)
+        assert np.abs(_lattice_values(F, 8) - F.samples).max() <= 1e-14
 
 
 class TestShiftSamples:
