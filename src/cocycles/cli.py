@@ -124,11 +124,12 @@ def _nearby_rational(a):
 
 
 def _resonance(freqs):
-    """The shortest integer q != 0 found, max |q_i| <= _RATIONAL_Q_MAX and
-    its first nonzero entry positive, with q . freqs within _RATIONAL_TOL
-    of an integer, or None.  q = (u, v) splits at the middle frequency, and
-    each u meets the v with v . freqs mod 1 next to -u . freqs mod 1 in one
-    sort: each side lists (2 _RATIONAL_Q_MAX + 1)^(l/2) vectors."""
+    """An integer q != 0, max |q_i| <= _RATIONAL_Q_MAX and its first nonzero
+    entry positive, with q . freqs within _RATIONAL_TOL of an integer, or
+    None: the least max |q_i| of the hits and of their quotients by the
+    divisors of their gcd that still hold.  q = (u, v) splits at the middle
+    frequency, and each u meets the v with v . freqs mod 1 next to -u . freqs
+    mod 1 in one sort: each side lists (2 _RATIONAL_Q_MAX + 1)^(l/2) vectors."""
     h, n = len(freqs) // 2, 2 * _RATIONAL_Q_MAX + 1
 
     def part(fs):  # every vector over fs, and its product with fs mod 1
@@ -145,6 +146,9 @@ def _resonance(freqs):
     q = np.concatenate([np.c_[u, v[j]] for j in js])
     x = np.concatenate([a + b[j] for j in js])
     hits = q[(np.abs((x + 0.5) % 1.0 - 0.5) <= _RATIONAL_TOL) & q.any(axis=1)]
+    hits = np.array([h // c for h in hits for c in range(1, math.gcd(*h.tolist()) + 1)
+                     if not (h % c).any()]).reshape(-1, len(freqs))
+    hits = hits[np.abs((hits @ np.asarray(freqs) + 0.5) % 1.0 - 0.5) <= _RATIONAL_TOL]
     if not len(hits):
         return None
     q = hits[np.abs(hits).max(axis=1).argmin()]

@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -191,9 +192,9 @@ def iterates(C, n_max):
         yield GridMatrixFunction(prod)
 
 
-# a step range of the Lyapunov sweep holds near this many bytes of block
-# products and of the arrays that build them; each range pays a fixed set of
-# small array ops, so a narrow batch needs long ranges, a wide one short
+# a step range of the exact Lyapunov sweep, or a piece of a grid range, holds
+# near this many bytes of the arrays it builds; each range pays a fixed set
+# of small array ops, so a narrow batch needs long ranges, a wide one short
 _CHUNK_BYTES = 1 << 20
 
 # the sweep re-orthonormalises once per block of s orbit steps, s at most
@@ -291,16 +292,15 @@ def _sweep_layout(C, M, s, *spans):
     as many as keep near _CHUNK_BYTES the arrays that path materialises:
     per block read off L_s its K_s = s(K-1)+1 scaled coefficients and two
     (d, d, batch) products, per block of multiplied steps s steps of K
-    coefficients and three (d, d, batch) arrays; grid samples, which
-    multiply, are charged alike for their K coefficients above rounding,
-    in ranges of a multiple of 16 steps (16 at 1,024 orbits and d >= 2);
-    s shrinks to the largest divisor of that, so a block never spans two
-    ranges.
+    coefficients and three (d, d, batch) arrays.  Grid samples form no
+    product (_sweep_blocks) and are charged one (d, d, batch) step matrix
+    a step, in ranges of a multiple of 16 steps (16 at 1,024 orbits and
+    d >= 2); s shrinks to the largest divisor of that, so a block never
+    spans two ranges.
     """
     d, batch = C.dim, M ** C.base_dim
     if not C.is_exact:
-        K = math.prod(C.matrix.coefficients()[1].shape[:-2])
-        step = 16 * max(1, _CHUNK_BYTES // (256 * d * d * (K + 3 * batch)))
+        step = 16 * max(1, _CHUNK_BYTES // (256 * d * d * batch))
         return max(b for b in range(1, s + 1) if step % b == 0), False, step
     K = len(C.matrix.c)
     N = _iterate_points(K, s)
@@ -313,16 +313,17 @@ def _sweep_layout(C, M, s, *spans):
 
 
 def _sweep_blocks(C, M, bounds, s, reads):
-    """Yield the block products of the sweep on the M^l orbit lattice,
-    (d, d, blocks, batch), for each step range of bounds: the ordered
-    products of s consecutive steps, the last block short when s does not
-    divide the range.  A step A(x_b + t a) scales the coefficients (exact,
-    or a grid's above rounding) by one step phase table and contracts them
-    with one start phase table per frequency.  With reads (exact input
-    only, _sweep_layout) the product of s steps from t is L_s(x_b + t a),
-    read off L_s as a step is off A: L_s and the L_r of the short last
-    blocks are built once by doubling (_iterate_coeffs), each cut to its
-    coefficients above rounding.  Else steps multiply."""
+    """Yield the blocks of s consecutive steps on the M^l orbit lattice for
+    each step range of bounds, the last block short when s does not divide
+    the range: exact input's ordered products, (d, d, blocks, batch), or a
+    grid's (without reads) list of iterators over its (d, d, batch) steps,
+    evaluated in pieces of about _CHUNK_BYTES.  A step A(x_b + t a) scales the coefficients
+    (exact, or a grid's above rounding) by one step phase table and
+    contracts them with one start phase table per frequency.  With reads
+    (exact input only, _sweep_layout) the product of s steps from t is
+    L_s(x_b + t a), read off L_s as a step is off A: L_s and the L_r of the
+    short last blocks are built once by doubling (_iterate_coeffs), each
+    cut to its coefficients above rounding.  Else exact steps multiply."""
     # r -> the lowest frequency per axis and the coefficients of L_r
     iters = {1: ((C.matrix.kmin,), C.matrix.c) if C.is_exact else C.matrix.coefficients()}
     starts = {}
@@ -345,13 +346,20 @@ def _sweep_blocks(C, M, bounds, s, reads):
             steps = np.tensordot(steps, start, axes=(0, 0))
         return steps.reshape(steps.shape[:3] + (M ** len(freqs),))
 
+    def steps(lo, end):  # A(x_b + t a), (d, d, batch), for lo <= t < end
+        piece = max(1, _CHUNK_BYTES // (16 * C.dim ** 2 * M ** C.base_dim))
+        for t in range(lo, end, piece):
+            yield from np.moveaxis(at(1, np.arange(t, min(t + piece, end))), 2, 0)
+
     for lo, end in bounds:
-        if not reads:
+        if reads:  # the last block, full or short, is L_r for r steps left
+            ts = np.arange(lo, end, s)
+            r = end - ts[-1]
+            yield at(s, ts) if r == s else np.concatenate([at(s, ts[:-1]), at(r, ts[-1:])], axis=2)
+        elif C.is_exact:
             yield _block_products_last(at(1, np.arange(lo, end)), s)
-            continue
-        ts = np.arange(lo, end, s)  # the last block, full or short, is L_r for r steps left
-        r = end - ts[-1]
-        yield at(s, ts) if r == s else np.concatenate([at(s, ts[:-1]), at(r, ts[-1:])], axis=2)
+        else:  # each block takes its s steps off the range's one stream
+            yield [islice(it, s) for it in repeat(steps(lo, end), -(-(end - lo) // s))]
 
 
 def _block_length(gap):
@@ -387,7 +395,7 @@ def _block_products_last(mats, s):
     (d, d, T, batch) to (d, d, ceil(T/s), batch): neighbouring pairs, later
     step on the left, in log2 s levels of _mul_last.  A short last block of
     the steps left is reduced alike, not padded with identities, which
-    would copy the chunk."""
+    would copy the chunk.  The tree serves exact input only (_sweep_blocks)."""
     d, _, T, batch = mats.shape
     full = T // s * s
     prods = []
@@ -457,12 +465,18 @@ def _gram_schmidt(y):
 
 
 def _qr_blocks(prods, q):
-    """Carry the frame q, (d, k, batch), through the block products of a
-    range, (d, d, blocks, batch): one Gram-Schmidt QR of P q per block.
-    Returns the last frame and the |R_jj| of each block, (blocks, batch, k)."""
-    diag = np.empty((prods.shape[2],) + q.shape[2:] + q.shape[1:2])
+    """Carry the frame q, (d, k, batch), through a range's blocks, its block
+    products (d, d, blocks, batch) or a grid's list of iterators over their
+    (d, d, batch) steps: one Gram-Schmidt QR per block of P q, or of q times
+    each step in turn.  Returns the last frame and each block's |R_jj|,
+    (blocks, batch, k)."""
+    grid = isinstance(prods, list)
+    diag = np.empty((len(prods) if grid else prods.shape[2],) + q.shape[2:] + q.shape[1:2])
     for i in range(len(diag)):
-        q, r = _gram_schmidt(_mul_last(prods[:, :, i], q))
+        for step in prods[i] if grid else (prods[:, :, i],):
+            q = _mul_last(step, q)
+            del step  # before the next is fetched: no two pieces live at once
+        q, r = _gram_schmidt(q)
         diag[i] = r.T
     return q, diag
 
@@ -511,16 +525,18 @@ def lyapunov_spectrum(C, n=1000, M=64):
 
     Every array of the sweep is held batch-last, block products (d, d, ...,
     batch) and the frame (d, k, batch) over the M^l orbits of l
-    frequencies, so one arithmetic op covers all orbits: a
-    block product is read off the iterate L_s for exact entries where that
-    saves flops, else formed pairwise in log2 s levels of steps
-    (_sweep_blocks), and P q is re-orthonormalised by classical Gram-Schmidt
-    with one reorthogonalisation pass ("twice is enough", Giraud, Langou and
-    Rozloznik 2005).  A column whose residual there is exactly zero, an
-    orbit fallen into ker A, records |R_jj| = 0, which the death floor
-    counts, and the frame is completed by the column of the random start
-    frame with the largest residual, orthogonalised twice: a basis vector
-    could lie in a structural kernel and keep the column dead.
+    frequencies, so one arithmetic op covers all orbits: for exact entries
+    a block product is read off the iterate L_s where that saves flops,
+    else formed pairwise in log2 s levels of steps (_sweep_blocks); grid
+    samples form none but carry the frame through each step of a block, in
+    pieces of about _CHUNK_BYTES.  P q or the carried frame is
+    re-orthonormalised by classical Gram-Schmidt with one reorthogonalisation
+    pass ("twice is enough", Giraud, Langou and Rozloznik 2005).  A column
+    whose residual there is exactly zero, an orbit fallen into ker A,
+    records |R_jj| = 0, which the death floor counts, and the frame is
+    completed by the column of the random start frame with the largest
+    residual, orthogonalised twice: a basis vector could lie in a
+    structural kernel and keep the column dead.
 
     stderr combines the spread over orbits with a Richardson estimate of the
     still-settling bias: a running mean converging like 1/t leaves a residual

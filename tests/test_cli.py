@@ -627,6 +627,14 @@ class TestExitCodes:
         assert np.abs(x - np.round(x)).min() >= 1.0e-5
         assert cli._resonance((GOLDEN_MEAN, fixtures.SILVER_MEAN)) is None
 
+    @pytest.mark.parametrize("freqs, q", [
+        # the multiples k (0, 5, -1) crowd the sorted neighbours of u = 0,
+        # so the search meets (0, 50, -10) and not (0, 5, -1) itself
+        ((0.1234567, 0.77777, 5 * 0.77777 % 1), (0, 5, -1)),
+        (((5 ** 0.5 - 1) / 2, (3 - 5 ** 0.5) / 2), (1, 1))])
+    def test_resonance_names_the_shortest_relation(self, freqs, q):
+        assert cli._resonance(freqs) == q
+
     @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
     @pytest.mark.parametrize("k", [1.5, True, "1", 10**15, -10**15])
     def test_bad_coefficient_index_is_input_error(self, tmp_path, capsys, cmd, k):

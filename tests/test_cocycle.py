@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1072,10 +1073,12 @@ class TestBlockConditioning:
     @pytest.mark.parametrize("name", sorted(INPUTS))
     def test_block_spread_within_the_bound(self, name, monkeypatch):
         spreads = []
+        blocks = []
         qr_blocks = cocycle_module._qr_blocks
 
         def spy(prods, q):
             q, diag = qr_blocks(prods, q)
+            blocks.append(len(diag))
             lo, hi = diag.min(axis=-1), diag.max(axis=-1)
             alive = lo > 1e-14 * hi
             spreads.append(float(np.log(hi[alive] / lo[alive]).max(initial=0.0)))
@@ -1086,7 +1089,73 @@ class TestBlockConditioning:
         for n, M in ([(2000, 32), (1000, 64), (400, 16)] if C.is_exact
                      else [(400, 16), (400, 32)]):
             lyapunov_spectrum(C, n=n, M=M)
+        # the spy saw the blocks, grid ones included: a sweep that bypassed
+        # _qr_blocks would pass the bound below on no block at all
+        assert sum(blocks) > 0
         assert max(spreads) <= cocycle_module._BLOCK_LOG_COND
+
+
+class TestGridFrame:
+    """Grid input carries the k-frame through each orbit step and runs one
+    QR per block; it never forms a block product, and evaluates its steps
+    in pieces of about _CHUNK_BYTES."""
+
+    @staticmethod
+    def reference(C, n, M, bounds, s0, s):
+        """The exponents of invertible grid C: the start frame stepped
+        through C.matrix.sample_at at the orbit points of _lattice_orbit,
+        one LAPACK QR per block of the sweep's ranges (s0 in the warmup, s
+        after it), per-orbit means of ln|R_jj| after the warmup, each orbit
+        sorted descending."""
+        d, batch = C.dim, M ** C.base_dim
+        warmup = min(n // 5, 64)
+        rng = np.random.default_rng(12345)
+        q0, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        q = np.broadcast_to(q0, (batch, d, d)).copy()
+        logr = np.zeros((batch, d))
+        for lo, hi in bounds:
+            b = s0 if hi <= warmup else s
+            for start in range(lo, hi, b):
+                for t in range(start, min(start + b, hi)):
+                    q = C.matrix.sample_at(_lattice_orbit(C, M, t, t + 1)) @ q
+                q, r = np.linalg.qr(q)
+                if start >= warmup:
+                    logr += np.log(np.abs(np.einsum("bii->bi", r)))
+        return -np.sort(-logr / (n - warmup), axis=1).mean(axis=0)
+
+    @pytest.mark.parametrize("piece", [None, 3])
+    def test_matches_the_sample_at_reference(self, piece, monkeypatch):
+        # pieces of 3 steps cut blocks at piece boundaries within a range
+        C, n, M = _invertible_grid(11, 3, M=16), 40, 8
+        if piece:
+            monkeypatch.setattr(cocycle_module, "_CHUNK_BYTES", 16 * 9 * M * M * piece)
+        rec = _sweep_record(monkeypatch)
+        rep = lyapunov_spectrum(C, n=n, M=M)
+        s0, s = rec["blocks"]
+        assert max(s0, s) > (piece or 1)
+        want = self.reference(C, n, M, rec["bounds"][0], s0, s)
+        np.testing.assert_allclose(rep.exponents, want, rtol=0, atol=1e-12)
+
+    def test_sweep_memory_is_bounded(self):
+        # the analyze --grid 32 shape at d = 3: the traced peak of this call
+        # is 2.18 MiB, and was 5.22 MiB when grid steps formed block products
+        C = _invertible_grid(11, 3, M=16)
+        tracemalloc.start()
+        try:
+            lyapunov_spectrum(C, n=100, M=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
+    def test_never_forms_block_products(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block products formed")
+
+        monkeypatch.setattr(cocycle_module, "_block_products_last", refuse)
+        for C in (_invertible_grid(7, 2, M=16), _invertible_grid(11, 3, M=16)):
+            rep = lyapunov_spectrum(C, n=400, M=16)
+            assert all(np.isfinite(rep.exponents))
 
 
 def _dense_orbit_product(C, n):
