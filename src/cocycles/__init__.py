@@ -10,6 +10,7 @@ from .cocycle import (
     NilpotencyReport,
     RankProfile,
     Structure,
+    check_orbit_lattice,
     detect_nilpotency,
     exact_L1_rank_one,
     iterate,

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures
-from .cocycle import Cocycle, Structure, detect_nilpotency, lyapunov_spectrum, rank_profile
+from .cocycle import (Cocycle, Structure, check_orbit_lattice, detect_nilpotency,
+                      lyapunov_spectrum, rank_profile)
 from .domination import dominated_splitting, split_infinite_part
 from .errors import CocycleError, NotDominated, UnsupportedBase
 from .normalform import jordan_form, triangularize
@@ -111,6 +112,11 @@ def _apply_threads(n):
 # fixtures.dominated_2x2 reads as dominated); resonant frequencies likewise
 _RATIONAL_Q_MAX = 64
 _RATIONAL_TOL = 1e-12
+# the resonance search lists 129^ceil(l/2) vectors a side: its traced peak
+# is 0.14 GiB at l = 5 and 0.78 GiB at l = 6, and at l = 6 its 129^6 / 2
+# vectors leave about five within _RATIONAL_TOL of an integer by chance, so
+# even generic frequencies would read as resonant
+_FREQUENCIES_MAX = 5
 
 
 def _nearby_rational(a):
@@ -169,6 +175,9 @@ def _load(args):
         C = Cocycle.from_json_dict(doc)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise _InputError(f"{p} is not a cocycle description: {exc}")
+    if C.base_dim > _FREQUENCIES_MAX:
+        raise _InputError(f"{C.base_dim} frequencies; at most {_FREQUENCIES_MAX} are supported, "
+                          "the most the resonance check can search")
     if args.alpha is not None:
         if C.base_dim != 1:
             raise _InputError("--alpha override needs a one-frequency cocycle")
@@ -184,6 +193,12 @@ def _load(args):
         raise _InputError(
             f"frequencies {list(C.frequencies)} are resonant: q = {q} puts q . alpha "
             f"within {_RATIONAL_TOL:g} of an integer; resonant rotations are not supported")
+    if args.command in ("analyze", "lyapunov"):  # refused before any stage runs
+        M = 64 if args.grid is None else args.grid
+        try:
+            check_orbit_lattice(C, M)
+        except ValueError as exc:
+            raise _InputError(f"--grid {M}: {exc}")
     # one Structure per command serves every stage
     return Structure(C, args.tol), hashlib.sha256(raw).hexdigest()
 

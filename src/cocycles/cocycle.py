@@ -192,10 +192,16 @@ def iterates(C, n_max):
         yield GridMatrixFunction(prod)
 
 
-# a step range of the exact Lyapunov sweep, or a piece of a grid range, holds
+# a step range of the Lyapunov sweep, or a piece of grid steps in one, holds
 # near this many bytes of the arrays it builds; each range pays a fixed set
 # of small array ops, so a narrow batch needs long ranges, a wide one short
 _CHUNK_BYTES = 1 << 20
+
+# a range or piece holds at least one step over the whole orbit lattice, so
+# a lattice whose one step of complex d x d matrices, 16 d^2 M^l bytes,
+# passes the range budget is refused (check_orbit_lattice); a name of its
+# own, so that narrowing the ranges does not narrow what is accepted
+_LATTICE_BYTES = _CHUNK_BYTES
 
 # the sweep re-orthonormalises once per block of s orbit steps, s at most
 # _BLOCK_MAX; s times the widest per-step spread of the finite R-diagonal
@@ -268,10 +274,25 @@ def _iterate_points(K, s):
     return 1 << (s * (K - 1)).bit_length()
 
 
-def _sweep_layout(C, M, s, *spans):
-    """(s, reads, step): the block length, the block path and the orbit
-    steps per range of a sweep over consecutive spans of steps, each cut
-    into ranges from its start, whose conditioning allows blocks of s.
+def check_orbit_lattice(C, M):
+    """Raise ValueError unless one Lyapunov step over the M^l orbit lattice
+    of C, 16 d^2 M^l bytes of complex d x d matrices, fits _LATTICE_BYTES:
+    M <= 64 at l = 2 and d <= 4, M <= 11 at l = 4 and d = 2."""
+    d, l = C.dim, C.base_dim
+    size = 16 * d * d * M ** l
+    if size > _LATTICE_BYTES:
+        top = int((_LATTICE_BYTES / (16 * d * d)) ** (1 / l)) + 1
+        while top and 16 * d * d * top ** l > _LATTICE_BYTES:
+            top -= 1
+        raise ValueError(f"a Lyapunov step on the {M}^{l} orbit lattice of a {d} x {d} "
+                         f"cocycle takes {size} bytes, above the sweep's {_LATTICE_BYTES}; "
+                         f"at most {top} orbits per frequency fit")
+
+
+def _sweep_layout(C, M, s, ends):
+    """(bounds, reads): the step ranges of a sweep over the consecutive
+    spans between ends, each cut into ranges from its start, and the block
+    path of its blocks of s.
 
     Exact input reads its blocks off the iterate L_s (reads) when building
     L_s, and the L_r of each span's short last block, by doubling
@@ -292,24 +313,24 @@ def _sweep_layout(C, M, s, *spans):
     as many as keep near _CHUNK_BYTES the arrays that path materialises:
     per block read off L_s its K_s = s(K-1)+1 scaled coefficients and two
     (d, d, batch) products, per block of multiplied steps s steps of K
-    coefficients and three (d, d, batch) arrays.  Grid samples form no
-    product (_sweep_blocks) and are charged one (d, d, batch) step matrix
-    a step, in ranges of a multiple of 16 steps (16 at 1,024 orbits and
-    d >= 2); s shrinks to the largest divisor of that, so a block never
-    spans two ranges.
+    coefficients and three (d, d, batch) arrays.  A grid block, its steps
+    evaluated in pieces (_sweep_blocks), leaves its (batch, k) R-diagonal
+    and the bookkeeping lyapunov_spectrum does on it: about eight float
+    arrays of that shape at k = d, 64 d batch bytes.
     """
     d, batch = C.dim, M ** C.base_dim
-    if not C.is_exact:
-        step = 16 * max(1, _CHUNK_BYTES // (256 * d * d * batch))
-        return max(b for b in range(1, s + 1) if step % b == 0), False, step
-    K = len(C.matrix.c)
-    N = _iterate_points(K, s)
-    # L_s and the L_r of each span's short last block, r = span mod s
-    lengths = _doubling_lengths({s} | {p % s for p in spans})
-    build = (len(lengths) - 1) * (N * d * d * (2 * math.log2(N) + d) + 2 ** 13)
-    reads = s == 1 or build < sum(spans) * M * d * d * (d + 1 - 1 / s)
-    block = 16 * d * d * ((s * (K - 1) + 1 + 2 * batch) if reads else (K + 3 * batch) * s)
-    return s, reads, s * max(1, _CHUNK_BYTES // block)
+    reads, block = False, 64 * d * batch  # a grid block: its R-diagonal and bookkeeping
+    if C.is_exact:
+        K, spans = len(C.matrix.c), [b - a for a, b in zip(ends, ends[1:])]
+        N = _iterate_points(K, s)
+        # L_s and the L_r of each span's short last block, r = span mod s
+        lengths = _doubling_lengths({s} | {p % s for p in spans})
+        build = (len(lengths) - 1) * (N * d * d * (2 * math.log2(N) + d) + 2 ** 13)
+        reads = s == 1 or build < sum(spans) * M * d * d * (d + 1 - 1 / s)
+        block = 16 * d * d * ((s * (K - 1) + 1 + 2 * batch) if reads else (K + 3 * batch) * s)
+    step = s * max(1, _CHUNK_BYTES // block)
+    return [(lo, min(lo + step, b)) for a, b in zip(ends, ends[1:])
+            for lo in range(a, b, step)], reads
 
 
 def _sweep_blocks(C, M, bounds, s, reads):
@@ -486,7 +507,9 @@ def lyapunov_spectrum(C, n=1000, M=64):
 
     C is a Cocycle or its Structure (Structure.of), whose tol is the rank
     tolerance; n, an integer of at least 2, is the orbit length and M, a
-    positive integer, the orbit count per frequency (a bool is neither).
+    positive integer, the orbit count per frequency (a bool is neither),
+    small enough that one step over the M^l orbits of l frequencies fits
+    _LATTICE_BYTES (check_orbit_lattice).
     The number k of finite exponents is the stabilised rank of the
     iterates, profile.min_rank: by the paper's first theorem applied to the exterior
     powers, L_j = -inf exactly when the j-th exterior power is nilpotent,
@@ -518,10 +541,10 @@ def lyapunov_spectrum(C, n=1000, M=64):
     divided by a power of two near its size, so a block product neither
     overflows nor underflows, and adds the log of that scale back.  Block
     products and all bookkeeping are computed a range of steps at a time,
-    whole blocks of s sized by the arrays the block path materialises
-    (_sweep_layout).  A direction whose R-diagonal entry dies in
-    a block (exactly zero or below 1e-14 of the largest) adds no growth and
-    its steps are not counted in its average.
+    whole blocks of s on exact and grid input alike, as many as the arrays
+    the block path materialises allow (_sweep_layout).  A direction whose
+    R-diagonal entry dies in a block (exactly zero or below 1e-14 of the
+    largest) adds no growth and its steps are not counted in its average.
 
     Every array of the sweep is held batch-last, block products (d, d, ...,
     batch) and the frame (d, k, batch) over the M^l orbits of l
@@ -553,6 +576,7 @@ def lyapunov_spectrum(C, n=1000, M=64):
         raise ValueError(f"the orbit count M must be a positive integer, got {M!r}")
     st = Structure.of(C)
     C, d = st.cocycle, st.cocycle.dim
+    check_orbit_lattice(C, M)
     prof = st.profile
     k = prof.min_rank
     reasons = [None] * k + [f"rank A_{prof.stabilized_at} = {k}"] * (d - k)
@@ -573,10 +597,9 @@ def lyapunov_spectrum(C, n=1000, M=64):
     quarter = max(n_eff // 4, 2)
     mid = n_eff - quarter + 1
 
-    def sweep(s, reads, step, *ends):  # carry q from the first end to the last
+    def sweep(s, *ends):  # carry q from the first end to the last
         nonlocal q
-        bounds = [(lo, min(lo + step, b)) for a, b in zip(ends, ends[1:])
-                  for lo in range(a, b, step)]
+        bounds, reads = _sweep_layout(U, M, s, ends)
         blocks = _sweep_blocks(U, M, bounds, s, reads)
         for lo, hi in bounds:  # no block products held while the next range is built
             q, diag = _qr_blocks(next(blocks), q)
@@ -584,15 +607,13 @@ def lyapunov_spectrum(C, n=1000, M=64):
 
     # warmup ranges end at its half, so no block straddles the half s reads
     half = warmup // 2
-    warm = sweep(*_sweep_layout(U, M, _block_length(st.log_cond), half, warmup - half),
-                 0, half, warmup)
+    warm = sweep(_block_length(st.log_cond), 0, half, warmup)
     gap = max((_step_spread(diag, steps) for lo, _, diag, steps in warm if lo >= half),
               default=0.0)
-    s, reads, step = _sweep_layout(U, M, _block_length(gap) if warmup else 1, mid, n_eff - mid)
     logr = np.zeros((batch, k))
     deaths = np.zeros((batch, k), dtype=int)
     running = {}
-    for _, hi, diag, steps in sweep(s, reads, step, warmup, warmup + mid, n):
+    for _, hi, diag, steps in sweep(_block_length(gap) if warmup else 1, warmup, warmup + mid, n):
         # a direction dies in a block when its R-diagonal entry is exactly
         # zero or below the per-sample relative floor; it then adds no growth
         # and the block's steps count as dead

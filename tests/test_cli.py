@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import sys
+import tracemalloc
 import types
 import warnings
 from collections import Counter
@@ -17,9 +18,10 @@ from cocycles import cocycle as cocycle_module
 from cocycles import domination
 from cocycles import fixtures
 from cocycles.cli import main
-from cocycles.cocycle import GOLDEN_MEAN, Cocycle, Structure
+from cocycles.cocycle import (GOLDEN_MEAN, Cocycle, Structure, check_orbit_lattice,
+                              lyapunov_spectrum)
 from cocycles.errors import CocycleError
-from cocycles.matfun import MatrixFunction
+from cocycles.matfun import GridMatrixFunction, MatrixFunction
 from cocycles.normalform import perturb_simple, triangularize
 from cocycles.trigpoly import TrigPoly
 
@@ -679,6 +681,88 @@ class TestExitCodes:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "cocycles" in capsys.readouterr().out
+
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached past the refusal")
+
+
+class TestOversizedInputs:
+    """A small input whose analysis would exhaust memory exits 2 with one
+    stderr line before anything large is built: more frequencies than the
+    resonance search handles (its vectors alone take 8.9 GB at seven), and
+    an orbit lattice one Lyapunov step of which passes the sweep's bound
+    (the frame alone takes 1 GiB for a 2 x 2 cocycle on 64^4 orbits)."""
+
+    FREQUENCIES = [math.sqrt(p) % 1 for p in (2, 3, 5, 7, 11, 13, 17)]
+
+    def document(self, l, d):
+        """2 I sampled on 2^l points over l frequencies."""
+        eye = np.broadcast_to(2.0 * np.eye(d), (2,) * l + (d, d))
+        return {"frequencies": self.FREQUENCIES[:l],
+                "matrix": {"rows": d, "cols": d, "grid_shape": [2] * l,
+                           "samples_re": eye.reshape(-1).tolist(),
+                           "samples_im": [0.0] * eye.size}}
+
+    def write(self, tmp_path, l, d):
+        src = tmp_path / f"grid_{l}.json"
+        src.write_text(json.dumps(self.document(l, d)))
+        return src
+
+    @staticmethod
+    def refuse(argv, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 2 and err.count("\n") == 1, err
+        assert peak < 8 * 2 ** 20
+        return err
+
+    @pytest.mark.parametrize("cmd", ["analyze", "lyapunov", "triangularize", "jordan",
+                                     "dominate"])
+    def test_seven_frequencies_are_refused(self, cmd, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_resonance", _never)
+        err = self.refuse([cmd, str(self.write(tmp_path, 7, 1))], tmp_path, capsys)
+        assert "7 frequencies; at most 5 are supported" in err
+
+    @pytest.mark.parametrize("cmd", ["analyze", "lyapunov"])
+    def test_four_frequency_lattice_is_refused(self, cmd, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "Structure", _never)  # no stage may start
+        err = self.refuse([cmd, str(self.write(tmp_path, 4, 2))], tmp_path, capsys)
+        assert "--grid 64: a Lyapunov step on the 64^4 orbit lattice" in err
+        assert "1073741824 bytes, above the sweep's 1048576" in err
+        assert "at most 11 orbits per frequency fit" in err
+
+    def test_largest_lattice_that_fits_runs(self, tmp_path, capsys):
+        src = str(self.write(tmp_path, 4, 2))
+        assert main(["lyapunov", src, "--out", str(tmp_path), "--grid", "11",
+                     "--iters", "10"]) == 0
+        capsys.readouterr()
+        err = self.refuse(["lyapunov", src, "--grid", "12"], tmp_path, capsys)
+        assert "at most 11 orbits per frequency fit" in err
+
+    def test_spectrum_refuses_the_lattice(self, monkeypatch):
+        C = Cocycle.from_json_dict(self.document(4, 2))
+        monkeypatch.setattr(cocycle_module, "_start_frame", _never)  # the frame is 1 GiB
+        with pytest.raises(ValueError, match="at most 11 orbits per frequency fit"):
+            lyapunov_spectrum(C, n=100, M=64)
+
+    @pytest.mark.parametrize("d, fits", [(3, True), (4, True), (5, False)])
+    def test_full_band_grid_at_64_orbits(self, d, fits):
+        # the analyze-grid workload sweeps d = 2 and 3 at 32 x 32 orbits
+        rng = np.random.default_rng(d)
+        C = Cocycle((GOLDEN_MEAN, fixtures.SILVER_MEAN),
+                    GridMatrixFunction(rng.standard_normal((64, 64, d, d)) + 0j))
+        if fits:
+            check_orbit_lattice(C, 64)
+        else:
+            with pytest.raises(ValueError, match="at most 51 orbits"):
+                check_orbit_lattice(C, 64)
 
 
 class TestFlags:

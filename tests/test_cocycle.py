@@ -941,7 +941,8 @@ class TestRangeLayout:
     """The sweep lays its step ranges out in whole blocks, of s0 in the
     warmup and of s after it, sized by what the block path materialises;
     warmup ranges end at its half, so no block straddles the half whose
-    spread sets s; grid ranges keep 16 steps at 1,024 orbits."""
+    spread sets s; grid input follows the same rule, with s0 and s the
+    block lengths the conditioning rule gives."""
 
     LAYOUTS = [("random_invertible_d3", 2000, 32), ("wedge_d6", 2000, 32),
                ("random_invertible_d3", 1000, 64), ("degree_64", 400, 64)]
@@ -996,22 +997,23 @@ class TestRangeLayout:
         assert len(rec["bounds"][0]) <= 20
 
     @pytest.mark.parametrize("d, seed", [(2, 7), (3, 11)])
-    def test_grid_keeps_sixteen_step_ranges(self, d, seed, monkeypatch):
+    def test_grid_ranges_hold_whole_blocks(self, d, seed, monkeypatch):
         # two frequencies on the 32 x 32 orbit lattice, as analyze --grid 32
-        # runs them: ranges of 16 steps bound the peak memory of a grid
-        # sweep, whatever the block length, and a block never spans two
-        C = _invertible_grid(seed, d, M=16)
+        # runs them: only the range before each end may hold a short block,
+        # and every block is as long as the rule allows
         rec = _sweep_record(monkeypatch)
-        lyapunov_spectrum(C, n=100, M=32)
-        assert rec["bounds"][0] == [(0, 10), (10, 20), (20, 36), (36, 52), (52, 68),
-                                    (68, 81), (81, 97), (97, 100)]
-        lyapunov_spectrum(C, n=2000, M=32)
-        bounds = rec["bounds"][1]
-        assert len(bounds) == 126
-        assert all(hi - lo == 16 for lo, hi in bounds if hi not in (64, 1517, 2000))
-        rules = [r for pair in zip(rec["s0"], rec["s"]) for r in pair]
-        assert all(16 % s == 0 and s <= r for s, r in zip(rec["blocks"], rules, strict=True))
-        assert max(rec["blocks"][0::2]) > 1
+        for C, n in ((_invertible_grid(seed, d, M=16), 100),
+                     (_invertible_grid(seed, d, M=16), 2000),
+                     (_degree_2_grid(seed, d, M=16), 100)):
+            lyapunov_spectrum(C, n=n, M=32)
+            warmup = min(n // 5, 64)
+            ends = {warmup // 2, warmup, n - max((n - warmup) // 4, 2) + 1, n}
+            s0, s = rec["s0"][-1], rec["s"][-1]
+            for lo, hi in rec["bounds"][-1]:
+                if hi not in ends:
+                    assert (hi - lo) % (s0 if hi <= warmup else s) == 0, (lo, hi, s0, s)
+        assert rec["blocks"] == [r for pair in zip(rec["s0"], rec["s"]) for r in pair]
+        assert max(rec["blocks"]) > 16
 
 
 class TestWarmupKeepsSingularInputs:
@@ -1136,17 +1138,25 @@ class TestGridFrame:
         want = self.reference(C, n, M, rec["bounds"][0], s0, s)
         np.testing.assert_allclose(rep.exponents, want, rtol=0, atol=1e-12)
 
-    def test_sweep_memory_is_bounded(self):
-        # the analyze --grid 32 shape at d = 3: the traced peak of this call
-        # is 2.18 MiB, and was 5.22 MiB when grid steps formed block products
+    @staticmethod
+    def traced_peak(n):
         C = _invertible_grid(11, 3, M=16)
         tracemalloc.start()
         try:
-            lyapunov_spectrum(C, n=100, M=32)
-            peak = tracemalloc.get_traced_memory()[1]
+            lyapunov_spectrum(C, n=n, M=32)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2 ** 20
+
+    def test_sweep_memory_is_bounded(self):
+        # the analyze --grid 32 shape at d = 3: the traced peak of this call
+        # is 2.29 MiB, and was 5.22 MiB when grid steps formed block products
+        assert self.traced_peak(100) < 3 * 2 ** 20
+
+    def test_long_sweep_memory_is_bounded(self):
+        # ranges of as many whole blocks as _CHUNK_BYTES allows: the traced
+        # peak of this call is 2.52 MiB, 2.29 MiB when grid ranges held 16 steps
+        assert self.traced_peak(2000) < 3.5 * 2 ** 20
 
     def test_never_forms_block_products(self, monkeypatch):
         def refuse(*args):
